@@ -49,19 +49,21 @@ func buildConvTasks(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (noc
 					weights: make([]bitutil.Word, 0, n),
 					bias:    c.biasWord(oc),
 				}
+				// Row-major offsets into W [OutC, InC, K, K] and x [InC, h, w].
 				for ic := 0; ic < l.InC; ic++ {
 					for ky := 0; ky < l.K; ky++ {
 						iy := oy*l.Stride - l.Pad + ky
 						if iy < 0 || iy >= h {
 							continue
 						}
+						wOff, xOff := ((oc*l.InC+ic)*l.K+ky)*l.K, (ic*h+iy)*w
 						for kx := 0; kx < l.K; kx++ {
 							ix := ox*l.Stride - l.Pad + kx
 							if ix < 0 || ix >= w {
 								continue
 							}
-							t.weights = append(t.weights, c.weightWord(l.W.Index(oc, ic, ky, kx)))
-							t.inputs = append(t.inputs, c.actWord(x.Index(ic, iy, ix)))
+							t.weights = append(t.weights, c.weightWord(wOff+kx))
+							t.inputs = append(t.inputs, c.actWord(xOff+ix))
 						}
 					}
 				}

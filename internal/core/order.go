@@ -3,10 +3,43 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"nocbt/internal/bitutil"
 )
+
+// popcountOrder returns the permutation that stably sorts items by their
+// popcounts, each in [0, width]: descending or ascending, with equal counts
+// in their original relative order. It is one counting-sort pass over the
+// width+1 popcount buckets, O(n + width) — the shape of the '1'-count
+// sorting unit of Han et al. (bin each value by its count, emit the bins in
+// order).
+func popcountOrder(counts []int, width int, descending bool) []int {
+	perm := make([]int, len(counts))
+	if len(counts) == 0 {
+		return perm
+	}
+	bucket := func(c int) int {
+		if descending {
+			return width - c
+		}
+		return c
+	}
+	next := make([]int, width+1)
+	for _, c := range counts {
+		next[bucket(c)]++
+	}
+	pos := 0
+	for b, n := range next {
+		next[b] = pos
+		pos += n
+	}
+	for i, c := range counts {
+		b := bucket(c)
+		perm[next[b]] = i
+		next[b]++
+	}
+	return perm
+}
 
 // OrderDescending returns the words sorted by descending '1'-bit count and
 // the permutation applied: ordered[i] == words[perm[i]]. The sort is stable,
@@ -17,14 +50,7 @@ import (
 // SWAR popcount followed by a sorting network); hardware cost is modelled
 // in internal/hwmodel.
 func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
-	perm := make([]int, len(words))
-	for i := range perm {
-		perm[i] = i
-	}
-	counts := Popcounts(words, width)
-	sort.SliceStable(perm, func(a, b int) bool {
-		return counts[perm[a]] > counts[perm[b]]
-	})
+	perm := popcountOrder(Popcounts(words, width), width, true)
 	ordered := make([]bitutil.Word, len(words))
 	for i, p := range perm {
 		ordered[i] = words[p]
@@ -110,17 +136,7 @@ type Pair struct {
 // ordered[i] == pairs[perm[i]]. Because pairing is preserved, no recovery
 // information is needed downstream: conv/linear layers are order-invariant.
 func AffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := make([]int, len(pairs))
-	for i := range perm {
-		perm[i] = i
-	}
-	counts := make([]int, len(pairs))
-	for i, p := range pairs {
-		counts[i] = p.Weight.OnesCount(width)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return counts[perm[a]] > counts[perm[b]]
-	})
+	perm := popcountOrder(weightPopcounts(pairs, width), width, true)
 	ordered := make([]Pair, len(pairs))
 	for i, p := range perm {
 		ordered[i] = pairs[p]
@@ -136,25 +152,21 @@ func AffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
 // ordered[i] == pairs[perm[i]]; the stable sort keeps the result
 // deterministic.
 func AscendingAffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := make([]int, len(pairs))
-	for i := range perm {
-		perm[i] = i
-	}
-	// Pack (popcount, original index) into one uint64 key per pair: an
-	// unstable sort over the keys is then equivalent to the stable
-	// popcount sort (the index disambiguates ties), with no comparator
-	// indirection in the inner loop.
-	keys := make([]uint64, len(pairs))
-	for i, p := range pairs {
-		keys[i] = uint64(p.Weight.OnesCount(width))<<32 | uint64(i)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	perm := popcountOrder(weightPopcounts(pairs, width), width, false)
 	ordered := make([]Pair, len(pairs))
-	for i, k := range keys {
-		perm[i] = int(k & 0xffffffff)
-		ordered[i] = pairs[perm[i]]
+	for i, p := range perm {
+		ordered[i] = pairs[p]
 	}
 	return ordered, perm
+}
+
+// weightPopcounts returns each pair's weight '1'-bit count.
+func weightPopcounts(pairs []Pair, width int) []int {
+	counts := make([]int, len(pairs))
+	for i, p := range pairs {
+		counts[i] = p.Weight.OnesCount(width)
+	}
+	return counts
 }
 
 // HammingNNOrder orders pairs by a greedy nearest-neighbor walk over

@@ -681,3 +681,60 @@ func TestAscendingAffiliatedOrderMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestPopcountOrdersMatchStableSort pins the counting-sort orderings to the
+// comparison-sort semantics they replaced: sort.SliceStable over popcounts,
+// descending for OrderDescending and AffiliatedOrder, ascending for
+// AscendingAffiliatedOrder, at every lane width up to a full 64-bit word.
+func TestPopcountOrdersMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	stable := func(counts []int, less func(a, b int) bool) []int {
+		perm := make([]int, len(counts))
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(a, b int) bool { return less(counts[perm[a]], counts[perm[b]]) })
+		return perm
+	}
+	desc := func(a, b int) bool { return a > b }
+	asc := func(a, b int) bool { return a < b }
+	for trial := 0; trial < 120; trial++ {
+		width := []int{1, 4, 8, 16, 32, 64}[trial%6]
+		n := rng.Intn(200)
+		ws, ins := randWords(n, width, rng), randWords(n, width, rng)
+		if trial%2 == 0 {
+			for i := range ws { // narrow values force long tie runs
+				ws[i] &= 0x7
+			}
+		}
+		pairs := ZipPairs(ws, ins)
+		counts := Popcounts(ws, width)
+
+		ordered, perm := OrderDescending(ws, width)
+		want := stable(counts, desc)
+		for i := range want {
+			if perm[i] != want[i] || ordered[i] != ws[want[i]] {
+				t.Fatalf("OrderDescending width %d n %d: perm %v, stable reference %v", width, n, perm, want)
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			order func([]Pair, int) ([]Pair, []int)
+			less  func(a, b int) bool
+		}{
+			{"AffiliatedOrder", AffiliatedOrder, desc},
+			{"AscendingAffiliatedOrder", AscendingAffiliatedOrder, asc},
+		} {
+			ordered, perm := c.order(pairs, width)
+			want := stable(counts, c.less)
+			if len(perm) != n || len(ordered) != n {
+				t.Fatalf("%s width %d n %d: %d-entry permutation", c.name, width, n, len(perm))
+			}
+			for i := range want {
+				if perm[i] != want[i] || ordered[i] != pairs[want[i]] {
+					t.Fatalf("%s width %d n %d: perm %v, stable reference %v", c.name, width, n, perm, want)
+				}
+			}
+		}
+	}
+}

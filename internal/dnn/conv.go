@@ -68,27 +68,36 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("dnn: %s input %dx%d too small", c.Name(), h, w))
 	}
 	out := tensor.New(c.OutC, oh, ow)
+	// Direct offsets into the row-major Data of W [OutC, InC, K, K],
+	// x [InC, h, w] and out [OutC, oh, ow]. The float32 accumulation order
+	// (ic, ky, kx) must not change: trained weights and the goldens built on
+	// them depend on it bit for bit.
+	k := c.K
+	wd, xd, od := c.W.Data, x.Data, out.Data
 	for oc := 0; oc < c.OutC; oc++ {
 		bias := c.B.Data[oc]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				acc := bias
 				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
+					wBase, xBase := (oc*c.InC+ic)*k*k, ic*h*w
+					for ky := 0; ky < k; ky++ {
 						iy := oy*c.Stride - c.Pad + ky
 						if iy < 0 || iy >= h {
 							continue
 						}
-						for kx := 0; kx < c.K; kx++ {
+						wRow := wd[wBase+ky*k : wBase+ky*k+k]
+						xRow := xd[xBase+iy*w : xBase+iy*w+w]
+						for kx := range wRow {
 							ix := ox*c.Stride - c.Pad + kx
 							if ix < 0 || ix >= w {
 								continue
 							}
-							acc += c.W.At(oc, ic, ky, kx) * x.At(ic, iy, ix)
+							acc += wRow[kx] * xRow[ix]
 						}
 					}
 				}
-				out.Set(acc, oc, oy, ox)
+				od[(oc*oh+oy)*ow+ox] = acc
 			}
 		}
 	}
@@ -108,27 +117,32 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			c.Name(), gradOut.Shape(), c.OutC, oh, ow))
 	}
 	gradIn := tensor.New(c.InC, h, w)
+	k := c.K
+	wd, xd, gd := c.W.Data, x.Data, gradOut.Data
+	gw, gi := c.gradW.Data, gradIn.Data
 	for oc := 0; oc < c.OutC; oc++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				g := gradOut.At(oc, oy, ox)
+				g := gd[(oc*oh+oy)*ow+ox]
 				if g == 0 {
 					continue
 				}
 				c.gradB.Data[oc] += g
 				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
+					wBase, xBase := (oc*c.InC+ic)*k*k, ic*h*w
+					for ky := 0; ky < k; ky++ {
 						iy := oy*c.Stride - c.Pad + ky
 						if iy < 0 || iy >= h {
 							continue
 						}
-						for kx := 0; kx < c.K; kx++ {
+						wOff, xOff := wBase+ky*k, xBase+iy*w
+						for kx := 0; kx < k; kx++ {
 							ix := ox*c.Stride - c.Pad + kx
 							if ix < 0 || ix >= w {
 								continue
 							}
-							c.gradW.Data[c.gradW.Index(oc, ic, ky, kx)] += g * x.At(ic, iy, ix)
-							gradIn.Data[gradIn.Index(ic, iy, ix)] += g * c.W.At(oc, ic, ky, kx)
+							gw[wOff+kx] += g * xd[xOff+ix]
+							gi[xOff+ix] += g * wd[wOff+kx]
 						}
 					}
 				}

@@ -158,14 +158,14 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 				bestIdx := -1
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
-						idx := x.Index(ci, oy*2+dy, ox*2+dx)
+						idx := (ci*h+oy*2+dy)*w + ox*2 + dx
 						if bestIdx == -1 || x.Data[idx] > best {
 							best = x.Data[idx]
 							bestIdx = idx
 						}
 					}
 				}
-				oIdx := out.Index(ci, oy, ox)
+				oIdx := (ci*oh+oy)*ow + ox
 				out.Data[oIdx] = best
 				p.argmax[oIdx] = bestIdx
 			}
@@ -218,10 +218,8 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	area := float32(h * w)
 	for ci := 0; ci < c; ci++ {
 		sum := float32(0)
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				sum += x.At(ci, y, xx)
-			}
+		for _, v := range x.Data[ci*h*w : (ci+1)*h*w] {
+			sum += v
 		}
 		out.Data[ci] = sum / area
 	}
@@ -238,10 +236,9 @@ func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	area := float32(h * w)
 	for ci := 0; ci < c; ci++ {
 		gv := gradOut.Data[ci] / area
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				gradIn.Set(gv, ci, y, xx)
-			}
+		plane := gradIn.Data[ci*h*w : (ci+1)*h*w]
+		for i := range plane {
+			plane[i] = gv
 		}
 	}
 	return gradIn

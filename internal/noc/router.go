@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocbt/internal/flit"
 )
@@ -44,10 +45,12 @@ type inPort struct {
 	vcs    []inVC
 	feeder *outPort
 	depth  int
+	// base is the allocator requester index of VC 0: port number × VCs.
+	base int
 }
 
-func newInPort(vcs, depth int, feeder *outPort) *inPort {
-	p := &inPort{vcs: make([]inVC, vcs), feeder: feeder, depth: depth}
+func newInPort(vcs, depth, base int, feeder *outPort) *inPort {
+	p := &inPort{vcs: make([]inVC, vcs), feeder: feeder, depth: depth, base: base}
 	for i := range p.vcs {
 		p.vcs[i].buf = make([]*flit.Flit, depth)
 		p.vcs[i].route = -1
@@ -83,14 +86,24 @@ type outPort struct {
 	rrVA int
 	// rrSA rotates priority among switch-allocation candidates.
 	rrSA int
+	// vaReq holds the router's input VCs whose head packet is routed to this
+	// port and awaits a downstream VC: added by route computation, removed
+	// on VC grant. saReq holds those granted one, until their tail flit
+	// leaves. The allocators visit only these members. NI output ports have
+	// no allocator and leave both empty.
+	vaReq, saReq reqSet
 }
 
-func newOutPort(link *Link, vcs, depth int, sink bool) *outPort {
+// newOutPort builds an output port; requesters is the owning router's
+// ports × VCs allocator slot count (0 for an NI).
+func newOutPort(link *Link, vcs, depth int, sink bool, requesters int) *outPort {
 	p := &outPort{
 		link:    link,
 		credits: make([]int, vcs),
 		vcBusy:  make([]bool, vcs),
 		sink:    sink,
+		vaReq:   newReqSet(requesters),
+		saReq:   newReqSet(requesters),
 	}
 	for i := range p.credits {
 		if sink {
@@ -125,6 +138,11 @@ type router struct {
 	// usedIn is the switch allocator's per-call crossbar-row scratch,
 	// allocated once so sa stays allocation-free on the hot path.
 	usedIn []bool
+	// rcReq holds the input VCs that may have an unrouted head flit at
+	// their front: added when a flit arrives at a VC with no route or a
+	// tail leaves a non-empty VC, removed once routed. Route computation
+	// visits only these.
+	rcReq reqSet
 	// buffered counts flits resident in input buffers, letting the
 	// simulator skip idle routers.
 	buffered int
@@ -139,36 +157,48 @@ func newRouter(id, ports, vcs int) *router {
 		out:    make([]*outPort, ports),
 		vcs:    vcs,
 		usedIn: make([]bool, ports),
+		rcReq:  newReqSet(ports * vcs),
 	}
 }
 
-// rc runs route computation: every head flit at a VC front with no route
-// yet gets its output port — and the VC class of the hop — from the
-// topology. Sink (ejection) ports ignore the class: the NI consumes
-// unconditionally, so restricting ejection VCs would only throttle.
+// receive buffers a flit arriving on input port in, queueing its VC for
+// route computation when no packet there holds a route.
+func (r *router) receive(in *inPort, f *flit.Flit) {
+	in.push(f)
+	r.buffered++
+	if in.vcs[f.VC].route == -1 {
+		r.rcReq.add(in.base + f.VC)
+	}
+}
+
+// rc runs route computation over the VCs in rcReq: every head flit at a VC
+// front with no route yet gets its output port — and the VC class of the
+// hop — from the topology, and joins that port's VA request set. Sink
+// (ejection) ports ignore the class: the NI consumes unconditionally, so
+// restricting ejection VCs would only throttle.
 func (r *router) rc(topo Topology) {
-	for pi := range r.in {
-		in := r.in[pi]
-		if in == nil {
-			continue
-		}
-		for v := range in.vcs {
-			vc := &in.vcs[v]
-			if vc.route != -1 || vc.n == 0 {
-				continue
-			}
-			if !vc.front().IsHead() {
+	for w, word := range r.rcReq {
+		for ; word != 0; word &= word - 1 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			r.rcReq.remove(idx)
+			vc := &r.in[idx/r.vcs].vcs[idx%r.vcs]
+			if vc.route != -1 || vc.n == 0 || !vc.front().IsHead() {
 				continue
 			}
 			port, class := topo.Route(r.id, vc.front().Dst)
 			vc.route = port
 			vc.vcLo, vc.vcHi = 0, r.vcs
-			if out := r.out[port]; out != nil && !out.sink {
+			out := r.out[port]
+			if out == nil {
+				continue
+			}
+			if !out.sink {
 				if classes := topo.VCClasses(); classes > 1 {
 					vc.vcLo = class * r.vcs / classes
 					vc.vcHi = (class + 1) * r.vcs / classes
 				}
 			}
+			out.vaReq.add(idx)
 		}
 	}
 }
@@ -176,71 +206,75 @@ func (r *router) rc(topo Topology) {
 // va runs VC allocation: head packets with a route but no downstream VC
 // request one from their output port; each output port grants free VCs —
 // within the requester's VC class — in round-robin requester order.
+//
+// Only the port's VA request set is visited, so a cycle costs one step per
+// real requester rather than one per ports × VCs slot. The visiting order
+// reproduces the original slot scan exactly, including one quirk the
+// goldens depend on: the scan reads rrVA afresh at every step and rrVA
+// moves at the first grant, so after a first grant at offset k from the
+// starting pointer the rest of the scan continues at offset 2k+2 — offsets
+// k+1 … 2k+1 get no grant this cycle. (The scan's wrapped tail revisits
+// only offsets 0 … k, which were already refused or granted, so stopping
+// at offset n changes nothing.)
 func (r *router) va() {
-	ports := len(r.out)
-	for po := 0; po < ports; po++ {
-		out := r.out[po]
-		if out == nil {
+	n := len(r.out) * r.vcs
+	for _, out := range r.out {
+		if out == nil || out.vaReq.empty() {
 			continue
 		}
-		n := ports * r.vcs
+		p := out.rrVA
 		granted := false
-		for k := 0; k < n; k++ {
-			idx := (out.rrVA + k) % n
-			pi, v := idx/r.vcs, idx%r.vcs
-			in := r.in[pi]
-			if in == nil {
-				continue
+		for k := out.vaReq.next(p, 0, n); k >= 0; k = out.vaReq.next(p, k+1, n) {
+			idx := p + k
+			if idx >= n {
+				idx -= n
 			}
-			vc := &in.vcs[v]
-			if vc.route != po || vc.outVC != -1 || vc.n == 0 || !vc.front().IsHead() {
-				continue
-			}
+			vc := &r.in[idx/r.vcs].vcs[idx%r.vcs]
 			free := out.freeVCIn(vc.vcLo, vc.vcHi)
 			if free == -1 {
 				continue
 			}
 			vc.outVC = free
 			out.vcBusy[free] = true
+			out.vaReq.remove(idx)
+			out.saReq.add(idx)
 			if !granted {
-				out.rrVA = (idx + 1) % n
 				granted = true
+				out.rrVA = (idx + 1) % n
+				k = 2*k + 1
 			}
 		}
 	}
 }
 
 // sa runs switch allocation and traversal: each output port picks one
-// eligible input VC (flit buffered, route matches, VC allocated, credit
-// available, crossbar input row free) in round-robin order and forwards
-// its flit onto the link. Returns the number of flits forwarded.
+// eligible input VC (flit buffered, VC allocated, credit available,
+// crossbar input row free) in round-robin order from its SA request set
+// and forwards its flit onto the link. Returns the number of flits
+// forwarded.
 func (r *router) sa() int {
-	ports := len(r.out)
+	n := len(r.out) * r.vcs
 	for i := range r.usedIn {
 		r.usedIn[i] = false
 	}
 	moved := 0
-	for po := 0; po < ports; po++ {
-		out := r.out[po]
-		if out == nil || out.link.inFlight != nil {
+	for _, out := range r.out {
+		if out == nil || out.link.inFlight != nil || out.saReq.empty() {
 			continue
 		}
-		n := ports * r.vcs
-		for k := 0; k < n; k++ {
-			idx := (out.rrSA + k) % n
+		p := out.rrSA
+		for k := out.saReq.next(p, 0, n); k >= 0; k = out.saReq.next(p, k+1, n) {
+			idx := p + k
+			if idx >= n {
+				idx -= n
+			}
 			pi, v := idx/r.vcs, idx%r.vcs
 			if r.usedIn[pi] {
 				continue
 			}
 			in := r.in[pi]
-			if in == nil {
-				continue
-			}
 			vc := &in.vcs[v]
-			if vc.route != po || vc.outVC == -1 || vc.n == 0 {
-				continue
-			}
-			if out.credits[vc.outVC] <= 0 {
+			if vc.n == 0 || out.credits[vc.outVC] <= 0 {
 				continue
 			}
 			f := vc.front()
@@ -260,12 +294,72 @@ func (r *router) sa() int {
 			}
 			if f.IsTail() {
 				out.vcBusy[f.VC] = false
+				out.saReq.remove(idx)
 				vc.route = -1
 				vc.outVC = -1
+				if vc.n > 0 {
+					r.rcReq.add(idx) // the next packet's head is at the front
+				}
 			}
 			out.rrSA = (idx + 1) % n
 			break
 		}
 	}
 	return moved
+}
+
+// reqSet is a set of a router's input VCs, indexed by the allocators'
+// requester index idx = inPort·VCs + vc. It spans as many words as the
+// router has VCs, so no ports × VCs product is too large (a
+// concentration-4 cmesh router with 16 VCs has 128).
+type reqSet []uint64
+
+func newReqSet(requesters int) reqSet { return make(reqSet, (requesters+63)/64) }
+
+func (s reqSet) add(i int)    { s[i>>6] |= 1 << uint(i&63) }
+func (s reqSet) remove(i int) { s[i>>6] &^= 1 << uint(i&63) }
+
+func (s reqSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// first returns the lowest member in [lo, hi), or -1.
+func (s reqSet) first(lo, hi int) int {
+	for w := lo >> 6; w < len(s) && w<<6 < hi; w++ {
+		word := s[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << uint(lo&63)
+		}
+		if word != 0 {
+			if i := w<<6 + bits.TrailingZeros64(word); i < hi {
+				return i
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// next walks the set as a round-robin ring of n slots starting at pointer
+// p: it returns the smallest offset j ≥ k (j < n) such that slot
+// (p+j) mod n is a member, or -1.
+func (s reqSet) next(p, k, n int) int {
+	if k >= n {
+		return -1
+	}
+	if i := p + k; i < n {
+		if j := s.first(i, n); j >= 0 {
+			return j - p
+		}
+		k = n - p // continue at slot 0
+	}
+	if j := s.first(p+k-n, p); j >= 0 {
+		return j - p + n
+	}
+	return -1
 }

@@ -1,8 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocbt/internal/flit"
 	"nocbt/internal/obs"
@@ -36,7 +37,6 @@ type Sim struct {
 	// activeRouters holds routers with buffered flits, kept in id order so
 	// same-cycle credit returns behave exactly like the full id-order scan.
 	activeRouters []*router
-	routersSorted bool
 
 	cycle     int64
 	inNetwork int64 // flits transmitted by NIs and not yet ejected
@@ -158,8 +158,8 @@ func New(cfg Config) (*Sim, error) {
 			}
 			link := newLink(s, fmt.Sprintf("r%d.%s->r%d", id, topo.PortName(port), nb), RouterLink, cfg.LinkBits)
 			s.links = append(s.links, link)
-			r.out[port] = newOutPort(link, cfg.VCs, cfg.BufDepth, false)
-			in := newInPort(cfg.VCs, cfg.BufDepth, r.out[port])
+			r.out[port] = newOutPort(link, cfg.VCs, cfg.BufDepth, false, ports*cfg.VCs)
+			in := newInPort(cfg.VCs, cfg.BufDepth, inPort*cfg.VCs, r.out[port])
 			s.routers[nb].in[inPort] = in
 			link.dstRouter = s.routers[nb]
 			link.dstIn = in
@@ -182,12 +182,12 @@ func New(cfg Config) (*Sim, error) {
 		}
 		ej := newLink(s, fmt.Sprintf("r%d.%s->ni%d", rid, topo.PortName(lp), node), EjectionLink, cfg.LinkBits)
 		s.links = append(s.links, ej)
-		r.out[lp] = newOutPort(ej, cfg.VCs, cfg.BufDepth, true)
+		r.out[lp] = newOutPort(ej, cfg.VCs, cfg.BufDepth, true, ports*cfg.VCs)
 
 		inj := newLink(s, fmt.Sprintf("ni%d->r%d.%s", node, rid, topo.PortName(lp)), InjectionLink, cfg.LinkBits)
 		s.links = append(s.links, inj)
-		niOut := newOutPort(inj, cfg.VCs, cfg.BufDepth, false)
-		in := newInPort(cfg.VCs, cfg.BufDepth, niOut)
+		niOut := newOutPort(inj, cfg.VCs, cfg.BufDepth, false, 0)
+		in := newInPort(cfg.VCs, cfg.BufDepth, lp*cfg.VCs, niOut)
 		r.in[lp] = in
 		inj.dstRouter = r
 		inj.dstIn = in
@@ -283,25 +283,49 @@ func (s *Sim) Inject(p *flit.Packet) error {
 	return nil
 }
 
-// activateRouter puts r on the active list when its first flit arrives.
+// activateRouter puts r on the active list when its first flit arrives,
+// inserted at its id position so the list stays in id order.
 func (s *Sim) activateRouter(r *router) {
 	if !r.active {
 		r.active = true
-		s.activeRouters = append(s.activeRouters, r)
-		s.routersSorted = false
+		i, _ := slices.BinarySearchFunc(s.activeRouters, r.id, func(a *router, id int) int { return cmp.Compare(a.id, id) })
+		s.activeRouters = slices.Insert(s.activeRouters, i, r)
 	}
 }
 
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
+	s.deliver()
+	s.injectNIs()
 
-	// Phase 1 — deliver last cycle's in-flight flits. Only links that
-	// transmitted last cycle are on the busy list; delivery order is
-	// irrelevant to the protocol state (every link feeds a distinct sink)
-	// but is pinned to the scan order for trace consumers.
+	// Phase 3 — routers: route computation, VC allocation, switch
+	// allocation + traversal. Same-cycle credit returns flow from lower to
+	// higher router ids exactly as in a full scan, so the active list must
+	// be walked in id order.
+	if len(s.activeRouters) > 0 {
+		keep := s.activeRouters[:0]
+		for _, r := range s.activeRouters {
+			r.rc(s.topo)
+			r.va()
+			r.sa()
+			if r.buffered > 0 {
+				keep = append(keep, r)
+			} else {
+				r.active = false
+			}
+		}
+		s.activeRouters = keep // compaction preserves id order
+	}
+}
+
+// deliver is Step's phase 1: it delivers last cycle's in-flight flits.
+// Only links that transmitted last cycle are on the busy list; delivery
+// order is irrelevant to the protocol state (every link feeds a distinct
+// sink) but is pinned to the scan order for trace consumers.
+func (s *Sim) deliver() {
 	if (s.trace != nil || s.spans != nil) && len(s.busy) > 1 {
-		sort.Slice(s.busy, func(i, j int) bool { return s.busy[i].order < s.busy[j].order })
+		slices.SortFunc(s.busy, func(a, b *Link) int { return cmp.Compare(a.order, b.order) })
 	}
 	for _, l := range s.busy {
 		f := l.takeDelivery()
@@ -342,8 +366,7 @@ func (s *Sim) Step() {
 			}
 			continue
 		}
-		l.dstIn.push(f)
-		l.dstRouter.buffered++
+		l.dstRouter.receive(l.dstIn, f)
 		s.activateRouter(l.dstRouter)
 		if s.trace != nil {
 			s.trace(s.cycle, l.Name, l.Class, f)
@@ -353,9 +376,12 @@ func (s *Sim) Step() {
 		}
 	}
 	s.busy = s.busy[:0]
+}
 
-	// Phase 2 — NI injection. Per-NI order does not matter (each NI owns
-	// its injection link); exhausted NIs drop off the active list.
+// injectNIs is Step's phase 2: NI injection. Per-NI order does not matter
+// (each NI owns its injection link); exhausted NIs drop off the active
+// list.
+func (s *Sim) injectNIs() {
 	if len(s.activeNIs) > 0 {
 		keep := s.activeNIs[:0]
 		for _, ni := range s.activeNIs {
@@ -387,31 +413,6 @@ func (s *Sim) Step() {
 			}
 		}
 		s.activeNIs = keep
-	}
-
-	// Phase 3 — routers: route computation, VC allocation, switch
-	// allocation + traversal. Same-cycle credit returns flow from lower to
-	// higher router ids exactly as in a full scan, so the active list must
-	// be walked in id order.
-	if len(s.activeRouters) > 0 {
-		if !s.routersSorted {
-			sort.Slice(s.activeRouters, func(i, j int) bool {
-				return s.activeRouters[i].id < s.activeRouters[j].id
-			})
-			s.routersSorted = true
-		}
-		keep := s.activeRouters[:0]
-		for _, r := range s.activeRouters {
-			r.rc(s.topo)
-			r.va()
-			r.sa()
-			if r.buffered > 0 {
-				keep = append(keep, r)
-			} else {
-				r.active = false
-			}
-		}
-		s.activeRouters = keep // compaction preserves id order
 	}
 }
 

@@ -145,23 +145,36 @@ func (b *Batcher) collect() {
 // flush runs one micro-batch on a warm engine from the shard, recording
 // the flush-latency and achieved-batch-size distributions and a
 // batch.flush span (each flush gets its own trace track: flushes from one
-// shard overlap up to the replica count).
+// shard overlap up to the replica count). The flush is recorded before any
+// requester is answered, so a client holding its response already finds
+// this flush in /metrics and /debug/trace.
 func (b *Batcher) flush(batch []*inferJob) {
 	t := b.metrics.Spans
 	sp := t.Begin("batch.flush", "serve", servePID, t.NextTID(), t.Ticks()).
 		SetAttrInt("batch_size", int64(len(batch))).
 		SetAttr("shard", b.shard.Key())
 	flushStart := time.Now()
-	defer func() {
-		b.metrics.FlushLatency.Observe(time.Since(flushStart).Seconds())
-		b.metrics.BatchSize.Observe(float64(len(batch)))
-		t.End(sp, t.Ticks())
-	}()
-
-	eng, release, err := b.shard.Acquire(b.ctx)
+	outs, stats, err := b.infer(batch)
+	b.metrics.FlushLatency.Observe(time.Since(flushStart).Seconds())
+	b.metrics.BatchSize.Observe(float64(len(batch)))
+	t.End(sp, t.Ticks())
 	if err != nil {
 		b.fail(batch, err)
 		return
+	}
+	b.metrics.InferBatches.Add(1)
+	b.metrics.InferBatchedRequests.Add(int64(len(batch)))
+	for i, job := range batch {
+		job.done <- inferDone{output: outs[i], stat: stats[i], batchSize: len(batch)}
+	}
+}
+
+// infer acquires a warm engine, runs the batch on it and returns one
+// output and one per-inference stat per job.
+func (b *Batcher) infer(batch []*inferJob) ([]*tensor.Tensor, []accel.InferenceStat, error) {
+	eng, release, err := b.shard.Acquire(b.ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer release()
 
@@ -173,8 +186,7 @@ func (b *Batcher) flush(batch []*inferJob) {
 	if err != nil {
 		// release() sees Reusable() == false for poisoned engines and
 		// retires them; the next flush acquires a rebuilt replica.
-		b.fail(batch, err)
-		return
+		return nil, nil, err
 	}
 	stats := eng.LastBatchStats()
 	if len(outs) != len(batch) || len(stats.PerInference) != len(batch) {
@@ -182,16 +194,11 @@ func (b *Batcher) flush(batch []*inferJob) {
 		// than requests. The old code silently handed the short requesters
 		// a zero-valued InferenceStat (latency 0); the whole batch fails
 		// loudly instead — none of its results can be trusted.
-		b.fail(batch, fmt.Errorf(
+		return nil, nil, fmt.Errorf(
 			"serve: engine returned %d outputs and %d per-inference stats for a %d-request batch",
-			len(outs), len(stats.PerInference), len(batch)))
-		return
+			len(outs), len(stats.PerInference), len(batch))
 	}
-	b.metrics.InferBatches.Add(1)
-	b.metrics.InferBatchedRequests.Add(int64(len(batch)))
-	for i, job := range batch {
-		job.done <- inferDone{output: outs[i], stat: stats.PerInference[i], batchSize: len(batch)}
-	}
+	return outs, stats.PerInference, nil
 }
 
 // fail delivers err to every job of a batch.
