@@ -269,8 +269,8 @@ func TestSchedulerContextsClearedOnError(t *testing.T) {
 	if runErr == nil || !strings.Contains(runErr.Error(), "cycle cap") {
 		t.Fatalf("expected cycle-cap error, got %v", runErr)
 	}
-	if len(s.tasks) != 0 || len(s.results) != 0 || len(s.pending) != 0 || len(s.activeRuns) != 0 {
-		t.Errorf("scheduler context leaked after error: %d tasks, %d results, %d pending, %d runs",
-			len(s.tasks), len(s.results), len(s.pending), len(s.activeRuns))
+	if len(s.feeds) != 0 || len(s.results.refs) != 0 || len(s.pending) != 0 || len(s.activeRuns) != 0 {
+		t.Errorf("scheduler context leaked after error: %d MC feeds, %d results, %d pending, %d runs",
+			len(s.feeds), len(s.results.refs), len(s.pending), len(s.activeRuns))
 	}
 }

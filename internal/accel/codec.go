@@ -55,23 +55,23 @@ func newCodec(format bitutil.Format, weights, acts, biases []float32) (codec, er
 	return c, nil
 }
 
-func (c codec) fixed() bool { return c.format.IsFixed() }
+func (c *codec) fixed() bool { return c.format.IsFixed() }
 
-func (c codec) weightWord(i int) bitutil.Word {
+func (c *codec) weightWord(i int) bitutil.Word {
 	if c.fixed() {
 		return bitutil.FixedWord(c.wq[i], c.bits)
 	}
 	return bitutil.Float32Word(c.weights[i])
 }
 
-func (c codec) actWord(i int) bitutil.Word {
+func (c *codec) actWord(i int) bitutil.Word {
 	if c.fixed() {
 		return bitutil.FixedWord(c.xq[i], c.bits)
 	}
 	return bitutil.Float32Word(c.acts[i])
 }
 
-func (c codec) biasWord(i int) bitutil.Word {
+func (c *codec) biasWord(i int) bitutil.Word {
 	if c.fixed() {
 		return bitutil.FixedWord(c.bq[i], c.bits)
 	}

@@ -69,6 +69,11 @@ type Engine struct {
 	payloadScratch []bitutil.Vec
 	peScratch      []bitutil.Vec
 	deflitScratch  flit.Task
+	// wScratch and xScratch hold the weight and input words of the segment
+	// being flitized; partnerScratch the in-band partner table being
+	// decoded.
+	wScratch, xScratch []bitutil.Word
+	partnerScratch     []int
 
 	// aborted records the error of a run that died after dispatching
 	// traffic; once set, the mesh state is indeterminate and the engine

@@ -21,60 +21,75 @@ import (
 func (s *scheduler) pumpPEs() error {
 	e := s.e
 	g := e.cfg.Geometry
+	mcs := e.cfg.MCs
 	for _, pe := range e.pes {
 		for _, pkt := range e.sim.PopEjected(pe) {
 			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload)
 			if hdr.Kind != flit.KindTask {
 				return fmt.Errorf("PE %d received non-task packet %d", pe, pkt.ID)
 			}
-			ctx, ok := s.tasks[pkt.ID]
-			if !ok {
+			run, k := s.sentSegment(pkt.ID)
+			if run == nil {
 				return fmt.Errorf("PE %d received unknown packet %d", pe, pkt.ID)
 			}
-			delete(s.tasks, pkt.ID)
-			if int(hdr.PairCount) != ctx.pairs || int(hdr.TaskID) != ctx.task {
+			sg := &run.segs[k]
+			if int32(hdr.PairCount) != sg.pairs || int64(hdr.TaskID) != int64(sg.task) {
 				return fmt.Errorf("PE %d packet %d header (task %d, %d pairs) contradicts dispatch record (task %d, %d pairs)",
-					pe, pkt.ID, hdr.TaskID, hdr.PairCount, ctx.task, ctx.pairs)
+					pe, pkt.ID, hdr.TaskID, hdr.PairCount, sg.task, sg.pairs)
 			}
-			value, err := s.peCompute(pkt, ctx)
+			value, err := s.peCompute(pkt, run, sg)
 			if err != nil {
 				return fmt.Errorf("PE %d packet %d: %w", pe, pkt.ID, err)
 			}
+			sg.state, sg.partner = segComputed, nil
 			// The task packet is fully decoded; its flits, payload vectors
 			// and shell go back to the pool and come out again as the
 			// result packet built just below.
 			pool := e.sim.Pool()
 			e.sim.Recycle(pkt)
+			mc := mcs[int(sg.task)%len(mcs)]
 			rid := e.nextID()
 			rhdr := pool.Vec()
 			flit.EncodeHeaderInto(flit.Header{
-				Dst: uint16(ctx.mc), Src: uint16(pe),
-				PacketID: uint32(rid), TaskID: uint32(ctx.task),
-				Kind: flit.KindResult, PairCount: uint16(ctx.seg),
+				Dst: uint16(mc), Src: uint16(pe),
+				PacketID: uint32(rid), TaskID: uint32(sg.task),
+				Kind: flit.KindResult, PairCount: uint16(sg.seg),
 				Ordering: e.cfg.Ordering,
 			}, rhdr)
 			body := pool.Vec()
 			body.SetField(0, 32, uint64(bitutil.Float32Word(value)))
 			e.payloadScratch = append(e.payloadScratch[:0], body)
-			rpkt := pool.Packet(rid, pe, ctx.mc, rhdr, e.payloadScratch)
-			s.results[rid] = &resultCtx{run: ctx.run, task: ctx.task, seg: ctx.seg}
+			rpkt := pool.Packet(rid, pe, mc, rhdr, e.payloadScratch)
+			s.results.add(rid, run, k)
 			ready := e.sim.Cycle() + int64(e.cfg.PEComputeCycles)
 			s.pending = append(s.pending, pendingResult{
 				ready: ready,
 				pkt:   rpkt,
-				run:   ctx.run,
+				run:   run,
 			})
 			if e.spans != nil {
-				if ctx.run.firstEject == 0 {
-					ctx.run.firstEject = e.sim.Cycle()
+				if run.firstEject == 0 {
+					run.firstEject = e.sim.Cycle()
 				}
-				if ready > ctx.run.lastReady {
-					ctx.run.lastReady = ready
+				if ready > run.lastReady {
+					run.lastReady = ready
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// sentSegment finds the segment whose task packet has ID id and is on its
+// way to a PE: the in-flight run whose ID block holds id (a handful of
+// runs at most, one per flow). A nil run means no such packet was sent.
+func (s *scheduler) sentSegment(id uint64) (*layerRun, int) {
+	for _, run := range s.activeRuns {
+		if k := id - run.base; id >= run.base && k < uint64(len(run.segs)) && run.segs[k].state == segSent {
+			return run, int(k)
+		}
+	}
+	return nil, 0
 }
 
 // peCompute models the PE datapath: deflitize the task segment,
@@ -83,36 +98,35 @@ func (s *scheduler) pumpPEs() error {
 // flit geometry and quantization scales come from the packet's layer
 // context, never from engine-global registers — each layer decodes at its
 // own lane width.
-func (s *scheduler) peCompute(pkt *flit.Packet, ctx *taskCtx) (float32, error) {
-	g := ctx.run.geom
-	dataFlits := g.DataFlitCount(ctx.pairs)
-	s.e.peScratch = pkt.AppendPayloadVecs(s.e.peScratch[:0])
-	payloads := s.e.peScratch
+func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, sg *segment) (float32, error) {
+	e := s.e
+	g := run.geom
+	pairs := int(sg.pairs)
+	dataFlits := g.DataFlitCount(pairs)
+	e.peScratch = pkt.AppendPayloadVecs(e.peScratch[:0])
+	payloads := e.peScratch
 	if len(payloads) < dataFlits {
 		return 0, fmt.Errorf("packet has %d payload flits, need %d data flits", len(payloads), dataFlits)
 	}
-	var partner []int
-	if s.e.strategy.EmitsPartner() {
-		if s.e.cfg.InBandIndex {
-			var err error
-			partner, err = flit.DecodePartnerIndex(g, payloads[dataFlits:], ctx.pairs)
-			if err != nil {
-				return 0, err
-			}
-		} else {
-			partner = ctx.partner
+	partner := sg.partner
+	if e.strategy.EmitsPartner() && e.cfg.InBandIndex {
+		var err error
+		partner, err = flit.DecodePartnerIndexInto(g, payloads[dataFlits:], pairs, e.partnerScratch)
+		if err != nil {
+			return 0, err
 		}
+		e.partnerScratch = partner
 	}
-	if err := flit.DeflitizeInto(g, payloads[:dataFlits], ctx.pairs, s.e.cfg.Ordering, partner, &s.e.deflitScratch); err != nil {
+	if err := flit.DeflitizeInto(g, payloads[:dataFlits], pairs, e.cfg.Ordering, partner, &e.deflitScratch); err != nil {
 		return 0, err
 	}
-	task := &s.e.deflitScratch
+	task := &e.deflitScratch
 
 	n := int64(len(task.Weights))
 	lb := g.LaneBits()
-	s.e.macOps += n
-	s.e.macBitOps += n * int64(lb) * int64(lb)
-	s.e.weightRegBits += n * int64(lb)
+	e.macOps += n
+	e.macBitOps += n * int64(lb) * int64(lb)
+	e.weightRegBits += n * int64(lb)
 
 	if g.Format.IsFixed() {
 		// Exact integer MAC, then one rescale: identical across orderings.
@@ -123,7 +137,8 @@ func (s *scheduler) peCompute(pkt *flit.Packet, ctx *taskCtx) (float32, error) {
 		for i := range task.Weights {
 			acc += int64(bitutil.WordFixed(task.Weights[i], lb)) * int64(bitutil.WordFixed(task.Inputs[i], lb))
 		}
-		return float32(acc)*ctx.run.scaleWX + float32(bitutil.WordFixed(task.Bias, lb))*ctx.run.scaleB, nil
+		enc := &run.layer.enc
+		return float32(acc)*enc.scaleWX + float32(bitutil.WordFixed(task.Bias, lb))*enc.scaleB, nil
 	}
 	sum := bitutil.WordFloat32(task.Bias)
 	for i := range task.Weights {
@@ -134,10 +149,10 @@ func (s *scheduler) peCompute(pkt *flit.Packet, ctx *taskCtx) (float32, error) {
 
 // pumpMCs is the memory-controller collector: it consumes result packets
 // ejected at MCs and accumulates partial sums, validating every decoded
-// header field against the dispatch record before indexing. Out-of-range
-// task IDs or segment indices and duplicate results are errors — the old
-// code panicked on the former and silently double-counted the latter.
-// Returns the layer runs this cycle completed.
+// header field against the dispatch record before indexing. Task IDs or
+// segment indices contradicting the record and duplicate results are
+// errors — the old code panicked on out-of-range indices and silently
+// double-counted duplicates. Returns the layer runs this cycle completed.
 func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 	e := s.e
 	g := e.cfg.Geometry
@@ -148,35 +163,35 @@ func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 			if hdr.Kind != flit.KindResult {
 				return nil, fmt.Errorf("MC %d received non-result packet %d", mc, pkt.ID)
 			}
-			ctx, ok := s.results[pkt.ID]
+			ref, ok := s.results.take(pkt.ID)
 			if !ok {
 				return nil, fmt.Errorf("MC %d received unknown or duplicate result packet %d", mc, pkt.ID)
 			}
-			delete(s.results, pkt.ID)
-			run := ctx.run
-			task, seg := int(hdr.TaskID), int(hdr.PairCount)
-			if task != ctx.task || task < 0 || task >= len(run.partials) {
+			run := ref.run
+			sg := &run.segs[ref.seg]
+			task, seg := int64(hdr.TaskID), int64(hdr.PairCount)
+			if task != int64(sg.task) {
 				return nil, fmt.Errorf("MC %d result packet %d: task ID %d out of range or contradicting dispatch record (task %d of %d)",
-					mc, pkt.ID, task, ctx.task, len(run.partials))
+					mc, pkt.ID, task, sg.task, run.layer.ntasks)
 			}
-			if seg != ctx.seg || seg < 0 || seg >= len(run.partials[task]) {
+			if seg != int64(sg.seg) {
 				return nil, fmt.Errorf("MC %d result packet %d: segment %d out of range or contradicting dispatch record (segment %d of %d)",
-					mc, pkt.ID, seg, ctx.seg, len(run.partials[task]))
+					mc, pkt.ID, seg, sg.seg, run.segStart[task+1]-run.segStart[task])
 			}
-			if run.seen[task][seg] {
+			if sg.state == segDone {
 				return nil, fmt.Errorf("MC %d result packet %d: duplicate result for task %d segment %d",
 					mc, pkt.ID, task, seg)
 			}
 			if pkt.Len() < 2 {
 				return nil, fmt.Errorf("MC %d result packet %d has no payload flit", mc, pkt.ID)
 			}
-			run.seen[task][seg] = true
-			run.partials[task][seg] = bitutil.WordFloat32(bitutil.Word(pkt.Flits[1].Payload.Field(0, 32)))
+			sg.state = segDone
+			sg.partial = bitutil.WordFloat32(bitutil.Word(pkt.Flits[1].Payload.Field(0, 32)))
 			// Everything of interest has been read; the packet returns to
 			// the pool for the next dispatch to reuse.
 			e.sim.Recycle(pkt)
 			run.received++
-			if run.received == run.expected {
+			if run.received == len(run.segs) {
 				completed = append(completed, run)
 			}
 		}

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // partial while double-incrementing the received counter.
 
 // mkValidationScheduler builds an engine plus an empty scheduler with one
-// in-flight layer run of `tasks` single-segment tasks.
+// in-flight layer run of `tasks` single-segment tasks, whose task packets
+// would carry IDs 1..tasks.
 func mkValidationScheduler(t *testing.T, tasks int) (*Engine, *scheduler, *layerRun) {
 	t.Helper()
 	m := tinyNet(rand.New(rand.NewSource(51)))
@@ -28,16 +30,15 @@ func mkValidationScheduler(t *testing.T, tasks int) (*Engine, *scheduler, *layer
 	s := newScheduler(context.Background(), eng, []*flow{{idx: 0}})
 	run := &layerRun{
 		flow:     s.flows[0],
-		name:     "forged",
-		ntasks:   tasks,
-		partials: make([][]float32, tasks),
-		seen:     make([][]bool, tasks),
-		expected: tasks,
+		layer:    nocLayer{name: "forged", ntasks: tasks},
+		base:     1,
+		segStart: make([]int32, tasks+1),
+		segs:     make([]segment, tasks),
 		deadline: eng.sim.Cycle() + eng.cfg.DrainCycleCap,
 	}
-	for i := range run.partials {
-		run.partials[i] = make([]float32, 1)
-		run.seen[i] = make([]bool, 1)
+	for i := range run.segs {
+		run.segStart[i+1] = int32(i + 1)
+		run.segs[i] = segment{task: int32(i), pairs: 1}
 	}
 	s.activeRuns = append(s.activeRuns, run)
 	return eng, s, run
@@ -80,7 +81,7 @@ func deliverToMC(t *testing.T, eng *Engine, s *scheduler, pkt *flit.Packet) erro
 
 func TestCollectorRejectsUnknownResultPacket(t *testing.T) {
 	eng, s, _ := mkValidationScheduler(t, 1)
-	// No resultCtx registered for this ID: must error, not index partials.
+	// No result registered for this ID: must error, not index partials.
 	err := deliverToMC(t, eng, s, resultPacket(eng, 999, 0, 0, 1))
 	if err == nil || !strings.Contains(err.Error(), "unknown or duplicate") {
 		t.Fatalf("unknown result packet not rejected: %v", err)
@@ -91,7 +92,7 @@ func TestCollectorRejectsOutOfRangeTaskID(t *testing.T) {
 	eng, s, run := mkValidationScheduler(t, 1)
 	// Context says task 0, header claims task 7 — the old code would have
 	// panicked at partials[7].
-	s.results[1000] = &resultCtx{run: run, task: 0, seg: 0}
+	s.results.add(1000, run, 0)
 	err := deliverToMC(t, eng, s, resultPacket(eng, 1000, 7, 0, 1))
 	if err == nil || !strings.Contains(err.Error(), "task ID") {
 		t.Fatalf("out-of-range task ID not rejected: %v", err)
@@ -102,7 +103,7 @@ func TestCollectorRejectsOutOfRangeSegment(t *testing.T) {
 	eng, s, run := mkValidationScheduler(t, 1)
 	// Header claims segment 3 of a single-segment task — the old code would
 	// have panicked at partials[0][3].
-	s.results[1001] = &resultCtx{run: run, task: 0, seg: 0}
+	s.results.add(1001, run, 0)
 	err := deliverToMC(t, eng, s, resultPacket(eng, 1001, 0, 3, 1))
 	if err == nil || !strings.Contains(err.Error(), "segment") {
 		t.Fatalf("out-of-range segment not rejected: %v", err)
@@ -114,12 +115,12 @@ func TestCollectorRejectsDuplicateResult(t *testing.T) {
 	// Two distinct result packets claiming the same (task, segment): the
 	// old code overwrote the partial and counted received twice, silently
 	// finishing the layer with a missing contribution.
-	s.results[1002] = &resultCtx{run: run, task: 0, seg: 0}
-	s.results[1003] = &resultCtx{run: run, task: 0, seg: 0}
+	s.results.add(1002, run, 0)
+	s.results.add(1003, run, 0)
 	if err := deliverToMC(t, eng, s, resultPacket(eng, 1002, 0, 0, 1)); err != nil {
 		t.Fatalf("first result rejected: %v", err)
 	}
-	if run.received != 1 || !run.seen[0][0] {
+	if run.received != 1 || run.segs[0].state != segDone {
 		t.Fatalf("first result not recorded: received=%d", run.received)
 	}
 	err := deliverToMC(t, eng, s, resultPacket(eng, 1003, 0, 0, 2))
@@ -129,8 +130,8 @@ func TestCollectorRejectsDuplicateResult(t *testing.T) {
 	if run.received != 1 {
 		t.Errorf("duplicate still incremented received: %d", run.received)
 	}
-	if got := bitutil.WordFloat32(bitutil.Word(bitutil.Float32Word(run.partials[0][0]))); got != 1 {
-		t.Errorf("duplicate overwrote partial: %v", run.partials[0][0])
+	if got := run.segs[0].partial; got != 1 {
+		t.Errorf("duplicate overwrote partial: %v", got)
 	}
 }
 
@@ -172,5 +173,91 @@ func TestPERejectsUnknownTaskPacket(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "unknown packet") {
 		t.Fatalf("unknown task packet not rejected: %v", err)
+	}
+}
+
+// TestResultWindow: result IDs arrive in increasing order with gaps (IDs
+// reserved for task packets in between) and are collected out of order;
+// every registered ID resolves exactly once, unknown and repeated IDs miss,
+// and collected entries are trimmed so the window tracks only live results.
+func TestResultWindow(t *testing.T) {
+	run := &layerRun{}
+	var w resultWindow
+	ids := []uint64{5, 6, 9, 40, 41, 42}
+	for i, id := range ids {
+		w.add(id, run, i)
+	}
+	if _, ok := w.take(7); ok {
+		t.Error("gap ID 7 resolved")
+	}
+	for _, i := range []int{1, 0, 2, 5, 3} {
+		ref, ok := w.take(ids[i])
+		if !ok || ref.run != run || int(ref.seg) != i {
+			t.Fatalf("take(%d) = %+v, %v; want segment %d", ids[i], ref, ok, i)
+		}
+		if _, ok := w.take(ids[i]); ok {
+			t.Fatalf("take(%d) resolved twice", ids[i])
+		}
+	}
+	if live := len(w.refs) - w.head; live > 3 {
+		t.Errorf("window holds %d entries for one live result (ID 41), want it trimmed", live)
+	}
+	w.add(43, run, 6)
+	for _, id := range []uint64{41, 43} {
+		if _, ok := w.take(id); !ok {
+			t.Fatalf("take(%d) missed after trimming", id)
+		}
+	}
+	if len(w.refs) != 0 {
+		t.Errorf("drained window keeps %d entries", len(w.refs))
+	}
+	if _, ok := w.take(3); ok {
+		t.Error("ID below the window resolved")
+	}
+}
+
+// TestPERejectsMalformedPartnerTable: a separated-ordering partner table
+// that is not a permutation surfaces as a PE error naming the packet,
+// instead of a panic (out-of-range entry) or a silently wrong partial sum
+// (repeated entry).
+func TestPERejectsMalformedPartnerTable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(p []int)
+		want   string
+	}{
+		{"repeated entry", func(p []int) { p[1] = p[0] }, "repeated"},
+		{"out of range", func(p []int) { p[0] = len(p) + 2 }, "outside"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tinyNet(rand.New(rand.NewSource(51)))
+			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg.Ordering = flit.Separated
+			eng, err := New(cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &flow{act: testInput(m, 2)}
+			s := newScheduler(context.Background(), eng, []*flow{f})
+			if err := s.advance(f); err != nil {
+				t.Fatal(err)
+			}
+			sg := &f.cur.segs[0]
+			if sg.state != segSent || len(sg.partner) < 2 {
+				t.Fatalf("first segment not sent with a partner table: %+v", sg)
+			}
+			sg.partner = append([]int(nil), sg.partner...)
+			tc.mangle(sg.partner)
+			for i := 0; i < 1000 && err == nil; i++ {
+				eng.sim.Step()
+				if err = s.feedMCs(); err == nil {
+					err = s.pumpPEs()
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("packet %d:", f.cur.base)) ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("malformed partner table not rejected with the packet ID: %v", err)
+			}
+		})
 	}
 }

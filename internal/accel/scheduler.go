@@ -4,8 +4,9 @@ package accel
 // monolithic runTasks loop with three cooperating components driven by one
 // cycle loop:
 //
-//   - the dispatcher (dispatcher.go) flitizes a layer's tasks at its memory
-//     controllers and injects the task packets;
+//   - the dispatcher (dispatcher.go) queues a layer's tasks at its memory
+//     controllers, which flitize and inject each task packet just in time,
+//     when their NI has room for it;
 //   - the PE model (exec.go, pumpPEs) consumes task packets at processing
 //     elements, multiply-accumulates, and schedules result packets after
 //     the configured compute latency;
@@ -14,11 +15,12 @@ package accel
 //
 // All per-packet knowledge — which flow and layer a packet belongs to, its
 // task/segment coordinates, the layer's quantization scales and the
-// separated-ordering out-of-band partner table — lives in packet contexts
-// owned by the scheduler and scoped to one Infer/InferBatch call. Nothing
-// is engine-global, so any number of inferences (flows) can be in flight on
-// the mesh at once, and every exit path (success or error) discards the
-// whole context in one place.
+// separated-ordering out-of-band partner table — lives in per-run segment
+// records owned by the scheduler and scoped to one Infer/InferBatch call,
+// found from a packet ID by subtraction rather than a per-packet map entry.
+// Nothing is engine-global, so any number of inferences (flows) can be in
+// flight on the mesh at once, and every exit path (success or error)
+// discards the whole context in one place.
 
 import (
 	"context"
@@ -49,12 +51,10 @@ type flow struct {
 
 // layerRun is one conv/linear layer of one flow in flight on the mesh,
 // carrying the per-layer codec state (quantization scales) every packet of
-// the layer computes with.
+// the layer computes with, and one record per segment.
 type layerRun struct {
-	flow     *flow
-	name     string
-	ntasks   int
-	outShape []int
+	flow  *flow
+	layer nocLayer
 
 	// geom is the layer's flit geometry: the platform link width with the
 	// layer's lane format from the precision schedule. It travels with the
@@ -62,23 +62,18 @@ type layerRun struct {
 	// layers of different widths flitize and deflitize independently.
 	geom flit.Geometry
 
-	// scaleWX and scaleB are the layer's PE configuration registers
-	// (fixed-point modes), copied from the layer codec at dispatch.
-	scaleWX float32
-	scaleB  float32
-
-	// partials[task][seg] fills as results return; seen guards against a
-	// duplicate result overwriting a partial.
-	partials [][]float32
-	seen     [][]bool
+	// segs holds the layer's segments in (task, segment) order; task ti's
+	// are segs[segStart[ti]:segStart[ti+1]]. Segment k's task packet has
+	// ID base+k, so a packet's context is one subtraction away.
+	base     uint64
+	segStart []int32
+	segs     []segment
 	received int
-	expected int
 
-	deadline    int64
-	startCycle  int64
-	startBT     int64
-	flits       int64
-	taskPackets int64
+	deadline   int64
+	startCycle int64
+	startBT    int64
+	flits      int64
 
 	// Span-tracer phase stamps, written only when the engine has a tracer
 	// installed: the cycle the first task packet ejected at a PE, and the
@@ -88,26 +83,72 @@ type layerRun struct {
 	lastReady  int64
 }
 
-// taskCtx is the dispatch record of one task packet: everything the PE
-// model needs when the packet arrives, keyed by packet ID.
-type taskCtx struct {
-	run   *layerRun
-	task  int
-	seg   int
-	pairs int
-	mc    int
+// segState tracks a segment through its round trip.
+type segState uint8
+
+const (
+	segQueued   segState = iota // waiting in its MC's feed
+	segSent                     // task packet on its way to the PE
+	segComputed                 // result packet computed, on its way back
+	segDone                     // partial sum collected
+)
+
+// segment is the dispatch record of one task packet and its result:
+// everything the PE model and the MC collector check a packet against.
+type segment struct {
+	task, seg, pairs int32
+	state            segState
+	partial          float32
 	// partner is the separated-ordering out-of-band re-pairing table for
-	// exactly this packet (nil for O0/O1 or in-band indexing). It lives and
-	// dies with the packet context — the leak the old engine-global table
-	// suffered on error paths cannot happen here.
+	// exactly this packet (nil for O0/O1 or in-band indexing), held only
+	// while the task packet is in flight.
 	partner []int
 }
 
-// resultCtx is the dispatch record of one result packet, keyed by packet ID.
-type resultCtx struct {
-	run  *layerRun
-	task int
-	seg  int
+// segRef names one segment of one run.
+type segRef struct {
+	run *layerRun
+	seg int32
+}
+
+// resultWindow maps in-flight result packet IDs to their segments without
+// a heap object or map entry per packet: refs[i] describes packet base+i.
+// IDs are handed out in increasing order, so new results append (IDs
+// reserved meanwhile for task packets leave empty entries), and collected
+// ones are trimmed off the front.
+type resultWindow struct {
+	base uint64
+	refs []segRef
+	head int // refs[:head] are collected
+}
+
+func (w *resultWindow) add(id uint64, run *layerRun, seg int) {
+	if len(w.refs) == 0 {
+		w.base = id
+	}
+	for next := w.base + uint64(len(w.refs)); next < id; next++ {
+		w.refs = append(w.refs, segRef{})
+	}
+	w.refs = append(w.refs, segRef{run: run, seg: int32(seg)})
+}
+
+// take returns and forgets the segment of result packet id.
+func (w *resultWindow) take(id uint64) (segRef, bool) {
+	if id < w.base || id-w.base >= uint64(len(w.refs)) || w.refs[id-w.base].run == nil {
+		return segRef{}, false
+	}
+	ref := w.refs[id-w.base]
+	w.refs[id-w.base] = segRef{}
+	for ; w.head < len(w.refs) && w.refs[w.head].run == nil; w.head++ {
+	}
+	switch {
+	case w.head == len(w.refs):
+		w.refs, w.head = w.refs[:0], 0
+	case w.head > len(w.refs)/2:
+		n := copy(w.refs, w.refs[w.head:])
+		w.refs, w.base, w.head = w.refs[:n], w.base+uint64(w.head), 0
+	}
+	return ref, true
 }
 
 // pendingResult is a result packet waiting out its PE compute latency.
@@ -123,12 +164,14 @@ type scheduler struct {
 	e     *Engine
 	flows []*flow
 
-	tasks   map[uint64]*taskCtx
-	results map[uint64]*resultCtx
+	// feeds[m] queues, in dispatch order, the runs with segments still to
+	// send from MC cfg.MCs[m].
+	feeds   [][]mcFeed
+	results resultWindow
 	pending []pendingResult
 
 	// activeRuns holds the layer runs currently in flight, in dispatch
-	// order, for deadline checking.
+	// order, for deadline checking and task-packet lookup.
 	activeRuns []*layerRun
 	running    int // flows not yet done
 
@@ -149,18 +192,17 @@ func newScheduler(ctx context.Context, e *Engine, flows []*flow) *scheduler {
 		ctx:     ctx,
 		e:       e,
 		flows:   flows,
-		tasks:   make(map[uint64]*taskCtx),
-		results: make(map[uint64]*resultCtx),
+		feeds:   make([][]mcFeed, len(e.cfg.MCs)),
 		running: len(flows),
 	}
 }
 
 // reset drops the per-call context tables on every exit path, so a
-// retained scheduler cannot pin packet contexts, partner tables or pending
-// results after run returns.
+// retained scheduler cannot pin packet contexts, partner tables, unsent
+// segments or pending results after run returns.
 func (s *scheduler) reset() {
-	s.tasks = nil
-	s.results = nil
+	s.feeds = nil
+	s.results = resultWindow{}
 	s.pending = nil
 	s.activeRuns = nil
 }
@@ -209,6 +251,9 @@ func (s *scheduler) execute(flows []*flow) error {
 			return err
 		}
 		s.e.sim.Step()
+		if err := s.feedMCs(); err != nil {
+			return err
+		}
 		if err := s.pumpPEs(); err != nil {
 			return err
 		}
@@ -243,9 +288,9 @@ func (s *scheduler) advance(f *flow) error {
 		var err error
 		switch l := layer.(type) {
 		case *dnn.Conv2D:
-			nl, err = buildConvTasks(g.Format, l, f.act)
+			nl, err = newConvLayer(g.Format, l, f.act)
 		case *dnn.Linear:
-			nl, err = buildLinearTasks(g.Format, l, f.act)
+			nl, err = newLinearLayer(g.Format, l, f.act)
 		default:
 			f.layers = append(f.layers, LayerStat{Name: layer.Name(), Inference: f.idx})
 			f.act = layer.Forward(f.act)
@@ -262,7 +307,7 @@ func (s *scheduler) advance(f *flow) error {
 		}
 		f.cur = run
 		f.nextLayer++
-		return nil
+		return s.feedMCs()
 	}
 	f.done = true
 	f.cur = nil
@@ -275,26 +320,24 @@ func (s *scheduler) advance(f *flow) error {
 // it reduces the partials in fixed segment order, records the layer stats,
 // and advances the owning flow to its next layer.
 func (s *scheduler) finishLayer(run *layerRun) error {
-	results := make([]float32, run.ntasks)
-	for ti, segs := range run.partials {
-		var sum float32
-		for _, v := range segs {
-			sum += v
-		}
-		results[ti] = sum
+	// Segments are in (task, segment) order, so each task's partials add
+	// up in fixed segment order.
+	results := make([]float32, run.layer.ntasks)
+	for _, sg := range run.segs {
+		results[sg.task] += sg.partial
 	}
 	f := run.flow
-	f.act = tensor.FromSlice(results, run.outShape...)
+	f.act = tensor.FromSlice(results, run.layer.outShape...)
 	f.cur = nil
 	st := LayerStat{
-		Name:      run.name,
+		Name:      run.layer.name,
 		Inference: f.idx,
 		OverNoC:   true,
 		Cycles:    s.e.sim.Cycle() - run.startCycle,
 		BT:        s.e.sim.TotalBT() - run.startBT,
-		Packets:   int64(run.expected) * 2, // task + result per segment
+		Packets:   int64(len(run.segs)) * 2, // task + result per segment
 		Flits:     run.flits,
-		Tasks:     run.ntasks,
+		Tasks:     run.layer.ntasks,
 	}
 	f.layers = append(f.layers, st)
 	if s.e.spans != nil {
@@ -321,20 +364,23 @@ func (s *scheduler) finishLayer(run *layerRun) error {
 // packet tracks at noc's packetTIDBase). Phases are contiguous,
 // non-overlapping windows inside the layer span, so Perfetto nests them:
 //
-//	quantize+flitize  [start, start+1]   dispatch encodes and flitizes
+//	quantize+flitize  [start, start+1]   dispatch quantizes and queues
 //	route             [start+1, firstEject]  task packets traverse the mesh
 //	mac               [firstEject, lastReady]  PE multiply-accumulate
 //	collect           [lastReady, end]   results return and reduce
 //
-// The boundaries are clamped monotone so degenerate layers (everything in
-// one cycle) still produce a valid containment hierarchy.
+// The MCs flitize each segment as their NI frees up, so flitization itself
+// streams across the whole layer, overlapping route, mac and collect; the
+// quantize+flitize window marks only the dispatch cycle. The boundaries
+// are clamped monotone so degenerate layers (everything in one cycle)
+// still produce a valid containment hierarchy.
 func (s *scheduler) emitLayerSpans(run *layerRun, st LayerStat) {
 	e := s.e
 	t := e.spans
 	tid := int64(1 + run.flow.idx)
 	start := run.startCycle
 	end := e.sim.Cycle()
-	lay := t.Begin("layer:"+run.name, "accel", e.spanPID, tid, start).
+	lay := t.Begin("layer:"+run.layer.name, "accel", e.spanPID, tid, start).
 		SetAttrInt("bt", st.BT).
 		SetAttrInt("flits", st.Flits).
 		SetAttrInt("tasks", int64(st.Tasks))
@@ -381,7 +427,7 @@ func (s *scheduler) checkDeadlines() error {
 	for _, run := range s.activeRuns {
 		if now >= run.deadline {
 			return fmt.Errorf("accel: layer %s (inference %d) exceeded cycle cap %d (%d/%d results)",
-				run.name, run.flow.idx, s.e.cfg.DrainCycleCap, run.received, run.expected)
+				run.layer.name, run.flow.idx, s.e.cfg.DrainCycleCap, run.received, len(run.segs))
 		}
 	}
 	return nil

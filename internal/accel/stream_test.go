@@ -1,0 +1,153 @@
+package accel
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"nocbt/internal/dnn"
+	"nocbt/internal/flit"
+	"nocbt/internal/noc"
+)
+
+var updateStreamGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// streamRecord runs a 3-input pipelined LeNet batch under a mixed precision
+// schedule and renders everything the scheduler's timing can reach:
+// outputs (as float32 bits), every LayerStat, LastBatchStats and NoCStats.
+func streamRecord(t *testing.T, inBand bool) []byte {
+	t.Helper()
+	m := dnn.LeNet(rand.New(rand.NewSource(7)))
+	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg.Ordering = flit.Separated
+	cfg.InBandIndex = inBand
+	cfg.LayerMode = PipelinedLayers
+	cfg.Precisions = []int{8, 4, 16, 8, 4}
+	eng, err := New(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := eng.InferBatch(context.Background(), batchInputs(m, 3, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "config: O2 inband=%v pipelined precisions=%v\n", inBand, cfg.Precisions)
+	for i, out := range outs {
+		fmt.Fprintf(&b, "output %d shape %v:", i, out.Shape())
+		for _, v := range out.Data {
+			fmt.Fprintf(&b, " %08x", math.Float32bits(v))
+		}
+		b.WriteByte('\n')
+	}
+	for _, st := range eng.LayerStats() {
+		fmt.Fprintf(&b, "layer %+v\n", st)
+	}
+	fmt.Fprintf(&b, "batch %+v\n", eng.LastBatchStats())
+	fmt.Fprintf(&b, "noc %+v\n", eng.NoCStats())
+	return b.Bytes()
+}
+
+// TestStreamingEquivalence pins the scheduler's observable behaviour —
+// outputs, per-layer and per-batch statistics, raw NoC counters — byte for
+// byte against fixtures recorded from the eager dispatcher that injected
+// a layer's whole task set up front. Streaming task packets from the MCs
+// just in time must not move a single packet, cycle or bit transition.
+// Regenerate with -update only for a deliberate change in simulated
+// behaviour.
+func TestStreamingEquivalence(t *testing.T) {
+	for _, inBand := range []bool{false, true} {
+		name := "stream_o2.golden"
+		if inBand {
+			name = "stream_o2_inband.golden"
+		}
+		t.Run(name, func(t *testing.T) {
+			got := streamRecord(t, inBand)
+			path := filepath.Join("testdata", name)
+			if *updateStreamGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s drifted from the eager-dispatch fixture:\n got: %s\nwant: %s", name, got, want)
+			}
+		})
+	}
+}
+
+// TestMCQueueBounded: the MCs build task packets just in time, so no MC's
+// NI ever holds more than mcQueueDepth packets during a LeNet inference —
+// the eager dispatcher queued a whole layer there. The bound is read every
+// cycle with traffic, from the flit-delivery observer.
+func TestMCQueueBounded(t *testing.T) {
+	m := dnn.LeNet(rand.New(rand.NewSource(3)))
+	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg.Ordering = flit.Separated
+	eng, err := New(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	eng.SetTrace(func(int64, string, noc.LinkClass, *flit.Flit) {
+		for _, mc := range cfg.MCs {
+			most = max(most, eng.sim.Pending(mc))
+		}
+	})
+	if _, err := eng.Infer(context.Background(), testInput(m, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if most != mcQueueDepth {
+		t.Errorf("MC NIs held up to %d packets, want exactly %d", most, mcQueueDepth)
+	}
+}
+
+// TestEngineInferAllocs is the dispatch→PE allocation guard: a warm
+// engine's O2 LeNet inference may allocate at most maxAllocsPerTaskPacket
+// heap objects per task packet, all-in (host layers, ordering kernels,
+// packet contexts, result packets). The separated ordering alone returns
+// three fresh slices per packet plus its inverse-permutation scratch, so
+// the budget leaves about one object per packet for everything else.
+func TestEngineInferAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three LeNet inferences")
+	}
+	const maxAllocsPerTaskPacket = 5
+	m := dnn.LeNet(rand.New(rand.NewSource(3)))
+	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg.Ordering = flit.Separated
+	eng, err := New(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := testInput(m, 5)
+	infer := func() {
+		if _, err := eng.Infer(context.Background(), input); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infer() // warm the flit pool and the engine scratch
+	before := eng.TaskPackets()
+	allocs := testing.AllocsPerRun(2, infer)
+	// AllocsPerRun makes one extra warm-up call before measuring.
+	perInfer := float64(eng.TaskPackets()-before) / 3
+	perPacket := allocs / perInfer
+	t.Logf("%.0f allocs per inference, %.0f task packets: %.2f allocs per task packet", allocs, perInfer, perPacket)
+	if perPacket > maxAllocsPerTaskPacket {
+		t.Errorf("warm O2 LeNet Infer allocates %.2f objects per task packet, budget %d", perPacket, maxAllocsPerTaskPacket)
+	}
+}

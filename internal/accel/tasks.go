@@ -8,27 +8,28 @@ import (
 	"nocbt/internal/tensor"
 )
 
-// taskSpec is one output neuron's work: encoded (input, weight) pairs plus
-// the encoded bias word.
-type taskSpec struct {
-	inputs  []bitutil.Word
-	weights []bitutil.Word
-	bias    bitutil.Word
-}
-
-// nocLayer is one conv/linear layer decomposed into NoC tasks: the specs,
-// the codec that encoded them (carrying the layer's quantization scales),
-// and the shape the collected results reassemble into.
+// nocLayer is one conv/linear layer decomposed into NoC tasks, one per
+// output neuron: the codec that encodes its values (carrying the layer's
+// quantization scales), where each task's (input, weight) pairs sit in the
+// layer's tensors, and the shape the collected results reassemble into.
+// Nothing is materialized per task: an MC gathers a segment's words
+// straight from the tensors when it streams the segment out.
 type nocLayer struct {
 	name     string
-	tasks    []taskSpec
 	enc      codec
 	outShape []int
+	ntasks   int
+	// conv is the convolution the tasks come from, nil for a linear layer;
+	// h and w are its input height and width.
+	conv *dnn.Conv2D
+	h, w int
+	// fanIn is a linear layer's input count: the pairs of every task.
+	fanIn int
 }
 
-// buildConvTasks decomposes a convolution layer into per-output-pixel
-// tasks, encoding every value at the layer's lane format.
-func buildConvTasks(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (nocLayer, error) {
+// newConvLayer decomposes a convolution layer into per-output-pixel tasks,
+// encoding every value at the layer's lane format.
+func newConvLayer(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (nocLayer, error) {
 	if x.Rank() != 3 || x.Dim(0) != l.InC {
 		return nocLayer{}, fmt.Errorf("input shape %v for %s", x.Shape(), l.Name())
 	}
@@ -38,45 +39,15 @@ func buildConvTasks(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (noc
 	if err != nil {
 		return nocLayer{}, err
 	}
-
-	tasks := make([]taskSpec, 0, l.OutC*oh*ow)
-	for oc := 0; oc < l.OutC; oc++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				n := l.InC * l.K * l.K
-				t := taskSpec{
-					inputs:  make([]bitutil.Word, 0, n),
-					weights: make([]bitutil.Word, 0, n),
-					bias:    c.biasWord(oc),
-				}
-				// Row-major offsets into W [OutC, InC, K, K] and x [InC, h, w].
-				for ic := 0; ic < l.InC; ic++ {
-					for ky := 0; ky < l.K; ky++ {
-						iy := oy*l.Stride - l.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						wOff, xOff := ((oc*l.InC+ic)*l.K+ky)*l.K, (ic*h+iy)*w
-						for kx := 0; kx < l.K; kx++ {
-							ix := ox*l.Stride - l.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							t.weights = append(t.weights, c.weightWord(wOff+kx))
-							t.inputs = append(t.inputs, c.actWord(xOff+ix))
-						}
-					}
-				}
-				tasks = append(tasks, t)
-			}
-		}
-	}
-	return nocLayer{name: l.Name(), tasks: tasks, enc: c, outShape: []int{l.OutC, oh, ow}}, nil
+	return nocLayer{
+		name: l.Name(), enc: c, outShape: []int{l.OutC, oh, ow}, ntasks: l.OutC * oh * ow,
+		conv: l, h: h, w: w,
+	}, nil
 }
 
-// buildLinearTasks decomposes a fully-connected layer into per-output
-// tasks, encoding every value at the layer's lane format.
-func buildLinearTasks(format bitutil.Format, l *dnn.Linear, x *tensor.Tensor) (nocLayer, error) {
+// newLinearLayer decomposes a fully-connected layer into per-output tasks,
+// encoding every value at the layer's lane format.
+func newLinearLayer(format bitutil.Format, l *dnn.Linear, x *tensor.Tensor) (nocLayer, error) {
 	if x.Size() != l.In {
 		return nocLayer{}, fmt.Errorf("input size %d for %s", x.Size(), l.Name())
 	}
@@ -84,18 +55,75 @@ func buildLinearTasks(format bitutil.Format, l *dnn.Linear, x *tensor.Tensor) (n
 	if err != nil {
 		return nocLayer{}, err
 	}
-	tasks := make([]taskSpec, l.Out)
-	for o := 0; o < l.Out; o++ {
-		t := taskSpec{
-			inputs:  make([]bitutil.Word, l.In),
-			weights: make([]bitutil.Word, l.In),
-			bias:    c.biasWord(o),
-		}
-		for i := 0; i < l.In; i++ {
-			t.weights[i] = c.weightWord(o*l.In + i)
-			t.inputs[i] = c.actWord(i)
-		}
-		tasks[o] = t
+	return nocLayer{name: l.Name(), enc: c, outShape: []int{l.Out}, ntasks: l.Out, fanIn: l.In}, nil
+}
+
+// window returns the kernel offsets [k0, k1) whose input coordinate
+// start+k falls inside [0, size): the taps the zero padding does not cover.
+func window(start, k, size int) (k0, k1 int) {
+	k0, k1 = max(0, -start), min(k, size-start)
+	return k0, max(k0, k1)
+}
+
+// convTask locates conv task ti — tasks run over output channel, then
+// output row, then output column — and returns its output channel, the
+// input coordinates of its kernel's top-left tap, and its kernel window.
+func (nl *nocLayer) convTask(ti int) (oc, y0, x0, ky0, ky1, kx0, kx1 int) {
+	c := nl.conv
+	oh, ow := nl.outShape[1], nl.outShape[2]
+	oc, oy, ox := ti/(oh*ow), ti/ow%oh, ti%ow
+	y0, x0 = oy*c.Stride-c.Pad, ox*c.Stride-c.Pad
+	ky0, ky1 = window(y0, c.K, nl.h)
+	kx0, kx1 = window(x0, c.K, nl.w)
+	return oc, y0, x0, ky0, ky1, kx0, kx1
+}
+
+// pairs returns task ti's (input, weight) pair count.
+func (nl *nocLayer) pairs(ti int) int {
+	if nl.conv == nil {
+		return nl.fanIn
 	}
-	return nocLayer{name: l.Name(), tasks: tasks, enc: c, outShape: []int{l.Out}}, nil
+	_, _, _, ky0, ky1, kx0, kx1 := nl.convTask(ti)
+	return nl.conv.InC * (ky1 - ky0) * (kx1 - kx0)
+}
+
+// bias returns task ti's encoded bias word.
+func (nl *nocLayer) bias(ti int) bitutil.Word {
+	if nl.conv == nil {
+		return nl.enc.biasWord(ti)
+	}
+	return nl.enc.biasWord(ti / (nl.outShape[1] * nl.outShape[2]))
+}
+
+// gather encodes pairs [lo, lo+len(ws)) of task ti into ws (weights) and
+// xs (inputs). A conv task's pairs run over input channel, then kernel
+// row, then kernel column, skipping taps in the zero padding; a linear
+// task's over its inputs.
+func (nl *nocLayer) gather(ti, lo int, ws, xs []bitutil.Word) {
+	enc := &nl.enc
+	if nl.conv == nil {
+		row := ti*nl.fanIn + lo
+		for i := range ws {
+			ws[i] = enc.weightWord(row + i)
+			xs[i] = enc.actWord(lo + i)
+		}
+		return
+	}
+	c := nl.conv
+	oc, y0, x0, ky0, ky1, kx0, kx1 := nl.convTask(ti)
+	nkx := kx1 - kx0
+	ic, r := lo/((ky1-ky0)*nkx), lo%((ky1-ky0)*nkx)
+	ky, kx := ky0+r/nkx, kx0+r%nkx
+	for i := range ws {
+		// Row-major offsets into W [OutC, InC, K, K] and x [InC, h, w].
+		ws[i] = enc.weightWord(((oc*c.InC+ic)*c.K+ky)*c.K + kx)
+		xs[i] = enc.actWord((ic*nl.h+y0+ky)*nl.w + x0 + kx)
+		if kx++; kx == kx1 {
+			kx = kx0
+			if ky++; ky == ky1 {
+				ky = ky0
+				ic++
+			}
+		}
+	}
 }

@@ -7,6 +7,11 @@ import (
 	"nocbt/internal/bitutil"
 )
 
+// maxWordBits is the widest value a Word holds, so popcounts fall in
+// [0, maxWordBits] and the counting sorts below keep their bucket offsets
+// in a fixed-size stack array.
+const maxWordBits = 64
+
 // popcountOrder returns the permutation that stably sorts items by their
 // popcounts, each in [0, width]: descending or ascending, with equal counts
 // in their original relative order. It is one counting-sort pass over the
@@ -24,12 +29,12 @@ func popcountOrder(counts []int, width int, descending bool) []int {
 		}
 		return c
 	}
-	next := make([]int, width+1)
+	var next [maxWordBits + 1]int
 	for _, c := range counts {
 		next[bucket(c)]++
 	}
 	pos := 0
-	for b, n := range next {
+	for b, n := range next[:width+1] {
 		next[b] = pos
 		pos += n
 	}
@@ -41,6 +46,22 @@ func popcountOrder(counts []int, width int, descending bool) []int {
 	return perm
 }
 
+// descendingOffsets returns, per popcount bucket (bucket width-c holds the
+// words with c ones), the first output position of a stable descending
+// counting sort of words. width must be in (0, maxWordBits].
+func descendingOffsets(words []bitutil.Word, width int) [maxWordBits + 1]int {
+	var next [maxWordBits + 1]int
+	for _, w := range words {
+		next[width-w.OnesCount(width)]++
+	}
+	pos := 0
+	for b, n := range next[:width+1] {
+		next[b] = pos
+		pos += n
+	}
+	return next
+}
+
 // OrderDescending returns the words sorted by descending '1'-bit count and
 // the permutation applied: ordered[i] == words[perm[i]]. The sort is stable,
 // so equal popcounts keep their original relative order and the result is
@@ -50,10 +71,17 @@ func popcountOrder(counts []int, width int, descending bool) []int {
 // SWAR popcount followed by a sorting network); hardware cost is modelled
 // in internal/hwmodel.
 func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
-	perm := popcountOrder(Popcounts(words, width), width, true)
 	ordered := make([]bitutil.Word, len(words))
-	for i, p := range perm {
-		ordered[i] = words[p]
+	perm := make([]int, len(words))
+	if len(words) == 0 {
+		return ordered, perm
+	}
+	next := descendingOffsets(words, width)
+	for i, w := range words {
+		b := width - w.OnesCount(width)
+		ordered[next[b]] = w
+		perm[next[b]] = i
+		next[b]++
 	}
 	return ordered, perm
 }
@@ -269,21 +297,36 @@ type Separated struct {
 }
 
 // SeparatedOrder orders weights and inputs independently by descending
-// popcount and computes the partner index side-channel.
+// popcount and computes the partner index side-channel. Both counting sorts
+// scatter straight into the returned slices; the two ordered columns share
+// one backing array, and the partner table shares one with the weight
+// sort's inverse permutation (each slice capped at its own length).
 func SeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
 	if len(weights) != len(inputs) {
 		panic(fmt.Sprintf("core: %d weights vs %d inputs", len(weights), len(inputs)))
 	}
-	orderedW, wPerm := OrderDescending(weights, width)
-	orderedI, iPerm := OrderDescending(inputs, width)
-	// invW[k] = position of original weight k in the ordered weight list.
-	invW := make([]int, len(wPerm))
-	for pos, orig := range wPerm {
-		invW[orig] = pos
+	n := len(weights)
+	words := make([]bitutil.Word, 2*n)
+	ints := make([]int, 2*n)
+	orderedW, orderedI := words[:n:n], words[n:]
+	partner, invW := ints[:n:n], ints[n:]
+	if n == 0 {
+		return Separated{Weights: orderedW, Inputs: orderedI, PartnerIndex: partner}
 	}
-	partner := make([]int, len(iPerm))
-	for pos, orig := range iPerm {
-		partner[pos] = invW[orig]
+	// invW[k] = position of original weight k in the ordered weight list.
+	next := descendingOffsets(weights, width)
+	for k, w := range weights {
+		b := width - w.OnesCount(width)
+		orderedW[next[b]] = w
+		invW[k] = next[b]
+		next[b]++
+	}
+	next = descendingOffsets(inputs, width)
+	for k, in := range inputs {
+		b := width - in.OnesCount(width)
+		orderedI[next[b]] = in
+		partner[next[b]] = invW[k]
+		next[b]++
 	}
 	return Separated{Weights: orderedW, Inputs: orderedI, PartnerIndex: partner}
 }
@@ -291,20 +334,49 @@ func SeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
 // RecoverPairs reconstructs the original (weight, input) pairing from a
 // separated-ordered packet — the PE-side de-ordering step. The returned
 // pairs are in ordered-weight order, which is a consistent pairing (the
-// dot product over them equals the original task's dot product).
-func (s Separated) RecoverPairs() []Pair {
+// dot product over them equals the original task's dot product). A partner
+// table that is not a permutation of the pair positions is an error.
+func (s Separated) RecoverPairs() ([]Pair, error) {
+	if len(s.PartnerIndex) != len(s.Inputs) || len(s.Inputs) != len(s.Weights) {
+		return nil, fmt.Errorf("core: %d weights, %d inputs, %d partner entries",
+			len(s.Weights), len(s.Inputs), len(s.PartnerIndex))
+	}
+	if err := CheckPartnerIndex(s.PartnerIndex); err != nil {
+		return nil, err
+	}
 	pairs := make([]Pair, len(s.Weights))
 	for i, w := range s.Weights {
 		pairs[i].Weight = w
 	}
 	for i, in := range s.Inputs {
-		p := s.PartnerIndex[i]
-		if p < 0 || p >= len(pairs) {
-			panic(fmt.Sprintf("core: partner index %d outside [0,%d)", p, len(pairs)))
-		}
-		pairs[p].Input = in
+		pairs[s.PartnerIndex[i]].Input = in
 	}
-	return pairs
+	return pairs, nil
+}
+
+// CheckPartnerIndex reports an error unless partner is a permutation of
+// [0, len(partner)). A receiver must check before re-pairing: an entry out
+// of range would index past the task, and a repeated entry would silently
+// drop one input and duplicate another. Tables up to 512 entries are
+// checked without allocating.
+func CheckPartnerIndex(partner []int) error {
+	n := len(partner)
+	var stack [8]uint64
+	seen := stack[:]
+	if words := (n + 63) / 64; words > len(stack) {
+		seen = make([]uint64, words)
+	}
+	for i, p := range partner {
+		if p < 0 || p >= n {
+			return fmt.Errorf("core: partner index %d at position %d outside [0,%d)", p, i, n)
+		}
+		bit := uint64(1) << uint(p%64)
+		if seen[p/64]&bit != 0 {
+			return fmt.Errorf("core: partner index %d repeated at position %d", p, i)
+		}
+		seen[p/64] |= bit
+	}
+	return nil
 }
 
 // IndexBits returns the side-channel cost of separated-ordering for an

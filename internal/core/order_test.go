@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -317,7 +318,10 @@ func TestSeparatedOrderRecovery(t *testing.T) {
 			}
 		}
 
-		pairs := sep.RecoverPairs()
+		pairs, err := sep.RecoverPairs()
+		if err != nil {
+			t.Fatal(err)
+		}
 		ow := make([]int8, n)
 		oi := make([]int8, n)
 		for i, p := range pairs {
@@ -736,5 +740,42 @@ func TestPopcountOrdersMatchStableSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRecoverPairsRejectsMalformedPartner: a partner table that is not a
+// permutation of the pair positions must be an error. An out-of-range
+// entry used to panic; a repeated one silently re-paired an input twice and
+// dropped another.
+func TestRecoverPairsRejectsMalformedPartner(t *testing.T) {
+	five := make([]bitutil.Word, 5)
+	big := make([]int, 600) // beyond the 512-entry stack bitmap
+	for i := range big {
+		big[i] = i
+	}
+	big[599] = 3
+	for _, tc := range []struct {
+		name    string
+		partner []int
+		want    string
+	}{
+		{"duplicate", []int{0, 0, 1, 2, 3}, "repeated"},
+		{"out of range", []int{0, 1, 7, 2, 3}, "outside [0,5)"},
+		{"negative", []int{0, 1, -1, 2, 3}, "outside [0,5)"},
+		{"duplicate beyond stack bitmap", big, "repeated"},
+	} {
+		if err := CheckPartnerIndex(tc.partner); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckPartnerIndex(%v...) = %v, want error containing %q", tc.name, tc.partner[:5], err, tc.want)
+		}
+		if len(tc.partner) != 5 {
+			continue
+		}
+		sep := Separated{Weights: five, Inputs: five, PartnerIndex: tc.partner}
+		if pairs, err := sep.RecoverPairs(); err == nil {
+			t.Errorf("%s: RecoverPairs accepted %v, returned %v", tc.name, tc.partner, pairs)
+		}
+	}
+	if err := CheckPartnerIndex([]int{4, 0, 3, 1, 2}); err != nil {
+		t.Errorf("valid permutation rejected: %v", err)
 	}
 }

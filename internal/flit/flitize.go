@@ -178,8 +178,11 @@ func Deflitize(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner []in
 
 // DeflitizeInto is Deflitize reusing out's Inputs/Weights backing arrays, so
 // a consumer decoding packet after packet (the PE model) stops allocating
-// once its scratch has grown to the largest segment. On error out is left
-// unspecified.
+// once its scratch has grown to the largest segment. Pairing is restored in
+// place: each received input lands directly at its partner's rank. A
+// partner table that is not a permutation of [0, n) — an index flit
+// corrupted in flight, or an n that is not a power of two decoding past
+// the task — is an error. On error out is left unspecified.
 func DeflitizeInto(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner []int, out *Task) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -195,6 +198,15 @@ func DeflitizeInto(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner 
 	if len(data) != m {
 		return fmt.Errorf("flit: %d data flits for %d pairs, want %d", len(data), n, m)
 	}
+	repair := strat.EmitsPartner()
+	if repair {
+		if len(partner) != n {
+			return fmt.Errorf("flit: partner table length %d, want %d", len(partner), n)
+		}
+		if err := core.CheckPartnerIndex(partner); err != nil {
+			return fmt.Errorf("flit: %w", err)
+		}
+	}
 	half := g.HalfLanes()
 	lb := g.LaneBits()
 	inputs := growWords(out.Inputs, n)
@@ -206,19 +218,16 @@ func DeflitizeInto(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner 
 		} else {
 			fl, slot = r/half, r%half
 		}
-		inputs[r] = bitutil.Word(data[fl].Field(slot*lb, lb))
+		// Weights stay in transmission rank order; under a partner table
+		// the input of rank r belongs to the weight of rank partner[r].
+		in := r
+		if repair {
+			in = partner[r]
+		}
+		inputs[in] = bitutil.Word(data[fl].Field(slot*lb, lb))
 		weights[r] = bitutil.Word(data[fl].Field((half+slot)*lb, lb))
 	}
 	bias := bitutil.Word(data[m-1].Field((g.Lanes()-1)*lb, lb))
-
-	if strat.EmitsPartner() {
-		if len(partner) != n {
-			return fmt.Errorf("flit: partner table length %d, want %d", len(partner), n)
-		}
-		sep := core.Separated{Weights: weights, Inputs: inputs, PartnerIndex: partner}
-		pairs := sep.RecoverPairs()
-		weights, inputs = core.SplitPairs(pairs)
-	}
 	*out = Task{Inputs: inputs, Weights: weights, Bias: bias}
 	return nil
 }
@@ -267,8 +276,16 @@ func appendPartnerIndex(g Geometry, partner []int, pool *Pool, dst []bitutil.Vec
 // DecodePartnerIndex reverses EncodePartnerIndex for an n-pair task. A
 // non-positive n — a malformed header count — is an error, mirroring
 // Deflitize's validation: the old code silently returned a nil table for
-// it, deferring the failure to whatever indexed the table later.
+// it, deferring the failure to whatever indexed the table later. The
+// decoded entries are IndexBits(n) wide, so they are not range-checked
+// here; Deflitize rejects a table that is not a permutation.
 func DecodePartnerIndex(g Geometry, vecs []bitutil.Vec, n int) ([]int, error) {
+	return DecodePartnerIndexInto(g, vecs, n, nil)
+}
+
+// DecodePartnerIndexInto is DecodePartnerIndex reusing dst's backing array,
+// for receivers decoding one packet after another.
+func DecodePartnerIndexInto(g Geometry, vecs []bitutil.Vec, n int, dst []int) ([]int, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("flit: non-positive pair count %d", n)
 	}
@@ -276,7 +293,7 @@ func DecodePartnerIndex(g Geometry, vecs []bitutil.Vec, n int) ([]int, error) {
 	if ib == 0 {
 		// IndexBits is zero only for n == 1: a single pair re-pairs with
 		// itself and needs no on-wire index.
-		return []int{0}, nil
+		return append(dst[:0], 0), nil
 	}
 	perFlit := g.LinkBits / ib
 	if perFlit == 0 {
@@ -286,10 +303,10 @@ func DecodePartnerIndex(g Geometry, vecs []bitutil.Vec, n int) ([]int, error) {
 	if len(vecs) != want {
 		return nil, fmt.Errorf("flit: %d index flits for %d pairs, want %d", len(vecs), n, want)
 	}
-	partner := make([]int, n)
-	for i := range partner {
+	partner := dst[:0]
+	for i := 0; i < n; i++ {
 		fl, slot := i/perFlit, i%perFlit
-		partner[i] = int(vecs[fl].Field(slot*ib, ib))
+		partner = append(partner, int(vecs[fl].Field(slot*ib, ib)))
 	}
 	return partner, nil
 }

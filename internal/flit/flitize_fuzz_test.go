@@ -12,13 +12,19 @@ import (
 // the exact sequence. Any ordering whose partner table fails to restore
 // pairing corrupts MAC results silently, which is why this runs under fuzz
 // rather than a fixed size sweep only.
+//
+// A non-zero mangle corrupts the partner table before decoding (1: one
+// entry out of range, 2: one entry repeated); partner-emitting strategies
+// must then reject the packet instead of panicking or mis-pairing.
 func FuzzFlitizeDeflitize(f *testing.F) {
-	f.Add(uint64(1), 8, false)
-	f.Add(uint64(2), 25, true) // LeNet conv1 task shape, in-band index
-	f.Add(uint64(3), 1, false) // single pair: bias shares the only data flit
-	f.Add(uint64(4), 150, true)
-	f.Add(uint64(5), 9, false) // one pair past a flit boundary
-	f.Fuzz(func(t *testing.T, seed uint64, n int, inBand bool) {
+	f.Add(uint64(1), 8, false, uint8(0))
+	f.Add(uint64(2), 25, true, uint8(0)) // LeNet conv1 task shape, in-band index
+	f.Add(uint64(3), 1, false, uint8(0)) // single pair: bias shares the only data flit
+	f.Add(uint64(4), 150, true, uint8(0))
+	f.Add(uint64(5), 9, false, uint8(0)) // one pair past a flit boundary
+	f.Add(uint64(6), 5, true, uint8(1))  // 3-bit index entries can decode as 5..7
+	f.Add(uint64(7), 5, false, uint8(2)) // a repeated entry used to mis-pair silently
+	f.Fuzz(func(t *testing.T, seed uint64, n int, inBand bool, mangle uint8) {
 		if n < 0 {
 			n = -n
 		}
@@ -32,6 +38,13 @@ func FuzzFlitizeDeflitize(f *testing.F) {
 				fz, err := Flitize(g, task, Options{Ordering: ord, InBandIndex: inBand})
 				if err != nil {
 					t.Fatalf("%s %s n=%d: flitize: %v", g, s.Name(), n, err)
+				}
+				if mangle%3 != 0 && fz.PartnerIndex != nil && n > 1 {
+					bad := mangled(fz.PartnerIndex, mangle%3, rng)
+					if got, err := Deflitize(g, fz.Data, n, ord, bad); err == nil {
+						t.Fatalf("%s %s n=%d: malformed partner table %v accepted, decoded %v", g, s.Name(), n, bad, got)
+					}
+					continue
 				}
 				got, err := Deflitize(g, fz.Data, n, ord, fz.PartnerIndex)
 				if err != nil {
@@ -56,4 +69,18 @@ func FuzzFlitizeDeflitize(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mangled returns a copy of partner with one entry corrupted: kind 1 puts
+// it out of range, kind 2 repeats another entry.
+func mangled(partner []int, kind uint8, rng *rand.Rand) []int {
+	bad := append([]int(nil), partner...)
+	n := len(bad)
+	i := rng.Intn(n)
+	if kind == 1 {
+		bad[i] = n + rng.Intn(n)
+	} else {
+		bad[i] = bad[(i+1+rng.Intn(n-1))%n]
+	}
+	return bad
 }

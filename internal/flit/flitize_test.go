@@ -2,6 +2,7 @@ package flit
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocbt/internal/bitutil"
@@ -305,5 +306,32 @@ func TestOrderedFlitizationReducesPacketBT(t *testing.T) {
 	}
 	if !(sep < aff) {
 		t.Errorf("separated packet BT %d not below affiliated %d", sep, aff)
+	}
+}
+
+// TestDeflitizeRejectsMalformedPartner: a separated-ordering partner table
+// that is not a permutation of [0, n) must be an error. An out-of-range
+// entry (in-band index fields are IndexBits(n) wide, so any n that is not a
+// power of two can decode one) used to panic; a repeated entry returned a
+// wrong pairing with err == nil.
+func TestDeflitizeRejectsMalformedPartner(t *testing.T) {
+	g := Fixed8Geometry()
+	task := randTask(5, rand.New(rand.NewSource(9)))
+	fz, err := Flitize(g, task, Options{Ordering: Separated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		partner []int
+		want    string
+	}{
+		{"duplicate entry", []int{0, 0, 1, 2, 3}, "repeated"},
+		{"out of range", []int{0, 1, 2, 3, 7}, "outside [0,5)"},
+	} {
+		got, err := Deflitize(g, fz.Data, 5, Separated, tc.partner)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Deflitize(%v) = %v, %v; want error containing %q", tc.name, tc.partner, got, err, tc.want)
+		}
 	}
 }

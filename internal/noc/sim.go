@@ -458,6 +458,10 @@ func (s *Sim) PopEjected(node int) []*flit.Packet {
 	return s.nis[node].popEjected()
 }
 
+// Pending returns how many packets the node's NI holds: queued for
+// injection or with flits still to inject.
+func (s *Sim) Pending(node int) int { return s.nis[node].Pending() }
+
 // Stats aggregates the simulation counters.
 type Stats struct {
 	// Cycles is the simulated time.
