@@ -7,7 +7,7 @@
 // Usage:
 //
 //	btserved [-addr :8344] [-replicas 2] [-max-batch 8] [-batch-window 2ms]
-//	         [-cache-entries 256] [-cache-dir DIR] [-trace-spans 4096] [-pprof]
+//	         [-cache-entries 1024] [-cache-dir DIR] [-trace-spans 4096] [-pprof]
 //
 // Endpoints (see internal/serve):
 //
@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	replicas := fs.Int("replicas", 2, "warm engines per (platform, model, seed) shard")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch flush size (1 disables coalescing)")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "micro-batch flush deadline")
-	cacheEntries := fs.Int("cache-entries", 256, "result cache memory-tier capacity")
+	cacheEntries := fs.Int("cache-entries", 1024, "result cache memory-tier capacity")
 	cacheDir := fs.String("cache-dir", "", "result cache disk tier (empty: memory only)")
 	traceSpans := fs.Int("trace-spans", 4096, "span ring capacity for /debug/trace (negative disables)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocbt/internal/dnn"
@@ -300,6 +301,58 @@ func TestSegmentedLinearLayer(t *testing.T) {
 	// 3 tasks × 4 segments = 12 task packets.
 	if eng.TaskPackets() != 12 {
 		t.Errorf("task packets %d, want 12", eng.TaskPackets())
+	}
+}
+
+// TestHeaderCountLimits: the 16-bit PairCount header field carries a task
+// packet's pair count and a result packet's segment index, so segment sizes
+// and segment counts that would overflow it are errors naming the field —
+// not a PE-side contradiction thousands of cycles into the run.
+func TestHeaderCountLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		in       int // Linear fan-in: the task's pair count
+		segPairs int
+		newErr   string // error from New, or "" when New must succeed
+		inferErr string // error from Infer when New succeeds
+		wantPkts int64  // task packets when Infer succeeds
+	}{
+		{name: "segment over the pair count", in: 70000, segPairs: 70000, newErr: "16-bit PairCount"},
+		{name: "largest segment", in: 70000, segPairs: flit.MaxHeaderCount, wantPkts: 2},
+		{name: "too many segments", in: flit.MaxHeaderCount + 2, segPairs: 1, inferErr: "16-bit PairCount"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &dnn.Model{
+				ModelName: "wide",
+				InShape:   []int{1, 1, tc.in},
+				Layers:    []dnn.Layer{dnn.NewFlatten(), dnn.NewLinear(tc.in, 1, rand.New(rand.NewSource(1)))},
+			}
+			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg.MaxSegmentPairs = tc.segPairs
+			eng, err := New(cfg, m)
+			if tc.newErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.newErr) {
+					t.Fatalf("New: err %v, want one containing %q", err, tc.newErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.Infer(context.Background(), testInput(m, 1))
+			if tc.inferErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.inferErr) {
+					t.Fatalf("Infer: err %v, want one containing %q", err, tc.inferErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.TaskPackets(); got != tc.wantPkts {
+				t.Errorf("task packets %d, want %d", got, tc.wantPkts)
+			}
+		})
 	}
 }
 

@@ -51,7 +51,8 @@ type Config struct {
 	// MCs lists the memory-controller node IDs; all other nodes are PEs.
 	MCs []int
 	// MaxSegmentPairs splits tasks larger than this many (input, weight)
-	// pairs into multiple packets. Default 64.
+	// pairs into multiple packets. Default 64; at most 65535, the task
+	// header's 16-bit pair count.
 	MaxSegmentPairs int
 	// PEComputeCycles is the PE latency between receiving a complete task
 	// packet and injecting its result packet. Default 4.
@@ -181,6 +182,10 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSegmentPairs < 1 {
 		return fmt.Errorf("accel: MaxSegmentPairs %d < 1", c.MaxSegmentPairs)
+	}
+	if c.MaxSegmentPairs > flit.MaxHeaderCount {
+		return fmt.Errorf("accel: MaxSegmentPairs %d exceeds %d, the most pairs the task header's 16-bit PairCount field carries",
+			c.MaxSegmentPairs, flit.MaxHeaderCount)
 	}
 	if _, ok := flit.OrderingStrategyByID(c.Ordering); !ok {
 		return fmt.Errorf("accel: unknown ordering %d (registered: %v)", int(c.Ordering), flit.OrderingNames())

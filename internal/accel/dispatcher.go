@@ -55,6 +55,10 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 		if n == 0 {
 			return nil, fmt.Errorf("task %d has no pairs", ti)
 		}
+		if segs := (n + maxSeg - 1) / maxSeg; segs > flit.MaxHeaderCount+1 {
+			return nil, fmt.Errorf("task %d of %d pairs splits into %d segments of %d; result headers carry the segment index in the 16-bit PairCount field, so at most %d",
+				ti, n, segs, maxSeg, flit.MaxHeaderCount+1)
+		}
 		run.segStart[ti] = int32(len(run.segs))
 		for seg, lo := 0, 0; lo < n; seg, lo = seg+1, lo+maxSeg {
 			run.segs = append(run.segs, segment{
@@ -122,6 +126,21 @@ func (s *scheduler) send(run *layerRun, k, mc int) error {
 	// free-lists once the engine is warm.
 	pool := e.sim.Pool()
 	fz := &e.fzScratch
+	// Any partner-emitting strategy (O2 or a registered kin) ships its
+	// re-pairing table out-of-band unless the configuration pays for
+	// in-band index flits. An out-of-band table rides with its segment
+	// until the PE decodes the packet, so each packet orders into a table
+	// of its own, lent from the tables the PEs have handed back. An
+	// in-band table is encoded into index flits at once and reused in
+	// place.
+	oob := e.strategy.EmitsPartner() && !e.cfg.InBandIndex
+	if oob {
+		fz.PartnerIndex = nil
+		if free := len(e.partnerFree); free > 0 {
+			fz.PartnerIndex = e.partnerFree[free-1]
+			e.partnerFree = e.partnerFree[:free-1]
+		}
+	}
 	if err := flit.FlitizeInto(run.geom, flit.Task{
 		Inputs:  e.xScratch,
 		Weights: e.wScratch,
@@ -139,11 +158,8 @@ func (s *scheduler) send(run *layerRun, k, mc int) error {
 	}, hdr)
 	e.payloadScratch = fz.AppendPayloads(e.payloadScratch[:0])
 	pkt := pool.Packet(pid, mc, pe, hdr, e.payloadScratch)
-	if fz.PartnerIndex != nil && !e.cfg.InBandIndex {
-		// Any partner-emitting strategy (O2 or a registered kin) ships its
-		// re-pairing table out-of-band unless the configuration pays for
-		// in-band index flits.
-		sg.partner = fz.PartnerIndex
+	if oob {
+		sg.partner, fz.PartnerIndex = fz.PartnerIndex, nil
 	}
 	sg.state = segSent
 	if err := e.sim.Inject(pkt); err != nil {

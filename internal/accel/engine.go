@@ -74,6 +74,9 @@ type Engine struct {
 	// decoded.
 	wScratch, xScratch []bitutil.Word
 	partnerScratch     []int
+	// partnerFree holds the out-of-band partner tables the PEs are done
+	// with; send lends one to FlitizeInto for each new packet's table.
+	partnerFree [][]int
 
 	// aborted records the error of a run that died after dispatching
 	// traffic; once set, the mesh state is indeterminate and the engine

@@ -41,6 +41,9 @@ func (s *scheduler) pumpPEs() error {
 			if err != nil {
 				return fmt.Errorf("PE %d packet %d: %w", pe, pkt.ID, err)
 			}
+			if sg.partner != nil {
+				e.partnerFree = append(e.partnerFree, sg.partner)
+			}
 			sg.state, sg.partner = segComputed, nil
 			// The task packet is fully decoded; its flits, payload vectors
 			// and shell go back to the pool and come out again as the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"nocbt/internal/bitutil"
 )
@@ -12,47 +13,28 @@ import (
 // in a fixed-size stack array.
 const maxWordBits = 64
 
-// popcountOrder returns the permutation that stably sorts items by their
-// popcounts, each in [0, width]: descending or ascending, with equal counts
-// in their original relative order. It is one counting-sort pass over the
+// popcountKeys writes each word's counting-sort bucket into keys — its
+// '1'-bit count, or width minus it for a descending sort — and returns the
+// first output position of every bucket, so a stable scatter in input
+// order needs no second popcount. keys must hold len(words) entries and
+// width must be in (0, maxWordBits]. It is one counting pass over the
 // width+1 popcount buckets, O(n + width) — the shape of the '1'-count
-// sorting unit of Han et al. (bin each value by its count, emit the bins in
-// order).
-func popcountOrder(counts []int, width int, descending bool) []int {
-	perm := make([]int, len(counts))
-	if len(counts) == 0 {
-		return perm
+// sorting unit of Han et al. (bin each value by its count, emit the bins
+// in order).
+func popcountKeys(keys []uint8, words []bitutil.Word, width int, descending bool) [maxWordBits + 1]int {
+	if width <= 0 || width > maxWordBits {
+		panic(fmt.Sprintf("core: word width %d out of range", width))
 	}
-	bucket := func(c int) int {
+	mask := ^uint64(0) >> uint(maxWordBits-width)
+	keys = keys[:len(words)]
+	var next [maxWordBits + 1]int
+	for i, w := range words {
+		c := bits.OnesCount64(uint64(w) & mask)
 		if descending {
-			return width - c
+			c = width - c
 		}
-		return c
-	}
-	var next [maxWordBits + 1]int
-	for _, c := range counts {
-		next[bucket(c)]++
-	}
-	pos := 0
-	for b, n := range next[:width+1] {
-		next[b] = pos
-		pos += n
-	}
-	for i, c := range counts {
-		b := bucket(c)
-		perm[next[b]] = i
-		next[b]++
-	}
-	return perm
-}
-
-// descendingOffsets returns, per popcount bucket (bucket width-c holds the
-// words with c ones), the first output position of a stable descending
-// counting sort of words. width must be in (0, maxWordBits].
-func descendingOffsets(words []bitutil.Word, width int) [maxWordBits + 1]int {
-	var next [maxWordBits + 1]int
-	for _, w := range words {
-		next[width-w.OnesCount(width)]++
+		keys[i] = uint8(c)
+		next[c]++
 	}
 	pos := 0
 	for b, n := range next[:width+1] {
@@ -76,9 +58,10 @@ func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
 	if len(words) == 0 {
 		return ordered, perm
 	}
-	next := descendingOffsets(words, width)
+	keys := make([]uint8, len(words))
+	next := popcountKeys(keys, words, width, true)
 	for i, w := range words {
-		b := width - w.OnesCount(width)
+		b := keys[i]
 		ordered[next[b]] = w
 		perm[next[b]] = i
 		next[b]++
@@ -159,42 +142,78 @@ type Pair struct {
 	Input  bitutil.Word
 }
 
-// AffiliatedOrder sorts pairs by descending weight popcount, keeping each
-// input attached to its weight (§IV-A). The returned permutation satisfies
-// ordered[i] == pairs[perm[i]]. Because pairing is preserved, no recovery
-// information is needed downstream: conv/linear layers are order-invariant.
-func AffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := popcountOrder(weightPopcounts(pairs, width), width, true)
-	ordered := make([]Pair, len(pairs))
-	for i, p := range perm {
-		ordered[i] = pairs[p]
-	}
-	return ordered, perm
+// Ordered is the caller-owned destination of the in-place orderings: the
+// transmission-ordered weight and input columns and, for SeparatedOrder,
+// the partner table. Every ordering resizes the fields it writes to the
+// task length, reusing their backing arrays when the capacity allows, so a
+// caller ordering packet after packet into one Ordered stops allocating
+// once its buffers have grown to the largest task.
+type Ordered struct {
+	// Weights and Inputs are the ordered columns.
+	Weights []bitutil.Word
+	Inputs  []bitutil.Word
+	// PartnerIndex[i] is the position in Weights of the weight originally
+	// paired with Inputs[i] — the "minimal-bit-width index" of separated
+	// ordering, ⌈log₂ N⌉ bits per input. The pairing-preserving orderings
+	// set it to nil.
+	PartnerIndex []int
+
+	// keys is the per-value popcount-bucket scratch of the counting sorts.
+	keys []uint8
 }
 
-// AscendingAffiliatedOrder sorts pairs by ascending weight popcount, keeping
-// each input attached to its weight — the '1'-bit-count sorting-unit dual of
-// AffiliatedOrder evaluated by Han et al. ("'1'-bit Count-based Sorting Unit
-// to Reduce Link Power in DNN Accelerators"): the same sorting hardware with
-// the comparator sense flipped. The returned permutation satisfies
-// ordered[i] == pairs[perm[i]]; the stable sort keeps the result
-// deterministic.
-func AscendingAffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := popcountOrder(weightPopcounts(pairs, width), width, false)
-	ordered := make([]Pair, len(pairs))
-	for i, p := range perm {
-		ordered[i] = pairs[p]
-	}
-	return ordered, perm
+// resize sets dst's columns to n entries and its key scratch to keys,
+// reusing their backing arrays when the capacity allows. Contents are
+// unspecified.
+func (dst *Ordered) resize(n, keys int) {
+	dst.Weights = slices.Grow(dst.Weights[:0], n)[:n]
+	dst.Inputs = slices.Grow(dst.Inputs[:0], n)[:n]
+	dst.keys = slices.Grow(dst.keys[:0], keys)[:keys]
 }
 
-// weightPopcounts returns each pair's weight '1'-bit count.
-func weightPopcounts(pairs []Pair, width int) []int {
-	counts := make([]int, len(pairs))
-	for i, p := range pairs {
-		counts[i] = p.Weight.OnesCount(width)
+// AffiliatedOrder sorts the (weight, input) pairs by descending weight
+// popcount into dst, keeping each input attached to its weight (§IV-A).
+// Because pairing is preserved, no recovery information is needed
+// downstream: conv/linear layers are order-invariant. The sort is stable:
+// equal popcounts keep their original relative order.
+func AffiliatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int) {
+	affiliatedOrder(dst, weights, inputs, width, true)
+}
+
+// AscendingAffiliatedOrder sorts the (weight, input) pairs by ascending
+// weight popcount into dst, keeping each input attached to its weight —
+// the '1'-bit-count sorting-unit dual of AffiliatedOrder evaluated by Han
+// et al. ("'1'-bit Count-based Sorting Unit to Reduce Link Power in DNN
+// Accelerators"): the same sorting hardware with the comparator sense
+// flipped. The stable sort keeps the result deterministic.
+func AscendingAffiliatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int) {
+	affiliatedOrder(dst, weights, inputs, width, false)
+}
+
+// affiliatedOrder is the stable counting sort of both affiliated orderings.
+func affiliatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int, descending bool) {
+	n := mustPair(weights, inputs)
+	dst.resize(n, n)
+	dst.PartnerIndex = nil
+	if n == 0 {
+		return
 	}
-	return counts
+	next := popcountKeys(dst.keys, weights, width, descending)
+	for i, b := range dst.keys {
+		r := next[b]
+		next[b]++
+		dst.Weights[r] = weights[i]
+		dst.Inputs[r] = inputs[i]
+	}
+}
+
+// mustPair returns the pair count of a task's weight and input columns,
+// panicking when their lengths differ.
+func mustPair(weights, inputs []bitutil.Word) int {
+	if len(weights) != len(inputs) {
+		panic(fmt.Sprintf("core: %d weights vs %d inputs", len(weights), len(inputs)))
+	}
+	return len(weights)
 }
 
 // HammingNNOrder orders pairs by a greedy nearest-neighbor walk over
@@ -282,53 +301,31 @@ func HammingNNOrder(pairs []Pair, width int) ([]Pair, []int) {
 	return ordered, perm
 }
 
-// Separated is the result of separated-ordering (§IV-B): weights and inputs
-// each sorted by their own popcount, plus the minimal side-channel needed to
-// re-pair them at the PE.
-type Separated struct {
-	// Weights sorted by descending weight popcount.
-	Weights []bitutil.Word
-	// Inputs sorted by descending input popcount.
-	Inputs []bitutil.Word
-	// PartnerIndex[i] is the position in Weights of the weight originally
-	// paired with Inputs[i]. This is the "minimal-bit-width index" the
-	// paper transmits: ⌈log₂ N⌉ bits per input.
-	PartnerIndex []int
-}
-
 // SeparatedOrder orders weights and inputs independently by descending
-// popcount and computes the partner index side-channel. Both counting sorts
-// scatter straight into the returned slices; the two ordered columns share
-// one backing array, and the partner table shares one with the weight
-// sort's inverse permutation (each slice capped at its own length).
-func SeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
-	if len(weights) != len(inputs) {
-		panic(fmt.Sprintf("core: %d weights vs %d inputs", len(weights), len(inputs)))
-	}
-	n := len(weights)
-	words := make([]bitutil.Word, 2*n)
-	ints := make([]int, 2*n)
-	orderedW, orderedI := words[:n:n], words[n:]
-	partner, invW := ints[:n:n], ints[n:]
+// popcount into dst (§IV-B) and computes the partner index side-channel
+// needed to re-pair them at the PE. One pass over the task scatters both
+// stable counting sorts: pair k's weight and input land at their ranks in
+// the same step, so the input's partner entry is the weight's rank with no
+// inverse permutation in between.
+func SeparatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int) {
+	n := mustPair(weights, inputs)
+	dst.resize(n, 2*n)
+	dst.PartnerIndex = slices.Grow(dst.PartnerIndex[:0], n)[:n]
 	if n == 0 {
-		return Separated{Weights: orderedW, Inputs: orderedI, PartnerIndex: partner}
+		return
 	}
-	// invW[k] = position of original weight k in the ordered weight list.
-	next := descendingOffsets(weights, width)
-	for k, w := range weights {
-		b := width - w.OnesCount(width)
-		orderedW[next[b]] = w
-		invW[k] = next[b]
-		next[b]++
+	keysW, keysI := dst.keys[:n], dst.keys[n:]
+	nextW := popcountKeys(keysW, weights, width, true)
+	nextI := popcountKeys(keysI, inputs, width, true)
+	for k, bw := range keysW {
+		bi := keysI[k]
+		rw, ri := nextW[bw], nextI[bi]
+		nextW[bw]++
+		nextI[bi]++
+		dst.Weights[rw] = weights[k]
+		dst.Inputs[ri] = inputs[k]
+		dst.PartnerIndex[ri] = rw
 	}
-	next = descendingOffsets(inputs, width)
-	for k, in := range inputs {
-		b := width - in.OnesCount(width)
-		orderedI[next[b]] = in
-		partner[next[b]] = invW[k]
-		next[b]++
-	}
-	return Separated{Weights: orderedW, Inputs: orderedI, PartnerIndex: partner}
 }
 
 // RecoverPairs reconstructs the original (weight, input) pairing from a
@@ -336,7 +333,7 @@ func SeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
 // pairs are in ordered-weight order, which is a consistent pairing (the
 // dot product over them equals the original task's dot product). A partner
 // table that is not a permutation of the pair positions is an error.
-func (s Separated) RecoverPairs() ([]Pair, error) {
+func (s *Ordered) RecoverPairs() ([]Pair, error) {
 	if len(s.PartnerIndex) != len(s.Inputs) || len(s.Inputs) != len(s.Weights) {
 		return nil, fmt.Errorf("core: %d weights, %d inputs, %d partner entries",
 			len(s.Weights), len(s.Inputs), len(s.PartnerIndex))

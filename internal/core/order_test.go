@@ -254,7 +254,7 @@ func TestAffiliatedOrderKeepsPairs(t *testing.T) {
 	weights := randWords(40, 8, rng)
 	inputs := randWords(40, 8, rng)
 	pairs := ZipPairs(weights, inputs)
-	ordered, perm := AffiliatedOrder(pairs, 8)
+	ordered := orderPairs(AffiliatedOrder, pairs, 8)
 
 	// Weights descending.
 	for i := 1; i < len(ordered); i++ {
@@ -262,11 +262,34 @@ func TestAffiliatedOrderKeepsPairs(t *testing.T) {
 			t.Fatalf("weights not descending at %d", i)
 		}
 	}
-	// Pairing preserved through the permutation.
-	for i, p := range perm {
-		if ordered[i].Weight != weights[p] || ordered[i].Input != inputs[p] {
-			t.Fatalf("pair %d broken", i)
+	// Pairing preserved: the ordered pairs are a permutation of the task's.
+	checkSamePairs(t, ordered, pairs)
+}
+
+// orderPairs runs an in-place column ordering on pairs into a fresh
+// destination and zips the ordered columns back into pairs.
+func orderPairs(order func(*Ordered, []bitutil.Word, []bitutil.Word, int), pairs []Pair, width int) []Pair {
+	var dst Ordered
+	weights, inputs := SplitPairs(pairs)
+	order(&dst, weights, inputs, width)
+	return ZipPairs(dst.Weights, dst.Inputs)
+}
+
+// checkSamePairs fails unless got is a permutation of want.
+func checkSamePairs(t *testing.T, got, want []Pair) {
+	t.Helper()
+	count := make(map[Pair]int)
+	for _, p := range want {
+		count[p]++
+	}
+	for i, p := range got {
+		if count[p] == 0 {
+			t.Fatalf("ordered pair %d %+v is not a pair of the task", i, p)
 		}
+		count[p]--
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d ordered pairs for a %d-pair task", len(got), len(want))
 	}
 }
 
@@ -282,7 +305,7 @@ func TestAffiliatedOrderPreservesDotProduct(t *testing.T) {
 	want := quant.DotQ(w8, i8)
 
 	pairs := ZipPairs(bitutil.Fixed8Words(w8), bitutil.Fixed8Words(i8))
-	ordered, _ := AffiliatedOrder(pairs, 8)
+	ordered := orderPairs(AffiliatedOrder, pairs, 8)
 	ow := make([]int8, n)
 	oi := make([]int8, n)
 	for i, p := range ordered {
@@ -306,7 +329,8 @@ func TestSeparatedOrderRecovery(t *testing.T) {
 		}
 		want := quant.DotQ(w8, i8)
 
-		sep := SeparatedOrder(bitutil.Fixed8Words(w8), bitutil.Fixed8Words(i8), 8)
+		var sep Ordered
+		SeparatedOrder(&sep, bitutil.Fixed8Words(w8), bitutil.Fixed8Words(i8), 8)
 
 		// Both columns descending.
 		for i := 1; i < n; i++ {
@@ -340,7 +364,7 @@ func TestSeparatedOrderMismatchPanics(t *testing.T) {
 			t.Fatal("did not panic")
 		}
 	}()
-	SeparatedOrder(make([]bitutil.Word, 2), make([]bitutil.Word, 3), 8)
+	SeparatedOrder(&Ordered{}, make([]bitutil.Word, 2), make([]bitutil.Word, 3), 8)
 }
 
 // TestSeparatedBeatsAffiliatedOnInputs: separated-ordering also orders the
@@ -351,9 +375,10 @@ func TestSeparatedBeatsAffiliatedOnInputs(t *testing.T) {
 	weights := randWords(400, 8, rng)
 	inputs := randWords(400, 8, rng)
 
-	affPairs, _ := AffiliatedOrder(ZipPairs(weights, inputs), 8)
-	_, affInputs := SplitPairs(affPairs)
-	sep := SeparatedOrder(weights, inputs, 8)
+	var aff, sep Ordered
+	AffiliatedOrder(&aff, weights, inputs, 8)
+	affInputs := aff.Inputs
+	SeparatedOrder(&sep, weights, inputs, 8)
 
 	affBT := StreamTransitions(PackSequential(affInputs, 8, 0), 8)
 	sepBT := StreamTransitions(PackSequential(sep.Inputs, 8, 0), 8)
@@ -395,27 +420,15 @@ func TestZipPairsMismatchPanics(t *testing.T) {
 	ZipPairs(make([]bitutil.Word, 1), make([]bitutil.Word, 2))
 }
 
-// TestAscendingAffiliatedOrderProperties: ascending '1'-count, pairing
-// preserved, valid permutation — the Han et al. sorting-unit dual.
+// TestAscendingAffiliatedOrderProperties: ascending '1'-count and pairing
+// preserved — the Han et al. sorting-unit dual.
 func TestAscendingAffiliatedOrderProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
 		pairs := ZipPairs(randWords(n, 8, rng), randWords(n, 8, rng))
-		ordered, perm := AscendingAffiliatedOrder(pairs, 8)
-		if len(ordered) != len(pairs) || len(perm) != len(pairs) {
-			t.Fatalf("length mismatch: %d pairs -> %d ordered, %d perm", len(pairs), len(ordered), len(perm))
-		}
-		seen := make([]bool, len(pairs))
-		for i, p := range perm {
-			if seen[p] {
-				t.Fatalf("perm reuses index %d", p)
-			}
-			seen[p] = true
-			if ordered[i] != pairs[p] {
-				t.Fatalf("ordered[%d] != pairs[perm[%d]]", i, i)
-			}
-		}
+		ordered := orderPairs(AscendingAffiliatedOrder, pairs, 8)
+		checkSamePairs(t, ordered, pairs)
 		for i := 1; i < len(ordered); i++ {
 			if ordered[i].Weight.OnesCount(8) < ordered[i-1].Weight.OnesCount(8) {
 				t.Fatalf("weights not ascending at %d", i)
@@ -429,8 +442,8 @@ func TestAscendingAffiliatedOrderProperties(t *testing.T) {
 func TestAscendingIsReverseOfDescendingCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pairs := ZipPairs(randWords(30, 8, rng), randWords(30, 8, rng))
-	desc, _ := AffiliatedOrder(pairs, 8)
-	asc, _ := AscendingAffiliatedOrder(pairs, 8)
+	desc := orderPairs(AffiliatedOrder, pairs, 8)
+	asc := orderPairs(AscendingAffiliatedOrder, pairs, 8)
 	for i := range desc {
 		if desc[i].Weight.OnesCount(8) != asc[len(asc)-1-i].Weight.OnesCount(8) {
 			t.Fatalf("count sequences not mirrored at %d", i)
@@ -674,13 +687,11 @@ func TestAscendingAffiliatedOrderMatchesStableSort(t *testing.T) {
 			counts[i] = pairs[i].Weight.OnesCount(width)
 		}
 		sort.SliceStable(wantPerm, func(a, b int) bool { return counts[wantPerm[a]] < counts[wantPerm[b]] })
-		ordered, perm := AscendingAffiliatedOrder(pairs, width)
+		ordered := orderPairs(AscendingAffiliatedOrder, pairs, width)
 		for i := range wantPerm {
-			if perm[i] != wantPerm[i] {
-				t.Fatalf("width %d n %d: perm %v, stable reference %v", width, n, perm, wantPerm)
-			}
-			if ordered[i] != pairs[perm[i]] {
-				t.Fatalf("ordered[%d] != pairs[perm[%d]]", i, i)
+			if ordered[i] != pairs[wantPerm[i]] {
+				t.Fatalf("width %d n %d: ordered[%d] %+v, stable reference pair %d %+v",
+					width, n, i, ordered[i], wantPerm[i], pairs[wantPerm[i]])
 			}
 		}
 	}
@@ -723,20 +734,21 @@ func TestPopcountOrdersMatchStableSort(t *testing.T) {
 		}
 		for _, c := range []struct {
 			name  string
-			order func([]Pair, int) ([]Pair, []int)
+			order func(*Ordered, []bitutil.Word, []bitutil.Word, int)
 			less  func(a, b int) bool
 		}{
 			{"AffiliatedOrder", AffiliatedOrder, desc},
 			{"AscendingAffiliatedOrder", AscendingAffiliatedOrder, asc},
 		} {
-			ordered, perm := c.order(pairs, width)
+			ordered := orderPairs(c.order, pairs, width)
 			want := stable(counts, c.less)
-			if len(perm) != n || len(ordered) != n {
-				t.Fatalf("%s width %d n %d: %d-entry permutation", c.name, width, n, len(perm))
+			if len(ordered) != n {
+				t.Fatalf("%s width %d n %d: %d ordered pairs", c.name, width, n, len(ordered))
 			}
 			for i := range want {
-				if perm[i] != want[i] || ordered[i] != pairs[want[i]] {
-					t.Fatalf("%s width %d n %d: perm %v, stable reference %v", c.name, width, n, perm, want)
+				if ordered[i] != pairs[want[i]] {
+					t.Fatalf("%s width %d n %d: ordered[%d] %+v, stable reference pair %d %+v",
+						c.name, width, n, i, ordered[i], want[i], pairs[want[i]])
 				}
 			}
 		}
@@ -770,7 +782,7 @@ func TestRecoverPairsRejectsMalformedPartner(t *testing.T) {
 		if len(tc.partner) != 5 {
 			continue
 		}
-		sep := Separated{Weights: five, Inputs: five, PartnerIndex: tc.partner}
+		sep := Ordered{Weights: five, Inputs: five, PartnerIndex: tc.partner}
 		if pairs, err := sep.RecoverPairs(); err == nil {
 			t.Errorf("%s: RecoverPairs accepted %v, returned %v", tc.name, tc.partner, pairs)
 		}

@@ -146,6 +146,11 @@ const (
 // headerBits is the total width of the encoded header fields.
 const headerBits = 16 + 16 + 32 + 32 + 8 + 16 + 8
 
+// MaxHeaderCount is the largest value of the header's 16-bit PairCount
+// field, which carries a task packet's pair count and a result packet's
+// segment index.
+const MaxHeaderCount = 1<<16 - 1
+
 // Header is the routing/task metadata encoded into the head flit payload.
 // These bits toggle link wires like any other payload bits, so they are
 // part of every BT measurement.

@@ -44,6 +44,10 @@ type Flitized struct {
 	// weight paired with ordered input i. Nil for strategies that preserve
 	// pairing (O0, O1, hamming-nn, popcount-asc).
 	PartnerIndex []int
+
+	// ordered is the ordering scratch: the ordered columns FlitizeInto
+	// packs, reused from call to call.
+	ordered Ordered
 }
 
 // Payloads returns all flit payloads in transmission order: data flits then
@@ -89,11 +93,17 @@ func Flitize(g Geometry, t Task, opt Options) (Flitized, error) {
 
 // FlitizeInto is the recycling variant of Flitize: payload vectors are drawn
 // from pool (falling back to fresh allocations when pool is nil or serves a
-// different width) and out's Data/Index slice headers are reused across
-// calls. The produced payload vectors themselves are always fresh handles —
-// they become owned by whatever packet carries them — so out can be reused
-// immediately after the packet is built. out.PartnerIndex is whatever the
-// strategy returned and is never drawn from the pool.
+// different width), out's Data/Index slice headers are reused across calls,
+// and the strategy orders into out's scratch columns. The produced payload
+// vectors themselves are always fresh handles — they become owned by
+// whatever packet carries them — so out can be reused immediately after
+// the packet is built.
+//
+// For a partner-emitting strategy the table is written into the backing
+// array of the out.PartnerIndex the call finds (grown when too short), so
+// a caller reusing out reuses one table; a caller that must keep a table
+// past the next call sets out.PartnerIndex to a table it owns — or to nil —
+// before calling again.
 func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -110,36 +120,41 @@ func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) err
 		return fmt.Errorf("flit: unknown ordering %d (registered: %v)", int(opt.Ordering), OrderingNames())
 	}
 
-	weights, inputs, partner := strat.Order(t.Weights, t.Inputs, g.LaneBits())
-	if len(weights) != n || len(inputs) != n {
-		return fmt.Errorf("flit: ordering %s returned %d weights and %d inputs for an %d-pair task",
-			strat.Name(), len(weights), len(inputs), n)
+	ord := &out.ordered
+	ord.PartnerIndex = nil
+	if strat.EmitsPartner() {
+		ord.PartnerIndex = out.PartnerIndex[:0]
 	}
+	strat.Order(ord, t.Weights, t.Inputs, g.LaneBits())
+	if len(ord.Weights) != n || len(ord.Inputs) != n {
+		return fmt.Errorf("flit: ordering %s returned %d weights and %d inputs for an %d-pair task",
+			strat.Name(), len(ord.Weights), len(ord.Inputs), n)
+	}
+	partner := ord.PartnerIndex
 	if strat.EmitsPartner() != (partner != nil) {
 		return fmt.Errorf("flit: ordering %s partner table (%d entries) contradicts EmitsPartner=%v",
 			strat.Name(), len(partner), strat.EmitsPartner())
 	}
 
-	half := g.HalfLanes()
 	m := g.DataFlitCount(n)
 	data := out.Data[:0]
 	for i := 0; i < m; i++ {
 		data = append(data, poolVec(pool, g.LinkBits))
 	}
-	lb := g.LaneBits()
-	for r := 0; r < n; r++ {
-		var fl, slot int
-		if strat.Interleave() {
-			fl, slot = r%m, r/m
-		} else {
-			fl, slot = r/half, r%half
+	// Pooled vectors arrive zeroed, so every lane is ORed into place.
+	lanes := newLaneGrid(g, m, strat.Interleave())
+	inputs, weights := ord.Inputs, ord.Weights
+	for fl, v := range data {
+		words := v.Words()
+		r, step := lanes.start(fl)
+		for slot := 0; slot < lanes.half && r < n; slot, r = slot+1, r+step {
+			lanes.put(words, slot, uint64(inputs[r]))
+			lanes.put(words, lanes.half+slot, uint64(weights[r]))
 		}
-		data[fl].SetField(slot*lb, lb, uint64(inputs[r]))
-		data[fl].SetField((half+slot)*lb, lb, uint64(weights[r]))
 	}
 	// Bias occupies the last lane of the last data flit; DataFlitCount
 	// reserved that cell in both placement schemes.
-	data[m-1].SetField((g.Lanes()-1)*lb, lb, uint64(t.Bias))
+	lanes.put(data[m-1].Words(), g.Lanes()-1, uint64(t.Bias))
 
 	out.Data = data
 	out.PartnerIndex = partner
@@ -148,6 +163,43 @@ func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) err
 		out.Index = appendPartnerIndex(g, partner, pool, out.Index)
 	}
 	return nil
+}
+
+// laneGrid is the lane placement of a task over m data flits. Every lane
+// width divides 64 (2, 4, 8, 16 or 32 bits), so no lane straddles a
+// backing word: a lane is one shift and one mask.
+type laneGrid struct {
+	m, half, bits int
+	mask          uint64
+	interleave    bool
+}
+
+func newLaneGrid(g Geometry, m int, interleave bool) laneGrid {
+	lb := g.LaneBits()
+	return laneGrid{m: m, half: g.HalfLanes(), bits: lb, mask: 1<<uint(lb) - 1, interleave: interleave}
+}
+
+// start returns the transmission rank carried by pair slot 0 of data flit
+// fl and the rank step from one slot to the next. Interleaving strategies
+// place rank r in flit r mod m, slot r div m (column-major, Fig. 3); the
+// others fill flit r div half, slot r mod half.
+func (l *laneGrid) start(fl int) (r, step int) {
+	if l.interleave {
+		return fl, l.m
+	}
+	return fl * l.half, 1
+}
+
+// put ORs the low lane bits of v into lane i, which must be zero.
+func (l *laneGrid) put(words []uint64, i int, v uint64) {
+	off := uint(i * l.bits)
+	words[off>>6] |= (v & l.mask) << (off & 63)
+}
+
+// get reads lane i.
+func (l *laneGrid) get(words []uint64, i int) uint64 {
+	off := uint(i * l.bits)
+	return words[off>>6] >> (off & 63) & l.mask
 }
 
 // poolVec returns an all-zero g-wide vector from pool when it serves that
@@ -198,6 +250,11 @@ func DeflitizeInto(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner 
 	if len(data) != m {
 		return fmt.Errorf("flit: %d data flits for %d pairs, want %d", len(data), n, m)
 	}
+	for i, v := range data {
+		if v.Width() != g.LinkBits {
+			return fmt.Errorf("flit: data flit %d is %d bits wide, link is %d", i, v.Width(), g.LinkBits)
+		}
+	}
 	repair := strat.EmitsPartner()
 	if repair {
 		if len(partner) != n {
@@ -207,27 +264,25 @@ func DeflitizeInto(g Geometry, data []bitutil.Vec, n int, ord Ordering, partner 
 			return fmt.Errorf("flit: %w", err)
 		}
 	}
-	half := g.HalfLanes()
-	lb := g.LaneBits()
+	lanes := newLaneGrid(g, m, strat.Interleave())
 	inputs := growWords(out.Inputs, n)
 	weights := growWords(out.Weights, n)
-	for r := 0; r < n; r++ {
-		var fl, slot int
-		if strat.Interleave() {
-			fl, slot = r%m, r/m
-		} else {
-			fl, slot = r/half, r%half
+	for fl, v := range data {
+		words := v.Words()
+		r, step := lanes.start(fl)
+		for slot := 0; slot < lanes.half && r < n; slot, r = slot+1, r+step {
+			// Weights stay in transmission rank order; under a partner
+			// table the input of rank r belongs to the weight of rank
+			// partner[r].
+			in := r
+			if repair {
+				in = partner[r]
+			}
+			inputs[in] = bitutil.Word(lanes.get(words, slot))
+			weights[r] = bitutil.Word(lanes.get(words, lanes.half+slot))
 		}
-		// Weights stay in transmission rank order; under a partner table
-		// the input of rank r belongs to the weight of rank partner[r].
-		in := r
-		if repair {
-			in = partner[r]
-		}
-		inputs[in] = bitutil.Word(data[fl].Field(slot*lb, lb))
-		weights[r] = bitutil.Word(data[fl].Field((half+slot)*lb, lb))
 	}
-	bias := bitutil.Word(data[m-1].Field((g.Lanes()-1)*lb, lb))
+	bias := bitutil.Word(lanes.get(data[m-1].Words(), g.Lanes()-1))
 	*out = Task{Inputs: inputs, Weights: weights, Bias: bias}
 	return nil
 }

@@ -244,6 +244,10 @@ func TestDeflitizeErrors(t *testing.T) {
 	if _, err := Deflitize(g, fz.Data, 5, Separated, nil); err == nil {
 		t.Error("missing partner table must error")
 	}
+	narrow := []bitutil.Vec{bitutil.NewVec(64)}
+	if _, err := Deflitize(g, narrow, 5, Baseline, nil); err == nil || !strings.Contains(err.Error(), "64 bits wide") {
+		t.Errorf("a data flit narrower than the link: err %v, want a width error", err)
+	}
 }
 
 func TestIndexFlitCount(t *testing.T) {

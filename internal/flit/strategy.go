@@ -52,11 +52,20 @@ type OrderingStrategy interface {
 	// receiver needs to restore (weight, input) pairing — true only for
 	// separated-style strategies that break pairing.
 	EmitsPartner() bool
-	// Order returns the transmission-ordered weights and inputs and, when
-	// EmitsPartner, the partner table: partner[i] is the rank in the
-	// ordered weight sequence of the weight paired with ordered input i.
-	Order(weights, inputs []bitutil.Word, laneBits int) (w, in []bitutil.Word, partner []int)
+	// Order writes the transmission-ordered weights and inputs into
+	// dst.Weights and dst.Inputs, each of len(weights) entries, and —
+	// exactly when EmitsPartner — the partner table into dst.PartnerIndex:
+	// PartnerIndex[i] is the rank in the ordered weight sequence of the
+	// weight paired with ordered input i. Strategies that emit no table
+	// set PartnerIndex to nil. Order may reuse the backing arrays dst holds
+	// on entry (their contents are unspecified) and must not retain dst,
+	// weights or inputs after it returns.
+	Order(dst *Ordered, weights, inputs []bitutil.Word, laneBits int)
 }
+
+// Ordered is an ordering destination: the ordered weight and input columns
+// and the optional partner table (see core.Ordered).
+type Ordered = core.Ordered
 
 // LinkCoding is the per-link state of one coding scheme. Each physical link
 // owns its own instance; implementations need not be safe for concurrent
@@ -258,23 +267,24 @@ type funcStrategy struct {
 	id           Ordering
 	interleave   bool
 	emitsPartner bool
-	order        func(weights, inputs []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int)
+	order        func(dst *Ordered, weights, inputs []bitutil.Word, laneBits int)
 }
 
 func (s funcStrategy) Name() string       { return s.name }
 func (s funcStrategy) ID() Ordering       { return s.id }
 func (s funcStrategy) Interleave() bool   { return s.interleave }
 func (s funcStrategy) EmitsPartner() bool { return s.emitsPartner }
-func (s funcStrategy) Order(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-	return s.order(w, in, laneBits)
+func (s funcStrategy) Order(dst *Ordered, w, in []bitutil.Word, laneBits int) {
+	s.order(dst, w, in, laneBits)
 }
 
 // NewOrderingStrategy wraps an order function as a registrable strategy —
-// the constructor custom strategies use. order receives the task's weights
-// and inputs and the lane width; it must return equal-length ordered
-// slices, plus a partner table iff emitsPartner.
+// the constructor custom strategies use. order receives the destination,
+// the task's weights and inputs and the lane width, with the contract of
+// OrderingStrategy.Order: it fills dst with equal-length ordered columns,
+// plus a partner table iff emitsPartner.
 func NewOrderingStrategy(name string, id Ordering, interleave, emitsPartner bool,
-	order func(weights, inputs []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int)) OrderingStrategy {
+	order func(dst *Ordered, weights, inputs []bitutil.Word, laneBits int)) OrderingStrategy {
 	return funcStrategy{name: name, id: id, interleave: interleave, emitsPartner: emitsPartner, order: order}
 }
 
@@ -290,32 +300,23 @@ const (
 
 func init() {
 	MustRegisterOrdering(NewOrderingStrategy("O0", Baseline, false, false,
-		func(w, in []bitutil.Word, _ int) ([]bitutil.Word, []bitutil.Word, []int) {
-			return w, in, nil
+		func(dst *Ordered, w, in []bitutil.Word, _ int) {
+			dst.Weights = append(dst.Weights[:0], w...)
+			dst.Inputs = append(dst.Inputs[:0], in...)
+			dst.PartnerIndex = nil
 		}))
-	MustRegisterOrdering(NewOrderingStrategy("O1", Affiliated, true, false,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-			ordered, _ := core.AffiliatedOrder(core.ZipPairs(w, in), laneBits)
-			ow, oi := core.SplitPairs(ordered)
-			return ow, oi, nil
-		}))
-	MustRegisterOrdering(NewOrderingStrategy("O2", Separated, true, true,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-			sep := core.SeparatedOrder(w, in, laneBits)
-			return sep.Weights, sep.Inputs, sep.PartnerIndex
-		}))
+	MustRegisterOrdering(NewOrderingStrategy("O1", Affiliated, true, false, core.AffiliatedOrder))
+	MustRegisterOrdering(NewOrderingStrategy("O2", Separated, true, true, core.SeparatedOrder))
 	MustRegisterOrdering(NewOrderingStrategy("hamming-nn", HammingNN, true, false,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
+		func(dst *Ordered, w, in []bitutil.Word, laneBits int) {
 			ordered, _ := core.HammingNNOrder(core.ZipPairs(w, in), laneBits)
-			ow, oi := core.SplitPairs(ordered)
-			return ow, oi, nil
+			dst.Weights, dst.Inputs, dst.PartnerIndex = dst.Weights[:0], dst.Inputs[:0], nil
+			for _, p := range ordered {
+				dst.Weights = append(dst.Weights, p.Weight)
+				dst.Inputs = append(dst.Inputs, p.Input)
+			}
 		}))
-	MustRegisterOrdering(NewOrderingStrategy("popcount-asc", PopcountAsc, true, false,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-			ordered, _ := core.AscendingAffiliatedOrder(core.ZipPairs(w, in), laneBits)
-			ow, oi := core.SplitPairs(ordered)
-			return ow, oi, nil
-		}))
+	MustRegisterOrdering(NewOrderingStrategy("popcount-asc", PopcountAsc, true, false, core.AscendingAffiliatedOrder))
 
 	MustRegisterLinkCoding(grayScheme{})
 	MustRegisterLinkCoding(businvertScheme{segBits: BusinvertSegBits})

@@ -2,6 +2,7 @@ package flit
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -327,4 +328,84 @@ func TestGrayCodingAllocFree(t *testing.T) {
 		t.Errorf("gray Transitions allocates %.1f objects per 16-flit run, want 0", avg)
 	}
 	_ = sink
+}
+
+// TestOrderReusesDirtyDestination: every built-in strategy orders into a
+// caller-owned destination whatever it holds — backing arrays shorter or
+// longer than the task, stale values, a stale partner table — with exactly
+// the result it produces in a zero destination.
+func TestOrderReusesDirtyDestination(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	words := func(n int) []bitutil.Word {
+		w := make([]bitutil.Word, n)
+		for i := range w {
+			w[i] = bitutil.Word(rng.Intn(256))
+		}
+		return w
+	}
+	for _, id := range []Ordering{Baseline, Affiliated, Separated, HammingNN, PopcountAsc} {
+		s, _ := OrderingStrategyByID(id)
+		for _, n := range []int{1, 7, 40} {
+			weights, inputs := words(n), words(n)
+			var want Ordered
+			s.Order(&want, weights, inputs, 8)
+			for _, stale := range []int{n / 2, n + 13} {
+				// Dirty the scratch by ordering another task first, then
+				// scribble over every visible field.
+				var dst Ordered
+				s.Order(&dst, words(stale), words(stale), 8)
+				for i := range dst.Weights {
+					dst.Weights[i], dst.Inputs[i] = 0xAA, 0x55
+				}
+				dst.PartnerIndex = append(dst.PartnerIndex[:0], make([]int, stale)...)
+				for i := range dst.PartnerIndex {
+					dst.PartnerIndex[i] = -1
+				}
+				s.Order(&dst, weights, inputs, 8)
+				if !slices.Equal(dst.Weights, want.Weights) || !slices.Equal(dst.Inputs, want.Inputs) ||
+					!slices.Equal(dst.PartnerIndex, want.PartnerIndex) || (dst.PartnerIndex == nil) != (want.PartnerIndex == nil) {
+					t.Errorf("%s n=%d over a %d-entry destination: got %+v, want %+v", s.Name(), n, stale, dst, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFlitizeKeepsLentPartnerTable: a partner table the caller takes out of
+// a Flitized (as the engine does for out-of-band tables, lending a fresh
+// one per packet) must survive the next FlitizeInto untouched, and a lent
+// table with room for the task is filled in place.
+func TestFlitizeKeepsLentPartnerTable(t *testing.T) {
+	g := Fixed8Geometry()
+	rng := rand.New(rand.NewSource(44))
+	opt := Options{Ordering: Separated}
+	var fz Flitized
+	var kept [][]int
+	var snapshots [][]int
+	for pkt := 0; pkt < 6; pkt++ {
+		lent := make([]int, 0, 64)
+		fz.PartnerIndex = lent
+		task := randTask(1+rng.Intn(40), rng)
+		if err := FlitizeInto(g, task, opt, nil, &fz); err != nil {
+			t.Fatal(err)
+		}
+		if &fz.PartnerIndex[:1][0] != &lent[:1][0] {
+			t.Fatalf("packet %d: the lent table was not filled in place", pkt)
+		}
+		var back Task
+		if err := DeflitizeInto(g, fz.Data, len(task.Weights), Separated, fz.PartnerIndex, &back); err != nil {
+			t.Fatal(err)
+		}
+		if taskDot(back) != taskDot(task) {
+			t.Fatalf("packet %d lost its pairing", pkt)
+		}
+		kept = append(kept, fz.PartnerIndex)
+		snapshots = append(snapshots, slices.Clone(fz.PartnerIndex))
+		fz.PartnerIndex = nil
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i], snapshots[i]) {
+			t.Errorf("packet %d's partner table was overwritten by a later packet: %v, was %v", i, kept[i], snapshots[i])
+		}
+	}
 }

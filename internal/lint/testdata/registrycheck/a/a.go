@@ -19,8 +19,8 @@ func (handRolled) Name() string       { return "fx-hand" }
 func (handRolled) ID() flit.Ordering  { return 210 }
 func (handRolled) Interleave() bool   { return false }
 func (handRolled) EmitsPartner() bool { return false }
-func (handRolled) Order(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-	return w, in, nil
+func (handRolled) Order(dst *flit.Ordered, w, in []bitutil.Word, laneBits int) {
+	dst.Weights, dst.Inputs, dst.PartnerIndex = append(dst.Weights[:0], w...), append(dst.Inputs[:0], in...), nil
 }
 
 // opaque hides its wire identity behind a computed Name and an embedded ID.

@@ -81,9 +81,7 @@ func refVA(r *router) {
 // refSA is the slot-scan switch allocator.
 func refSA(r *router) int {
 	ports := len(r.out)
-	for i := range r.usedIn {
-		r.usedIn[i] = false
-	}
+	var usedIn uint64 // crossbar input rows already granted this cycle
 	moved := 0
 	for po := 0; po < ports; po++ {
 		out := r.out[po]
@@ -94,7 +92,7 @@ func refSA(r *router) int {
 		for k := 0; k < n; k++ {
 			idx := (out.rrSA + k) % n
 			pi, v := idx/r.vcs, idx%r.vcs
-			if r.usedIn[pi] {
+			if usedIn&(1<<uint(pi)) != 0 {
 				continue
 			}
 			in := r.in[pi]
@@ -111,7 +109,7 @@ func refSA(r *router) int {
 			f := vc.front()
 			vc.pop()
 			r.buffered--
-			r.usedIn[pi] = true
+			usedIn |= 1 << uint(pi)
 			moved++
 
 			f.VC = vc.outVC
@@ -136,24 +134,25 @@ func refSA(r *router) int {
 }
 
 // refStep is Sim.Step with the full-scan route computation and slot-scan
-// allocators. Flit arrivals still fill the route request sets; the oracle
-// never reads them.
+// allocators, walking the same active-router set in id order. Flit
+// arrivals still fill the request sets and port masks; the oracle never
+// reads them.
 func refStep(s *Sim) {
 	s.cycle++
 	s.deliver()
 	s.injectNIs()
-	keep := s.activeRouters[:0]
-	for _, r := range s.activeRouters {
+	for id := range s.routers {
+		if s.active[id>>6]&(1<<uint(id&63)) == 0 {
+			continue
+		}
+		r := s.routers[id]
 		refRC(r, s.topo)
 		refVA(r)
 		refSA(r)
-		if r.buffered > 0 {
-			keep = append(keep, r)
-		} else {
-			r.active = false
+		if r.buffered == 0 {
+			s.active.remove(id)
 		}
 	}
-	s.activeRouters = keep
 }
 
 // allocCase is one configuration of the allocator equivalence check.

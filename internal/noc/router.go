@@ -132,33 +132,58 @@ type router struct {
 	id  int
 	in  []*inPort
 	out []*outPort
-	// vcs is the per-input-port VC count, cached for the allocator's
-	// requester-index arithmetic.
+	// vcs is the per-input-port VC count.
 	vcs int
-	// usedIn is the switch allocator's per-call crossbar-row scratch,
-	// allocated once so sa stays allocation-free on the hot path.
-	usedIn []bool
+	// slots splits an allocator requester index into its input port and
+	// VC (slots[idx] = {idx / vcs, idx % vcs}); the table is shared by
+	// every router of a Sim.
+	slots []reqSlot
 	// rcReq holds the input VCs that may have an unrouted head flit at
 	// their front: added when a flit arrives at a VC with no route or a
 	// tail leaves a non-empty VC, removed once routed. Route computation
 	// visits only these.
 	rcReq reqSet
+	// vaPorts and saPorts mark the output ports whose vaReq / saReq is
+	// non-empty (bit p for port p), so the allocators visit only those.
+	vaPorts, saPorts uint64
 	// buffered counts flits resident in input buffers, letting the
 	// simulator skip idle routers.
 	buffered int
-	// active mirrors membership in the simulator's active-router list.
-	active bool
 }
 
-func newRouter(id, ports, vcs int) *router {
-	return &router{
-		id:     id,
-		in:     make([]*inPort, ports),
-		out:    make([]*outPort, ports),
-		vcs:    vcs,
-		usedIn: make([]bool, ports),
-		rcReq:  newReqSet(ports * vcs),
+// maxPorts is the most ports a router may have: the allocators keep their
+// per-router port sets (vaPorts, saPorts, the crossbar's used input rows)
+// in one uint64.
+const maxPorts = 64
+
+// reqSlot is the (input port, VC) pair of one requester index.
+type reqSlot struct{ port, vc int32 }
+
+// newReqSlots builds the requester-index table of a ports × vcs router.
+func newReqSlots(ports, vcs int) []reqSlot {
+	slots := make([]reqSlot, ports*vcs)
+	for i := range slots {
+		slots[i] = reqSlot{int32(i / vcs), int32(i % vcs)}
 	}
+	return slots
+}
+
+func newRouter(id, vcs int, slots []reqSlot) *router {
+	ports := len(slots) / vcs
+	return &router{
+		id:    id,
+		in:    make([]*inPort, ports),
+		out:   make([]*outPort, ports),
+		vcs:   vcs,
+		slots: slots,
+		rcReq: newReqSet(len(slots)),
+	}
+}
+
+// reqVC returns the input VC of requester index idx.
+func (r *router) reqVC(idx int) *inVC {
+	sl := r.slots[idx]
+	return &r.in[sl.port].vcs[sl.vc]
 }
 
 // receive buffers a flit arriving on input port in, queueing its VC for
@@ -181,7 +206,7 @@ func (r *router) rc(topo Topology) {
 		for ; word != 0; word &= word - 1 {
 			idx := w<<6 + bits.TrailingZeros64(word)
 			r.rcReq.remove(idx)
-			vc := &r.in[idx/r.vcs].vcs[idx%r.vcs]
+			vc := r.reqVC(idx)
 			if vc.route != -1 || vc.n == 0 || !vc.front().IsHead() {
 				continue
 			}
@@ -199,6 +224,7 @@ func (r *router) rc(topo Topology) {
 				}
 			}
 			out.vaReq.add(idx)
+			r.vaPorts |= 1 << uint(port)
 		}
 	}
 }
@@ -207,21 +233,20 @@ func (r *router) rc(topo Topology) {
 // request one from their output port; each output port grants free VCs —
 // within the requester's VC class — in round-robin requester order.
 //
-// Only the port's VA request set is visited, so a cycle costs one step per
-// real requester rather than one per ports × VCs slot. The visiting order
-// reproduces the original slot scan exactly, including one quirk the
-// goldens depend on: the scan reads rrVA afresh at every step and rrVA
-// moves at the first grant, so after a first grant at offset k from the
-// starting pointer the rest of the scan continues at offset 2k+2 — offsets
-// k+1 … 2k+1 get no grant this cycle. (The scan's wrapped tail revisits
-// only offsets 0 … k, which were already refused or granted, so stopping
-// at offset n changes nothing.)
+// Only the ports in vaPorts and the members of their VA request sets are
+// visited, so a cycle costs one step per real requester rather than one
+// per ports × VCs slot. The visiting order reproduces the original slot
+// scan exactly, including one quirk the goldens depend on: the scan reads
+// rrVA afresh at every step and rrVA moves at the first grant, so after a
+// first grant at offset k from the starting pointer the rest of the scan
+// continues at offset 2k+2 — offsets k+1 … 2k+1 get no grant this cycle.
+// (The scan's wrapped tail revisits only offsets 0 … k, which were already
+// refused or granted, so stopping at offset n changes nothing.)
 func (r *router) va() {
-	n := len(r.out) * r.vcs
-	for _, out := range r.out {
-		if out == nil || out.vaReq.empty() {
-			continue
-		}
+	n := len(r.slots)
+	for ports := r.vaPorts; ports != 0; ports &= ports - 1 {
+		po := bits.TrailingZeros64(ports)
+		out := r.out[po]
 		p := out.rrVA
 		granted := false
 		for k := out.vaReq.next(p, 0, n); k >= 0; k = out.vaReq.next(p, k+1, n) {
@@ -229,7 +254,7 @@ func (r *router) va() {
 			if idx >= n {
 				idx -= n
 			}
-			vc := &r.in[idx/r.vcs].vcs[idx%r.vcs]
+			vc := r.reqVC(idx)
 			free := out.freeVCIn(vc.vcLo, vc.vcHi)
 			if free == -1 {
 				continue
@@ -240,26 +265,34 @@ func (r *router) va() {
 			out.saReq.add(idx)
 			if !granted {
 				granted = true
-				out.rrVA = (idx + 1) % n
+				if out.rrVA = idx + 1; out.rrVA == n {
+					out.rrVA = 0
+				}
 				k = 2*k + 1
+			}
+		}
+		if granted {
+			r.saPorts |= 1 << uint(po)
+			if out.vaReq.empty() {
+				r.vaPorts &^= 1 << uint(po)
 			}
 		}
 	}
 }
 
-// sa runs switch allocation and traversal: each output port picks one
-// eligible input VC (flit buffered, VC allocated, credit available,
-// crossbar input row free) in round-robin order from its SA request set
-// and forwards its flit onto the link. Returns the number of flits
-// forwarded.
+// sa runs switch allocation and traversal: each output port in saPorts
+// picks one eligible input VC (flit buffered, VC allocated, credit
+// available, crossbar input row free) in round-robin order from its SA
+// request set and forwards its flit onto the link. Returns the number of
+// flits forwarded.
 func (r *router) sa() int {
-	n := len(r.out) * r.vcs
-	for i := range r.usedIn {
-		r.usedIn[i] = false
-	}
+	n := len(r.slots)
+	var usedIn uint64 // crossbar input rows already granted this cycle
 	moved := 0
-	for _, out := range r.out {
-		if out == nil || out.link.inFlight != nil || out.saReq.empty() {
+	for ports := r.saPorts; ports != 0; ports &= ports - 1 {
+		po := bits.TrailingZeros64(ports)
+		out := r.out[po]
+		if out.link.inFlight != nil {
 			continue
 		}
 		p := out.rrSA
@@ -268,19 +301,19 @@ func (r *router) sa() int {
 			if idx >= n {
 				idx -= n
 			}
-			pi, v := idx/r.vcs, idx%r.vcs
-			if r.usedIn[pi] {
+			sl := r.slots[idx]
+			if usedIn&(1<<uint(sl.port)) != 0 {
 				continue
 			}
-			in := r.in[pi]
-			vc := &in.vcs[v]
+			in := r.in[sl.port]
+			vc := &in.vcs[sl.vc]
 			if vc.n == 0 || out.credits[vc.outVC] <= 0 {
 				continue
 			}
 			f := vc.front()
 			vc.pop()
 			r.buffered--
-			r.usedIn[pi] = true
+			usedIn |= 1 << uint(sl.port)
 			moved++
 
 			f.VC = vc.outVC
@@ -290,28 +323,34 @@ func (r *router) sa() int {
 			}
 			// Return a credit upstream for the buffer slot just freed.
 			if in.feeder != nil && !in.feeder.sink {
-				in.feeder.credits[v]++
+				in.feeder.credits[sl.vc]++
 			}
 			if f.IsTail() {
 				out.vcBusy[f.VC] = false
 				out.saReq.remove(idx)
+				if out.saReq.empty() {
+					r.saPorts &^= 1 << uint(po)
+				}
 				vc.route = -1
 				vc.outVC = -1
 				if vc.n > 0 {
 					r.rcReq.add(idx) // the next packet's head is at the front
 				}
 			}
-			out.rrSA = (idx + 1) % n
+			if out.rrSA = idx + 1; out.rrSA == n {
+				out.rrSA = 0
+			}
 			break
 		}
 	}
 	return moved
 }
 
-// reqSet is a set of a router's input VCs, indexed by the allocators'
-// requester index idx = inPort·VCs + vc. It spans as many words as the
-// router has VCs, so no ports × VCs product is too large (a
-// concentration-4 cmesh router with 16 VCs has 128).
+// reqSet is a bitset of small non-negative integers. The allocators keep
+// sets of a router's input VCs in it, indexed by the requester index
+// idx = inPort·VCs + vc; it spans as many words as the router has VCs, so
+// no ports × VCs product is too large (a concentration-4 cmesh router with
+// 16 VCs has 128). The simulator keeps its active router IDs in one.
 type reqSet []uint64
 
 func newReqSet(requesters int) reqSet { return make(reqSet, (requesters+63)/64) }

@@ -3,6 +3,7 @@ package noc
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nocbt/internal/flit"
@@ -34,9 +35,10 @@ type Sim struct {
 	busy []*Link
 	// activeNIs holds NIs with packets queued or mid-injection.
 	activeNIs []*NI
-	// activeRouters holds routers with buffered flits, kept in id order so
-	// same-cycle credit returns behave exactly like the full id-order scan.
-	activeRouters []*router
+	// active holds the IDs of routers with buffered flits. Step walks it in
+	// ID order, so same-cycle credit returns behave exactly like the full
+	// ID-order scan.
+	active reqSet
 
 	cycle     int64
 	inNetwork int64 // flits transmitted by NIs and not yet ejected
@@ -129,11 +131,18 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("noc: topology %q has %d terminals for a %dx%d grid of %d",
 			topo.Name(), topo.Nodes(), cfg.Width, cfg.Height, cfg.Nodes())
 	}
-	s := &Sim{cfg: cfg, topo: topo, packetStart: make(map[uint64]int64), pool: flit.NewPool(cfg.LinkBits)}
 	routers, ports := topo.Routers(), topo.Ports()
+	if ports > maxPorts {
+		// The allocators keep per-router port sets in one uint64 word.
+		return nil, fmt.Errorf("noc: topology %q has %d ports per router; the router model supports at most %d",
+			topo.Name(), ports, maxPorts)
+	}
+	s := &Sim{cfg: cfg, topo: topo, packetStart: make(map[uint64]int64), pool: flit.NewPool(cfg.LinkBits),
+		active: newReqSet(routers)}
+	slots := newReqSlots(ports, cfg.VCs)
 	s.routers = make([]*router, routers)
 	for id := 0; id < routers; id++ {
-		s.routers[id] = newRouter(id, ports, cfg.VCs)
+		s.routers[id] = newRouter(id, cfg.VCs, slots)
 	}
 	// Router links: the topology owns port pairing — Neighbor names the far
 	// router and the input port each output port's link lands on.
@@ -283,16 +292,6 @@ func (s *Sim) Inject(p *flit.Packet) error {
 	return nil
 }
 
-// activateRouter puts r on the active list when its first flit arrives,
-// inserted at its id position so the list stays in id order.
-func (s *Sim) activateRouter(r *router) {
-	if !r.active {
-		r.active = true
-		i, _ := slices.BinarySearchFunc(s.activeRouters, r.id, func(a *router, id int) int { return cmp.Compare(a.id, id) })
-		s.activeRouters = slices.Insert(s.activeRouters, i, r)
-	}
-}
-
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
@@ -301,21 +300,20 @@ func (s *Sim) Step() {
 
 	// Phase 3 — routers: route computation, VC allocation, switch
 	// allocation + traversal. Same-cycle credit returns flow from lower to
-	// higher router ids exactly as in a full scan, so the active list must
-	// be walked in id order.
-	if len(s.activeRouters) > 0 {
-		keep := s.activeRouters[:0]
-		for _, r := range s.activeRouters {
+	// higher router ids exactly as in a full scan, so the active set is
+	// walked in id order. Routers only join it on delivery (phase 1), so
+	// walking a copy of each word misses nothing.
+	for w, word := range s.active {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 + bits.TrailingZeros64(word)
+			r := s.routers[id]
 			r.rc(s.topo)
 			r.va()
 			r.sa()
-			if r.buffered > 0 {
-				keep = append(keep, r)
-			} else {
-				r.active = false
+			if r.buffered == 0 {
+				s.active.remove(id)
 			}
 		}
-		s.activeRouters = keep // compaction preserves id order
 	}
 }
 
@@ -367,7 +365,7 @@ func (s *Sim) deliver() {
 			continue
 		}
 		l.dstRouter.receive(l.dstIn, f)
-		s.activateRouter(l.dstRouter)
+		s.active.add(l.dstRouter.id)
 		if s.trace != nil {
 			s.trace(s.cycle, l.Name, l.Class, f)
 		}

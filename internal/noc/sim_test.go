@@ -442,3 +442,35 @@ func TestSelfDelivery(t *testing.T) {
 		t.Errorf("self delivery used %d router-link hops", st.RouterFlits)
 	}
 }
+
+// widePortTopology is a mesh that reports more ports per router than the
+// router model supports.
+type widePortTopology struct{ Topology }
+
+func (widePortTopology) Ports() int { return maxPorts + 1 }
+
+// TestNewRejectsTooManyPorts: a topology with more ports per router than
+// the allocators' one-word port sets hold is a construction error naming
+// the limit, not a silent mis-allocation under traffic.
+func TestNewRejectsTooManyPorts(t *testing.T) {
+	const name = "wide-ports-test"
+	if err := RegisterTopology(name, func(cfg Config) (Topology, error) {
+		mesh, err := newMeshTopology(cfg)
+		return widePortTopology{mesh}, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Unregister again so topology sweeps in this package never see it.
+	t.Cleanup(func() {
+		topoRegistry.Lock()
+		defer topoRegistry.Unlock()
+		delete(topoRegistry.builders, name)
+		delete(topoRegistry.names, name)
+	})
+	cfg := testConfig(2, 2, 128)
+	cfg.Topology = name
+	_, err := New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "65 ports per router") || !strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("New on a 65-port topology: err %v, want a port-limit error", err)
+	}
+}

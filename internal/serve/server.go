@@ -42,7 +42,9 @@ type Config struct {
 	// BatchWindow is the micro-batcher's flush deadline: the longest a
 	// lone request waits for company. Default 2ms.
 	BatchWindow time.Duration
-	// CacheEntries bounds the result cache's memory tier. Default 256.
+	// CacheEntries bounds the result cache's memory tier. Default 1024:
+	// enough to keep every result of a 20-second burst of two closed-loop
+	// LeNet clients, so a replay of its first inputs still hits.
 	CacheEntries int
 	// CacheDir enables the cache's disk tier. Default: memory only.
 	CacheDir string
@@ -81,7 +83,7 @@ func (c Config) withDefaults() Config {
 		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
+		c.CacheEntries = 1024
 	}
 	if c.MaxShards == 0 {
 		c.MaxShards = 64

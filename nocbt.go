@@ -88,11 +88,17 @@ const (
 type OrderingStrategy = flit.OrderingStrategy
 
 // NewOrderingStrategy wraps an order function as a registrable strategy;
-// see flit.NewOrderingStrategy for the contract.
+// see OrderingStrategy.Order for the contract.
 func NewOrderingStrategy(name string, id Ordering, interleave, emitsPartner bool,
-	order func(weights, inputs []Word, laneBits int) ([]Word, []Word, []int)) OrderingStrategy {
+	order func(dst *Ordered, weights, inputs []Word, laneBits int)) OrderingStrategy {
 	return flit.NewOrderingStrategy(name, id, interleave, emitsPartner, order)
 }
+
+// Ordered is the caller-owned destination an ordering strategy writes into:
+// the ordered weight and input columns and, for partner-emitting
+// strategies, the re-pairing table. Strategies may reuse its backing
+// arrays from call to call.
+type Ordered = flit.Ordered
 
 // Word is the raw bit pattern of one on-link value (see internal/bitutil):
 // what ordering strategies permute.

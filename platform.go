@@ -163,7 +163,8 @@ func WithMCCoords(coords ...[2]int) PlatformOption {
 }
 
 // WithMaxSegmentPairs bounds how many (input, weight) pairs one task
-// packet carries before splitting (default: 64).
+// packet carries before splitting (default: 64; at most 65535, the task
+// header's 16-bit pair count).
 func WithMaxSegmentPairs(n int) PlatformOption {
 	return func(s *platformSpec) { s.maxSegmentPairs = n }
 }
@@ -258,6 +259,10 @@ func NewPlatform(opts ...PlatformOption) (Platform, error) {
 	}
 	if s.maxSegmentPairs < 1 {
 		return Platform{}, fmt.Errorf("nocbt: MaxSegmentPairs %d < 1", s.maxSegmentPairs)
+	}
+	if s.maxSegmentPairs > flit.MaxHeaderCount {
+		return Platform{}, fmt.Errorf("nocbt: MaxSegmentPairs %d exceeds %d, the most pairs the task header's 16-bit PairCount field carries",
+			s.maxSegmentPairs, flit.MaxHeaderCount)
 	}
 	if s.peComputeCycles < 1 {
 		return Platform{}, fmt.Errorf("nocbt: PEComputeCycles %d < 1", s.peComputeCycles)

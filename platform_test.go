@@ -151,6 +151,7 @@ func TestNewPlatformValidation(t *testing.T) {
 		{"empty explicit coordinates", []PlatformOption{WithMCCoords()}, "at least one coordinate"},
 		{"nodes and coords together", []PlatformOption{WithMCNodes(0), WithMCCoords([2]int{1, 1})}, "mutually exclusive"},
 		{"zero segment pairs", []PlatformOption{WithMaxSegmentPairs(0)}, "MaxSegmentPairs"},
+		{"segment pairs over the header field", []PlatformOption{WithMaxSegmentPairs(70000)}, "16-bit PairCount"},
 		{"zero compute cycles", []PlatformOption{WithPEComputeCycles(0)}, "PEComputeCycles"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

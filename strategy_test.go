@@ -20,14 +20,13 @@ func registerReverseOnce(t *testing.T) {
 		}
 	}
 	err := RegisterOrderingStrategy(NewOrderingStrategy("reverse", reverseID, false, false,
-		func(weights, inputs []Word, _ int) ([]Word, []Word, []int) {
+		func(dst *Ordered, weights, inputs []Word, _ int) {
 			n := len(weights)
-			w := make([]Word, n)
-			in := make([]Word, n)
-			for i := 0; i < n; i++ {
-				w[i], in[i] = weights[n-1-i], inputs[n-1-i]
+			dst.Weights, dst.Inputs, dst.PartnerIndex = dst.Weights[:0], dst.Inputs[:0], nil
+			for i := n - 1; i >= 0; i-- {
+				dst.Weights = append(dst.Weights, weights[i])
+				dst.Inputs = append(dst.Inputs, inputs[i])
 			}
-			return w, in, nil
 		}))
 	if err != nil {
 		t.Fatal(err)
