@@ -34,6 +34,9 @@ type Engine struct {
 	model *dnn.Model
 	sim   *noc.Sim
 	pes   []int
+	// isPE marks the PE nodes, so the PE collector skips MCs among the
+	// nodes holding ejected packets.
+	isPE []bool
 	// strategy is the resolved ordering strategy for cfg.Ordering; New
 	// fails on unregistered IDs, so it is never nil on a built engine.
 	strategy flit.OrderingStrategy
@@ -200,11 +203,17 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 			return nil, err
 		}
 	}
+	pes := cfg.PEs()
+	isPE := make([]bool, cfg.Mesh.Nodes())
+	for _, pe := range pes {
+		isPE[pe] = true
+	}
 	return &Engine{
 		cfg:          cfg,
 		model:        model,
 		sim:          sim,
-		pes:          cfg.PEs(),
+		pes:          pes,
+		isPE:         isPE,
 		strategy:     strategy,
 		layerFormats: formats,
 	}, nil

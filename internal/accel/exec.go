@@ -17,12 +17,16 @@ import (
 // pumpPEs is the processing-element model: it consumes task packets ejected
 // at PEs, multiply-accumulates the segment with the owning layer's codec
 // state, and schedules the result packet for injection after the PE compute
-// latency.
+// latency. It visits only the nodes holding ejected packets, in ascending
+// node order — the order of cfg.PEs(), which fixes result packet IDs.
 func (s *scheduler) pumpPEs() error {
 	e := s.e
 	g := e.cfg.Geometry
 	mcs := e.cfg.MCs
-	for _, pe := range e.pes {
+	for pe := e.sim.NextEjected(0); pe >= 0; pe = e.sim.NextEjected(pe + 1) {
+		if !e.isPE[pe] {
+			continue
+		}
 		for _, pkt := range e.sim.PopEjected(pe) {
 			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload)
 			if hdr.Kind != flit.KindTask {

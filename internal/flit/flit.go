@@ -52,6 +52,12 @@ type Flit struct {
 	// VC is the virtual channel assigned on the current hop's input
 	// buffer. It is rewritten by every link traversal.
 	VC int
+	// InjectCycle is the simulation cycle at which the packet's head flit
+	// left its source NI. The NoC simulator stamps it on head flits at
+	// injection and reads it back at ejection to measure packet latency;
+	// it is side-band bookkeeping, never part of the payload, and
+	// meaningless on body and tail flits.
+	InjectCycle int64
 	// Payload is the on-wire bit pattern.
 	Payload bitutil.Vec
 }

@@ -8,35 +8,37 @@ import (
 )
 
 // Route computation and the allocators visit only the members of their
-// request sets. The functions below are the scans they replaced, kept
-// verbatim as the oracle: every input VC, and every ports × VCs requester
-// slot of every output port, every cycle. refStep runs a Sim cycle with them
-// in place of router.rc, router.va and router.sa, so the two can be driven
-// with identical traffic and compared cycle by cycle. Nothing else in the
-// package pins the arbitration order.
+// request sets. The functions below are the scans they replaced, kept as
+// the oracle: every input VC, and every ports × VCs requester slot of every
+// output port, every cycle. They read the simulator's slot slabs, but their
+// scans are the original logic. refStep runs a Sim cycle with them in place
+// of Sim.rc, Sim.va and Sim.sa, so the two can be driven with identical
+// traffic and compared cycle by cycle. Only these and TestStepMatchesGolden
+// pin the arbitration order.
 
 // refRC is the full-scan route computation.
-func refRC(r *router, topo Topology) {
-	for pi := range r.in {
-		in := r.in[pi]
-		if in == nil {
+func refRC(s *Sim, r *router) {
+	ports := s.topo.Ports()
+	for pi := 0; pi < ports; pi++ {
+		if s.ports[r.pbase+pi].feed == nil {
 			continue
 		}
-		for v := range in.vcs {
-			vc := &in.vcs[v]
+		for v := 0; v < s.cfg.VCs; v++ {
+			slot := r.base + pi*s.cfg.VCs + v
+			vc := &s.slots[slot]
 			if vc.route != -1 || vc.n == 0 {
 				continue
 			}
-			if !vc.front().IsHead() {
+			if !s.front(slot, vc).IsHead() {
 				continue
 			}
-			port, class := topo.Route(r.id, vc.front().Dst)
-			vc.route = port
-			vc.vcLo, vc.vcHi = 0, r.vcs
-			if out := r.out[port]; out != nil && !out.sink {
-				if classes := topo.VCClasses(); classes > 1 {
-					vc.vcLo = class * r.vcs / classes
-					vc.vcHi = (class + 1) * r.vcs / classes
+			port, class := s.topo.Route(r.id, s.front(slot, vc).Dst)
+			vc.route = int32(port)
+			vc.vcLo, vc.vcHi = 0, int32(s.cfg.VCs)
+			if out := &s.ports[r.pbase+port]; out.link != nil && !out.sink {
+				if classes := s.topo.VCClasses(); classes > 1 {
+					vc.vcLo = int32(class * s.cfg.VCs / classes)
+					vc.vcHi = int32((class + 1) * s.cfg.VCs / classes)
 				}
 			}
 		}
@@ -44,32 +46,32 @@ func refRC(r *router, topo Topology) {
 }
 
 // refVA is the slot-scan VC allocator.
-func refVA(r *router) {
-	ports := len(r.out)
+func refVA(s *Sim, r *router) {
+	ports := s.topo.Ports()
 	for po := 0; po < ports; po++ {
-		out := r.out[po]
-		if out == nil {
+		out := &s.ports[r.pbase+po]
+		if out.link == nil {
 			continue
 		}
-		n := ports * r.vcs
+		n := ports * s.cfg.VCs
 		granted := false
 		for k := 0; k < n; k++ {
 			idx := (out.rrVA + k) % n
-			pi, v := idx/r.vcs, idx%r.vcs
-			in := r.in[pi]
-			if in == nil {
+			pi := idx / s.cfg.VCs
+			if s.ports[r.pbase+pi].feed == nil {
 				continue
 			}
-			vc := &in.vcs[v]
-			if vc.route != po || vc.outVC != -1 || vc.n == 0 || !vc.front().IsHead() {
+			slot := r.base + idx
+			vc := &s.slots[slot]
+			if int(vc.route) != po || vc.outVC != -1 || vc.n == 0 || !s.front(slot, vc).IsHead() {
 				continue
 			}
-			free := out.freeVCIn(vc.vcLo, vc.vcHi)
+			free := s.freeVC(out, vc)
 			if free == -1 {
 				continue
 			}
 			vc.outVC = free
-			out.vcBusy[free] = true
+			s.vcBusy[out.down+int(free)] = true
 			if !granted {
 				out.rrVA = (idx + 1) % n
 				granted = true
@@ -79,50 +81,53 @@ func refVA(r *router) {
 }
 
 // refSA is the slot-scan switch allocator.
-func refSA(r *router) int {
-	ports := len(r.out)
+func refSA(s *Sim, r *router) int {
+	ports := s.topo.Ports()
+	depth := s.cfg.BufDepth
 	var usedIn uint64 // crossbar input rows already granted this cycle
 	moved := 0
 	for po := 0; po < ports; po++ {
-		out := r.out[po]
-		if out == nil || out.link.inFlight != nil {
+		out := &s.ports[r.pbase+po]
+		if out.link == nil || out.link.inFlight != nil {
 			continue
 		}
-		n := ports * r.vcs
+		n := ports * s.cfg.VCs
 		for k := 0; k < n; k++ {
 			idx := (out.rrSA + k) % n
-			pi, v := idx/r.vcs, idx%r.vcs
+			pi := idx / s.cfg.VCs
 			if usedIn&(1<<uint(pi)) != 0 {
 				continue
 			}
-			in := r.in[pi]
-			if in == nil {
+			in := &s.ports[r.pbase+pi]
+			if in.feed == nil {
 				continue
 			}
-			vc := &in.vcs[v]
-			if vc.route != po || vc.outVC == -1 || vc.n == 0 {
+			slot := r.base + idx
+			vc := &s.slots[slot]
+			if int(vc.route) != po || vc.outVC == -1 || vc.n == 0 {
 				continue
 			}
-			if out.credits[vc.outVC] <= 0 {
+			if s.credits[out.down+int(vc.outVC)] <= 0 {
 				continue
 			}
-			f := vc.front()
-			vc.pop()
+			f := s.front(slot, vc)
+			s.bufs[slot*depth+int(vc.head)] = nil
+			vc.head = (vc.head + 1) % int32(depth)
+			vc.n--
 			r.buffered--
 			usedIn |= 1 << uint(pi)
 			moved++
 
-			f.VC = vc.outVC
-			out.link.transmit(f)
+			f.VC = int(vc.outVC)
+			s.transmit(out.link, f)
 			if !out.sink {
-				out.credits[f.VC]--
+				s.credits[out.down+f.VC]--
 			}
-			// Return a credit upstream for the buffer slot just freed.
-			if in.feeder != nil && !in.feeder.sink {
-				in.feeder.credits[v]++
-			}
+			// Return a credit upstream for the buffer slot just freed: the
+			// feeding output port's counter for this VC is the slot's own.
+			s.credits[slot]++
 			if f.IsTail() {
-				out.vcBusy[f.VC] = false
+				s.vcBusy[out.down+f.VC] = false
 				vc.route = -1
 				vc.outVC = -1
 			}
@@ -145,10 +150,10 @@ func refStep(s *Sim) {
 		if s.active[id>>6]&(1<<uint(id&63)) == 0 {
 			continue
 		}
-		r := s.routers[id]
-		refRC(r, s.topo)
-		refVA(r)
-		refSA(r)
+		r := &s.routers[id]
+		refRC(s, r)
+		refVA(s, r)
+		refSA(s, r)
 		if r.buffered == 0 {
 			s.active.remove(id)
 		}
@@ -317,7 +322,8 @@ func TestReqSetNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(200)
-		s := newReqSet(n)
+		words := make([]uint64, reqWords(n))
+		s := cutReqSet(&words, n)
 		members := make([]bool, n)
 		empty := true
 		for i := 0; i < n; i++ {

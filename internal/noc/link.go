@@ -2,8 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
-	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
@@ -38,13 +38,17 @@ func (c LinkClass) String() string {
 // Link is one unidirectional physical channel with a transition recorder.
 // Wires hold their last driven value between flits, so idle cycles add no
 // transitions — exactly the Flit_pre / Flit_current comparison of Fig. 8.
+// Links live in the simulator's link slab; their wire words are a window of
+// its wire slab.
 type Link struct {
 	// Name identifies the link in reports, e.g. "r5.east->r6".
 	Name string
 	// Class is the link's position in the topology.
 	Class LinkClass
 
-	wire bitutil.Vec // current wire state (starts all-zero)
+	// wire is the current wire state, one word per 64 payload bits
+	// (starts all-zero).
+	wire []uint64
 	bt   int64
 	sent int64
 	// lastBT is the transition count of the most recent crossing. A link
@@ -62,54 +66,46 @@ type Link struct {
 	// sink at the start of the next cycle.
 	inFlight *flit.Flit
 
-	// Delivery wiring, set once by Sim.New so Step can visit only the links
-	// that actually carry a flit instead of scanning every port: sim owns
-	// the busy list transmit registers on; exactly one of (dstIn,dstRouter)
-	// or dstNI is set, naming the sink the in-flight flit lands in.
-	sim       *Sim
-	dstIn     *inPort
+	// Delivery wiring, set once by New: exactly one of dstRouter or dstNI
+	// is set, naming the sink the in-flight flit lands in. For a router
+	// sink, dst is the slot of the receiving input port's VC 0.
 	dstRouter *router
 	dstNI     *NI
+	dst       int
 	// order is the link's position in the pre-optimization Step delivery
 	// scan; busy links are sorted by it when a trace hook is installed so
 	// recorded event sequences stay identical to the original simulator.
 	order int
 }
 
-// newLink builds a link with an all-zero initial wire state.
-func newLink(sim *Sim, name string, class LinkClass, width int) *Link {
-	return &Link{Name: name, Class: class, wire: bitutil.NewVec(width), sim: sim}
-}
-
-// transmit places f on the link, recording the bit transitions between the
-// previous wire state and f's payload. Exactly one flit may be in flight.
-func (l *Link) transmit(f *flit.Flit) {
+// transmit places f on link l, recording the bit transitions between the
+// previous wire state and f's payload, and registers l on the busy list.
+// Exactly one flit may be in flight. Uncoded links XOR-popcount and store
+// the payload into the wire word by word in one pass.
+func (s *Sim) transmit(l *Link, f *flit.Flit) {
 	if l.inFlight != nil {
 		panic(fmt.Sprintf("noc: link %s already carries a flit", l.Name))
 	}
-	if f.Payload.Width() != l.wire.Width() {
+	if f.Payload.Width() != s.cfg.LinkBits {
 		panic(fmt.Sprintf("noc: link %s is %d bits, flit payload %d",
-			l.Name, l.wire.Width(), f.Payload.Width()))
+			l.Name, s.cfg.LinkBits, f.Payload.Width()))
 	}
-	var d int64
+	var d int
 	if l.coder != nil {
-		d = int64(l.coder.Transitions(f.Payload))
+		d = l.coder.Transitions(f.Payload)
 	} else {
-		d = int64(l.wire.Transitions(f.Payload))
-		l.wire.CopyFrom(f.Payload)
+		words := f.Payload.Words()
+		wire := l.wire[:len(words)]
+		for i, w := range words {
+			d += bits.OnesCount64(wire[i] ^ w)
+			wire[i] = w
+		}
 	}
-	l.bt += d
-	l.lastBT = d
+	l.bt += int64(d)
+	l.lastBT = int64(d)
 	l.sent++
 	l.inFlight = f
-	l.sim.busy = append(l.sim.busy, l)
-}
-
-// takeDelivery removes and returns the in-flight flit (nil if idle).
-func (l *Link) takeDelivery() *flit.Flit {
-	f := l.inFlight
-	l.inFlight = nil
-	return f
+	s.busy = append(s.busy, l)
 }
 
 // BT returns the accumulated bit transitions on this link.

@@ -8,11 +8,15 @@ import (
 
 // NI is a network interface: it injects packets into its router's local
 // input port (one flit per cycle, wormhole, credit-controlled) and
-// reassembles ejected flits back into packets.
+// reassembles ejected flits back into packets. NIs live in the simulator's
+// NI slab.
 type NI struct {
 	node int
-	// out feeds the router's local input port through the injection link.
-	out *outPort
+	// link is the injection link into the router's local input port; down
+	// is that port's VC-0 slot, which indexes the NI's credits and VC
+	// ownership in the simulator's slot slabs.
+	link *Link
+	down int
 
 	// queue is the injection backlog, consumed from qhead so steady-state
 	// pops are allocation-free; the backing array is recycled once drained.
@@ -25,20 +29,18 @@ type NI struct {
 	// active mirrors membership in the simulator's active-NI list.
 	active bool
 
-	// partial maps in-flight packet IDs to their reassembly shells. The
-	// shells come from the simulator's pool, so a recycled packet's Flits
-	// slice is reused instead of re-grown for every reassembly.
-	partial map[uint64]*flit.Packet
+	// partial holds the packet being reassembled on each ejection VC. The
+	// router's ejection port owns a VC from a packet's head to its tail,
+	// so a VC has at most one open packet. The shells come from the
+	// simulator's pool, so a recycled packet's Flits slice is reused
+	// instead of re-grown for every reassembly.
+	partial []*flit.Packet
 	pool    *flit.Pool
 	// ejected and ejectedPrev are swapped on every popEjected call so the
 	// common pop-each-cycle pattern reuses one backing array instead of
 	// allocating per delivery burst.
 	ejected     []*flit.Packet
 	ejectedPrev []*flit.Packet
-}
-
-func newNI(node int, out *outPort, pool *flit.Pool) *NI {
-	return &NI{node: node, out: out, curVC: -1, partial: make(map[uint64]*flit.Packet), pool: pool}
 }
 
 // enqueue appends a packet to the injection queue.
@@ -53,9 +55,9 @@ func (n *NI) Pending() int {
 	return c
 }
 
-// tick attempts to inject one flit. Returns the injected flit's packet and
-// whether it was the head flit (for latency bookkeeping), or nil.
-func (n *NI) tick() (injected *flit.Flit) {
+// tick attempts to inject one flit from NI n. Returns the injected flit, or
+// nil under backpressure or with nothing to send.
+func (s *Sim) tick(n *NI) (injected *flit.Flit) {
 	if n.cur == nil {
 		if n.qhead == len(n.queue) {
 			return nil
@@ -71,15 +73,16 @@ func (n *NI) tick() (injected *flit.Flit) {
 		n.curVC = -1
 	}
 	f := n.cur.Flits[n.curIdx]
+	busy := s.vcBusy[n.down : n.down+s.cfg.VCs]
 	if n.curVC == -1 {
 		// Allocate an injection VC for the packet (round-robin over free
 		// downstream VCs).
-		vcs := len(n.out.vcBusy)
+		vcs := len(busy)
 		for k := 0; k < vcs; k++ {
 			v := (n.rrVC + k) % vcs
-			if !n.out.vcBusy[v] {
+			if !busy[v] {
 				n.curVC = v
-				n.out.vcBusy[v] = true
+				busy[v] = true
 				n.rrVC = (v + 1) % vcs
 				break
 			}
@@ -88,15 +91,16 @@ func (n *NI) tick() (injected *flit.Flit) {
 			return nil // all VCs owned by in-flight packets
 		}
 	}
-	if n.out.credits[n.curVC] <= 0 || n.out.link.inFlight != nil {
+	credit := &s.credits[n.down+n.curVC]
+	if *credit <= 0 || n.link.inFlight != nil {
 		return nil // backpressure
 	}
 	f.VC = n.curVC
-	n.out.link.transmit(f)
-	n.out.credits[n.curVC]--
+	s.transmit(n.link, f)
+	*credit--
 	n.curIdx++
 	if f.IsTail() {
-		n.out.vcBusy[n.curVC] = false
+		busy[n.curVC] = false
 		// Every flit has left: hand the packet shell back so the receive
 		// side's reassembly reuses it (no-op for non-pooled packets).
 		n.pool.ReleaseShell(n.cur)
@@ -106,20 +110,24 @@ func (n *NI) tick() (injected *flit.Flit) {
 	return f
 }
 
-// receive accepts an ejected flit; when the tail arrives the packet is
-// reassembled and appended to the ejected queue.
-func (n *NI) receive(f *flit.Flit) {
-	pkt := n.partial[f.PacketID]
+// receive accepts a flit ejected on VC f.VC. When the tail arrives the
+// packet is reassembled, appended to the ejected queue and returned;
+// otherwise receive returns nil.
+func (n *NI) receive(f *flit.Flit) *flit.Packet {
+	pkt := n.partial[f.VC]
 	if pkt == nil {
 		pkt = n.pool.Shell()
 		pkt.ID, pkt.Src, pkt.Dst = f.PacketID, f.Src, f.Dst
-		n.partial[f.PacketID] = pkt
+		n.partial[f.VC] = pkt
+	} else if pkt.ID != f.PacketID {
+		panic(fmt.Sprintf("noc: NI %d ejection VC %d got a flit of packet %d while packet %d is open on it; VC ownership violated",
+			n.node, f.VC, f.PacketID, pkt.ID))
 	}
 	pkt.Flits = append(pkt.Flits, f)
 	if !f.IsTail() {
-		return
+		return nil
 	}
-	delete(n.partial, f.PacketID)
+	n.partial[f.VC] = nil
 	for i, fl := range pkt.Flits {
 		if fl.Seq != i {
 			panic(fmt.Sprintf("noc: packet %d reassembled out of order: flit %d at position %d",
@@ -127,6 +135,7 @@ func (n *NI) receive(f *flit.Flit) {
 		}
 	}
 	n.ejected = append(n.ejected, pkt)
+	return pkt
 }
 
 // popEjected returns and clears the reassembled packets. The returned slice

@@ -2,13 +2,14 @@ package noc
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
-// The NI backpressure suite exercises ni.tick's three refusal paths —
+// The NI backpressure suite exercises Sim.tick's three refusal paths —
 // virtual-channel exhaustion, credit exhaustion and a busy injection link —
 // and checks each one resolves without losing or reordering flits.
 
@@ -36,7 +37,7 @@ func bpPacket(id uint64, src, dst, nflits int, rng *rand.Rand) *flit.Packet {
 // TestNITickNilOnEmptyQueue: an idle NI injects nothing.
 func TestNITickNilOnEmptyQueue(t *testing.T) {
 	s := backpressureSim(t, 2, 2)
-	if f := s.nis[0].tick(); f != nil {
+	if f := s.tick(&s.nis[0]); f != nil {
 		t.Fatalf("empty NI injected %v", f)
 	}
 }
@@ -48,7 +49,7 @@ func TestNITickNilOnEmptyQueue(t *testing.T) {
 func TestNIVCExhaustion(t *testing.T) {
 	s := backpressureSim(t, 1, 4)
 	rng := rand.New(rand.NewSource(1))
-	ni := s.nis[0]
+	ni := &s.nis[0]
 	long := bpPacket(1, 0, 3, 6, rng)
 	short := bpPacket(2, 0, 3, 2, rng)
 	if err := s.Inject(long); err != nil {
@@ -59,19 +60,19 @@ func TestNIVCExhaustion(t *testing.T) {
 	}
 
 	// Head flit of the long packet claims VC 0.
-	if f := ni.tick(); f == nil || f.PacketID != 1 || !f.IsHead() {
+	if f := s.tick(ni); f == nil || f.PacketID != 1 || !f.IsHead() {
 		t.Fatalf("first tick did not inject packet 1's head: %v", f)
 	}
-	if !ni.out.vcBusy[0] {
+	if !s.vcBusy[ni.down] {
 		t.Fatal("injection VC not claimed by in-flight packet")
 	}
 	s.busy = s.busy[:0] // manual ticks bypass Step; reset the delivery list
-	ni.out.link.takeDelivery()
+	ni.link.inFlight = nil
 
 	// While packet 1 owns the only VC, packet 2 stays queued: every tick
 	// continues packet 1, never starts packet 2.
 	for i := 0; i < 4; i++ {
-		f := ni.tick()
+		f := s.tick(ni)
 		if f == nil {
 			t.Fatalf("tick %d refused although credit and link are free", i)
 		}
@@ -79,18 +80,18 @@ func TestNIVCExhaustion(t *testing.T) {
 			t.Fatalf("tick %d interleaved packet %d into packet 1's wormhole", i, f.PacketID)
 		}
 		s.busy = s.busy[:0]
-		ni.out.link.takeDelivery()
-		ni.out.credits[0]++ // simulate downstream consumption returning credits
+		ni.link.inFlight = nil
+		s.credits[ni.down]++ // simulate downstream consumption returning credits
 	}
 	// Tail frees the VC; packet 2 may start.
-	f := ni.tick()
+	f := s.tick(ni)
 	if f == nil || f.PacketID != 1 || !f.IsTail() {
 		t.Fatalf("expected packet 1's tail, got %v", f)
 	}
 	s.busy = s.busy[:0]
-	ni.out.link.takeDelivery()
-	ni.out.credits[0]++
-	if f := ni.tick(); f == nil || f.PacketID != 2 || !f.IsHead() {
+	ni.link.inFlight = nil
+	s.credits[ni.down]++
+	if f := s.tick(ni); f == nil || f.PacketID != 2 || !f.IsHead() {
 		t.Fatalf("packet 2 did not start after VC freed: %v", f)
 	}
 }
@@ -104,15 +105,15 @@ func TestNICreditExhaustion(t *testing.T) {
 	if err := s.Inject(bpPacket(3, 0, 3, 4, rng)); err != nil {
 		t.Fatal(err)
 	}
-	ni := s.nis[0]
+	ni := &s.nis[0]
 
 	s.Step() // injects the head (1 credit spent), router buffers nothing yet
-	if ni.out.credits[0] != 0 {
-		t.Fatalf("credit not consumed: %d", ni.out.credits[0])
+	if s.credits[ni.down] != 0 {
+		t.Fatalf("credit not consumed: %d", s.credits[ni.down])
 	}
 	// The credit only returns after the router forwards the buffered flit;
 	// until then every tick refuses. Pending must not drop below 1 packet.
-	if f := ni.tick(); f != nil {
+	if f := s.tick(ni); f != nil {
 		t.Fatalf("tick injected %v with zero credits", f)
 	}
 	if ni.Pending() != 1 {
@@ -138,12 +139,12 @@ func TestNILinkBusyBackpressure(t *testing.T) {
 	if err := s.Inject(bpPacket(4, 0, 3, 3, rng)); err != nil {
 		t.Fatal(err)
 	}
-	ni := s.nis[0]
-	if f := ni.tick(); f == nil {
+	ni := &s.nis[0]
+	if f := s.tick(ni); f == nil {
 		t.Fatal("first tick refused")
 	}
 	// Flit still on the link (no Step to deliver it): the NI must stall.
-	if f := ni.tick(); f != nil {
+	if f := s.tick(ni); f != nil {
 		t.Fatalf("second tick injected %v onto a busy link", f)
 	}
 }
@@ -187,4 +188,23 @@ func TestNIBackpressureEndToEnd(t *testing.T) {
 			t.Fatalf("packet %d arrived with %d flits", p.ID, p.Len())
 		}
 	}
+}
+
+// TestNIReceiveVCOwnershipPanics: reassembly is keyed by the ejection VC,
+// which a packet owns from head to tail, so a flit of another packet on a
+// VC with an open packet is a protocol violation naming both packets.
+func TestNIReceiveVCOwnershipPanics(t *testing.T) {
+	s := backpressureSim(t, 2, 2)
+	rng := rand.New(rand.NewSource(5))
+	a, b := bpPacket(1, 0, 3, 3, rng), bpPacket(2, 1, 3, 3, rng)
+	ni := &s.nis[3]
+	a.Flits[0].VC, b.Flits[1].VC = 1, 1
+	ni.receive(a.Flits[0])
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "packet 2") || !strings.Contains(msg, "packet 1 is open") {
+			t.Fatalf("panic %q, want a VC ownership violation naming packets 2 and 1", msg)
+		}
+	}()
+	ni.receive(b.Flits[1])
 }

@@ -7,79 +7,40 @@ import (
 	"nocbt/internal/flit"
 )
 
-// inVC is one virtual-channel buffer of an input port, with the per-packet
-// wormhole state of the packet currently at its head. The buffer is a fixed
-// ring of BufDepth slots, so steady-state traffic performs no allocation.
-type inVC struct {
-	buf  []*flit.Flit
-	head int
-	n    int
+// vcSlot is one router input VC buffer's wormhole state, kept in the
+// simulator's slot slab. The buffer itself is the slot's ring in the
+// buffer slab (BufDepth entries), so steady-state traffic performs no
+// allocation. The upstream credit counter for this buffer is the credit
+// slab entry of the same slot.
+type vcSlot struct {
+	// head is the ring index of the front flit; n is the flit count.
+	head, n int32
+	// port is the input port the VC belongs to (its crossbar row).
+	port int32
 	// route is the output port of the packet at the queue head (-1 until
 	// route computation runs on its head flit).
-	route int
+	route int32
 	// vcLo/vcHi bound the downstream VCs the packet may be allocated —
 	// the topology's VC class for this hop, set alongside route. A
 	// single-class topology (and any sink port) spans the full VC range.
-	vcLo, vcHi int
+	vcLo, vcHi int32
 	// outVC is the downstream VC granted to that packet (-1 until VC
 	// allocation succeeds).
-	outVC int
+	outVC int32
 }
 
-// front returns the flit at the ring head; the caller must check n > 0.
-func (vc *inVC) front() *flit.Flit { return vc.buf[vc.head] }
-
-// pop removes the head flit.
-func (vc *inVC) pop() {
-	vc.buf[vc.head] = nil
-	vc.head++
-	if vc.head == len(vc.buf) {
-		vc.head = 0
-	}
-	vc.n--
-}
-
-// inPort is a router input port: one buffer per VC plus the upstream output
-// structure to which pops return credits.
-type inPort struct {
-	vcs    []inVC
-	feeder *outPort
-	depth  int
-	// base is the allocator requester index of VC 0: port number × VCs.
-	base int
-}
-
-func newInPort(vcs, depth, base int, feeder *outPort) *inPort {
-	p := &inPort{vcs: make([]inVC, vcs), feeder: feeder, depth: depth, base: base}
-	for i := range p.vcs {
-		p.vcs[i].buf = make([]*flit.Flit, depth)
-		p.vcs[i].route = -1
-		p.vcs[i].outVC = -1
-	}
-	return p
-}
-
-// push enqueues an arriving flit into its VC buffer, enforcing the credit
-// contract: arrivals must never overflow the buffer.
-func (p *inPort) push(f *flit.Flit) {
-	vc := &p.vcs[f.VC]
-	if vc.n >= p.depth {
-		panic(fmt.Sprintf("noc: VC %d overflow (depth %d); credit protocol violated", f.VC, p.depth))
-	}
-	slot := vc.head + vc.n
-	if slot >= len(vc.buf) {
-		slot -= len(vc.buf)
-	}
-	vc.buf[slot] = f
-	vc.n++
-}
-
-// outPort is a router (or NI) output port: the outgoing link, downstream
-// credit counters, downstream VC ownership, and arbitration pointers.
-type outPort struct {
-	link    *Link
-	credits []int
-	vcBusy  []bool
+// port is one router port: the output side's link, downstream slot range,
+// arbitration pointers and request sets, plus the link feeding the input
+// side (for construction checks and delivery order).
+type port struct {
+	// link is the output link, nil when the port has none (mesh edges).
+	link *Link
+	// feed is the link landing on the input port, nil when unwired.
+	feed *Link
+	// down is the slot of the downstream input VC 0: the output port's
+	// credits and VC ownership for downstream VC v are the credit and
+	// vcBusy slab entries at down+v.
+	down int
 	// sink marks ejection ports whose NI consumes flits unconditionally.
 	sink bool
 	// rrVA rotates priority among VC-allocation requesters.
@@ -89,55 +50,18 @@ type outPort struct {
 	// vaReq holds the router's input VCs whose head packet is routed to this
 	// port and awaits a downstream VC: added by route computation, removed
 	// on VC grant. saReq holds those granted one, until their tail flit
-	// leaves. The allocators visit only these members. NI output ports have
-	// no allocator and leave both empty.
+	// leaves. The allocators visit only these members.
 	vaReq, saReq reqSet
 }
 
-// newOutPort builds an output port; requesters is the owning router's
-// ports × VCs allocator slot count (0 for an NI).
-func newOutPort(link *Link, vcs, depth int, sink bool, requesters int) *outPort {
-	p := &outPort{
-		link:    link,
-		credits: make([]int, vcs),
-		vcBusy:  make([]bool, vcs),
-		sink:    sink,
-		vaReq:   newReqSet(requesters),
-		saReq:   newReqSet(requesters),
-	}
-	for i := range p.credits {
-		if sink {
-			p.credits[i] = int(^uint(0) >> 1) // effectively infinite
-		} else {
-			p.credits[i] = depth
-		}
-	}
-	return p
-}
-
-// freeVCIn returns the lowest-index free downstream VC in [lo, hi), or -1.
-func (p *outPort) freeVCIn(lo, hi int) int {
-	for v := lo; v < hi; v++ {
-		if !p.vcBusy[v] {
-			return v
-		}
-	}
-	return -1
-}
-
-// router is one topology node's switch. Port slices are sized to the
-// topology's per-router port count at construction; nil entries mark ports
-// with no link (mesh edges).
+// router is one topology node's switch. Its ports are the ports slab
+// entries [pbase, pbase+Ports) and its input VCs the slots
+// [base, base+Ports·VCs); an allocator requester index idx = port·VCs + vc
+// is the slot base+idx.
 type router struct {
-	id  int
-	in  []*inPort
-	out []*outPort
-	// vcs is the per-input-port VC count.
-	vcs int
-	// slots splits an allocator requester index into its input port and
-	// VC (slots[idx] = {idx / vcs, idx % vcs}); the table is shared by
-	// every router of a Sim.
-	slots []reqSlot
+	id    int
+	base  int
+	pbase int
 	// rcReq holds the input VCs that may have an unrouted head flit at
 	// their front: added when a flit arrives at a VC with no route or a
 	// tail leaves a non-empty VC, removed once routed. Route computation
@@ -156,43 +80,32 @@ type router struct {
 // in one uint64.
 const maxPorts = 64
 
-// reqSlot is the (input port, VC) pair of one requester index.
-type reqSlot struct{ port, vc int32 }
+// front returns the flit at the head of slot's ring; the caller must
+// check vc.n > 0.
+func (s *Sim) front(slot int, vc *vcSlot) *flit.Flit {
+	return s.bufs[slot*s.cfg.BufDepth+int(vc.head)]
+}
 
-// newReqSlots builds the requester-index table of a ports × vcs router.
-func newReqSlots(ports, vcs int) []reqSlot {
-	slots := make([]reqSlot, ports*vcs)
-	for i := range slots {
-		slots[i] = reqSlot{int32(i / vcs), int32(i % vcs)}
+// receive buffers a flit arriving at router r on the input port whose VC 0
+// is slot base, enforcing the credit contract (arrivals must never
+// overflow the buffer) and queueing the VC for route computation when no
+// packet there holds a route.
+func (s *Sim) receive(r *router, base int, f *flit.Flit) {
+	depth := s.cfg.BufDepth
+	slot := base + f.VC
+	vc := &s.slots[slot]
+	if int(vc.n) >= depth {
+		panic(fmt.Sprintf("noc: VC %d overflow (depth %d); credit protocol violated", f.VC, depth))
 	}
-	return slots
-}
-
-func newRouter(id, vcs int, slots []reqSlot) *router {
-	ports := len(slots) / vcs
-	return &router{
-		id:    id,
-		in:    make([]*inPort, ports),
-		out:   make([]*outPort, ports),
-		vcs:   vcs,
-		slots: slots,
-		rcReq: newReqSet(len(slots)),
+	i := int(vc.head + vc.n)
+	if i >= depth {
+		i -= depth
 	}
-}
-
-// reqVC returns the input VC of requester index idx.
-func (r *router) reqVC(idx int) *inVC {
-	sl := r.slots[idx]
-	return &r.in[sl.port].vcs[sl.vc]
-}
-
-// receive buffers a flit arriving on input port in, queueing its VC for
-// route computation when no packet there holds a route.
-func (r *router) receive(in *inPort, f *flit.Flit) {
-	in.push(f)
+	s.bufs[slot*depth+i] = f
+	vc.n++
 	r.buffered++
-	if in.vcs[f.VC].route == -1 {
-		r.rcReq.add(in.base + f.VC)
+	if vc.route == -1 {
+		r.rcReq.add(slot - r.base)
 	}
 }
 
@@ -201,32 +114,49 @@ func (r *router) receive(in *inPort, f *flit.Flit) {
 // hop — from the topology, and joins that port's VA request set. Sink
 // (ejection) ports ignore the class: the NI consumes unconditionally, so
 // restricting ejection VCs would only throttle.
-func (r *router) rc(topo Topology) {
+func (s *Sim) rc(r *router) {
+	vcs := int32(s.cfg.VCs)
 	for w, word := range r.rcReq {
 		for ; word != 0; word &= word - 1 {
 			idx := w<<6 + bits.TrailingZeros64(word)
 			r.rcReq.remove(idx)
-			vc := r.reqVC(idx)
-			if vc.route != -1 || vc.n == 0 || !vc.front().IsHead() {
+			slot := r.base + idx
+			vc := &s.slots[slot]
+			if vc.route != -1 || vc.n == 0 {
 				continue
 			}
-			port, class := topo.Route(r.id, vc.front().Dst)
-			vc.route = port
-			vc.vcLo, vc.vcHi = 0, r.vcs
-			out := r.out[port]
-			if out == nil {
+			f := s.front(slot, vc)
+			if !f.IsHead() {
 				continue
 			}
-			if !out.sink {
-				if classes := topo.VCClasses(); classes > 1 {
-					vc.vcLo = class * r.vcs / classes
-					vc.vcHi = (class + 1) * r.vcs / classes
-				}
+			po, class := s.topo.Route(r.id, f.Dst)
+			vc.route = int32(po)
+			vc.vcLo, vc.vcHi = 0, vcs
+			out := &s.ports[r.pbase+po]
+			if out.link == nil {
+				continue
+			}
+			if !out.sink && s.vcClasses > 1 {
+				c, n := int32(class), int32(s.vcClasses)
+				vc.vcLo = c * vcs / n
+				vc.vcHi = (c + 1) * vcs / n
 			}
 			out.vaReq.add(idx)
-			r.vaPorts |= 1 << uint(port)
+			r.vaPorts |= 1 << uint(po)
 		}
 	}
+}
+
+// freeVC returns the lowest-index free downstream VC of out in
+// [vc.vcLo, vc.vcHi), or -1.
+func (s *Sim) freeVC(out *port, vc *vcSlot) int32 {
+	busy := s.vcBusy[out.down : out.down+s.cfg.VCs]
+	for v := vc.vcLo; v < vc.vcHi; v++ {
+		if !busy[v] {
+			return v
+		}
+	}
+	return -1
 }
 
 // va runs VC allocation: head packets with a route but no downstream VC
@@ -242,11 +172,11 @@ func (r *router) rc(topo Topology) {
 // continues at offset 2k+2 — offsets k+1 … 2k+1 get no grant this cycle.
 // (The scan's wrapped tail revisits only offsets 0 … k, which were already
 // refused or granted, so stopping at offset n changes nothing.)
-func (r *router) va() {
-	n := len(r.slots)
+func (s *Sim) va(r *router) {
+	n := s.reqs
 	for ports := r.vaPorts; ports != 0; ports &= ports - 1 {
 		po := bits.TrailingZeros64(ports)
-		out := r.out[po]
+		out := &s.ports[r.pbase+po]
 		p := out.rrVA
 		granted := false
 		for k := out.vaReq.next(p, 0, n); k >= 0; k = out.vaReq.next(p, k+1, n) {
@@ -254,13 +184,13 @@ func (r *router) va() {
 			if idx >= n {
 				idx -= n
 			}
-			vc := r.reqVC(idx)
-			free := out.freeVCIn(vc.vcLo, vc.vcHi)
+			vc := &s.slots[r.base+idx]
+			free := s.freeVC(out, vc)
 			if free == -1 {
 				continue
 			}
 			vc.outVC = free
-			out.vcBusy[free] = true
+			s.vcBusy[out.down+int(free)] = true
 			out.vaReq.remove(idx)
 			out.saReq.add(idx)
 			if !granted {
@@ -283,50 +213,52 @@ func (r *router) va() {
 // sa runs switch allocation and traversal: each output port in saPorts
 // picks one eligible input VC (flit buffered, VC allocated, credit
 // available, crossbar input row free) in round-robin order from its SA
-// request set and forwards its flit onto the link. Returns the number of
-// flits forwarded.
-func (r *router) sa() int {
-	n := len(r.slots)
+// request set and forwards its flit onto the link.
+//
+// The output link is always free here: delivery empties every link at the
+// start of the cycle, and only this router's sa — once per cycle, one
+// flit per port — drives its output links. Ejection slots start with an
+// effectively infinite credit count, so the same decrement serves sink
+// ports, and the credit freed upstream is the popped slot's own entry.
+func (s *Sim) sa(r *router) {
+	n := s.reqs
+	depth := s.cfg.BufDepth
 	var usedIn uint64 // crossbar input rows already granted this cycle
-	moved := 0
 	for ports := r.saPorts; ports != 0; ports &= ports - 1 {
 		po := bits.TrailingZeros64(ports)
-		out := r.out[po]
-		if out.link.inFlight != nil {
-			continue
-		}
+		out := &s.ports[r.pbase+po]
 		p := out.rrSA
 		for k := out.saReq.next(p, 0, n); k >= 0; k = out.saReq.next(p, k+1, n) {
 			idx := p + k
 			if idx >= n {
 				idx -= n
 			}
-			sl := r.slots[idx]
-			if usedIn&(1<<uint(sl.port)) != 0 {
+			slot := r.base + idx
+			vc := &s.slots[slot]
+			row := uint64(1) << uint(vc.port)
+			if usedIn&row != 0 {
 				continue
 			}
-			in := r.in[sl.port]
-			vc := &in.vcs[sl.vc]
-			if vc.n == 0 || out.credits[vc.outVC] <= 0 {
+			down := out.down + int(vc.outVC)
+			if vc.n == 0 || s.credits[down] <= 0 {
 				continue
 			}
-			f := vc.front()
-			vc.pop()
+			ring := slot*depth + int(vc.head)
+			f := s.bufs[ring]
+			s.bufs[ring] = nil
+			if vc.head++; int(vc.head) == depth {
+				vc.head = 0
+			}
+			vc.n--
 			r.buffered--
-			usedIn |= 1 << uint(sl.port)
-			moved++
+			usedIn |= row
 
-			f.VC = vc.outVC
-			out.link.transmit(f)
-			if !out.sink {
-				out.credits[f.VC]--
-			}
-			// Return a credit upstream for the buffer slot just freed.
-			if in.feeder != nil && !in.feeder.sink {
-				in.feeder.credits[sl.vc]++
-			}
+			f.VC = int(vc.outVC)
+			s.transmit(out.link, f)
+			s.credits[down]--
+			s.credits[slot]++ // return a credit upstream for the slot just freed
 			if f.IsTail() {
-				out.vcBusy[f.VC] = false
+				s.vcBusy[down] = false
 				out.saReq.remove(idx)
 				if out.saReq.empty() {
 					r.saPorts &^= 1 << uint(po)
@@ -343,17 +275,26 @@ func (r *router) sa() int {
 			break
 		}
 	}
-	return moved
 }
 
 // reqSet is a bitset of small non-negative integers. The allocators keep
 // sets of a router's input VCs in it, indexed by the requester index
 // idx = inPort·VCs + vc; it spans as many words as the router has VCs, so
 // no ports × VCs product is too large (a concentration-4 cmesh router with
-// 16 VCs has 128). The simulator keeps its active router IDs in one.
+// 16 VCs has 128). The simulator keeps its active router IDs and the nodes
+// holding ejected packets in one too.
 type reqSet []uint64
 
-func newReqSet(requesters int) reqSet { return make(reqSet, (requesters+63)/64) }
+// reqWords is the word count of a reqSet holding members [0, n).
+func reqWords(n int) int { return (n + 63) / 64 }
+
+// cutReqSet carves an n-member set off the front of a word slab.
+func cutReqSet(slab *[]uint64, n int) reqSet {
+	w := reqWords(n)
+	s := (*slab)[:w:w]
+	*slab = (*slab)[w:]
+	return reqSet(s)
+}
 
 func (s reqSet) add(i int)    { s[i>>6] |= 1 << uint(i&63) }
 func (s reqSet) remove(i int) { s[i>>6] &^= 1 << uint(i&63) }
@@ -386,8 +327,31 @@ func (s reqSet) first(lo, hi int) int {
 
 // next walks the set as a round-robin ring of n slots starting at pointer
 // p: it returns the smallest offset j ≥ k (j < n) such that slot
-// (p+j) mod n is a member, or -1.
+// (p+j) mod n is a member, or -1. One-word sets (n ≤ 64, every router
+// with up to 64 requesters) take an inlinable rotate-and-count path.
 func (s reqSet) next(p, k, n int) int {
+	if len(s) != 1 {
+		return s.nextWide(p, k, n)
+	}
+	// Rotate slot p down to bit 0: slots p … n-1 land on bits 0 … n-p-1
+	// and the wrapped slots 0 … p-1 on bits 64-p … 63, so bit order is
+	// ring order with the wrapped offsets shifted up by 64-n. An empty
+	// result counts 64 trailing zeros, which maps to offset n: none.
+	if k >= n-p {
+		k += 64 - n
+	}
+	j := bits.TrailingZeros64(bits.RotateLeft64(s[0], -p) & (^uint64(0) << uint(k)))
+	if j >= n-p {
+		j -= 64 - n
+	}
+	if j >= n {
+		return -1
+	}
+	return j
+}
+
+// nextWide is next for sets spanning several words.
+func (s reqSet) nextWide(p, k, n int) int {
 	if k >= n {
 		return -1
 	}

@@ -5,24 +5,49 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"nocbt/internal/flit"
 	"nocbt/internal/obs"
 )
 
-// Sim is one mesh NoC instance. Create with New, feed packets with Inject,
+// Sim is one NoC instance. Create with New, feed packets with Inject,
 // advance with Step or Drain, then read Stats.
 //
 // Step is event-scheduled rather than scan-everything: links register on a
 // busy list when a flit is transmitted, NIs with queued packets and routers
 // with buffered flits sit on active lists, and each cycle visits only those.
 // An idle mesh cycle therefore costs O(1) instead of O(routers × ports).
+//
+// Per-cycle state lives in flat slabs built once by New, so the hot loops
+// index arrays instead of chasing per-port pointers. A slot names one
+// input VC buffer:
+//
+//   - slot (r·Ports + p)·VCs + v is VC v of input port p of router r;
+//   - slot R·Ports·VCs + node·VCs + v is ejection VC v of a node's NI,
+//     where R is the router count.
+//
+// slots holds the router VC records and bufs their rings (BufDepth flits
+// per slot); credits and vcBusy are indexed by the same slot and belong to
+// the upstream output port feeding it, so popping a flit from slot s
+// returns its credit at credits[s]. Ejection slots have effectively
+// infinite credits and no buffer. Routers, ports (by r·Ports + p), links
+// and NIs are value slabs; each link's wire words are a window of wires.
 type Sim struct {
-	cfg     Config
-	topo    Topology
-	routers []*router
-	nis     []*NI
-	links   []*Link
+	cfg       Config
+	topo      Topology
+	vcClasses int
+	// reqs is the per-router allocator requester count, Ports × VCs.
+	reqs int
+
+	routers []router
+	ports   []port
+	slots   []vcSlot
+	bufs    []*flit.Flit
+	credits []int
+	vcBusy  []bool
+	links   []Link
+	nis     []NI
 
 	// pool recycles flits, payload vectors and packet shells across the
 	// mesh's lifetime. NIs draw reassembly buffers from it; producers and
@@ -31,7 +56,7 @@ type Sim struct {
 	pool *flit.Pool
 
 	// busy holds the links carrying a flit this cycle, appended by
-	// Link.transmit and drained by the next Step's delivery phase.
+	// transmit and drained by the next Step's delivery phase.
 	busy []*Link
 	// activeNIs holds NIs with packets queued or mid-injection.
 	activeNIs []*NI
@@ -39,14 +64,16 @@ type Sim struct {
 	// ID order, so same-cycle credit returns behave exactly like the full
 	// ID-order scan.
 	active reqSet
+	// ejected holds the nodes whose NI has reassembled packets waiting: a
+	// tail delivery adds the node, PopEjected removes it.
+	ejected reqSet
 
 	cycle     int64
 	inNetwork int64 // flits transmitted by NIs and not yet ejected
 
-	packetStart map[uint64]int64
-	latencySum  int64
-	latencyMax  int64
-	delivered   int64
+	latencySum int64
+	latencyMax int64
+	delivered  int64
 
 	trace TraceFunc
 
@@ -118,7 +145,9 @@ func (s *Sim) SetTrace(fn TraceFunc) { s.trace = fn }
 // New builds the topology's routers, links and NIs. Structural problems in
 // a topology's wiring — an out-of-range neighbor, a port paired twice, an
 // NI attachment colliding with a router link — are reported as descriptive
-// errors here, not as panics under traffic.
+// errors here, not as panics under traffic. The simulator's state is sized
+// up front and built in a constant number of allocations, independent of
+// the network size.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -131,93 +160,173 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("noc: topology %q has %d terminals for a %dx%d grid of %d",
 			topo.Name(), topo.Nodes(), cfg.Width, cfg.Height, cfg.Nodes())
 	}
-	routers, ports := topo.Routers(), topo.Ports()
+	routers, ports, nodes := topo.Routers(), topo.Ports(), topo.Nodes()
 	if ports > maxPorts {
 		// The allocators keep per-router port sets in one uint64 word.
 		return nil, fmt.Errorf("noc: topology %q has %d ports per router; the router model supports at most %d",
 			topo.Name(), ports, maxPorts)
 	}
-	s := &Sim{cfg: cfg, topo: topo, packetStart: make(map[uint64]int64), pool: flit.NewPool(cfg.LinkBits),
-		active: newReqSet(routers)}
-	slots := newReqSlots(ports, cfg.VCs)
-	s.routers = make([]*router, routers)
-	for id := 0; id < routers; id++ {
-		s.routers[id] = newRouter(id, cfg.VCs, slots)
-	}
+	vcs, reqs := cfg.VCs, ports*cfg.VCs
+	routerSlots := routers * reqs
 	// Router links: the topology owns port pairing — Neighbor names the far
-	// router and the input port each output port's link lands on.
+	// router and the input port each output port's link lands on. A first
+	// pass checks the wiring and counts the links.
+	wired := 0
 	for id := 0; id < routers; id++ {
-		r := s.routers[id]
-		for port := 0; port < ports; port++ {
-			nb, inPort, ok := topo.Neighbor(id, port)
+		for p := 0; p < ports; p++ {
+			nb, inPort, ok := topo.Neighbor(id, p)
 			if !ok {
 				continue
 			}
 			if nb < 0 || nb >= routers || inPort < 0 || inPort >= ports {
 				return nil, fmt.Errorf("noc: topology %q wires router %d port %s to router %d port %d, outside the %d-router %d-port fabric",
-					topo.Name(), id, topo.PortName(port), nb, inPort, routers, ports)
+					topo.Name(), id, topo.PortName(p), nb, inPort, routers, ports)
 			}
-			if r.out[port] != nil {
+			wired++
+		}
+	}
+	nlinks := wired + 2*nodes
+	words := (cfg.LinkBits + 63) / 64 // wire words per link
+
+	s := &Sim{
+		cfg: cfg, topo: topo, vcClasses: topo.VCClasses(), reqs: reqs,
+		routers:   make([]router, routers),
+		ports:     make([]port, routers*ports),
+		slots:     make([]vcSlot, routerSlots),
+		bufs:      make([]*flit.Flit, routerSlots*cfg.BufDepth),
+		credits:   make([]int, routerSlots+nodes*vcs),
+		vcBusy:    make([]bool, routerSlots+nodes*vcs),
+		links:     make([]Link, 0, nlinks),
+		nis:       make([]NI, nodes),
+		pool:      flit.NewPool(cfg.LinkBits),
+		busy:      make([]*Link, 0, nlinks),
+		activeNIs: make([]*NI, 0, nodes),
+	}
+	setWords := make([]uint64, reqWords(routers)+reqWords(nodes)+routers*(1+2*ports)*reqWords(reqs))
+	s.active = cutReqSet(&setWords, routers)
+	s.ejected = cutReqSet(&setWords, nodes)
+	wires := make([]uint64, nlinks*words)
+	partial := make([]*flit.Packet, nodes*vcs)
+	for i := range s.slots {
+		s.slots[i] = vcSlot{port: int32(i % reqs / vcs), route: -1, outVC: -1}
+	}
+	for i := range s.credits {
+		if i < routerSlots {
+			s.credits[i] = cfg.BufDepth
+		} else {
+			s.credits[i] = int(^uint(0) >> 1) // ejection: effectively infinite
+		}
+	}
+	for id := range s.routers {
+		s.routers[id] = router{id: id, base: id * reqs, pbase: id * ports, rcReq: cutReqSet(&setWords, reqs)}
+	}
+	for i := range s.ports {
+		s.ports[i].vaReq = cutReqSet(&setWords, reqs)
+		s.ports[i].saReq = cutReqSet(&setWords, reqs)
+	}
+
+	// Link names are cut from one string: port labels are resolved once,
+	// every name is appended to a buffer sized for the longest label, and
+	// each link's name is a slice of the string the buffer becomes.
+	portNames := make([]string, ports)
+	longest := 0
+	for p := range portNames {
+		portNames[p] = topo.PortName(p)
+		longest = max(longest, len(portNames[p]))
+	}
+	digits := len(strconv.Itoa(max(routers, nodes)))
+	names := make([]byte, 0, nlinks*(6+2*digits+longest))
+	nameEnd := make([]int, nlinks)
+	// addLink appends a link named by the bytes written to names since the
+	// previous link.
+	addLink := func(class LinkClass) *Link {
+		i := len(s.links)
+		nameEnd[i] = len(names)
+		s.links = append(s.links, Link{Class: class, wire: wires[i*words : (i+1)*words : (i+1)*words]})
+		return &s.links[i]
+	}
+	node := func(prefix string, id int) {
+		names = append(names, prefix...)
+		names = strconv.AppendInt(names, int64(id), 10)
+	}
+	for id := 0; id < routers; id++ {
+		for p := 0; p < ports; p++ {
+			nb, inPort, ok := topo.Neighbor(id, p)
+			if !ok {
+				continue
+			}
+			out, in := &s.ports[id*ports+p], &s.ports[nb*ports+inPort]
+			if out.link != nil {
 				return nil, fmt.Errorf("noc: topology %q wires output port %s of router %d twice",
-					topo.Name(), topo.PortName(port), id)
+					topo.Name(), topo.PortName(p), id)
 			}
-			if s.routers[nb].in[inPort] != nil {
+			if in.feed != nil {
 				return nil, fmt.Errorf("noc: topology %q wires input port %s of router %d twice (second feed from router %d port %s)",
-					topo.Name(), topo.PortName(inPort), nb, id, topo.PortName(port))
+					topo.Name(), topo.PortName(inPort), nb, id, topo.PortName(p))
 			}
-			link := newLink(s, fmt.Sprintf("r%d.%s->r%d", id, topo.PortName(port), nb), RouterLink, cfg.LinkBits)
-			s.links = append(s.links, link)
-			r.out[port] = newOutPort(link, cfg.VCs, cfg.BufDepth, false, ports*cfg.VCs)
-			in := newInPort(cfg.VCs, cfg.BufDepth, inPort*cfg.VCs, r.out[port])
-			s.routers[nb].in[inPort] = in
-			link.dstRouter = s.routers[nb]
-			link.dstIn = in
+			node("r", id)
+			names = append(names, '.')
+			names = append(names, portNames[p]...)
+			node("->r", nb)
+			l := addLink(RouterLink)
+			l.dstRouter, l.dst = &s.routers[nb], (nb*ports+inPort)*vcs
+			out.link, out.down = l, l.dst
+			in.feed = l
 		}
 	}
 	// Local ports: an ejection link to each terminal's NI, an injection
 	// link back. NodeRouter owns the attachment.
-	nodes := topo.Nodes()
-	s.nis = make([]*NI, nodes)
-	for node := 0; node < nodes; node++ {
-		rid, lp := topo.NodeRouter(node)
+	for n := 0; n < nodes; n++ {
+		rid, lp := topo.NodeRouter(n)
 		if rid < 0 || rid >= routers || lp < 0 || lp >= ports {
 			return nil, fmt.Errorf("noc: topology %q attaches terminal %d to router %d port %d, outside the %d-router %d-port fabric",
-				topo.Name(), node, rid, lp, routers, ports)
+				topo.Name(), n, rid, lp, routers, ports)
 		}
-		r := s.routers[rid]
-		if r.out[lp] != nil || r.in[lp] != nil {
+		local := &s.ports[rid*ports+lp]
+		if local.link != nil || local.feed != nil {
 			return nil, fmt.Errorf("noc: topology %q attaches terminal %d to port %s of router %d, which is already wired",
-				topo.Name(), node, topo.PortName(lp), rid)
+				topo.Name(), n, topo.PortName(lp), rid)
 		}
-		ej := newLink(s, fmt.Sprintf("r%d.%s->ni%d", rid, topo.PortName(lp), node), EjectionLink, cfg.LinkBits)
-		s.links = append(s.links, ej)
-		r.out[lp] = newOutPort(ej, cfg.VCs, cfg.BufDepth, true, ports*cfg.VCs)
+		ni := &s.nis[n]
+		*ni = NI{node: n, curVC: -1, pool: s.pool, partial: partial[n*vcs : (n+1)*vcs : (n+1)*vcs]}
 
-		inj := newLink(s, fmt.Sprintf("ni%d->r%d.%s", node, rid, topo.PortName(lp)), InjectionLink, cfg.LinkBits)
-		s.links = append(s.links, inj)
-		niOut := newOutPort(inj, cfg.VCs, cfg.BufDepth, false, 0)
-		in := newInPort(cfg.VCs, cfg.BufDepth, lp*cfg.VCs, niOut)
-		r.in[lp] = in
-		inj.dstRouter = r
-		inj.dstIn = in
-		s.nis[node] = newNI(node, niOut, s.pool)
-		ej.dstNI = s.nis[node]
+		node("r", rid)
+		names = append(names, '.')
+		names = append(names, portNames[lp]...)
+		node("->ni", n)
+		ej := addLink(EjectionLink)
+		ej.dstNI = ni
+		local.link, local.down, local.sink = ej, routerSlots+n*vcs, true
+
+		node("ni", n)
+		node("->r", rid)
+		names = append(names, '.')
+		names = append(names, portNames[lp]...)
+		inj := addLink(InjectionLink)
+		inj.dstRouter, inj.dst = &s.routers[rid], (rid*ports+lp)*vcs
+		local.feed = inj
+		ni.link, ni.down = inj, inj.dst
+	}
+	all, from := string(names), 0
+	for i := range s.links {
+		s.links[i].Name = all[from:nameEnd[i]]
+		from = nameEnd[i]
 	}
 	// Delivery order of the pre-optimization Step scan (router id → input
 	// ports in port order → ejections in local-port order), so traced runs
 	// report same-cycle events in the identical sequence.
 	order := 0
 	for id := 0; id < routers; id++ {
-		r := s.routers[id]
-		for port := 0; port < ports; port++ {
-			if r.in[port] != nil {
-				r.in[port].feeder.link.order = order
+		rp := s.ports[id*ports : (id+1)*ports]
+		for p := range rp {
+			if rp[p].feed != nil {
+				rp[p].feed.order = order
 				order++
 			}
 		}
 		for _, lp := range topo.LocalPorts(id) {
-			if r.out[lp] != nil && r.out[lp].sink {
-				r.out[lp].link.order = order
+			if rp[lp].sink {
+				rp[lp].link.order = order
 				order++
 			}
 		}
@@ -254,7 +363,8 @@ func (s *Sim) SetLinkCoding(scheme flit.LinkCodingScheme) error {
 	if s.cycle != 0 || s.Busy() {
 		return fmt.Errorf("noc: link coding must be installed before any traffic")
 	}
-	for _, l := range s.links {
+	for i := range s.links {
+		l := &s.links[i]
 		if scheme == nil {
 			l.coder = nil
 			continue
@@ -283,7 +393,7 @@ func (s *Sim) Inject(p *flit.Packet) error {
 				p.ID, f.Payload.Width(), s.cfg.LinkBits)
 		}
 	}
-	ni := s.nis[p.Src]
+	ni := &s.nis[p.Src]
 	ni.enqueue(p)
 	if !ni.active {
 		ni.active = true
@@ -306,10 +416,16 @@ func (s *Sim) Step() {
 	for w, word := range s.active {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 + bits.TrailingZeros64(word)
-			r := s.routers[id]
-			r.rc(s.topo)
-			r.va()
-			r.sa()
+			r := &s.routers[id]
+			if !r.rcReq.empty() {
+				s.rc(r)
+			}
+			if r.vaPorts != 0 {
+				s.va(r)
+			}
+			if r.saPorts != 0 {
+				s.sa(r)
+			}
 			if r.buffered == 0 {
 				s.active.remove(id)
 			}
@@ -326,10 +442,11 @@ func (s *Sim) deliver() {
 		slices.SortFunc(s.busy, func(a, b *Link) int { return cmp.Compare(a.order, b.order) })
 	}
 	for _, l := range s.busy {
-		f := l.takeDelivery()
+		f := l.inFlight
 		if f == nil {
 			continue
 		}
+		l.inFlight = nil
 		if ni := l.dstNI; ni != nil {
 			// Ejection link delivers to the NI.
 			if s.trace != nil {
@@ -349,22 +466,19 @@ func (s *Sim) deliver() {
 					}
 				}
 			}
-			ni.receive(f)
 			s.inNetwork--
-			if f.IsTail() {
+			if pkt := ni.receive(f); pkt != nil {
 				s.delivered++
-				if start, ok := s.packetStart[f.PacketID]; ok {
-					lat := s.cycle - start
-					s.latencySum += lat
-					if lat > s.latencyMax {
-						s.latencyMax = lat
-					}
-					delete(s.packetStart, f.PacketID)
+				s.ejected.add(ni.node)
+				lat := s.cycle - pkt.Flits[0].InjectCycle
+				s.latencySum += lat
+				if lat > s.latencyMax {
+					s.latencyMax = lat
 				}
 			}
 			continue
 		}
-		l.dstRouter.receive(l.dstIn, f)
+		s.receive(l.dstRouter, l.dst, f)
 		s.active.add(l.dstRouter.id)
 		if s.trace != nil {
 			s.trace(s.cycle, l.Name, l.Class, f)
@@ -383,10 +497,10 @@ func (s *Sim) injectNIs() {
 	if len(s.activeNIs) > 0 {
 		keep := s.activeNIs[:0]
 		for _, ni := range s.activeNIs {
-			if f := ni.tick(); f != nil {
+			if f := s.tick(ni); f != nil {
 				s.inNetwork++
 				if f.IsHead() {
-					s.packetStart[f.PacketID] = s.cycle
+					f.InjectCycle = s.cycle
 					if s.spans != nil && s.spans.Sampled(f.PacketID) {
 						pt := &pktTrace{}
 						tid := packetTIDBase + int64(f.PacketID)
@@ -435,8 +549,8 @@ func (s *Sim) Drain(maxCycles int64) error {
 	for i := int64(0); s.Busy(); i++ {
 		if i >= maxCycles {
 			pending := 0
-			for _, ni := range s.nis {
-				pending += ni.Pending()
+			for n := range s.nis {
+				pending += s.nis[n].Pending()
 			}
 			return fmt.Errorf("noc: network not drained after %d cycles (%d flits in flight, %d packets queued or mid-injection at NIs)",
 				maxCycles, s.inNetwork, pending)
@@ -453,8 +567,15 @@ func (s *Sim) Cycle() int64 { return s.cycle }
 // returned slice is valid until the next PopEjected call for the same node
 // (the NI recycles its buffers); consume or copy it before polling again.
 func (s *Sim) PopEjected(node int) []*flit.Packet {
+	s.ejected.remove(node)
 	return s.nis[node].popEjected()
 }
+
+// NextEjected returns the lowest node at or above from whose NI holds
+// reassembled packets not yet taken by PopEjected, or -1 if there is none.
+// Collectors walk the ejecting nodes in ascending order with it instead of
+// polling every node each cycle.
+func (s *Sim) NextEjected(from int) int { return s.ejected.first(max(from, 0), len(s.nis)) }
 
 // Pending returns how many packets the node's NI holds: queued for
 // injection or with flits still to inject.
@@ -487,7 +608,8 @@ func (s *Sim) Stats() Stats {
 		PacketsDelivered: s.delivered,
 		MaxLatency:       s.latencyMax,
 	}
-	for _, l := range s.links {
+	for i := range s.links {
+		l := &s.links[i]
 		switch l.Class {
 		case RouterLink:
 			st.RouterBT += l.BT()
@@ -519,7 +641,8 @@ func (s *Sim) TotalBT() int64 {
 // LinkStats returns per-link counters for detailed reporting.
 func (s *Sim) LinkStats() []LinkStat {
 	out := make([]LinkStat, 0, len(s.links))
-	for _, l := range s.links {
+	for i := range s.links {
+		l := &s.links[i]
 		out = append(out, LinkStat{Name: l.Name, Class: l.Class, BT: l.BT(), Flits: l.Flits()})
 	}
 	return out

@@ -474,3 +474,116 @@ func TestNewRejectsTooManyPorts(t *testing.T) {
 		t.Fatalf("New on a 65-port topology: err %v, want a port-limit error", err)
 	}
 }
+
+// TestNewAllocs: New builds the simulator's flat state in a constant number
+// of allocations, so the budget is the same for a 4×4 mesh as for the 8×8
+// mesh, torus and concentrated mesh.
+func TestNewAllocs(t *testing.T) {
+	const budget = 64
+	for _, cfg := range []Config{
+		{Width: 4, Height: 4, VCs: 4, BufDepth: 4, LinkBits: 128},
+		{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128},
+		{Width: 8, Height: 8, Topology: "torus", VCs: 4, BufDepth: 4, LinkBits: 128},
+		{Width: 8, Height: 8, Topology: "cmesh", Concentration: 4, VCs: 4, BufDepth: 4, LinkBits: 128},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("%s %dx%d: New made %.0f allocations, budget %d",
+				TopologyDisplayName(cfg.Topology), cfg.Width, cfg.Height, allocs, budget)
+		} else {
+			t.Logf("%s %dx%d: %.0f allocations", TopologyDisplayName(cfg.Topology), cfg.Width, cfg.Height, allocs)
+		}
+	}
+}
+
+// TestLatencyStatsRepeatedPacketIDs: packet IDs are caller data, and two
+// packets in flight may share one. Latency is measured per packet from its
+// own head flit, and reassembly is keyed by the ejection VC, so repeated IDs
+// — at different destinations or reassembling at the same NI — report
+// exactly the statistics of the same traffic with distinct IDs.
+func TestLatencyStatsRepeatedPacketIDs(t *testing.T) {
+	run := func(id1, id2 uint64, dst2 int) Stats {
+		s, err := New(testConfig(4, 4, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Inject(mkPacket(id1, 0, 15, 16, 0x1111, 0x2222, 0x3333, 0x4444)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Inject(mkPacket(id2, 5, dst2, 16, 0x5555, 0x6666, 0x7777, 0x8888)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(1000); err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		for node := 0; node < 16; node++ {
+			for _, p := range s.PopEjected(node) {
+				if p.Len() != 4 {
+					t.Fatalf("packet %d reassembled with %d flits, want 4", p.ID, p.Len())
+				}
+				delivered++
+			}
+		}
+		if delivered != 2 {
+			t.Fatalf("%d packets ejected, want 2", delivered)
+		}
+		return s.Stats()
+	}
+	for _, tc := range []struct {
+		name string
+		dst2 int
+	}{
+		{"different destinations", 3},
+		{"same destination", 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := run(1, 2, tc.dst2)
+			if got := run(7, 7, tc.dst2); got != want {
+				t.Errorf("repeated IDs: %+v, distinct IDs %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestNextEjectedTracksNodesWithPackets: the ejected-node set holds exactly
+// the NIs with reassembled packets waiting — a tail delivery adds the node,
+// PopEjected removes it — and NextEjected walks it in ascending order.
+func TestNextEjectedTracksNodesWithPackets(t *testing.T) {
+	s, err := New(testConfig(4, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dst := range []int{5, 2, 5} {
+		if err := s.Inject(mkPacket(uint64(i+1), 0, dst, 8, 0x11, 0x22)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.NextEjected(0); got != -1 {
+		t.Fatalf("NextEjected before any delivery = %d, want -1", got)
+	}
+	if err := s.Drain(1000); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ from, want int }{{-3, 2}, {0, 2}, {3, 5}, {6, -1}, {99, -1}} {
+		if got := s.NextEjected(c.from); got != c.want {
+			t.Errorf("NextEjected(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	if got := len(s.PopEjected(2)); got != 1 {
+		t.Fatalf("node 2 held %d packets, want 1", got)
+	}
+	if got := s.NextEjected(0); got != 5 {
+		t.Errorf("NextEjected(0) after popping node 2 = %d, want 5", got)
+	}
+	if got := len(s.PopEjected(5)); got != 2 {
+		t.Fatalf("node 5 held %d packets, want 2", got)
+	}
+	if got := s.NextEjected(0); got != -1 {
+		t.Errorf("NextEjected(0) after popping every node = %d, want -1", got)
+	}
+}
