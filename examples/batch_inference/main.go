@@ -36,7 +36,10 @@ func microNet(seed int64) *dnn.Model {
 }
 
 func platform() nocbt.Platform {
-	cfg := nocbt.Platform8x8MC8(nocbt.Fixed8())
+	cfg, err := nocbt.NewPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg.PEComputeCycles = 64 // one MAC per cycle over a full 64-pair segment
 	return cfg
 }
@@ -96,8 +99,12 @@ func main() {
 	fmt.Println("outputs bit-identical to serial inference: yes")
 
 	// The same axis is available on the sweep grid.
+	mc8, ok := nocbt.LookupPaperPlatform("8x8 MC8")
+	if !ok {
+		log.Fatal("no 8x8 MC8 paper platform")
+	}
 	rows, err := nocbt.RunSweep(ctx, nocbt.SweepSpec{
-		Platforms:  []nocbt.NamedPlatform{{Name: "8x8 MC8", Build: nocbt.Platform8x8MC8}},
+		Platforms:  []nocbt.NamedPlatform{mc8},
 		Geometries: []nocbt.Geometry{nocbt.Fixed8()},
 		Seeds:      []int64{1},
 		Batches:    []int{1, 4},

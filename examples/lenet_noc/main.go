@@ -18,18 +18,10 @@ func main() {
 	model := nocbt.TrainedLeNet(1)
 	input := nocbt.SampleInput(model, 7)
 
-	platforms := []struct {
-		name string
-		cfg  nocbt.Platform
-	}{
-		{"4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8())},
-		{"8x8 MC4", nocbt.Platform8x8MC4(nocbt.Fixed8())},
-		{"8x8 MC8", nocbt.Platform8x8MC8(nocbt.Fixed8())},
-	}
-	for _, p := range platforms {
+	for _, p := range nocbt.PaperPlatforms() {
 		var baseline int64
 		for _, ord := range nocbt.Orderings() {
-			r, err := nocbt.RunModelOnNoC(ctx, p.name, p.cfg, ord, model, input)
+			r, err := nocbt.RunModelOnNoC(ctx, p.Name, p.Build(nocbt.Fixed8()), ord, model, input)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -37,13 +29,16 @@ func main() {
 				baseline = r.TotalBT
 			}
 			fmt.Printf("%-8s %s: BT=%12d (%.2f%% reduction), %d cycles, %d packets\n",
-				p.name, ord, r.TotalBT,
+				p.Name, ord, r.TotalBT,
 				100*(1-float64(r.TotalBT)/float64(baseline)), r.Cycles, r.Packets)
 		}
 	}
 
 	// Per-layer traffic detail on the default platform with O2.
-	cfg := nocbt.Platform4x4MC2(nocbt.Fixed8())
+	cfg, err := nocbt.NewPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg.Ordering = nocbt.O2
 	eng, err := nocbt.NewEngine(cfg, model)
 	if err != nil {

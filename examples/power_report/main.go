@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"nocbt"
 	"nocbt/internal/hwmodel"
@@ -19,8 +20,12 @@ func main() {
 	// Measure O0 vs O2 transitions for one inference on the default mesh.
 	var btO0, btO2 int64
 	var cycles int64
+	cfg, err := nocbt.NewPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, ord := range []nocbt.Ordering{nocbt.O0, nocbt.O2} {
-		r, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), ord, model, input)
+		r, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", cfg, ord, model, input)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +58,18 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Print(nocbt.Table2Report())
+	printExperiment("table2", nocbt.Params{})
 	fmt.Println()
-	fmt.Print(nocbt.LinkPowerReport(100 * reduction))
+	printExperiment("power", nocbt.Params{BTReductionPct: 100 * reduction})
+}
+
+// printExperiment runs a registered experiment and prints its text form.
+func printExperiment(name string, p nocbt.Params) {
+	res, err := nocbt.RunExperiment(context.Background(), name, p)
+	if err == nil {
+		err = nocbt.WriteResult(os.Stdout, res, nocbt.Text)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 }

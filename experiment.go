@@ -24,8 +24,8 @@ import (
 // experiments ignore fields they have no use for.
 type Params struct {
 	// Seed fixes weight initialization, training and input synthesis.
-	// Every value is honored as given — 0 is a valid seed, as it was for
-	// the v1 report functions (cmd/btexp defaults its -seed flag to 1).
+	// Every value is honored as given — 0 is a valid seed (cmd/btexp
+	// defaults its -seed flag to 1).
 	Seed int64
 	// Trained selects converged weights for the with-NoC experiments
 	// (Fig. 12/13). The bit-level experiments always compare random vs

@@ -195,16 +195,9 @@ func Fig12(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error
 	return RunSweep(ctx, fig12Spec(seed, trained))
 }
 
-// fig12Result adapts the registered experiment's Params onto the grid.
+// fig12Result measures the Fig. 12 grid at Params.Seed (0 included).
 func fig12Result(ctx context.Context, p Params) (*Result, error) {
-	return fig12ResultAt(ctx, p.Seed, p.Trained)
-}
-
-// fig12ResultAt measures the Fig. 12 grid for the seed exactly as given
-// (0 included) — both the registry path and the deprecated Fig12Report
-// shim land here with v1 seed semantics.
-func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, error) {
-	rows, err := Fig12(ctx, seed, trained)
+	rows, err := Fig12(ctx, p.Seed, p.Trained)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +212,7 @@ func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 	return &Result{
 		Experiment: "fig12",
 		Title:      "Fig. 12 — BTs across NoC sizes (LeNet)",
-		Meta:       map[string]any{"seed": seed, "trained": trained},
+		Meta:       map[string]any{"seed": p.Seed, "trained": p.Trained},
 		Tables:     []ResultTable{table},
 		Sections: []Section{
 			TextSection("Fig. 12 — BTs across NoC sizes (LeNet)\n"),
@@ -229,17 +222,6 @@ func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 				"8x8/MC4 shows the highest absolute BT (most hops per MC).\n"),
 		},
 	}, nil
-}
-
-// Fig12Report renders the sweep with the paper's reported reduction ranges.
-//
-// Deprecated: run the registered "fig12" experiment and Render the Result.
-func Fig12Report(seed int64, trained bool) (string, error) {
-	r, err := fig12ResultAt(context.Background(), seed, trained)
-	if err != nil {
-		return "", err
-	}
-	return Render(r, Text)
 }
 
 // fig13Spec is the Fig. 13 grid: LeNet and the DarkNet-like model on the
@@ -262,15 +244,9 @@ func Fig13(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error
 	return RunSweep(ctx, fig13Spec(seed, trained))
 }
 
-// fig13Result adapts the registered experiment's Params onto the grid.
+// fig13Result measures the Fig. 13 grid at Params.Seed (0 included).
 func fig13Result(ctx context.Context, p Params) (*Result, error) {
-	return fig13ResultAt(ctx, p.Seed, p.Trained)
-}
-
-// fig13ResultAt measures the Fig. 13 grid for the seed exactly as given
-// (see fig12ResultAt).
-func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, error) {
-	rows, err := Fig13(ctx, seed, trained)
+	rows, err := Fig13(ctx, p.Seed, p.Trained)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +265,7 @@ func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 	return &Result{
 		Experiment: "fig13",
 		Title:      "Fig. 13 — normalized BTs for different NN models (4x4 MC2)",
-		Meta:       map[string]any{"seed": seed, "trained": trained},
+		Meta:       map[string]any{"seed": p.Seed, "trained": p.Trained},
 		Tables:     []ResultTable{table},
 		Sections: []Section{
 			TextSection("Fig. 13 — normalized BTs for different NN models (4x4 MC2)\n"),
@@ -298,17 +274,6 @@ func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 				"separated-ordering is always best.\n"),
 		},
 	}, nil
-}
-
-// Fig13Report renders the model sweep with normalized BT columns.
-//
-// Deprecated: run the registered "fig13" experiment and Render the Result.
-func Fig13Report(seed int64, trained bool) (string, error) {
-	r, err := fig13ResultAt(context.Background(), seed, trained)
-	if err != nil {
-		return "", err
-	}
-	return Render(r, Text)
 }
 
 // table2Result builds the hardware cost comparison: our structural
@@ -371,15 +336,6 @@ func table2Result() *Result {
 	}
 }
 
-// Table2Report renders the hardware cost comparison: our structural
-// gate-equivalent model for both flit formats next to the paper's Synopsys
-// DC synthesis results.
-//
-// Deprecated: run the registered "table2" experiment and Render the Result.
-func Table2Report() string {
-	return mustText(table2Result())
-}
-
 // linkPowerResult reproduces the §V-C arithmetic: link power for the
 // paper's link energy and Banerjee's model, before and after applying a BT
 // reduction rate (the paper uses its best with-NoC figure, 40.85%).
@@ -410,13 +366,4 @@ func linkPowerResult(btReductionPct float64) *Result {
 			TextSection("\nPaper: 155.008 → 91.688 mW (ours), 476.672 → 281.951 mW (Banerjee) at 40.85% reduction.\n"),
 		},
 	}
-}
-
-// LinkPowerReport reproduces the §V-C arithmetic: link power for the
-// paper's link energy and Banerjee's model, before and after applying a BT
-// reduction rate (the paper uses its best with-NoC figure, 40.85%).
-//
-// Deprecated: run the registered "power" experiment and Render the Result.
-func LinkPowerReport(btReductionPct float64) string {
-	return mustText(linkPowerResult(btReductionPct))
 }

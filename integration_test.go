@@ -229,21 +229,3 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
-
-// TestTable1ReportGolden pins the full rendered Tab. I (small stream) —
-// table layout, measured values and paper columns alike.
-func TestTable1ReportGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uses trained LeNet; skipped in -short mode")
-	}
-	cfg := Table1Config{Packets: 300, KernelSize: 25, LanesPerFlit: 8, Seed: 1}
-	checkGolden(t, "table1_report", Table1Report(cfg))
-}
-
-// TestFig9ReportGolden pins the rendered popcount grids of Fig. 9.
-func TestFig9ReportGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uses trained LeNet; skipped in -short mode")
-	}
-	checkGolden(t, "fig9_report", Fig9Report(6))
-}

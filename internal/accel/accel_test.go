@@ -7,10 +7,28 @@ import (
 	"strings"
 	"testing"
 
+	"nocbt/internal/bitutil"
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
 	"nocbt/internal/tensor"
 )
+
+// paperFloat32 and paperFixed8 are the paper's two flit geometries: 16
+// float-32 lanes on a 512-bit link and 16 fixed-8 lanes on a 128-bit link.
+var (
+	paperFloat32 = flit.Geometry{LinkBits: 512, Format: bitutil.Float32}
+	paperFixed8  = flit.Geometry{LinkBits: 128, Format: bitutil.Fixed8}
+)
+
+// mustNew builds an engine, failing t on a construction error.
+func mustNew(t testing.TB, cfg Config, m *dnn.Model) *Engine {
+	t.Helper()
+	eng, err := New(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 func TestPerimeterMCsPlacement(t *testing.T) {
 	// 4×4 with 2 MCs: clockwise walk starts at (0,0); the second MC lands
@@ -52,7 +70,7 @@ func TestPerimeterMCsCountCap(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	g := flit.Fixed8Geometry()
+	g := paperFixed8
 	good := Mesh4x4MC2(g).withDefaults()
 	if err := good.Validate(); err != nil {
 		t.Errorf("preset invalid: %v", err)
@@ -80,7 +98,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPEsExcludeMCs(t *testing.T) {
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	pes := cfg.PEs()
 	if len(pes) != 14 {
 		t.Fatalf("PE count %d, want 14", len(pes))
@@ -121,10 +139,7 @@ func TestInferMatchesDirectFloat32(t *testing.T) {
 	x := testInput(m, 2)
 	want := m.Forward(x)
 
-	eng, err := New(Mesh4x4MC2(flit.Float32Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFloat32), m)
 	got, err := eng.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +166,7 @@ func TestInferFixed8CloseToDirect(t *testing.T) {
 	x := testInput(m, 4)
 	want := m.Forward(x)
 
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	got, err := eng.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -186,12 +198,9 @@ func TestOrderingsProduceIdenticalFixed8Outputs(t *testing.T) {
 
 	var outputs []*tensor.Tensor
 	for _, ord := range flit.Orderings() {
-		cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+		cfg := Mesh4x4MC2(paperFixed8)
 		cfg.Ordering = ord
-		eng, err := New(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustNew(t, cfg, m)
 		out, err := eng.Infer(context.Background(), x)
 		if err != nil {
 			t.Fatalf("%s: %v", ord, err)
@@ -215,12 +224,9 @@ func TestOrderingsProduceCloseFloat32Outputs(t *testing.T) {
 
 	var outputs []*tensor.Tensor
 	for _, ord := range flit.Orderings() {
-		cfg := Mesh4x4MC2(flit.Float32Geometry())
+		cfg := Mesh4x4MC2(paperFloat32)
 		cfg.Ordering = ord
-		eng, err := New(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustNew(t, cfg, m)
 		out, err := eng.Infer(context.Background(), x)
 		if err != nil {
 			t.Fatalf("%s: %v", ord, err)
@@ -249,12 +255,9 @@ func TestOrderingReducesBT(t *testing.T) {
 
 	bts := map[flit.Ordering]int64{}
 	for _, ord := range flit.Orderings() {
-		cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+		cfg := Mesh4x4MC2(paperFixed8)
 		cfg.Ordering = ord
-		eng, err := New(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustNew(t, cfg, m)
 		if _, err := eng.Infer(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
@@ -283,12 +286,9 @@ func TestSegmentedLinearLayer(t *testing.T) {
 	x := testInput(m, 12)
 	want := m.Forward(x)
 
-	cfg := Mesh4x4MC2(flit.Float32Geometry())
+	cfg := Mesh4x4MC2(paperFloat32)
 	cfg.MaxSegmentPairs = 5 // force 4 segments for 16 pairs
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	got, err := eng.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestHeaderCountLimits(t *testing.T) {
 				InShape:   []int{1, 1, tc.in},
 				Layers:    []dnn.Layer{dnn.NewFlatten(), dnn.NewLinear(tc.in, 1, rand.New(rand.NewSource(1)))},
 			}
-			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.MaxSegmentPairs = tc.segPairs
 			eng, err := New(cfg, m)
 			if tc.newErr != "" {
@@ -361,22 +361,16 @@ func TestInBandIndexStillCorrect(t *testing.T) {
 	m := tinyNet(rng)
 	x := testInput(m, 14)
 
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.Ordering = flit.Separated
 	cfg.InBandIndex = true
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	got, err := eng.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	want, err := ref.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -395,10 +389,7 @@ func TestInBandIndexStillCorrect(t *testing.T) {
 func TestLayerStatsRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := tinyNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	if _, err := eng.Infer(context.Background(), testInput(m, 16)); err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +414,7 @@ func TestLayerStatsRecorded(t *testing.T) {
 func TestMultipleInfersAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := tinyNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	if _, err := eng.Infer(context.Background(), testInput(m, 18)); err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +428,10 @@ func TestMultipleInfersAccumulate(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), nil); err == nil {
+	if _, err := New(Mesh4x4MC2(paperFixed8), nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	bad := Mesh4x4MC2(flit.Fixed8Geometry())
+	bad := Mesh4x4MC2(paperFixed8)
 	bad.MCs = []int{999}
 	if _, err := New(bad, tinyNet(rand.New(rand.NewSource(1)))); err == nil {
 		t.Error("invalid config accepted")
@@ -458,17 +446,14 @@ func TestHigherMCCountFewerCyclesPerTask(t *testing.T) {
 	x := testInput(m, 22)
 
 	run := func(cfg Config) int64 {
-		eng, err := New(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustNew(t, cfg, m)
 		if _, err := eng.Infer(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
 		return eng.Cycles()
 	}
-	c4 := run(Mesh8x8MC4(flit.Fixed8Geometry()))
-	c8 := run(Mesh8x8MC8(flit.Fixed8Geometry()))
+	c4 := run(Mesh8x8MC4(paperFixed8))
+	c8 := run(Mesh8x8MC8(paperFixed8))
 	if c8 >= c4 {
 		t.Errorf("MC8 cycles %d not below MC4 cycles %d", c8, c4)
 	}

@@ -35,7 +35,7 @@ func microNet(rng *rand.Rand) *dnn.Model {
 // are made on: 8×8 mesh, 8 MCs, and a PE that needs one cycle per MAC of a
 // full segment rather than the 4-cycle default.
 func batchPlatform() Config {
-	cfg := Mesh8x8MC8(flit.Fixed8Geometry())
+	cfg := Mesh8x8MC8(paperFixed8)
 	cfg.PEComputeCycles = 64
 	return cfg
 }
@@ -67,7 +67,7 @@ func batchInputs(m *dnn.Model, n int, seed int64) []*tensor.Tensor {
 //     packets on the mesh, and the outputs must still be bit-identical
 //     (BT/cycles legitimately differ — that is the measured effect).
 func TestInferBatchMatchesSerial(t *testing.T) {
-	for _, g := range []flit.Geometry{flit.Float32Geometry(), flit.Fixed8Geometry()} {
+	for _, g := range []flit.Geometry{paperFloat32, paperFixed8} {
 		for _, ord := range flit.Orderings() {
 			m := microNet(rand.New(rand.NewSource(31)))
 			inputs := batchInputs(m, 6, 32)
@@ -88,10 +88,7 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 			check := func(mode LayerMode, wantBT, wantCycles bool) {
 				mcfg := cfg
 				mcfg.LayerMode = mode
-				batchEng, err := New(mcfg, m)
-				if err != nil {
-					t.Fatal(err)
-				}
+				batchEng := mustNew(t, mcfg, m)
 				got, err := batchEng.InferBatch(context.Background(), inputs)
 				if err != nil {
 					t.Fatalf("%s/%s/%s InferBatch: %v", g.Format, ord, mode, err)
@@ -128,10 +125,7 @@ func TestInferBatchThroughput(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(33)))
 	inputs := batchInputs(m, 8, 34)
 
-	serialEng, err := New(batchPlatform(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialEng := mustNew(t, batchPlatform(), m)
 	for i, in := range inputs {
 		if _, err := serialEng.Infer(context.Background(), in); err != nil {
 			t.Fatalf("serial infer %d: %v", i, err)
@@ -139,10 +133,7 @@ func TestInferBatchThroughput(t *testing.T) {
 	}
 	serialCycles := serialEng.Cycles()
 
-	batchEng, err := New(pipelinedPlatform(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchEng := mustNew(t, pipelinedPlatform(), m)
 	if _, err := batchEng.InferBatch(context.Background(), inputs); err != nil {
 		t.Fatal(err)
 	}
@@ -177,19 +168,13 @@ func TestInferBatchPipelinedLayers(t *testing.T) {
 
 	cfg := batchPlatform()
 	cfg.LayerMode = PipelinedLayers
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	got, err := eng.InferBatch(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := New(batchPlatform(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustNew(t, batchPlatform(), m)
 	for i, in := range inputs {
 		want, err := ref.Infer(context.Background(), in)
 		if err != nil {
@@ -208,10 +193,7 @@ func TestInferBatchPipelinedLayers(t *testing.T) {
 func TestInferBatchLayerStats(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(37)))
 	inputs := batchInputs(m, 3, 38)
-	eng, err := New(pipelinedPlatform(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, pipelinedPlatform(), m)
 	if _, err := eng.InferBatch(context.Background(), inputs); err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +215,7 @@ func TestInferBatchLayerStats(t *testing.T) {
 // TestInferBatchValidation covers the input validation paths.
 func TestInferBatchValidation(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(39)))
-	eng, err := New(batchPlatform(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, batchPlatform(), m)
 	if _, err := eng.InferBatch(context.Background(), nil); err == nil {
 		t.Error("empty batch accepted")
 	}
@@ -256,13 +235,10 @@ func TestSchedulerContextsClearedOnError(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(41)))
 	input := batchInputs(m, 1, 42)[0]
 
-	cfg := Mesh8x8MC8(flit.Fixed8Geometry())
+	cfg := Mesh8x8MC8(paperFixed8)
 	cfg.Ordering = flit.Separated // oob partner tables in play
 	cfg.DrainCycleCap = 3         // guarantees a mid-flight failure
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	flows := []*flow{{idx: 0, act: input}}
 	s := newScheduler(context.Background(), eng, flows)
 	runErr := s.run()

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocbt/internal/flit"
 	"nocbt/internal/tensor"
 )
 
@@ -17,10 +16,7 @@ import (
 func TestInferContextCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.Infer(ctx, testInput(m, 2)); !errors.Is(err, context.Canceled) {
@@ -39,10 +35,7 @@ func TestInferContextCancelled(t *testing.T) {
 func TestInferContextDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
 	if _, err := eng.Infer(ctx, testInput(m, 2)); !errors.Is(err, context.DeadlineExceeded) {
@@ -72,7 +65,7 @@ func (c *countdownCtx) Err() error {
 func TestInferCancelledMidRunPoisonsEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
+	eng, err := New(Mesh4x4MC2(paperFixed8), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +91,7 @@ func TestInferCancelledMidRunPoisonsEngine(t *testing.T) {
 func TestInferPreRunCancelDoesNotPoison(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.Infer(ctx, testInput(m, 2)); !errors.Is(err, context.Canceled) {
@@ -112,15 +102,12 @@ func TestInferPreRunCancelDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestInferNilContextDefaultsToBackground keeps nil-context callers (the
-// deprecated v1 shims route through here) working instead of panicking.
+// TestInferNilContextDefaultsToBackground keeps nil-context callers
+// working instead of panicking.
 func TestInferNilContextDefaultsToBackground(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	//nolint:staticcheck // passing nil deliberately to pin the fallback
 	if _, err := eng.Infer(nil, testInput(m, 2)); err != nil {
 		t.Errorf("Infer with nil context = %v, want success", err)

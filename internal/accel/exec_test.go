@@ -23,10 +23,7 @@ import (
 func mkValidationScheduler(t *testing.T, tasks int) (*Engine, *scheduler, *layerRun) {
 	t.Helper()
 	m := tinyNet(rand.New(rand.NewSource(51)))
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	s := newScheduler(context.Background(), eng, []*flow{{idx: 0}})
 	run := &layerRun{
 		flow:     s.flows[0],
@@ -231,7 +228,7 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tinyNet(rand.New(rand.NewSource(51)))
-			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.Ordering = flit.Separated
 			eng, err := New(cfg, m)
 			if err != nil {

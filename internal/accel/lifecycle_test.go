@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"nocbt/internal/flit"
 )
 
 // TestReusableLifecycle pins the pool-facing reuse hook: a fresh engine is
@@ -16,10 +14,7 @@ import (
 func TestReusableLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(Mesh4x4MC2(flit.Fixed8Geometry()), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	if !eng.Reusable() || eng.Aborted() != nil {
 		t.Fatalf("fresh engine: Reusable=%v Aborted=%v", eng.Reusable(), eng.Aborted())
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocbt/internal/flit"
 	"nocbt/internal/noc"
 )
 
@@ -89,7 +88,7 @@ func TestColumnPlacedEngineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := flit.Fixed8Geometry()
+	g := paperFixed8
 	cfg := Config{
 		Mesh:     noc.Config{Width: 6, Height: 6, VCs: 4, BufDepth: 4, LinkBits: g.LinkBits},
 		Geometry: g,
@@ -97,10 +96,7 @@ func TestColumnPlacedEngineRuns(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	out, err := eng.Infer(context.Background(), testInput(m, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,8 @@ func TestStrategyCombosBitIdenticalToSerialO0(t *testing.T) {
 	m := tinyNet(rng)
 	x := testInput(m, 22)
 
-	baseCfg := Mesh4x4MC2(flit.Fixed8Geometry())
-	baseEng, err := New(baseCfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseCfg := Mesh4x4MC2(paperFixed8)
+	baseEng := mustNew(t, baseCfg, m)
 	want, err := baseEng.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +33,7 @@ func TestStrategyCombosBitIdenticalToSerialO0(t *testing.T) {
 	for _, strat := range flit.OrderingStrategies() {
 		for _, coding := range flit.LinkCodingNames() {
 			name := strat.Name() + "+" + coding
-			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.Ordering = strat.ID()
 			cfg.LinkCoding = coding
 			eng, err := New(cfg, m)
@@ -73,12 +70,9 @@ func TestBusinvertEngineBTMatchesTraceRecount(t *testing.T) {
 	m := tinyNet(rng)
 	x := testInput(m, 24)
 
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.LinkCoding = "businvert"
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	rec := trace.NewRecorder()
 	rec.RecordPayloads()
 	eng.SetTrace(rec.Hook())
@@ -111,13 +105,13 @@ func TestEngineRejectsUnknownStrategyAndCoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	m := tinyNet(rng)
 
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.Ordering = flit.Ordering(99)
 	if _, err := New(cfg, m); err == nil || !strings.Contains(err.Error(), "unknown ordering") {
 		t.Errorf("unregistered ordering = %v, want a descriptive error", err)
 	}
 
-	cfg = Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg = Mesh4x4MC2(paperFixed8)
 	cfg.LinkCoding = "huffman"
 	if _, err := New(cfg, m); err == nil || !strings.Contains(err.Error(), "unknown link coding") {
 		t.Errorf("unregistered coding = %v, want a descriptive error", err)

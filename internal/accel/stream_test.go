@@ -24,15 +24,12 @@ var updateStreamGolden = flag.Bool("update", false, "rewrite golden files under 
 func streamRecord(t *testing.T, inBand bool) []byte {
 	t.Helper()
 	m := dnn.LeNet(rand.New(rand.NewSource(7)))
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.Ordering = flit.Separated
 	cfg.InBandIndex = inBand
 	cfg.LayerMode = PipelinedLayers
 	cfg.Precisions = []int{8, 4, 16, 8, 4}
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	outs, err := eng.InferBatch(context.Background(), batchInputs(m, 3, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +93,9 @@ func TestStreamingEquivalence(t *testing.T) {
 // cycle with traffic, from the flit-delivery observer.
 func TestMCQueueBounded(t *testing.T) {
 	m := dnn.LeNet(rand.New(rand.NewSource(3)))
-	cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.Ordering = flit.Separated
-	eng, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustNew(t, cfg, m)
 	most := 0
 	eng.SetTrace(func(int64, string, noc.LinkClass, *flit.Flit) {
 		for _, mc := range cfg.MCs {
@@ -142,12 +136,9 @@ func TestEngineInferAllocs(t *testing.T) {
 		{"popcount-asc", flit.PopcountAsc, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Mesh4x4MC2(flit.Fixed8Geometry())
+			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.Ordering, cfg.InBandIndex = tc.order, tc.inBand
-			eng, err := New(cfg, m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := mustNew(t, cfg, m)
 			infer := func() {
 				if _, err := eng.Infer(context.Background(), input); err != nil {
 					t.Fatal(err)

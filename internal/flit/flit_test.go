@@ -7,21 +7,21 @@ import (
 )
 
 func TestGeometryLanes(t *testing.T) {
-	g := Float32Geometry()
+	g := paperFloat32
 	if g.Lanes() != 16 || g.HalfLanes() != 8 || g.LaneBits() != 32 {
 		t.Errorf("float32 geometry: lanes=%d half=%d lane bits=%d", g.Lanes(), g.HalfLanes(), g.LaneBits())
 	}
-	g = Fixed8Geometry()
+	g = paperFixed8
 	if g.Lanes() != 16 || g.HalfLanes() != 8 || g.LaneBits() != 8 {
 		t.Errorf("fixed8 geometry: lanes=%d half=%d lane bits=%d", g.Lanes(), g.HalfLanes(), g.LaneBits())
 	}
 }
 
 func TestGeometryValidate(t *testing.T) {
-	if err := Float32Geometry().Validate(); err != nil {
+	if err := paperFloat32.Validate(); err != nil {
 		t.Errorf("float32 geometry invalid: %v", err)
 	}
-	if err := Fixed8Geometry().Validate(); err != nil {
+	if err := paperFixed8.Validate(); err != nil {
 		t.Errorf("fixed8 geometry invalid: %v", err)
 	}
 	bad := []Geometry{
@@ -38,7 +38,7 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestGeometryString(t *testing.T) {
-	if got := Float32Geometry().String(); got != "512-bit link, 16×float-32" {
+	if got := paperFloat32.String(); got != "512-bit link, 16×float-32" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestNewPacketKinds(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	hdr := bitutil.NewVec(g.LinkBits)
 	payloads := []bitutil.Vec{bitutil.NewVec(g.LinkBits), bitutil.NewVec(g.LinkBits)}
 	p := NewPacket(7, 1, 5, hdr, payloads)
@@ -85,7 +85,7 @@ func TestNewPacketKinds(t *testing.T) {
 }
 
 func TestNewPacketSingleFlit(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	p := NewPacket(1, 0, 3, bitutil.NewVec(g.LinkBits), nil)
 	if p.Len() != 1 {
 		t.Fatalf("packet length %d, want 1", p.Len())
@@ -97,7 +97,7 @@ func TestNewPacketSingleFlit(t *testing.T) {
 }
 
 func TestPayloadVecs(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	a, b := bitutil.NewVec(g.LinkBits), bitutil.NewVec(g.LinkBits)
 	a.SetBit(0, true)
 	b.SetBit(1, true)
@@ -109,7 +109,7 @@ func TestPayloadVecs(t *testing.T) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	for _, g := range []Geometry{Float32Geometry(), Fixed8Geometry()} {
+	for _, g := range []Geometry{paperFloat32, paperFixed8} {
 		h := Header{
 			Dst: 63, Src: 12, PacketID: 123456789, TaskID: 987654321,
 			Kind: KindResult, PairCount: 400, Ordering: Separated,
@@ -126,7 +126,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestHeaderDistinctEncodings(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	a := EncodeHeader(g, Header{Dst: 1, PacketID: 1})
 	b := EncodeHeader(g, Header{Dst: 2, PacketID: 1})
 	if a.Equal(b) {
@@ -140,5 +140,5 @@ func TestDecodeHeaderWrongWidthPanics(t *testing.T) {
 			t.Fatal("did not panic")
 		}
 	}()
-	DecodeHeader(Float32Geometry(), bitutil.NewVec(128))
+	DecodeHeader(paperFloat32, bitutil.NewVec(128))
 }

@@ -32,7 +32,7 @@ func FuzzFlitizeDeflitize(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		task := randTask(n, rng)
 		want := taskDot(task)
-		for _, g := range []Geometry{Fixed8Geometry(), Float32Geometry()} {
+		for _, g := range []Geometry{paperFixed8, paperFloat32} {
 			for _, s := range OrderingStrategies() {
 				ord := s.ID()
 				fz, err := Flitize(g, task, Options{Ordering: ord, InBandIndex: inBand})

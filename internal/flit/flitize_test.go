@@ -35,7 +35,7 @@ func taskDot(t Task) int32 {
 func TestDataFlitCountFig2(t *testing.T) {
 	// Paper Fig. 2: a LeNet conv1 task (25 inputs + 25 weights + 1 bias)
 	// occupies 4 data flits at 8 pairs per flit.
-	g := Fixed8Geometry()
+	g := paperFixed8
 	if got := g.DataFlitCount(25); got != 4 {
 		t.Errorf("DataFlitCount(25) = %d, want 4", got)
 	}
@@ -52,7 +52,7 @@ func TestDataFlitCountFig2(t *testing.T) {
 }
 
 func TestFlitizeBaselineLayout(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	task := Task{
 		Inputs:  []bitutil.Word{0x11, 0x22, 0x33},
 		Weights: []bitutil.Word{0xAA, 0xBB, 0xCC},
@@ -89,7 +89,7 @@ func TestFlitizeBaselineLayout(t *testing.T) {
 }
 
 func TestFlitizeErrors(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	if _, err := Flitize(g, Task{}, Options{}); err == nil {
 		t.Error("empty task must error")
 	}
@@ -106,7 +106,7 @@ func TestFlitizeErrors(t *testing.T) {
 
 func TestFlitizeDeflitizeRoundTripAllOrderings(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, g := range []Geometry{Fixed8Geometry(), Float32Geometry()} {
+	for _, g := range []Geometry{paperFixed8, paperFloat32} {
 		for _, ord := range Orderings() {
 			for _, n := range []int{1, 2, 7, 8, 9, 25, 64, 150} {
 				task := randTask(n, rng)
@@ -141,7 +141,7 @@ func TestFlitizeDeflitizeRoundTripAllOrderings(t *testing.T) {
 
 func TestFlitizeAffiliatedDescending(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	task := randTask(25, rng)
 	fz, err := Flitize(g, task, Options{Ordering: Affiliated})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestFlitizeAffiliatedDescending(t *testing.T) {
 
 func TestFlitizeSeparatedInBandIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	for _, n := range []int{2, 25, 150} {
 		task := randTask(n, rng)
 		fz, err := Flitize(g, task, Options{Ordering: Separated, InBandIndex: true})
@@ -186,7 +186,7 @@ func TestFlitizeSeparatedInBandIndex(t *testing.T) {
 }
 
 func TestPartnerIndexRoundTrip(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{1, 2, 3, 16, 17, 100, 400} {
 		partner := rng.Perm(n)
@@ -207,7 +207,7 @@ func TestPartnerIndexRoundTrip(t *testing.T) {
 }
 
 func TestDecodePartnerIndexWrongCount(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	if _, err := DecodePartnerIndex(g, nil, 40); err == nil {
 		t.Error("missing index flits must error")
 	}
@@ -218,7 +218,7 @@ func TestDecodePartnerIndexWrongCount(t *testing.T) {
 // to decode into a nil partner table without error, deferring the failure
 // to whatever indexed the table later (or corrupting results silently).
 func TestDecodePartnerIndexRejectsNonPositiveCount(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	for _, n := range []int{0, -1, -40} {
 		partner, err := DecodePartnerIndex(g, nil, n)
 		if err == nil {
@@ -233,7 +233,7 @@ func TestDecodePartnerIndexRejectsNonPositiveCount(t *testing.T) {
 }
 
 func TestDeflitizeErrors(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	if _, err := Deflitize(g, nil, 0, Baseline, nil); err == nil {
 		t.Error("n=0 must error")
 	}
@@ -251,7 +251,7 @@ func TestDeflitizeErrors(t *testing.T) {
 }
 
 func TestIndexFlitCount(t *testing.T) {
-	g := Fixed8Geometry() // 128-bit link
+	g := paperFixed8 // 128-bit link
 	tests := []struct{ n, want int }{
 		{1, 0},
 		{2, 1},    // 1 bit × 2
@@ -267,7 +267,7 @@ func TestIndexFlitCount(t *testing.T) {
 }
 
 func TestPayloadsOrder(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	fz, err := Flitize(g, randTask(25, rand.New(rand.NewSource(2))), Options{Ordering: Separated, InBandIndex: true})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestPayloadsOrder(t *testing.T) {
 // across consecutive data flits than baseline.
 func TestOrderedFlitizationReducesPacketBT(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	streamBT := func(vecs []bitutil.Vec) int {
 		total := 0
 		for i := 1; i < len(vecs); i++ {
@@ -319,7 +319,7 @@ func TestOrderedFlitizationReducesPacketBT(t *testing.T) {
 // power of two can decode one) used to panic; a repeated entry returned a
 // wrong pairing with err == nil.
 func TestDeflitizeRejectsMalformedPartner(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	task := randTask(5, rand.New(rand.NewSource(9)))
 	fz, err := Flitize(g, task, Options{Ordering: Separated})
 	if err != nil {

@@ -24,8 +24,7 @@ type Geometry struct {
 // NewGeometry builds a validated geometry from a link width and lane
 // format — the construction path that rejects unknown formats and
 // impossible lane grids with descriptive errors instead of letting them
-// reach lane arithmetic. This is the replacement for the deprecated
-// Float32Geometry/Fixed8Geometry preset helpers.
+// reach lane arithmetic.
 func NewGeometry(linkBits int, format bitutil.Format) (Geometry, error) {
 	g := Geometry{LinkBits: linkBits, Format: format}
 	if err := g.Validate(); err != nil {
@@ -45,20 +44,6 @@ func FixedGeometry(bits int) (Geometry, error) {
 	}
 	return NewGeometry(128, f)
 }
-
-// Float32Geometry is the paper's float-32 configuration: 512-bit links,
-// 16 values per flit.
-//
-// Deprecated: use NewGeometry(512, bitutil.Float32); this helper remains
-// as the paper-preset shim.
-func Float32Geometry() Geometry { return Geometry{LinkBits: 512, Format: bitutil.Float32} }
-
-// Fixed8Geometry is the paper's fixed-8 configuration: 128-bit links,
-// 16 values per flit.
-//
-// Deprecated: use FixedGeometry(8) or NewGeometry(128, bitutil.Fixed8);
-// this helper remains as the paper-preset shim.
-func Fixed8Geometry() Geometry { return Geometry{LinkBits: 128, Format: bitutil.Fixed8} }
 
 // WithFormat returns the geometry with the lane format swapped and the
 // physical link width kept — how a per-layer precision schedule derives

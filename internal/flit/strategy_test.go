@@ -83,7 +83,7 @@ func TestParseOrdering(t *testing.T) {
 // than baseline — the property Li et al. optimize for.
 func TestFlitizeHammingNNReducesStreamBT(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	streamBT := func(vecs []bitutil.Vec) int {
 		total := 0
 		for i := 1; i < len(vecs); i++ {
@@ -115,7 +115,7 @@ func TestFlitizeHammingNNReducesStreamBT(t *testing.T) {
 // exactly like the paper trio.
 func TestFlitizeNewStrategiesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	for _, ord := range []Ordering{HammingNN, PopcountAsc} {
 		for _, n := range []int{1, 2, 7, 25, 64} {
 			task := randTask(n, rng)
@@ -140,7 +140,7 @@ func TestFlitizeNewStrategiesRoundTrip(t *testing.T) {
 // TestFlitizePopcountAscAscending pins the Han et al. sort sense.
 func TestFlitizePopcountAscAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	g := Fixed8Geometry()
+	g := paperFixed8
 	task := randTask(25, rng)
 	fz, err := Flitize(g, task, Options{Ordering: PopcountAsc})
 	if err != nil {
@@ -376,7 +376,7 @@ func TestOrderReusesDirtyDestination(t *testing.T) {
 // one per packet) must survive the next FlitizeInto untouched, and a lent
 // table with room for the task is filled in place.
 func TestFlitizeKeepsLentPartnerTable(t *testing.T) {
-	g := Fixed8Geometry()
+	g := paperFixed8
 	rng := rand.New(rand.NewSource(44))
 	opt := Options{Ordering: Separated}
 	var fz Flitized

@@ -86,32 +86,6 @@ func (p EnergyParams) Estimate(a Activity) EnergyBreakdown {
 	}
 }
 
-// MeshLinks returns the inter-router link count of a w×h 2D mesh, counting
-// each bidirectional neighbor connection once: w(h−1) vertical plus
-// h(w−1) horizontal. For the paper's 8×8 mesh this is the 112 that §V-C
-// hard-codes.
-//
-// Deprecated shim: this is the mesh formula only. Topology-aware callers
-// derive the count from noc's Topology.Links() (which counts unidirectional
-// links — halve it for this package's bidirectional-pair convention) and
-// build the model with DerivedLinkModelFromLinks.
-func MeshLinks(w, h int) int {
-	if w < 1 || h < 1 {
-		return 0
-	}
-	return w*(h-1) + h*(w-1)
-}
-
-// DerivedLinkModel builds the §V-C link power model from a plain-mesh
-// platform: mesh dimensions and link width in, link count out — the
-// general form of PaperLinkModel's hard-coded 128-bit/112-link constants
-// (which remain as the pinned paper preset). Frequency and toggle fraction
-// keep the paper's 125 MHz / one-half assumptions. For non-mesh topologies
-// use DerivedLinkModelFromLinks with the topology's own link count.
-func DerivedLinkModel(meshW, meshH, linkBits int, energyPerTransition float64) LinkPowerModel {
-	return DerivedLinkModelFromLinks(MeshLinks(meshW, meshH), linkBits, energyPerTransition)
-}
-
 // DerivedLinkModelFromLinks builds the §V-C link power model from an
 // explicit inter-router link count — bidirectional pairs counted once,
 // the paper's convention (112 for 8×8 mesh). This is the topology-generic

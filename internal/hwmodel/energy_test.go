@@ -4,44 +4,39 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nocbt/internal/noc"
 )
 
-func TestMeshLinks(t *testing.T) {
-	cases := []struct {
-		w, h, want int
-	}{
-		{8, 8, 112}, // the §V-C hard-coded constant, now derived
-		{4, 4, 24},
-		{2, 2, 4},
-		{1, 1, 0},
-		{3, 5, 3*4 + 5*2},
-		{0, 8, 0},
-		{-1, 4, 0},
-	}
-	for _, c := range cases {
-		if got := MeshLinks(c.w, c.h); got != c.want {
-			t.Errorf("MeshLinks(%d, %d) = %d, want %d", c.w, c.h, got, c.want)
-		}
-	}
-}
-
 func TestDerivedLinkModelPinsPaperModel(t *testing.T) {
-	// PaperLinkModel is the pinned shim of the derived constructor: an 8×8
-	// mesh with 128-bit links must reproduce it field for field, for both
-	// published energy constants.
+	// PaperLinkModel is the pinned preset of the derived constructor: the
+	// 112 bidirectional links of an 8×8 mesh at 128 bits must reproduce it
+	// field for field, for both published energy constants.
 	for _, e := range []float64{EnergyPerTransitionOurs, EnergyPerTransitionBanerjee} {
-		if got, want := DerivedLinkModel(8, 8, 128, e), PaperLinkModel(e); got != want {
-			t.Errorf("DerivedLinkModel(8,8,128,%g) = %+v, want %+v", e, got, want)
+		if got, want := DerivedLinkModelFromLinks(112, 128, e), PaperLinkModel(e); got != want {
+			t.Errorf("DerivedLinkModelFromLinks(112,128,%g) = %+v, want %+v", e, got, want)
 		}
 	}
 }
 
 func TestDerivedLinkModelScalesWithMesh(t *testing.T) {
-	small := DerivedLinkModel(4, 4, 128, EnergyPerTransitionOurs)
+	// Link counts come from the mesh topology: Links() counts
+	// unidirectional links, the model counts bidirectional pairs.
+	model := func(w, h int) LinkPowerModel {
+		topo, err := noc.Config{Width: w, Height: h}.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DerivedLinkModelFromLinks(topo.Links()/2, 128, EnergyPerTransitionOurs)
+	}
+	small := model(4, 4)
 	if small.Links != 24 {
 		t.Fatalf("4x4 links = %d, want 24", small.Links)
 	}
-	big := DerivedLinkModel(8, 8, 128, EnergyPerTransitionOurs)
+	big := model(8, 8)
+	if big.Links != 112 {
+		t.Fatalf("8x8 links = %d, want 112", big.Links)
+	}
 	if ratio := big.PowerW() / small.PowerW(); math.Abs(ratio-112.0/24.0) > 1e-12 {
 		t.Errorf("power ratio 8x8/4x4 = %v, want %v", ratio, 112.0/24.0)
 	}

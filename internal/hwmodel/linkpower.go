@@ -32,16 +32,10 @@ type LinkPowerModel struct {
 
 // PaperLinkModel returns the exact §V-C configuration: 128-bit links, 112
 // links in an 8×8 mesh, 125 MHz, half the wires toggling. It is the
-// pinned paper preset of DerivedLinkModel(8, 8, 128, e), which derives
-// the link count from arbitrary mesh dimensions instead.
+// pinned paper preset of DerivedLinkModelFromLinks, which takes the link
+// count of any topology instead.
 func PaperLinkModel(energyPerTransition float64) LinkPowerModel {
-	return LinkPowerModel{
-		EnergyPerTransition: energyPerTransition,
-		LinkBits:            128,
-		Links:               112,
-		FreqHz:              125e6,
-		ToggleFraction:      0.5,
-	}
+	return DerivedLinkModelFromLinks(112, 128, energyPerTransition)
 }
 
 // WithExtraLines returns a copy of the model with a link coding's extra

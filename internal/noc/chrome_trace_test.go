@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nocbt/internal/flit"
 	"nocbt/internal/obs"
 )
 
@@ -24,20 +25,11 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
-// TestChromeTraceRoundTrip is the span-tracer analogue of the trace
-// package's CSV round-trip test: run random traffic on a 4×4 mesh with the
-// span tracer installed, export Chrome trace-event JSON, and verify the
-// trace is (a) valid trace-event format, (b) correctly nested — every hop
-// span inside its packet span on the packet's track — and (c) a faithful
-// recount: per-link bt attributes re-sum to the sim recorders' totals.
-func TestChromeTraceRoundTrip(t *testing.T) {
-	s, err := New(testConfig(4, 4, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer(1 << 16)
-	s.SetSpanTracer(tr)
-
+// runChromeTraffic drives seed-7 random traffic through a 4×4 mesh: eight
+// rounds of twelve 1–4-payload packets with IDs 1–96, five cycles apart,
+// then drains the mesh and pops every ejected packet.
+func runChromeTraffic(t *testing.T, s *Sim) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	id := uint64(1)
 	for round := 0; round < 8; round++ {
@@ -65,6 +57,22 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	for node := 0; node < 16; node++ {
 		s.PopEjected(node)
 	}
+}
+
+// TestChromeTraceRoundTrip is the span-tracer analogue of the trace
+// package's CSV round-trip test: run random traffic on a 4×4 mesh with the
+// span tracer installed, export Chrome trace-event JSON, and verify the
+// trace is (a) valid trace-event format, (b) correctly nested — every hop
+// span inside its packet span on the packet's track — and (c) a faithful
+// recount: per-link bt attributes re-sum to the sim recorders' totals.
+func TestChromeTraceRoundTrip(t *testing.T) {
+	s, err := New(testConfig(4, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1 << 16)
+	s.SetSpanTracer(tr)
+	runChromeTraffic(t, s)
 
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d spans; ring too small for the workload", tr.Dropped())
@@ -188,7 +196,113 @@ func TestSpanTracerDisabledNoSpans(t *testing.T) {
 	if err := s.Drain(1000); err != nil {
 		t.Fatal(err)
 	}
-	if s.open != nil {
-		t.Fatal("open packet-span map must stay nil while tracing is disabled")
+	if s.observer != nil {
+		t.Fatal("observer must stay nil while tracing is disabled")
+	}
+}
+
+// TestSpanTraceRepeatedPacketIDs sends two packets that share ID 7 from
+// different sources under a full-sampling tracer. The observer must not
+// let the second packet overwrite the first one's open span records: after
+// the drain no record is left open, and each packet span's hop spans
+// re-sum to exactly that packet's link BT.
+func TestSpanTraceRepeatedPacketIDs(t *testing.T) {
+	s, err := New(testConfig(4, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1 << 12)
+	s.SetSpanTracer(tr)
+	// The TraceFunc recounts each packet's BT independently of the spans:
+	// a crossing's BT is the link recorder's delta on delivery.
+	links := make(map[string]*Link)
+	for i := range s.links {
+		links[s.links[i].Name] = &s.links[i]
+	}
+	linkBT := make(map[int]int64) // by source node
+	s.SetTrace(func(_ int64, name string, _ LinkClass, f *flit.Flit) {
+		linkBT[f.Src] += links[name].lastBT
+	})
+	for _, p := range []*flit.Packet{
+		mkPacket(7, 0, 15, 8, 0xAA, 0x55, 0xF0),
+		mkPacket(7, 5, 3, 8, 0x0F, 0xFF, 0x3C),
+	} {
+		if err := s.Inject(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().PacketsDelivered; got != 2 {
+		t.Fatalf("delivered %d packets, want 2", got)
+	}
+	if n := len(s.observer.open); n != 0 {
+		t.Fatalf("%d span records still open after the drain", n)
+	}
+
+	// Each packet span owns the hop spans on its track inside its window;
+	// its src attribute names the packet.
+	attr := func(sp obs.Span, key string) int64 {
+		for _, a := range sp.Attrs[:sp.N] {
+			if a.Key == key {
+				return a.Num
+			}
+		}
+		return -1
+	}
+	spans := tr.Snapshot()
+	var packets int
+	for _, p := range spans {
+		if p.Name != "packet" {
+			continue
+		}
+		packets++
+		var hopBT int64
+		for _, h := range spans {
+			if h.Name == "hop" && h.TID == p.TID && h.Start >= p.Start && h.Start+h.Dur <= p.Start+p.Dur {
+				hopBT += attr(h, "bt")
+			}
+		}
+		if src := int(attr(p, "src")); hopBT != linkBT[src] {
+			t.Errorf("packet from node %d: hop spans re-sum to %d BT, its link BT is %d", src, hopBT, linkBT[src])
+		}
+	}
+	if packets == 0 {
+		t.Fatal("trace has no packet span")
+	}
+}
+
+// TestSetSpanTracerNilResets removes an installed tracer mid-flight: the
+// PID must read 0 again, and the open span records must go with the
+// tracer, so a tracer installed later never ends the old one's spans.
+func TestSetSpanTracerNilResets(t *testing.T) {
+	s, err := New(testConfig(4, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := obs.NewTracer(1 << 12)
+	s.SetSpanTracer(old)
+	if err := s.Inject(mkPacket(1, 0, 15, 8, 0xAA, 0x55)); err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	s.Step()
+	if s.SpanPID() == 0 || len(s.observer.open) != 1 {
+		t.Fatalf("mid-flight: PID %d and %d open span records, want a PID and 1", s.SpanPID(), len(s.observer.open))
+	}
+	s.SetSpanTracer(nil)
+	if pid := s.SpanPID(); pid != 0 || s.observer != nil {
+		t.Fatalf("after removing the tracer: SpanPID() = %d, observer %v; want 0 and nil", pid, s.observer)
+	}
+	committed := old.Len()
+	fresh := obs.NewTracer(1 << 12)
+	s.SetSpanTracer(fresh)
+	if err := s.Drain(1000); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Len() != 0 || old.Len() != committed {
+		t.Fatalf("the packet traced before the swap committed %d spans to the new tracer, %d to the removed one",
+			fresh.Len(), old.Len()-committed)
 	}
 }

@@ -46,15 +46,20 @@ func TestXYNodeRoundTrip(t *testing.T) {
 func TestInterRouterLinksPaperCount(t *testing.T) {
 	// The paper's §V-C counts 112 inter-router links in an 8×8 NoC
 	// (bidirectional pairs); unidirectional that is 224.
-	c := Config{Width: 8, Height: 8}
-	if got := c.InterRouterLinks(); got != 224 {
+	links := func(w, h int) int {
+		topo, err := Config{Width: w, Height: h}.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo.Links()
+	}
+	if got := links(8, 8); got != 224 {
 		t.Errorf("8x8 unidirectional links = %d, want 224", got)
 	}
-	if got := c.InterRouterLinks() / 2; got != 112 {
+	if got := links(8, 8) / 2; got != 112 {
 		t.Errorf("8x8 bidirectional pairs = %d, want 112 (paper)", got)
 	}
-	c44 := Config{Width: 4, Height: 4}
-	if got := c44.InterRouterLinks(); got != 48 {
+	if got := links(4, 4); got != 48 {
 		t.Errorf("4x4 unidirectional links = %d, want 48", got)
 	}
 }

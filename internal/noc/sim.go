@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"nocbt/internal/flit"
-	"nocbt/internal/obs"
 )
 
 // Sim is one NoC instance. Create with New, feed packets with Inject,
@@ -75,72 +74,12 @@ type Sim struct {
 	latencyMax int64
 	delivered  int64
 
-	trace TraceFunc
-
-	// spans, when set, records the packet lifecycle (inject, per-hop link
-	// traversal, NI reassembly) as obs spans in the cycle tick domain. The
-	// concrete *obs.Tracer field (no interface) keeps the disabled path a
-	// single pointer compare per Step phase with no boxing allocation.
-	spans   *obs.Tracer
-	spanPID int64
-	open    map[uint64]*pktTrace
+	// observer, when set, receives the inject, hop and eject events of
+	// every flit: the TraceFunc packet trace and the span tracer's packet
+	// lifecycle. It is nil unless one of them is installed, so an
+	// unobserved Step pays one nil check per event.
+	observer *observer
 }
-
-// pktTrace is the open span set of one in-flight sampled packet.
-type pktTrace struct {
-	pkt *obs.Span // head injection → tail ejection
-	inj *obs.Span // NI serialization window (head → tail onto the wire)
-	rea *obs.Span // NI reassembly window (head eject → tail eject)
-}
-
-// packetTIDBase offsets packet track IDs so packet lifecycles never collide
-// with the low accel per-layer tracks in the same Chrome trace process.
-const packetTIDBase = 1 << 20
-
-// SetSpanTracer installs (or, with nil, removes) a span tracer recording the
-// packet lifecycle. The simulator allocates its own process-track ID from
-// the tracer, so several meshes can record into one trace concurrently.
-// Span timestamps are simulation cycles (exported as 1 cycle = 1 µs).
-func (s *Sim) SetSpanTracer(t *obs.Tracer) {
-	s.spans = t
-	if t == nil {
-		return
-	}
-	s.spanPID = t.NextPID()
-	if s.open == nil {
-		s.open = make(map[uint64]*pktTrace)
-	}
-}
-
-// SpanPID returns the process-track ID allocated by SetSpanTracer (0 when
-// no tracer is installed). The accel engine shares it so layer-phase spans
-// land in the same Chrome trace process as the packets they generate.
-func (s *Sim) SpanPID() int64 { return s.spanPID }
-
-// spanHop records one link crossing of a sampled packet: the flit was
-// transmitted last cycle and delivered this cycle, so the hop occupies
-// [cycle-1, cycle] on the packet's track, nested inside its packet span.
-// The per-hop BT delta comes from the link's last-crossing recorder.
-func (s *Sim) spanHop(l *Link, f *flit.Flit) {
-	if s.open[f.PacketID] == nil {
-		return
-	}
-	sp := s.spans.Begin("hop", "noc", s.spanPID, packetTIDBase+int64(f.PacketID), s.cycle-1).
-		SetAttr("link", l.Name).
-		SetAttrInt("bt", l.lastBT)
-	s.spans.End(sp, s.cycle)
-}
-
-// TraceFunc observes every flit delivery: the cycle it completed its link
-// traversal, the link it crossed, and the flit itself. Used by the trace
-// package to record packet traffic traces (one of the platform outputs in
-// the paper's Fig. 7).
-type TraceFunc func(cycle int64, linkName string, class LinkClass, f *flit.Flit)
-
-// SetTrace installs a delivery observer; nil disables tracing. With a trace
-// installed, same-cycle deliveries are reported in the deterministic
-// router/port scan order (the pre-optimization Step order).
-func (s *Sim) SetTrace(fn TraceFunc) { s.trace = fn }
 
 // New builds the topology's routers, links and NIs. Structural problems in
 // a topology's wiring — an out-of-range neighbor, a port paired twice, an
@@ -438,7 +377,7 @@ func (s *Sim) Step() {
 // order is irrelevant to the protocol state (every link feeds a distinct
 // sink) but is pinned to the scan order for trace consumers.
 func (s *Sim) deliver() {
-	if (s.trace != nil || s.spans != nil) && len(s.busy) > 1 {
+	if s.observer != nil && len(s.busy) > 1 {
 		slices.SortFunc(s.busy, func(a, b *Link) int { return cmp.Compare(a.order, b.order) })
 	}
 	for _, l := range s.busy {
@@ -449,22 +388,8 @@ func (s *Sim) deliver() {
 		l.inFlight = nil
 		if ni := l.dstNI; ni != nil {
 			// Ejection link delivers to the NI.
-			if s.trace != nil {
-				s.trace(s.cycle, l.Name, EjectionLink, f)
-			}
-			if s.spans != nil {
-				s.spanHop(l, f)
-				if pt := s.open[f.PacketID]; pt != nil {
-					if f.IsHead() {
-						pt.rea = s.spans.Begin("ni.reassemble", "noc", s.spanPID,
-							packetTIDBase+int64(f.PacketID), s.cycle)
-					}
-					if f.IsTail() {
-						s.spans.End(pt.rea, s.cycle)
-						s.spans.End(pt.pkt, s.cycle)
-						delete(s.open, f.PacketID)
-					}
-				}
+			if s.observer != nil {
+				s.observer.eject(s.cycle, l, f)
 			}
 			s.inNetwork--
 			if pkt := ni.receive(f); pkt != nil {
@@ -480,11 +405,8 @@ func (s *Sim) deliver() {
 		}
 		s.receive(l.dstRouter, l.dst, f)
 		s.active.add(l.dstRouter.id)
-		if s.trace != nil {
-			s.trace(s.cycle, l.Name, l.Class, f)
-		}
-		if s.spans != nil {
-			s.spanHop(l, f)
+		if s.observer != nil {
+			s.observer.hop(s.cycle, l, f)
 		}
 	}
 	s.busy = s.busy[:0]
@@ -501,21 +423,9 @@ func (s *Sim) injectNIs() {
 				s.inNetwork++
 				if f.IsHead() {
 					f.InjectCycle = s.cycle
-					if s.spans != nil && s.spans.Sampled(f.PacketID) {
-						pt := &pktTrace{}
-						tid := packetTIDBase + int64(f.PacketID)
-						pt.pkt = s.spans.Begin("packet", "noc", s.spanPID, tid, s.cycle).
-							SetAttrInt("src", int64(f.Src)).
-							SetAttrInt("dst", int64(f.Dst))
-						pt.inj = s.spans.Begin("ni.inject", "noc", s.spanPID, tid, s.cycle)
-						s.open[f.PacketID] = pt
-					}
 				}
-				if s.spans != nil && f.IsTail() {
-					if pt := s.open[f.PacketID]; pt != nil {
-						s.spans.End(pt.inj, s.cycle)
-						pt.inj = nil
-					}
+				if s.observer != nil {
+					s.observer.inject(s.cycle, f)
 				}
 			}
 			if ni.Pending() > 0 {

@@ -8,11 +8,12 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"nocbt/internal/flit"
+	"nocbt/internal/obs"
 )
 
-var updateStepGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
-
-const stepGoldenPath = "testdata/step_golden.json"
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // stepDigest hashes everything a Step run is observed by: the
 // (cycle, node, packet ID) ejection sequence, the per-link counters in
@@ -63,18 +64,67 @@ func stepGoldenCases(t *testing.T) map[string]string {
 // Regenerate with `go test -run TestStepMatchesGolden -update` only for an
 // intended behaviour change.
 func TestStepMatchesGolden(t *testing.T) {
-	got := stepGoldenCases(t)
-	if *updateStepGolden {
+	matchGolden(t, "testdata/step_golden.json", stepGoldenCases(t))
+}
+
+// spanGoldenCases runs the TestChromeTraceRoundTrip traffic twice — once
+// under a full-sampling span tracer, once sampling every fourth packet ID
+// with a TraceFunc installed as well — and returns sha256 digests of each
+// run's Chrome export and of the TraceFunc event sequence.
+func spanGoldenCases(t *testing.T) map[string]string {
+	t.Helper()
+	got := make(map[string]string)
+	run := func(name string, sample uint64, fn TraceFunc) {
+		s, err := New(testConfig(4, 4, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(1 << 16)
+		tr.SetSample(sample)
+		s.SetSpanTracer(tr)
+		s.SetTrace(fn)
+		runChromeTraffic(t, s)
+		h := sha256.New()
+		if err := tr.WriteChrome(h); err != nil {
+			t.Fatal(err)
+		}
+		got[name+"/chrome"] = hex.EncodeToString(h.Sum(nil))
+	}
+	run("full", 1, nil)
+	events := sha256.New()
+	run("sampled", 4, func(cycle int64, link string, class LinkClass, f *flit.Flit) {
+		fmt.Fprintf(events, "%d %s %s %d %d\n", cycle, link, class, f.PacketID, f.Seq)
+	})
+	got["sampled/trace"] = hex.EncodeToString(events.Sum(nil))
+	return got
+}
+
+// TestSpanTraceMatchesGolden pins the bytes of the span tracer's Chrome
+// export and the TraceFunc event sequence (cycle, link, class, packet ID,
+// flit index) to digests recorded before the two delivery observers were
+// folded into one. TestChromeTraceRoundTrip checks the trace's structure;
+// this checks that none of it moved. Regenerate with
+// `go test -run TestSpanTraceMatchesGolden -update` only for an intended
+// behaviour change.
+func TestSpanTraceMatchesGolden(t *testing.T) {
+	matchGolden(t, "testdata/span_golden.json", spanGoldenCases(t))
+}
+
+// matchGolden compares digests by case name with the JSON golden at path,
+// rewriting it under -update.
+func matchGolden(t *testing.T, path string, got map[string]string) {
+	t.Helper()
+	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(stepGoldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(stepGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +137,7 @@ func TestStepMatchesGolden(t *testing.T) {
 	}
 	for name, digest := range want {
 		if got[name] != digest {
-			t.Errorf("%s: Step digest %s, golden %s", name, got[name], digest)
+			t.Errorf("%s: digest %s, golden %s", name, got[name], digest)
 		}
 	}
 }

@@ -37,7 +37,11 @@ func benchModel(rng *rand.Rand) *dnn.Model {
 // throughput claims are made on: 8×8 mesh, 8 MCs, 64-cycle PEs, pipelined
 // layer mode so micro-batches share the mesh.
 func benchPlatform() accel.Config {
-	cfg := accel.Mesh8x8MC8(flit.Fixed8Geometry())
+	g, err := flit.FixedGeometry(8)
+	if err != nil {
+		panic(err)
+	}
+	cfg := accel.Mesh8x8MC8(g)
 	cfg.PEComputeCycles = 64
 	cfg.LayerMode = accel.PipelinedLayers
 	return cfg

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nocbt/internal/accel"
+	"nocbt/internal/bitutil"
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
 	"nocbt/internal/noc"
@@ -58,10 +59,17 @@ func tinyPlatform() Platform {
 	}
 }
 
+// paperFloat32 and paperFixed8 are the paper's two flit geometries: 16
+// float-32 lanes on a 512-bit link and 16 fixed-8 lanes on a 128-bit link.
+var (
+	paperFloat32 = flit.Geometry{LinkBits: 512, Format: bitutil.Float32}
+	paperFixed8  = flit.Geometry{LinkBits: 128, Format: bitutil.Fixed8}
+)
+
 func tinySpec() Spec {
 	return Spec{
 		Platforms:  []Platform{tinyPlatform()},
-		Geometries: []flit.Geometry{flit.Fixed8Geometry(), flit.Float32Geometry()},
+		Geometries: []flit.Geometry{paperFixed8, paperFloat32},
 		Orderings:  flit.Orderings(),
 		Workloads:  []Workload{tinyWorkload("tiny")},
 		Seeds:      []int64{1, 2},
@@ -86,7 +94,7 @@ func TestJobsExpansionOrder(t *testing.T) {
 		jobs[2].Ordering != flit.Separated {
 		t.Error("orderings are not the innermost axis")
 	}
-	if jobs[0].Geometry != flit.Fixed8Geometry() || jobs[3].Geometry != flit.Float32Geometry() {
+	if jobs[0].Geometry != paperFixed8 || jobs[3].Geometry != paperFloat32 {
 		t.Error("geometries do not advance after one platform's orderings")
 	}
 	if jobs[0].Seed != 1 || jobs[len(jobs)-1].Seed != 2 {
@@ -296,7 +304,7 @@ func TestRenderTable(t *testing.T) {
 func TestBatchAxis(t *testing.T) {
 	spec := Spec{
 		Platforms:  []Platform{tinyPlatform()},
-		Geometries: []flit.Geometry{flit.Fixed8Geometry()},
+		Geometries: []flit.Geometry{paperFixed8},
 		Orderings:  flit.Orderings(),
 		Workloads:  []Workload{tinyWorkload("tiny")},
 		Seeds:      []int64{1},
@@ -445,7 +453,7 @@ func TestEmptyCodingsAxisKeepsPlatformCoding(t *testing.T) {
 		t.Helper()
 		spec := Spec{
 			Platforms:  []Platform{platform},
-			Geometries: []flit.Geometry{flit.Fixed8Geometry()},
+			Geometries: []flit.Geometry{paperFixed8},
 			Orderings:  []flit.Ordering{flit.Baseline},
 			Workloads:  []Workload{tinyWorkload("tiny")},
 			Seeds:      []int64{1},

@@ -169,10 +169,10 @@ func TopologyDisplayName(name string) string { return noc.TopologyDisplayName(na
 type Geometry = flit.Geometry
 
 // Float32 returns the paper's 512-bit link / 16×float-32 flit format.
-func Float32() Geometry { return flit.Float32Geometry() }
+func Float32() Geometry { return Geometry{LinkBits: 512, Format: bitutil.Float32} }
 
 // Fixed8 returns the paper's 128-bit link / 16×fixed-8 flit format.
-func Fixed8() Geometry { return flit.Fixed8Geometry() }
+func Fixed8() Geometry { return Geometry{LinkBits: 128, Format: bitutil.Fixed8} }
 
 // FixedGeometry returns a 128-bit link geometry with fixed-point lanes of
 // the given width: 2, 4, 8 or 16 bits (see FixedWidths). Narrower lanes
@@ -189,39 +189,6 @@ func FixedWidths() []int { return bitutil.FixedWidths() }
 // NewPlatform (see platform.go) — arbitrary mesh sizes, MC counts and
 // placement policies — or start from a paper preset option bundle.
 type Platform = accel.Config
-
-// Platform4x4MC2 returns the paper's default platform: 4×4 mesh, 2 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions4x4MC2(g)...).
-func Platform4x4MC2(g Geometry) Platform {
-	return paperPlatform(PaperOptions4x4MC2(g), func() Platform { return accel.Mesh4x4MC2(g) })
-}
-
-// Platform8x8MC4 returns the paper's 8×8 mesh with 4 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions8x8MC4(g)...).
-func Platform8x8MC4(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC4(g), func() Platform { return accel.Mesh8x8MC4(g) })
-}
-
-// Platform8x8MC8 returns the paper's 8×8 mesh with 8 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions8x8MC8(g)...).
-func Platform8x8MC8(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC8(g), func() Platform { return accel.Mesh8x8MC8(g) })
-}
-
-// paperPlatform builds a preset through NewPlatform; when the caller's
-// geometry is invalid it falls back to the raw v1 constructor so the
-// error still surfaces as NewEngine's recoverable validation failure, not
-// a construction panic — the v1 contract these deprecated shims keep.
-func paperPlatform(opts []PlatformOption, v1 func() Platform) Platform {
-	cfg, err := NewPlatform(opts...)
-	if err != nil {
-		return v1()
-	}
-	return cfg
-}
 
 // Engine executes DNN inference over the simulated NoC. Engine.Infer runs
 // one inference at a time; Engine.InferBatch keeps a whole batch of

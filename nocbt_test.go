@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocbt/internal/bitutil"
 	"nocbt/internal/train"
 )
 
@@ -101,14 +100,14 @@ func TestSampleInputDerivedFromRng(t *testing.T) {
 func TestRunModelBatchOnNoC(t *testing.T) {
 	m := LeNet(1)
 	in := SampleInput(m, 3)
-	serial, err := RunModelOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in)
+	serial, err := RunModelOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Batch != 1 || serial.Throughput <= 0 || serial.AvgLatencyCycles != float64(serial.Cycles) {
 		t.Fatalf("serial row malformed: %+v", serial)
 	}
-	batch, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 2)
+	batch, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +122,14 @@ func TestRunModelBatchOnNoC(t *testing.T) {
 		t.Errorf("batch cycles %d above 2x serial %d", batch.Cycles, 2*serial.Cycles)
 	}
 	// batch 1 delegates to the serial row; non-positive sizes are errors.
-	one, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 1)
+	one, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one != serial {
 		t.Errorf("batch-1 row %+v differs from serial row %+v", one, serial)
 	}
-	if _, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 0); err == nil {
+	if _, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 0); err == nil {
 		t.Error("batch size 0 not rejected")
 	}
 }
@@ -145,17 +144,41 @@ func TestGeometryPresets(t *testing.T) {
 }
 
 func TestPlatformPresets(t *testing.T) {
-	p := Platform4x4MC2(Fixed8())
+	p := mustPlatform(t, PaperOptions4x4MC2(Fixed8())...)
 	if p.Mesh.Width != 4 || len(p.MCs) != 2 {
 		t.Errorf("4x4MC2 = %+v", p)
 	}
-	if p8 := Platform8x8MC8(Float32()); p8.Mesh.Width != 8 || len(p8.MCs) != 8 {
+	if p8 := mustPlatform(t, PaperOptions8x8MC8(Float32())...); p8.Mesh.Width != 8 || len(p8.MCs) != 8 {
 		t.Errorf("8x8MC8 wrong")
 	}
 }
 
+// mustPlatform builds a platform from options, failing tb on error.
+func mustPlatform(tb testing.TB, opts ...PlatformOption) Platform {
+	tb.Helper()
+	cfg, err := NewPlatform(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg
+}
+
+// experimentText runs a registered experiment and renders it as text.
+func experimentText(t *testing.T, name string, p Params) string {
+	t.Helper()
+	res, err := RunExperiment(context.Background(), name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Render(res, Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
 func TestFig1Report(t *testing.T) {
-	out := Fig1Report(8)
+	out := experimentText(t, "fig1", Params{Step: 8})
 	if !strings.Contains(out, "E = x + y - xy/16") {
 		t.Error("Fig. 1 formula missing")
 	}
@@ -210,7 +233,7 @@ func TestFig9Report(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := Fig9Report(6)
+	out := experimentText(t, "fig9", Params{Flits: 6})
 	if !strings.Contains(out, "Before:") || !strings.Contains(out, "After") {
 		t.Errorf("Fig. 9 sections missing:\n%s", out)
 	}
@@ -223,7 +246,7 @@ func TestBitLevelReportFloat32(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := BitLevelReport(bitutil.Float32)
+	out := experimentText(t, "fig10", Params{})
 	if !strings.Contains(out, "Fig. 10") {
 		t.Error("wrong figure label")
 	}
@@ -239,7 +262,7 @@ func TestBitLevelReportFixed8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := BitLevelReport(bitutil.Fixed8)
+	out := experimentText(t, "fig11", Params{})
 	if !strings.Contains(out, "Fig. 11") {
 		t.Error("wrong figure label")
 	}
@@ -249,7 +272,7 @@ func TestBitLevelReportFixed8(t *testing.T) {
 }
 
 func TestTable2Report(t *testing.T) {
-	out := Table2Report()
+	out := experimentText(t, "table2", Params{})
 	for _, want := range []string{"ordering unit", "router", "12.91", "125.54", "bubble 16"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Tab. II report missing %q:\n%s", want, out)
@@ -258,7 +281,7 @@ func TestTable2Report(t *testing.T) {
 }
 
 func TestLinkPowerReport(t *testing.T) {
-	out := LinkPowerReport(40.85)
+	out := experimentText(t, "power", Params{BTReductionPct: 40.85})
 	for _, want := range []string{"155.01", "476.67", "91.69", "281.95"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("link power report missing %q:\n%s", want, out)
@@ -269,7 +292,7 @@ func TestLinkPowerReport(t *testing.T) {
 func TestRunModelOnNoCQuick(t *testing.T) {
 	// Small end-to-end check through the facade with random weights.
 	m := LeNet(1)
-	r, err := RunModelOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O1, m, SampleInput(m, 3))
+	r, err := RunModelOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O1, m, SampleInput(m, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@ package nocbt
 // the engine.
 //
 // The paper's three evaluated platforms are one-line option bundles over
-// this constructor (see PaperOptions4x4MC2 and friends); the old
-// Platform4x4MC2-style constructors remain as deprecated shims.
+// this constructor (see PaperOptions4x4MC2 and friends).
 
 import (
 	"crypto/sha256"

@@ -24,34 +24,6 @@ func TestNewPlatformDefaults(t *testing.T) {
 	}
 }
 
-// TestNewPlatformMatchesPresets proves the deprecated preset shims and the
-// option bundles build identical platforms.
-func TestNewPlatformMatchesPresets(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		preset Platform
-		opts   []PlatformOption
-	}{
-		{"4x4MC2", Platform4x4MC2(Fixed8()), PaperOptions4x4MC2(Fixed8())},
-		{"8x8MC4", Platform8x8MC4(Float32()), PaperOptions8x8MC4(Float32())},
-		{"8x8MC8", Platform8x8MC8(Fixed8()), PaperOptions8x8MC8(Fixed8())},
-	} {
-		got, err := NewPlatform(tc.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.Mesh != tc.preset.Mesh || got.Geometry != tc.preset.Geometry ||
-			len(got.MCs) != len(tc.preset.MCs) {
-			t.Errorf("%s: bundle %+v differs from preset %+v", tc.name, got, tc.preset)
-		}
-		for i := range got.MCs {
-			if got.MCs[i] != tc.preset.MCs[i] {
-				t.Errorf("%s: MC %d = %d, preset %d", tc.name, i, got.MCs[i], tc.preset.MCs[i])
-			}
-		}
-	}
-}
-
 // TestNewPlatformPlacements exercises each placement policy end to end.
 func TestNewPlatformPlacements(t *testing.T) {
 	corners, err := NewPlatform(WithMesh(6, 6), WithMCCount(4), WithMCPlacement(MCCorners))
@@ -169,14 +141,14 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 }
 
-// TestPresetShimsDeferGeometryErrorsToNewEngine pins the v1 contract of
-// the deprecated preset constructors: an invalid geometry must not panic
-// at construction — the error surfaces from NewEngine, as it always did.
+// TestPresetShimsDeferGeometryErrorsToNewEngine pins the contract of the
+// paper presets' Build functions: an invalid geometry must not panic at
+// construction — the error surfaces from NewEngine, as it always did.
 func TestPresetShimsDeferGeometryErrorsToNewEngine(t *testing.T) {
 	bad := Geometry{LinkBits: 24, Format: Fixed8().Format} // odd lane count
-	cfg := Platform4x4MC2(bad)                             // must not panic
+	cfg := DefaultPlatform().Build(bad)                    // must not panic
 	if cfg.Mesh.Width != 4 || len(cfg.MCs) != 2 {
-		t.Errorf("shim fallback config malformed: %+v", cfg)
+		t.Errorf("preset fallback config malformed: %+v", cfg)
 	}
 	if _, err := NewEngine(cfg, LeNet(1)); err == nil ||
 		!strings.Contains(err.Error(), "lane") {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
 	"nocbt/internal/sweep"
 	"nocbt/internal/tensor"
@@ -44,10 +45,34 @@ type NamedPlatform struct {
 // order: 4×4/MC2, 8×8/MC4, 8×8/MC8.
 func PaperPlatforms() []NamedPlatform {
 	return []NamedPlatform{
-		{Name: "4x4 MC2", Build: Platform4x4MC2},
-		{Name: "8x8 MC4", Build: Platform8x8MC4},
-		{Name: "8x8 MC8", Build: Platform8x8MC8},
+		{Name: "4x4 MC2", Build: paper4x4MC2},
+		{Name: "8x8 MC4", Build: paper8x8MC4},
+		{Name: "8x8 MC8", Build: paper8x8MC8},
 	}
+}
+
+// paper4x4MC2, paper8x8MC4 and paper8x8MC8 build the paper presets with
+// NewPlatform. An invalid geometry falls back to the raw accel
+// constructor, so the error surfaces as NewEngine's descriptive validation
+// failure rather than as a construction panic.
+func paper4x4MC2(g Geometry) Platform {
+	return paperPlatform(PaperOptions4x4MC2(g), accel.Mesh4x4MC2, g)
+}
+
+func paper8x8MC4(g Geometry) Platform {
+	return paperPlatform(PaperOptions8x8MC4(g), accel.Mesh8x8MC4, g)
+}
+
+func paper8x8MC8(g Geometry) Platform {
+	return paperPlatform(PaperOptions8x8MC8(g), accel.Mesh8x8MC8, g)
+}
+
+func paperPlatform(opts []PlatformOption, raw func(Geometry) Platform, g Geometry) Platform {
+	cfg, err := NewPlatform(opts...)
+	if err != nil {
+		return raw(g)
+	}
+	return cfg
 }
 
 // LookupPaperPlatform resolves a case- and space-insensitive platform name
@@ -67,9 +92,7 @@ func LookupPaperPlatform(name string) (NamedPlatform, bool) {
 }
 
 // DefaultPlatform returns the paper's default 4×4/MC2 platform.
-func DefaultPlatform() NamedPlatform {
-	return NamedPlatform{Name: "4x4 MC2", Build: Platform4x4MC2}
-}
+func DefaultPlatform() NamedPlatform { return PaperPlatforms()[0] }
 
 // FixedPlatform adapts an already-built Platform (e.g. from NewPlatform)
 // into a sweep axis entry. The sweep's geometry axis still applies: each
