@@ -1,19 +1,13 @@
 package nocbt_test
 
-// One benchmark per paper table/figure plus the ablations listed in
-// DESIGN.md §6. Each bench does one full unit of the experiment per
+// One benchmark per paper table/figure plus ablations of the design choices
+// the paper leaves open (the BenchmarkAblation* group below). Each bench does one full unit of the experiment per
 // iteration and reports the paper's metric (BT/flit, reduction %, …) via
 // b.ReportMetric, so `go test -bench .` regenerates the evaluation's rows.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"nocbt"
@@ -23,7 +17,6 @@ import (
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
 	"nocbt/internal/hwmodel"
-	"nocbt/internal/noc"
 	"nocbt/internal/stats"
 	"nocbt/internal/tensor"
 )
@@ -197,7 +190,10 @@ func BenchmarkLinkPower(b *testing.B) {
 	_ = sink
 }
 
-// ---- Ablations (DESIGN.md §6) ------------------------------------------------
+// ---- Ablations ---------------------------------------------------------------
+// Packing, ordering direction and scope, in-band index cost, VC count, sort
+// network and bus-invert coding: each varies one choice that §III leaves open
+// and reports the BT it costs or saves.
 
 func randWords(n, width int, seed int64) []bitutil.Word {
 	rng := rand.New(rand.NewSource(seed))
@@ -440,295 +436,6 @@ func BenchmarkInferBatch(b *testing.B) {
 	b.ReportMetric(float64(st.Cycles)/float64(st.Inferences), "cycles/inference")
 	b.ReportMetric(st.Throughput(), "inf/kcycle")
 	b.ReportMetric(st.AvgLatencyCycles, "avg-latency-cycles")
-}
-
-// ---- BENCH_noc.json baseline --------------------------------------------------
-
-// stepBenchSim replicates internal/noc's Step benchmark workloads through
-// the package API so the baseline emitter can measure them from here.
-// topology/concentration select the interconnect scheme ("" = mesh); the
-// traffic pattern is identical across schemes so the per-topology section
-// compares stepping cost, not workload shape.
-func stepBenchSim(b *testing.B, idle bool, topology string, concentration int) {
-	s, err := noc.New(noc.Config{
-		Width: 8, Height: 8,
-		Topology: topology, Concentration: concentration,
-		VCs: 4, BufDepth: 4, LinkBits: 128,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var id uint64
-	mkPacket := func(src, dst int) *flit.Packet {
-		id++
-		payloads := make([]bitutil.Vec, 4)
-		for i := range payloads {
-			v := bitutil.NewVec(128)
-			v.SetField(0, 64, rng.Uint64())
-			v.SetField(64, 64, rng.Uint64())
-			payloads[i] = v
-		}
-		hdr := bitutil.NewVec(128)
-		hdr.SetField(0, 32, uint64(id))
-		return flit.NewPacket(id, src, dst, hdr, payloads)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch {
-		case idle && i%256 == 0:
-			if err := s.Inject(mkPacket(0, 63)); err != nil {
-				b.Fatal(err)
-			}
-		case !idle && i%16 == 0:
-			for n := 0; n < 64; n++ {
-				if err := s.Inject(mkPacket(n, (n+17)%64)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		s.Step()
-		if i%64 == 63 {
-			for n := 0; n < 64; n++ {
-				s.PopEjected(n)
-			}
-		}
-	}
-}
-
-// TestEmitNoCBenchBaseline regenerates the NoC benchmark baseline when
-// BENCH_NOC_JSON names an output path (CI does; see
-// .github/workflows/ci.yml). The committed BENCH_noc.json at the
-// repository root was produced this way, with the pre-optimization Step
-// numbers recorded alongside for comparison.
-func TestEmitNoCBenchBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_NOC_JSON")
-	if path == "" {
-		t.Skip("set BENCH_NOC_JSON=<path> to emit the benchmark baseline")
-	}
-	idle := testing.Benchmark(func(b *testing.B) { stepBenchSim(b, true, "", 0) })
-	busy := testing.Benchmark(func(b *testing.B) { stepBenchSim(b, false, "", 0) })
-
-	// Per-topology saturated stepping cost on the same 8×8 terminal grid and
-	// traffic pattern; "mesh" repeats the busy number so the section is
-	// self-contained.
-	perTopo := map[string]interface{}{}
-	for _, tc := range []struct {
-		name          string
-		topology      string
-		concentration int
-	}{{"mesh", "", 0}, {"torus", "torus", 0}, {"cmesh", "cmesh", 4}} {
-		r := testing.Benchmark(func(b *testing.B) { stepBenchSim(b, false, tc.topology, tc.concentration) })
-		perTopo[tc.name] = float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-
-	cfg, model, inputs := batchBenchWorkload(t)
-	serialEng, err := nocbt.NewEngine(cfg, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range inputs {
-		if _, err := serialEng.Infer(context.Background(), in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg.LayerMode = nocbt.PipelinedLayers
-	batchEng, err := nocbt.NewEngine(cfg, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := batchEng.InferBatch(context.Background(), inputs); err != nil {
-		t.Fatal(err)
-	}
-	st := batchEng.LastBatchStats()
-
-	// Precision axis headline: the same LeNet inference at each fixed lane
-	// width, O0/uncoded so the numbers isolate the width effect. Narrower
-	// lanes pack more values per 128-bit flit, so flits (and link energy)
-	// fall as the width shrinks.
-	precRows, err := nocbt.RunSweep(context.Background(), nocbt.SweepSpec{
-		Platforms:  []nocbt.NamedPlatform{nocbt.DefaultPlatform()},
-		Geometries: []nocbt.Geometry{nocbt.Fixed8()},
-		Orderings:  []nocbt.Ordering{nocbt.O0},
-		Codings:    []string{"none"},
-		Models:     []nocbt.SweepModel{nocbt.LeNetModel},
-		Seeds:      []int64{1},
-		Precisions: nocbt.FixedWidths(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	energy := hwmodel.DefaultEnergyParams()
-	perWidth := map[string]interface{}{}
-	for _, r := range precRows {
-		b := energy.Estimate(hwmodel.Activity{
-			MACBitOps:       r.MACBitOps,
-			WeightRegBits:   r.WeightRegBits,
-			DispatcherBits:  r.FlitBits,
-			LinkTransitions: r.TotalBT,
-		})
-		perWidth[fmt.Sprintf("%d", r.Precision)] = map[string]interface{}{
-			"total_bt":         r.TotalBT,
-			"flits":            r.Flits,
-			"pj_per_inference": b.TotalJ() * 1e12,
-		}
-	}
-
-	updates := map[string]interface{}{
-		"schema": "nocbt-bench-noc/v1",
-		"sim_step_ns_per_cycle": map[string]interface{}{
-			"idle_8x8":      float64(idle.T.Nanoseconds()) / float64(idle.N),
-			"saturated_8x8": float64(busy.T.Nanoseconds()) / float64(busy.N),
-		},
-		"sim_step_topology": map[string]interface{}{
-			"workload":               "saturated 8x8 terminal grid, 128-bit links, fixed-stride traffic",
-			"saturated_ns_per_cycle": perTopo,
-		},
-		"precision": map[string]interface{}{
-			"workload":  "LeNet untrained seed 1, 4x4 MC2, 128-bit links, O0/uncoded, uniform lane width",
-			"per_width": perWidth,
-		},
-		"infer": map[string]interface{}{
-			"workload":                  "micro 8-layer net, 8x8 MC8 fixed-8, PEComputeCycles=64, batch=8",
-			"serial_cycles":             serialEng.Cycles(),
-			"batch_cycles":              st.Cycles,
-			"speedup":                   float64(serialEng.Cycles()) / float64(st.Cycles),
-			"throughput_inf_per_kcycle": st.Throughput(),
-			"avg_latency_cycles":        st.AvgLatencyCycles,
-		},
-	}
-	if err := mergeBenchBaseline(path, updates); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}
-
-// mergeBenchBaseline folds the emitter-owned sections into whatever JSON
-// document already exists at path and writes the result back. Sections the
-// emitter does not own — the hand-curated sim_step_optimization history, the
-// pooling baseline the alloc regression guard reads, notes, and any future
-// keys — pass through untouched, so rerunning the emitter never erases them.
-// A missing file starts from an empty document.
-func mergeBenchBaseline(path string, updates map[string]interface{}) error {
-	doc := map[string]interface{}{}
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	case !os.IsNotExist(err):
-		return err
-	}
-	for k, v := range updates {
-		doc[k] = v
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// TestBenchBaselineMergePreservesCuratedSections is the round-trip pin for
-// the emitter's merge behavior: rerunning TestEmitNoCBenchBaseline over a
-// baseline file must replace only the sections the emitter owns and keep the
-// hand-curated ones (sim_step_optimization, pooling, note) byte-for-byte —
-// an emitter that clobbers the file erases the before/after optimization
-// history that cannot be regenerated.
-func TestBenchBaselineMergePreservesCuratedSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_noc.json")
-	curated := map[string]interface{}{
-		"schema": "nocbt-bench-noc/v0", // stale: the emitter owns this key
-		"note":   "hand-written commentary that must survive",
-		"sim_step_optimization": map[string]interface{}{
-			"before": map[string]interface{}{"BenchmarkStepSaturated8x8": map[string]interface{}{"ns_per_op": 999.0}},
-			"after":  map[string]interface{}{"BenchmarkStepSaturated8x8": map[string]interface{}{"ns_per_op": 111.0}},
-		},
-		"pooling": map[string]interface{}{
-			"after": map[string]interface{}{"BenchmarkStepSaturated8x8": map[string]interface{}{"allocs_per_op": 1.0}},
-		},
-		"flitize": map[string]interface{}{
-			"allocs_tolerance_per_op": 1.0,
-			"budgets":                 map[string]interface{}{"BenchmarkFlitizeRoundTrip4Bit": map[string]interface{}{"allocs_per_op": 0.0}},
-		},
-		"sim_step_ns_per_cycle": map[string]interface{}{"idle_8x8": 1.0}, // stale: emitter-owned
-	}
-	seed, err := json.Marshal(curated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, seed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	updates := map[string]interface{}{
-		"schema":                "nocbt-bench-noc/v1",
-		"sim_step_ns_per_cycle": map[string]interface{}{"idle_8x8": 2.0, "saturated_8x8": 3.0},
-		"sim_step_topology":     map[string]interface{}{"saturated_ns_per_cycle": map[string]interface{}{"torus": 5.0}},
-		"infer":                 map[string]interface{}{"serial_cycles": 7.0},
-	}
-	if err := mergeBenchBaseline(path, updates); err != nil {
-		t.Fatal(err)
-	}
-
-	read := func() map[string]interface{} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]interface{}{}
-		if err := json.Unmarshal(data, &got); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	got := read()
-	for _, curatedKey := range []string{"note", "sim_step_optimization", "pooling", "flitize"} {
-		if !reflect.DeepEqual(got[curatedKey], curated[curatedKey]) {
-			t.Errorf("curated section %q changed by merge:\ngot  %#v\nwant %#v", curatedKey, got[curatedKey], curated[curatedKey])
-		}
-	}
-	for updatedKey, want := range updates {
-		if !reflect.DeepEqual(got[updatedKey], want) {
-			t.Errorf("emitter-owned section %q not replaced:\ngot  %#v\nwant %#v", updatedKey, got[updatedKey], want)
-		}
-	}
-
-	// Round trip: merging the same updates again must be a fixed point.
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeBenchBaseline(path, updates); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("second merge with identical updates changed the file")
-	}
-
-	// The committed repo baseline must itself survive a no-op merge: its
-	// curated sections are exactly what the emitter must not own.
-	repoData, err := os.ReadFile("BENCH_noc.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repoDoc := map[string]interface{}{}
-	if err := json.Unmarshal(repoData, &repoDoc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := repoDoc["sim_step_optimization"]; !ok {
-		t.Error("committed BENCH_noc.json lost its sim_step_optimization history")
-	}
-	if _, ok := repoDoc["pooling"]; !ok {
-		t.Error("committed BENCH_noc.json has no pooling section for the alloc guard")
-	}
 }
 
 // ---- Micro-benchmarks of the hot paths ---------------------------------------

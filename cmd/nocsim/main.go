@@ -21,6 +21,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strconv"
+	"strings"
 
 	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
@@ -54,9 +56,14 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var w, h int
-	if _, err := fmt.Sscanf(*mesh, "%dx%d", &w, &h); err != nil {
-		return fmt.Errorf("bad -mesh %q: %w", *mesh, err)
+	ws, hs, ok := strings.Cut(*mesh, "x")
+	w, werr := strconv.Atoi(ws)
+	h, herr := strconv.Atoi(hs)
+	if !ok || werr != nil || herr != nil {
+		return fmt.Errorf("bad -mesh %q: want WxH, e.g. 4x4", *mesh)
+	}
+	if *packets < 0 || *flits < 0 {
+		return fmt.Errorf("-packets and -flits must be >= 0 (got %d, %d)", *packets, *flits)
 	}
 	topo, ok := noc.CanonicalTopologyName(*topology)
 	if !ok {

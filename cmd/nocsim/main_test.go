@@ -44,14 +44,21 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-mesh", "wide"}, &sb); err == nil || !strings.Contains(err.Error(), "bad -mesh") {
-		t.Errorf("bad mesh not rejected: %v", err)
-	}
-	if err := run([]string{"-mesh", "1x1", "-packets", "1"}, &sb); err == nil {
-		t.Error("1x1 mesh with traffic not rejected")
-	}
-	if err := run([]string{"-mesh", "0x4"}, &sb); err == nil {
-		t.Error("0-width mesh not rejected")
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-mesh", "wide"}, "bad -mesh"},
+		{[]string{"-mesh", "4x4junk"}, "bad -mesh"},
+		{[]string{"-mesh", "1x1", "-packets", "1"}, "1x1"},
+		{[]string{"-mesh", "0x4"}, "bad mesh 0x4"},
+		{[]string{"-flits", "-1"}, "-flits must be >= 0"},
+		{[]string{"-packets", "-5"}, "-packets and -flits must be >= 0"},
+	} {
+		var sb strings.Builder
+		err := run(tc.args, &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -1,11 +1,7 @@
 package noc
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"nocbt/internal/obs"
@@ -14,9 +10,9 @@ import (
 // The tracing-overhead benchmarks pair BenchmarkStepSaturated8x8 (tracing
 // disabled — the alloc-guard regime) with the same workload under a span
 // tracer at two sampling rates. One op is one simulated cycle; the deltas
-// are the per-cycle cost of packet-lifecycle spans. The committed numbers
-// live in BENCH_obs.json at the repository root, emitted by
-// TestEmitObsBenchBaseline.
+// are the per-cycle cost of packet-lifecycle spans. The disabled case is
+// held to 0 allocs/op by TestAllocRegressionGuard; run
+// `go test -bench 'StepSaturated8x8' ./internal/noc` to compare all three.
 
 // benchSimTraced is benchSim with a span tracer installed before the timer
 // starts: a 1<<16-span overwrite ring (the /debug/trace shape) sampling one
@@ -81,65 +77,4 @@ func BenchmarkStepSaturated8x8TraceSampled(b *testing.B) {
 func BenchmarkStepSaturated8x8TraceFull(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	benchSimTraced(b, 1, saturatedInject(b, rng))
-}
-
-// TestEmitObsBenchBaseline regenerates BENCH_obs.json when BENCH_OBS_JSON
-// names an output path (CI does; see .github/workflows/ci.yml): the
-// saturated-mesh per-cycle cost with tracing off, sampled 1-in-64, and
-// full, so the zero-cost-when-disabled claim is a number, not a comment.
-func TestEmitObsBenchBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_OBS_JSON")
-	if path == "" {
-		t.Skip("set BENCH_OBS_JSON=<path> to emit the observability benchmark baseline")
-	}
-	row := func(r testing.BenchmarkResult) map[string]interface{} {
-		return map[string]interface{}{
-			"ns_per_op":     float64(r.T.Nanoseconds()) / float64(r.N),
-			"allocs_per_op": r.AllocsPerOp(),
-		}
-	}
-	off := testing.Benchmark(BenchmarkStepSaturated8x8)
-	sampled := testing.Benchmark(BenchmarkStepSaturated8x8TraceSampled)
-	full := testing.Benchmark(BenchmarkStepSaturated8x8TraceFull)
-
-	updates := map[string]interface{}{
-		"schema": "nocbt-bench-obs/v1",
-		"tracing_overhead": map[string]interface{}{
-			"workload":        "BenchmarkStepSaturated8x8: 8x8 mesh, 128-bit links, every NI kept at 2 pending 5-flit packets; one op = one cycle. Tracer: 1<<16-span overwrite ring.",
-			"off":             row(off),
-			"sampled_1_in_64": row(sampled),
-			"full":            row(full),
-		},
-	}
-	if err := mergeObsBenchBaseline(path, updates); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}
-
-// mergeObsBenchBaseline folds the emitter-owned sections into the JSON
-// document at path (same discipline as the root bench emitter's
-// mergeBenchBaseline: unknown keys pass through, a missing file starts
-// empty).
-func mergeObsBenchBaseline(path string, updates map[string]interface{}) error {
-	doc := map[string]interface{}{}
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	case !os.IsNotExist(err):
-		return err
-	}
-	for k, v := range updates {
-		doc[k] = v
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

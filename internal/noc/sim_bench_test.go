@@ -12,8 +12,8 @@ import (
 // the mesh through: near-idle cycles (layer tails, PE compute latency),
 // the light 2-MC injection pattern of the 4×4 platform, and a saturated
 // mesh where every NI always has traffic queued. One benchmark op is one
-// simulated cycle, so ns/op is the per-cycle stepping cost; the paired
-// before/after numbers live in BENCH_noc.json at the repository root.
+// simulated cycle, so ns/op is the per-cycle stepping cost, and
+// TestAllocRegressionGuard holds every one of them to 0 allocs/op.
 
 // benchScratch is the reusable payload-slice header benchPacket assembles
 // packets through; Pool.Packet copies the vector handles into flits, so one
@@ -133,8 +133,7 @@ func saturatedBench(b *testing.B, topology string, concentration int) {
 	})
 }
 
-// BenchmarkStepSaturated8x8 is the saturated regime on the default mesh;
-// its allocs/op budget lives in BENCH_noc.json pooling.after.
+// BenchmarkStepSaturated8x8 is the saturated regime on the default mesh.
 func BenchmarkStepSaturated8x8(b *testing.B) { saturatedBench(b, "", 0) }
 
 // BenchmarkStepSaturatedTorus8x8 saturates the wraparound torus: the

@@ -3,9 +3,9 @@
 //
 // The paper uses LeNet trained on real data. That dataset is not available
 // in this offline reproduction, so we substitute a procedurally generated
-// digit-glyph classification task (documented in DESIGN.md): 5×7 LCD-style
-// digit glyphs rendered into the model's input shape with random placement,
-// brightness and noise. What the BT experiments consume is only the
+// digit-glyph classification task (SyntheticDigits in this file): 5×7
+// LCD-style digit glyphs rendered into the model's input shape with random
+// placement, brightness and noise. What the BT experiments consume is only the
 // *bit-level distribution* of converged weights — small magnitudes
 // concentrated near zero — which any converged digit classifier exhibits.
 package train

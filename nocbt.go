@@ -272,7 +272,7 @@ var _trained modelCache
 
 // TrainedLeNet returns LeNet-5 trained to convergence on the synthetic
 // digit-glyph dataset (the repository's substitute for the paper's trained
-// weights; see DESIGN.md §3). Training concentrates weight magnitudes near
+// weights; the internal/train package doc describes the dataset). Training concentrates weight magnitudes near
 // zero, which is the bit-level property the trained-weight experiments
 // measure. Results are memoized per seed: the first call trains for roughly
 // half a minute, later calls are free.

@@ -156,3 +156,45 @@ func TestPrecisionFewerFlitsSameAnswers(t *testing.T) {
 			fm, eng4.TotalFlits(), eng8.TotalFlits())
 	}
 }
+
+// TestPrecisionSweepPinsPerWidthBT pins the precision axis end to end: the
+// flits and total BT of one untrained LeNet inference (seed 1, default
+// platform, fixed-8 geometry, O0, uncoded) at each fixed lane width.
+// Narrower lanes pack more values per flit, so both fall with the width.
+func TestPrecisionSweepPinsPerWidthBT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs NoC inferences; skipped in -short mode")
+	}
+	rows, err := RunSweep(context.Background(), SweepSpec{
+		Platforms:  []NamedPlatform{DefaultPlatform()},
+		Geometries: []Geometry{Fixed8()},
+		Orderings:  []Ordering{O0},
+		Codings:    []string{"none"},
+		Models:     []SweepModel{LeNetModel},
+		Seeds:      []int64{1},
+		Precisions: FixedWidths(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]struct{ flits, bt int64 }{
+		2:  {50_240, 5_331_974},
+		4:  {64_870, 9_634_377},
+		8:  {92_400, 15_530_101},
+		16: {144_282, 27_913_966},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want one per width in %v", len(rows), FixedWidths())
+	}
+	for _, r := range rows {
+		w, ok := want[r.Precision]
+		if !ok {
+			t.Errorf("unexpected width %d", r.Precision)
+			continue
+		}
+		if r.Flits != w.flits || r.TotalBT != w.bt {
+			t.Errorf("width %d: flits %d, BT %d; want flits %d, BT %d",
+				r.Precision, r.Flits, r.TotalBT, w.flits, w.bt)
+		}
+	}
+}
