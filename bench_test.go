@@ -84,6 +84,13 @@ func BenchmarkFig10BitDistribution(b *testing.B) { benchExperimentText(b, "fig10
 
 func BenchmarkFig11BitDistribution(b *testing.B) { benchExperimentText(b, "fig11", nocbt.Params{}) }
 
+// BenchmarkTopologyQuick is the quick topology grid the bench harness's
+// topology-grid workload runs: O2 against hamming-nn and the Gray and
+// bus-invert codings on mesh, torus and cmesh.
+func BenchmarkTopologyQuick(b *testing.B) {
+	benchExperimentText(b, "topology", nocbt.Params{Seed: 1, Quick: true})
+}
+
 // ---- Fig. 12: NoC size sweep ----------------------------------------------
 
 // paperPlatform builds one of the paper's preset platforms from its option

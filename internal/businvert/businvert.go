@@ -17,30 +17,76 @@ import (
 )
 
 // Encoder holds the wire state of one link (payload wires plus one invert
-// line per segment).
+// line per segment). The invert lines are a word mask parallel to the
+// payload words, with every bit of an inverted segment set, so the wires
+// always carry payload XOR inv.
 type Encoder struct {
 	width    int
 	segBits  int
 	segments int
 	wire     bitutil.Vec
-	invWire  []bool
+	inv      []uint64
+
+	// SWAR constants of Drive's lane path (segBits <= 64), replicated
+	// across the segBits-wide lanes of a word.
+	rounds int    // pairwise-add rounds that turn bits into lane counts
+	msb    uint64 // top bit of every lane
+	gtAdd  uint64 // count + gtAdd sets the lane's top bit iff count > segBits/2
+	geAdd  uint64 // count + geAdd sets the lane's top bit iff count >= segBits/2
+}
+
+// laneMasks[i] selects the low half of every 2^(i+1)-bit lane: round i of
+// the SWAR count adds neighbouring 2^i-bit counts into 2^(i+1)-bit lanes.
+var laneMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// checkGeometry reports whether width-bit flits split into segBits-wide
+// segments that Drive can process word by word: segBits must divide 64
+// (several segments per word) or be a multiple of 64 (whole words per
+// segment), and width must be a multiple of segBits.
+func checkGeometry(width, segBits int) error {
+	if width <= 0 || segBits <= 0 || width%segBits != 0 || (64%segBits != 0 && segBits%64 != 0) {
+		return fmt.Errorf("businvert: bad geometry width=%d segBits=%d", width, segBits)
+	}
+	return nil
 }
 
 // NewEncoder builds a bus-invert encoder for width-bit flits using one
 // invert line per segBits-wide segment (classic bus-invert uses one line
 // for the whole bus; segmented bus-invert scales better for wide links).
-// width must be a multiple of segBits.
+// width must be a multiple of segBits, and segBits must divide 64 or be a
+// multiple of 64.
 func NewEncoder(width, segBits int) (*Encoder, error) {
-	if width <= 0 || segBits <= 0 || width%segBits != 0 {
-		return nil, fmt.Errorf("businvert: bad geometry width=%d segBits=%d", width, segBits)
+	if err := checkGeometry(width, segBits); err != nil {
+		return nil, err
 	}
-	return &Encoder{
+	e := &Encoder{
 		width:    width,
 		segBits:  segBits,
 		segments: width / segBits,
 		wire:     bitutil.NewVec(width),
-		invWire:  make([]bool, width/segBits),
-	}, nil
+		inv:      make([]uint64, (width+63)/64),
+	}
+	if segBits <= 64 {
+		var lsb uint64
+		for b := 0; b < 64; b += segBits {
+			lsb |= 1 << uint(b)
+		}
+		half := uint64(segBits / 2)
+		top := uint64(1) << uint(segBits-1)
+		e.rounds = bits.TrailingZeros(uint(segBits))
+		e.msb = lsb << uint(segBits-1)
+		e.gtAdd = lsb * (top - half - 1)
+		e.geAdd = lsb * (top - half)
+		if segBits == 1 {
+			// A one-bit segment never ties; half is 0, so geAdd would
+			// carry into the next lane.
+			e.geAdd = e.gtAdd
+		}
+	}
+	return e, nil
 }
 
 // ExtraLines returns the number of additional wires the encoding needs —
@@ -54,61 +100,76 @@ func (e *Encoder) ExtraLines() int { return e.segments }
 // should call Drive directly and skip the allocations.
 func (e *Encoder) Encode(v bitutil.Vec) (encoded bitutil.Vec, invert []bool, transitions int) {
 	transitions = e.Drive(v)
-	// After Drive the wires hold exactly the encoded pattern and invWire the
-	// chosen line values.
-	encoded = e.wire.Clone()
-	invert = append([]bool(nil), e.invWire...)
-	return encoded, invert, transitions
+	invert = make([]bool, e.segments)
+	for s := range invert {
+		off := s * e.segBits
+		invert[s] = e.inv[off/64]>>uint(off%64)&1 != 0
+	}
+	return e.wire.Clone(), invert, transitions
 }
 
 // Drive updates the bus state for payload v in place — no encoded copy, no
-// invert slice — and returns the transitions this beat caused. Each segment
-// is processed in 64-bit chunks: the Hamming distance to the current wires
-// is one XOR+popcount per chunk, and the (possibly inverted) segment is
-// written back the same way. Values are identical to Encode's; only the
-// allocations differ.
+// invert slice — and returns the transitions this beat caused. Values are
+// identical to Encode's; only the allocations differ.
+//
+// Segments up to one word wide are decided a word at a time with no
+// per-segment branch: x = payload XOR wire is counted in SWAR lanes one
+// segment wide, an add per lane sets the lane's top bit when its count
+// passes half the segment (or ties with the invert line already up), and
+// those top bits spread into the lane mask m. The wires become payload
+// XOR m; the beat costs popcount(x XOR m) payload flips plus one flip per
+// lane whose invert line changed. Wider segments sum whole-word popcounts.
 func (e *Encoder) Drive(v bitutil.Vec) (transitions int) {
 	if v.Width() != e.width {
 		panic(fmt.Sprintf("businvert: flit width %d, bus is %d", v.Width(), e.width))
 	}
-	for s := 0; s < e.segments; s++ {
-		off := s * e.segBits
-		// Hamming distance between the segment and the current wires.
+	payload, wire := v.Words(), e.wire.Words()
+	if e.segBits > 64 {
+		return e.driveWide(payload, wire)
+	}
+	wire, inv := wire[:len(payload)], e.inv[:len(payload)]
+	shift := uint(e.segBits - 1)
+	for k, p := range payload {
+		x := p ^ wire[k]
+		c := x
+		for r := 0; r < e.rounds; r++ {
+			c = c&laneMasks[r] + c>>(1<<uint(r))&laneMasks[r]
+		}
+		prev := inv[k]
+		gt := (c + e.gtAdd) & e.msb
+		tie := (c + e.geAdd) & e.msb &^ gt
+		up := gt | tie&prev
+		// Each lane's top bit, moved to its bottom bit, times the all-ones
+		// lane value fills the lane.
+		m := (up >> shift) * (^uint64(0) >> (63 - shift))
+		wire[k] = p ^ m
+		inv[k] = m
+		transitions += bits.OnesCount64(x^m) + bits.OnesCount64((m^prev)&e.msb)
+	}
+	return transitions
+}
+
+// driveWide is Drive for segments of segBits/64 whole words: the segment's
+// Hamming distance is the sum of its words' XOR popcounts, and the invert
+// mask of each of its words is all ones or all zeros.
+func (e *Encoder) driveWide(payload, wire []uint64) (transitions int) {
+	span := e.segBits / 64
+	half := e.segBits / 2
+	for k0 := 0; k0 < len(payload); k0 += span {
 		dist := 0
-		for b := 0; b < e.segBits; b += 64 {
-			w := e.segBits - b
-			if w > 64 {
-				w = 64
-			}
-			dist += bits.OnesCount64(v.Field(off+b, w) ^ e.wire.Field(off+b, w))
+		for k := k0; k < k0+span; k++ {
+			dist += bits.OnesCount64(payload[k] ^ wire[k])
 		}
-		// Invert when more than half the segment would toggle; ties keep
-		// the current invert-line value to avoid a gratuitous line flip.
-		doInvert := dist > e.segBits/2
-		if dist*2 == e.segBits {
-			doInvert = e.invWire[s]
-		}
-		if doInvert {
+		prev := e.inv[k0]
+		var m uint64
+		if dist > half || dist == half && prev != 0 {
+			m = ^uint64(0)
 			dist = e.segBits - dist
 		}
-		transitions += dist
-		if doInvert != e.invWire[s] {
-			transitions++ // the invert line itself toggles
-		}
-		e.invWire[s] = doInvert
-		for b := 0; b < e.segBits; b += 64 {
-			w := e.segBits - b
-			if w > 64 {
-				w = 64
-			}
-			chunk := v.Field(off+b, w)
-			if doInvert {
-				chunk = ^chunk
-				if w < 64 {
-					chunk &= 1<<uint(w) - 1
-				}
-			}
-			e.wire.SetField(off+b, w, chunk)
+		transitions += dist + int((m^prev)&1)
+		for k := k0; k < k0+span; k++ {
+			wire[k] = payload[k] ^ m
+			e.inv[k] = m
 		}
 	}
 	return transitions
@@ -116,18 +177,40 @@ func (e *Encoder) Drive(v bitutil.Vec) (transitions int) {
 
 // Decode recovers the original flit from an encoded pattern and its invert
 // lines — the receiver-side logic whose cost the ordering approach avoids.
+// It panics unless segBits is a geometry NewEncoder accepts for the
+// pattern's width and invert holds exactly one line per segment.
 func Decode(encoded bitutil.Vec, invert []bool, segBits int) bitutil.Vec {
+	if err := checkGeometry(encoded.Width(), segBits); err != nil {
+		panic(err.Error())
+	}
+	if segs := encoded.Width() / segBits; len(invert) != segs {
+		panic(fmt.Sprintf("businvert: %d invert lines, bus has %d segments", len(invert), segs))
+	}
 	out := encoded.Clone()
-	for s, inv := range invert {
-		if !inv {
-			continue
-		}
-		off := s * segBits
-		for b := 0; b < segBits; b++ {
-			out.SetBit(off+b, !out.Bit(off+b))
-		}
+	words := out.Words()
+	for k := range words {
+		words[k] ^= lineMask(invert, k, segBits)
 	}
 	return out
+}
+
+// lineMask returns the invert mask of backing word k: every bit of each
+// segment in that word whose invert line is up.
+func lineMask(invert []bool, k, segBits int) uint64 {
+	if segBits >= 64 {
+		if invert[k*64/segBits] {
+			return ^uint64(0)
+		}
+		return 0
+	}
+	ones := ^uint64(0) >> uint(64-segBits)
+	var m uint64
+	for s, b := k*64/segBits, 0; s < len(invert) && b < 64; s, b = s+1, b+segBits {
+		if invert[s] {
+			m |= ones << uint(b)
+		}
+	}
+	return m
 }
 
 // StreamTransitions encodes a whole flit stream and returns total
@@ -143,8 +226,7 @@ func StreamTransitions(flits []bitutil.Vec, segBits int) (int, error) {
 	}
 	total := 0
 	for _, f := range flits {
-		_, _, t := enc.Encode(f)
-		total += t
+		total += enc.Drive(f)
 	}
 	return total, nil
 }

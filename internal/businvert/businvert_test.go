@@ -24,7 +24,9 @@ func TestNewEncoderValidation(t *testing.T) {
 	if _, err := NewEncoder(128, 32); err != nil {
 		t.Errorf("valid geometry rejected: %v", err)
 	}
-	for _, bad := range [][2]int{{0, 8}, {128, 0}, {128, 33}} {
+	// {96, 24}: 24-bit segments neither divide a 64-bit word nor span
+	// whole words, so Drive could not count them lane-parallel.
+	for _, bad := range [][2]int{{0, 8}, {128, 0}, {128, 33}, {96, 24}, {192, 96}} {
 		if _, err := NewEncoder(bad[0], bad[1]); err == nil {
 			t.Errorf("geometry %v accepted", bad)
 		}
@@ -262,12 +264,12 @@ func (e *naiveEncoder) encode(v bitutil.Vec) (encoded bitutil.Vec, invert []bool
 }
 
 // TestDriveMatchesNaiveReference drives identical random streams through the
-// word-granular kernel and the per-bit reference and requires bit-identical
+// word-parallel kernel and the per-bit reference and requires bit-identical
 // wire state, invert lines and transition counts at every beat, across
-// geometries covering sub-word segments, word-aligned segments, straddling
-// segments and a segment wider than one backing word (the chunked path).
+// geometries covering every lane width, a partial last word, word-aligned
+// segments and segments wider than one backing word.
 func TestDriveMatchesNaiveReference(t *testing.T) {
-	for _, geo := range [][2]int{{8, 8}, {64, 8}, {128, 8}, {128, 32}, {128, 64}, {128, 128}, {256, 128}, {512, 8}, {96, 24}} {
+	for _, geo := range [][2]int{{8, 1}, {64, 2}, {100, 4}, {8, 8}, {64, 8}, {128, 8}, {48, 16}, {96, 32}, {128, 32}, {128, 64}, {128, 128}, {256, 128}, {384, 192}, {512, 8}} {
 		width, segBits := geo[0], geo[1]
 		fast, err := NewEncoder(width, segBits)
 		if err != nil {
@@ -339,4 +341,66 @@ func TestDriveAllocFree(t *testing.T) {
 		t.Errorf("Drive allocates %.1f objects per 32-flit run, want 0", avg)
 	}
 	_ = sink
+}
+
+// TestDecodeRejectsWrongLineCount: an invert slice shorter than the
+// segment count used to leave the trailing segments undecoded, a silently
+// wrong flit. Decode must refuse it, and a longer slice, outright.
+func TestDecodeRejectsWrongLineCount(t *testing.T) {
+	encoded := bitutil.NewVec(64)
+	for _, n := range []int{0, 7, 9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d invert lines for 8 segments: no panic", n)
+				}
+			}()
+			Decode(encoded, make([]bool, n), 8)
+		}()
+	}
+}
+
+// fuzzSegBits are the segment widths FuzzBusInvertDrive draws from: every
+// width dividing a 64-bit word, plus one spanning two words.
+var fuzzSegBits = [...]int{1, 2, 4, 8, 16, 32, 64, 128}
+
+// FuzzBusInvertDrive drives a fuzzed beat stream through Drive and the
+// per-bit reference on a fuzzed geometry NewEncoder accepts (at most 512
+// bits), and requires identical transitions, wire state and invert lines
+// after every beat.
+func FuzzBusInvertDrive(f *testing.F) {
+	f.Add(uint8(3), uint8(1), []byte{0xff, 0x0f, 0xf0, 0x0f, 0x00, 0x3c})
+	f.Add(uint8(0), uint8(7), []byte{0x01, 0xfe, 0x55, 0xaa})
+	f.Add(uint8(7), uint8(3), []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(uint8(5), uint8(2), make([]byte, 64))
+	f.Fuzz(func(t *testing.T, geo, segs uint8, data []byte) {
+		segBits := fuzzSegBits[int(geo)%len(fuzzSegBits)]
+		width := segBits * (1 + int(segs)%(512/segBits))
+		e, err := NewEncoder(width, segBits)
+		if err != nil {
+			t.Fatalf("geometry %d/%d rejected: %v", width, segBits, err)
+		}
+		naive := newNaiveEncoder(width, segBits)
+		for beat := 0; beat < 64 && len(data) > 0; beat++ {
+			v := bitutil.NewVec(width)
+			for b := 0; b < width && len(data) > 0; b += 8 {
+				w := min(8, width-b)
+				v.SetField(b, w, uint64(data[0]))
+				data = data[1:]
+			}
+			_, wantInv, wantT := naive.encode(v)
+			if got := e.Drive(v); got != wantT {
+				t.Fatalf("%d/%d beat %d: transitions %d, reference %d", width, segBits, beat, got, wantT)
+			}
+			if !e.wire.Equal(naive.wire) {
+				t.Fatalf("%d/%d beat %d: wire\n%s\nreference\n%s", width, segBits, beat, e.wire, naive.wire)
+			}
+			for b := 0; b < len(e.inv)*64; b++ {
+				want := b < width && wantInv[b/segBits]
+				if got := e.inv[b/64]>>uint(b%64)&1 != 0; got != want {
+					t.Fatalf("%d/%d beat %d: invert mask bit %d = %v, reference %v", width, segBits, beat, b, got, want)
+				}
+			}
+		}
+	})
 }

@@ -160,6 +160,10 @@ type Ordered struct {
 
 	// keys is the per-value popcount-bucket scratch of the counting sorts.
 	keys []uint8
+	// nnKeys and nnIdx are HammingNNOrder's scratch: each pair's masked
+	// (weight, input) key and its original index, walked-prefix first.
+	nnKeys []uint64
+	nnIdx  []int32
 }
 
 // resize sets dst's columns to n entries and its key scratch to keys,
@@ -216,17 +220,17 @@ func mustPair(weights, inputs []bitutil.Word) int {
 	return len(weights)
 }
 
-// HammingNNOrder orders pairs by a greedy nearest-neighbor walk over
-// inter-value Hamming distance, the ordering family of Li et al. ("Improving
-// Efficiency in Neural Network Accelerator Using Operands Hamming Distance
-// Optimization"): consecutive transmitted values should differ in as few bit
-// positions as possible, which directly minimizes the transitions their
-// lane experiences. The walk starts at the pair with the highest weight
-// popcount and repeatedly appends the unused pair minimizing
-// HD(weight) + HD(input) to the previous pick. Pairing is preserved, so like
-// AffiliatedOrder no recovery side-channel is needed. O(n²) in the task
-// size, the same order as the transposition sorting network it would replace
-// in hardware.
+// HammingNNOrder orders the (weight, input) pairs into dst by a greedy
+// nearest-neighbor walk over inter-value Hamming distance, the ordering
+// family of Li et al. ("Improving Efficiency in Neural Network Accelerator
+// Using Operands Hamming Distance Optimization"): consecutive transmitted
+// values should differ in as few bit positions as possible, which directly
+// minimizes the transitions their lane experiences. The walk starts at the
+// pair with the highest weight popcount and repeatedly appends the unused
+// pair minimizing HD(weight) + HD(input) to the previous pick. Pairing is
+// preserved, so like AffiliatedOrder no recovery side-channel is needed.
+// O(n²) in the task size, the same order as the transposition sorting
+// network it would replace in hardware.
 //
 // Tie-break rule (load-bearing for determinism and the pinned golden
 // outputs): both the anchor selection and every greedy step resolve ties in
@@ -238,67 +242,91 @@ func mustPair(weights, inputs []bitutil.Word) int {
 // interchangeable here — the walk is path-dependent — so this rule is part
 // of the strategy's wire-visible contract.
 //
-// When both values fit one machine word together (2·width ≤ 64) the pair is
-// precomputed into a packed key weight | input<<width, collapsing the inner
-// distance evaluation to a single XOR+popcount.
-func HammingNNOrder(pairs []Pair, width int) ([]Pair, []int) {
-	n := len(pairs)
+// The walk runs over a key table in dst's scratch: one key
+// weight | input<<width per pair when both fit one machine word together
+// (2·width ≤ 64), else a masked (weight, input) key pair, so a distance is
+// one or two XOR+popcounts. Picked pairs move to the front of the table and
+// the unused ones stay behind them in index order, which keeps the
+// tie-break a plain first-minimum scan; a scan stops early at distance 0.
+// A warm dst makes the walk allocation-free.
+func HammingNNOrder(dst *Ordered, weights, inputs []bitutil.Word, width int) {
+	n := mustPair(weights, inputs)
+	dst.resize(n, 0)
+	dst.PartnerIndex = nil
 	if n == 0 {
-		return nil, nil
+		return
 	}
-	var keys []uint64
-	if 2*width <= 64 {
-		mask := uint64(1)<<uint(width) - 1
-		keys = make([]uint64, n)
-		for i, p := range pairs {
-			keys[i] = uint64(p.Weight)&mask | (uint64(p.Input)&mask)<<uint(width)
-		}
+	if width <= 0 || width > maxWordBits {
+		panic(fmt.Sprintf("core: word width %d out of range", width))
 	}
-	used := make([]bool, n)
-	perm := make([]int, 0, n)
+	mask := ^uint64(0) >> uint(maxWordBits-width)
+	stride := 1
+	if 2*width > maxWordBits {
+		stride = 2
+	}
+	keys := slices.Grow(dst.nnKeys[:0], stride*n)[:stride*n]
+	idx := slices.Grow(dst.nnIdx[:0], n)[:n]
+	dst.nnKeys, dst.nnIdx = keys, idx
 	start, best := 0, -1
-	for i, p := range pairs {
-		if c := p.Weight.OnesCount(width); c > best {
+	for i := range idx {
+		w, in := uint64(weights[i])&mask, uint64(inputs[i])&mask
+		if stride == 1 {
+			keys[i] = w | in<<uint(width)
+		} else {
+			keys[2*i], keys[2*i+1] = w, in
+		}
+		idx[i] = int32(i)
+		if c := bits.OnesCount64(w); c > best {
 			start, best = i, c
 		}
 	}
-	cur := start
-	used[cur] = true
-	perm = append(perm, cur)
-	for len(perm) < n {
-		next, bestDist := -1, -1
-		if keys != nil {
-			ck := keys[cur]
-			for i := range keys {
-				if used[i] {
-					continue
-				}
-				d := bits.OnesCount64(ck ^ keys[i])
-				if next == -1 || d < bestDist {
-					next, bestDist = i, d
+	take(keys, idx, stride, 0, start)
+	for k := 1; k < n; k++ {
+		next := k
+		if stride == 1 {
+			ck, bestDist := keys[k-1], maxWordBits+1
+			for j := k; j < n; j++ {
+				if d := bits.OnesCount64(ck ^ keys[j]); d < bestDist {
+					next, bestDist = j, d
+					if d == 0 {
+						break
+					}
 				}
 			}
 		} else {
-			for i := range pairs {
-				if used[i] {
-					continue
-				}
-				d := pairs[cur].Weight.HammingDistance(pairs[i].Weight, width) +
-					pairs[cur].Input.HammingDistance(pairs[i].Input, width)
-				if next == -1 || d < bestDist {
-					next, bestDist = i, d
+			cw, ci, bestDist := keys[2*k-2], keys[2*k-1], 2*maxWordBits+1
+			for j := k; j < n; j++ {
+				if d := bits.OnesCount64(cw^keys[2*j]) + bits.OnesCount64(ci^keys[2*j+1]); d < bestDist {
+					next, bestDist = j, d
+					if d == 0 {
+						break
+					}
 				}
 			}
 		}
-		used[next] = true
-		perm = append(perm, next)
-		cur = next
+		take(keys, idx, stride, k, next)
 	}
-	ordered := make([]Pair, n)
-	for i, p := range perm {
-		ordered[i] = pairs[p]
+	for k, i := range idx {
+		dst.Weights[k] = weights[i]
+		dst.Inputs[k] = inputs[i]
 	}
-	return ordered, perm
+}
+
+// take moves the candidate at table position j to position k ≤ j, shifting
+// positions k..j-1 up by one so they keep their order.
+func take(keys []uint64, idx []int32, stride, k, j int) {
+	i := idx[j]
+	copy(idx[k+1:j+1], idx[k:j])
+	idx[k] = i
+	if stride == 1 {
+		key := keys[j]
+		copy(keys[k+1:j+1], keys[k:j])
+		keys[k] = key
+		return
+	}
+	w, in := keys[2*j], keys[2*j+1]
+	copy(keys[2*k+2:2*j+2], keys[2*k:2*j])
+	keys[2*k], keys[2*k+1] = w, in
 }
 
 // SeparatedOrder orders weights and inputs independently by descending

@@ -458,7 +458,7 @@ func TestHammingNNOrderProperties(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
 		pairs := ZipPairs(randWords(n, 8, rng), randWords(n, 8, rng))
-		ordered, perm := HammingNNOrder(pairs, 8)
+		ordered, perm := hammingNN(&Ordered{}, pairs, 8)
 		if len(ordered) != n || len(perm) != n {
 			t.Fatalf("length mismatch for n=%d", n)
 		}
@@ -481,15 +481,17 @@ func TestHammingNNOrderProperties(t *testing.T) {
 		if got := ordered[0].Weight.OnesCount(8); got != best {
 			t.Fatalf("walk starts at popcount %d, want max %d", got, best)
 		}
-		again, perm2 := HammingNNOrder(pairs, 8)
+		again, perm2 := hammingNN(&Ordered{}, pairs, 8)
 		for i := range again {
 			if again[i] != ordered[i] || perm2[i] != perm[i] {
 				t.Fatal("HammingNNOrder not deterministic")
 			}
 		}
 	}
-	if ordered, perm := HammingNNOrder(nil, 8); ordered != nil || perm != nil {
-		t.Error("empty input should order to nil")
+	var dst Ordered
+	HammingNNOrder(&dst, nil, nil, 8)
+	if len(dst.Weights) != 0 || len(dst.Inputs) != 0 || dst.PartnerIndex != nil {
+		t.Error("empty input should order to empty columns")
 	}
 }
 
@@ -509,13 +511,28 @@ func TestHammingNNOrderReducesAdjacentDistance(t *testing.T) {
 	var natural, greedy int
 	for trial := 0; trial < 100; trial++ {
 		pairs := ZipPairs(randWords(25, 8, rng), randWords(25, 8, rng))
-		ordered, _ := HammingNNOrder(pairs, 8)
+		ordered, _ := hammingNN(&Ordered{}, pairs, 8)
 		natural += adjacent(pairs)
 		greedy += adjacent(ordered)
 	}
 	if !(greedy < natural) {
 		t.Errorf("greedy adjacent distance %d not below natural %d", greedy, natural)
 	}
+}
+
+// hammingNN runs HammingNNOrder on pairs into dst and returns the ordered
+// pairs and the walk's permutation, read from dst's index scratch.
+func hammingNN(dst *Ordered, pairs []Pair, width int) ([]Pair, []int) {
+	weights, inputs := SplitPairs(pairs)
+	HammingNNOrder(dst, weights, inputs, width)
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	perm := make([]int, len(dst.nnIdx))
+	for k, i := range dst.nnIdx {
+		perm[k] = int(i)
+	}
+	return ZipPairs(dst.Weights, dst.Inputs), perm
 }
 
 // naiveHammingNN is the pre-packed-key reference walk, kept in the tests as
@@ -630,7 +647,7 @@ func TestHammingNNOrderTieBreak(t *testing.T) {
 				ins[i] = bitutil.Word(tc.inputs[i])
 			}
 			pairs := ZipPairs(ws, ins)
-			ordered, perm := HammingNNOrder(pairs, tc.width)
+			ordered, perm := hammingNN(&Ordered{}, pairs, tc.width)
 			for i := range tc.wantPerm {
 				if perm[i] != tc.wantPerm[i] {
 					t.Fatalf("perm = %v, want %v", perm, tc.wantPerm)
@@ -646,14 +663,16 @@ func TestHammingNNOrderTieBreak(t *testing.T) {
 // TestHammingNNOrderPackedMatchesNaive: the packed-key fast path (2·width ≤
 // 64) must walk exactly like the per-value reference for every width it
 // covers, and the generic path must equal the reference above the packing
-// limit.
+// limit. One destination serves every trial, so stale scratch from a larger
+// task must not leak into a smaller one.
 func TestHammingNNOrderPackedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
+	var dst Ordered
 	for _, width := range []int{4, 8, 16, 32, 64} {
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(30)
 			pairs := ZipPairs(randWords(n, width, rng), randWords(n, width, rng))
-			gotOrd, gotPerm := HammingNNOrder(pairs, width)
+			gotOrd, gotPerm := hammingNN(&dst, pairs, width)
 			wantOrd, wantPerm := naiveHammingNN(pairs, width)
 			for i := range wantPerm {
 				if gotPerm[i] != wantPerm[i] || gotOrd[i] != wantOrd[i] {
@@ -662,6 +681,61 @@ func TestHammingNNOrderPackedMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHammingNNOrderAllocFree: once a destination has grown to the task
+// size, the walk reuses its columns and key/index scratch and allocates
+// nothing, on both the packed and the key-pair path.
+func TestHammingNNOrderAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, width := range []int{8, 64} {
+		weights, inputs := randWords(200, width, rng), randWords(200, width, rng)
+		var dst Ordered
+		HammingNNOrder(&dst, weights, inputs, width)
+		avg := testing.AllocsPerRun(20, func() {
+			HammingNNOrder(&dst, weights, inputs, width)
+		})
+		if avg != 0 {
+			t.Errorf("width %d: HammingNNOrder allocates %.1f objects in a warm destination, want 0", width, avg)
+		}
+	}
+}
+
+// FuzzHammingNNOrder compares the walk with the per-value reference on
+// fuzzed tasks of up to 300 pairs. Values are drawn from a small fuzzed
+// alphabet, so anchor and step ties are the common case, and one
+// destination is reused for two differently sized tasks per input.
+func FuzzHammingNNOrder(f *testing.F) {
+	f.Add(uint8(2), uint16(40), uint8(3), int64(1))
+	f.Add(uint8(5), uint16(300), uint8(1), int64(2))
+	f.Add(uint8(0), uint16(7), uint8(255), int64(3))
+	f.Fuzz(func(t *testing.T, widthSel uint8, size uint16, alphabet uint8, seed int64) {
+		width := []int{2, 4, 8, 16, 32, 64}[int(widthSel)%6]
+		rng := rand.New(rand.NewSource(seed))
+		values := randWords(1+int(alphabet)%16, width, rng)
+		draw := func(n int) []Pair {
+			pairs := make([]Pair, n)
+			for i := range pairs {
+				pairs[i] = Pair{Weight: values[rng.Intn(len(values))], Input: values[rng.Intn(len(values))]}
+			}
+			return pairs
+		}
+		var dst Ordered
+		n := int(size) % 301
+		for _, m := range []int{n, n / 3} {
+			pairs := draw(m)
+			gotOrd, gotPerm := hammingNN(&dst, pairs, width)
+			wantOrd, wantPerm := naiveHammingNN(pairs, width)
+			if len(gotPerm) != len(wantPerm) || len(dst.Weights) != m {
+				t.Fatalf("width %d n %d: %d-entry walk, reference %d", width, m, len(gotPerm), len(wantPerm))
+			}
+			for i := range wantPerm {
+				if gotPerm[i] != wantPerm[i] || gotOrd[i] != wantOrd[i] {
+					t.Fatalf("width %d n %d: perm %v, reference %v", width, m, gotPerm, wantPerm)
+				}
+			}
+		}
+	})
 }
 
 // TestAscendingAffiliatedOrderMatchesStableSort pins the packed-key sort to

@@ -22,6 +22,7 @@ package flit
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -307,15 +308,7 @@ func init() {
 		}))
 	MustRegisterOrdering(NewOrderingStrategy("O1", Affiliated, true, false, core.AffiliatedOrder))
 	MustRegisterOrdering(NewOrderingStrategy("O2", Separated, true, true, core.SeparatedOrder))
-	MustRegisterOrdering(NewOrderingStrategy("hamming-nn", HammingNN, true, false,
-		func(dst *Ordered, w, in []bitutil.Word, laneBits int) {
-			ordered, _ := core.HammingNNOrder(core.ZipPairs(w, in), laneBits)
-			dst.Weights, dst.Inputs, dst.PartnerIndex = dst.Weights[:0], dst.Inputs[:0], nil
-			for _, p := range ordered {
-				dst.Weights = append(dst.Weights, p.Weight)
-				dst.Inputs = append(dst.Inputs, p.Input)
-			}
-		}))
+	MustRegisterOrdering(NewOrderingStrategy("hamming-nn", HammingNN, true, false, core.HammingNNOrder))
 	MustRegisterOrdering(NewOrderingStrategy("popcount-asc", PopcountAsc, true, false, core.AscendingAffiliatedOrder))
 
 	MustRegisterLinkCoding(grayScheme{})
@@ -335,28 +328,39 @@ func (grayScheme) New(width int) (LinkCoding, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("flit: gray coding on non-positive width %d", width)
 	}
-	return &grayCoding{wire: bitutil.NewVec(width), enc: bitutil.NewVec(width)}, nil
+	return &grayCoding{wire: bitutil.NewVec(width)}, nil
 }
 
-// grayCoding is the per-link Gray-coded wire state. wire holds the pattern
-// currently on the wires, enc is the encode scratch; after each beat the two
-// swap roles, so the per-flit transform allocates nothing (a saturated mesh
+// grayCoding is the per-link Gray-coded wire state: wire holds the pattern
+// currently on the wires. Each beat encodes, counts and stores one word at
+// a time, so the per-flit transform allocates nothing (a saturated mesh
 // runs this once per flit per link).
 type grayCoding struct {
-	wire, enc bitutil.Vec
+	wire bitutil.Vec
 }
 
 func (c *grayCoding) Transitions(payload bitutil.Vec) int {
-	GrayEncodeInto(payload, c.enc)
-	t := c.wire.Transitions(c.enc)
-	c.wire, c.enc = c.enc, c.wire
+	if payload.Width() != c.wire.Width() {
+		panic(fmt.Sprintf("flit: gray coding %d-bit flit on %d-bit wires", payload.Width(), c.wire.Width()))
+	}
+	src, wire := payload.Words(), c.wire.Words()
+	t := 0
+	for k, w := range src {
+		hi := uint64(0)
+		if k+1 < len(src) {
+			hi = src[k+1] << 63
+		}
+		enc := w ^ (w>>1 | hi)
+		t += bits.OnesCount64(wire[k] ^ enc)
+		wire[k] = enc
+	}
 	return t
 }
 
 // GrayEncode returns the bitwise Gray transform of v: out[i] = v[i] XOR
 // v[i+1] for i below the MSB, out[msb] = v[msb]. Exported so tests and
-// offline trace recounts can reproduce the on-wire pattern; hot paths use
-// GrayEncodeInto with a reused destination instead.
+// offline trace recounts can reproduce the on-wire pattern; the link coder
+// computes the same transform word by word as it counts.
 func GrayEncode(v bitutil.Vec) bitutil.Vec {
 	out := bitutil.NewVec(v.Width())
 	GrayEncodeInto(v, out)

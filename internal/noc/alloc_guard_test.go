@@ -20,12 +20,14 @@ func TestAllocRegressionGuard(t *testing.T) {
 		t.Skip("set BENCH_ALLOC_GUARD=1 to run the allocation regression guard")
 	}
 	for name, fn := range map[string]func(*testing.B){
-		"BenchmarkStepIdle8x8":           BenchmarkStepIdle8x8,
-		"BenchmarkStepAccelLike8x8":      BenchmarkStepAccelLike8x8,
-		"BenchmarkStepSaturated8x8":      BenchmarkStepSaturated8x8,
-		"BenchmarkStepSaturatedTorus8x8": BenchmarkStepSaturatedTorus8x8,
-		"BenchmarkStepSaturatedCMesh8x8": BenchmarkStepSaturatedCMesh8x8,
-		"BenchmarkStepSaturated4x4Wide":  BenchmarkStepSaturated4x4Wide,
+		"BenchmarkStepIdle8x8":               BenchmarkStepIdle8x8,
+		"BenchmarkStepAccelLike8x8":          BenchmarkStepAccelLike8x8,
+		"BenchmarkStepSaturated8x8":          BenchmarkStepSaturated8x8,
+		"BenchmarkStepSaturated8x8BusInvert": BenchmarkStepSaturated8x8BusInvert,
+		"BenchmarkStepSaturated8x8Gray":      BenchmarkStepSaturated8x8Gray,
+		"BenchmarkStepSaturatedTorus8x8":     BenchmarkStepSaturatedTorus8x8,
+		"BenchmarkStepSaturatedCMesh8x8":     BenchmarkStepSaturatedCMesh8x8,
+		"BenchmarkStepSaturated4x4Wide":      BenchmarkStepSaturated4x4Wide,
 	} {
 		r := testing.Benchmark(fn)
 		if got := r.AllocsPerOp(); got != 0 {

@@ -43,16 +43,25 @@ func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Ra
 	return pool.Packet(id, src, dst, hdr, benchScratch)
 }
 
-// benchSim steps the configured interconnect for b.N cycles; inject is
-// called every cycle and may queue new packets, pop drains ejected packets
-// periodically — recycling them into the pool, as the accelerator's PE/MC
-// consumers do — so NI reassembly queues stay bounded and flits keep
-// circulating.
-func benchSim(b *testing.B, cfg Config, inject func(s *Sim, cycle int64)) {
+// benchSim steps the configured interconnect for b.N cycles with the named
+// link coding ("" for uncoded); inject is called every cycle and may queue
+// new packets, pop drains ejected packets periodically — recycling them
+// into the pool, as the accelerator's PE/MC consumers do — so NI
+// reassembly queues stay bounded and flits keep circulating.
+func benchSim(b *testing.B, cfg Config, coding string, inject func(s *Sim, cycle int64)) {
 	b.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if coding != "" {
+		scheme, ok := flit.LookupLinkCoding(coding)
+		if !ok {
+			b.Fatalf("unknown link coding %q", coding)
+		}
+		if err := s.SetLinkCoding(scheme); err != nil {
+			b.Fatal(err)
+		}
 	}
 	nodes := s.Config().Nodes()
 	b.ReportAllocs()
@@ -74,7 +83,7 @@ func benchSim(b *testing.B, cfg Config, inject func(s *Sim, cycle int64)) {
 func BenchmarkStepIdle8x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var id uint64
-	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, "", func(s *Sim, cycle int64) {
 		if cycle%256 == 0 {
 			id++
 			if err := s.Inject(benchPacket(s, id, 0, 63, 5, 128, rng)); err != nil {
@@ -91,7 +100,7 @@ func BenchmarkStepAccelLike8x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var id uint64
 	mcs := []int{0, 63}
-	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, "", func(s *Sim, cycle int64) {
 		if cycle%8 != 0 {
 			return
 		}
@@ -108,13 +117,14 @@ func BenchmarkStepAccelLike8x8(b *testing.B) {
 // saturatedBench keeps every NI's injection queue on an 8×8 terminal grid
 // topped up with 5-flit packets to uniform-random destinations: the
 // heavy-traffic regime where per-flit cost, not idle skipping, dominates.
-// Parameterized on the topology so mesh, torus (dateline VCs) and cmesh
-// (shared concentrated routers) all stay on the allocation-free hot path.
-func saturatedBench(b *testing.B, topology string, concentration int) {
+// Parameterized on the topology and link coding so mesh, torus (dateline
+// VCs), cmesh (shared concentrated routers) and coded links all stay on the
+// allocation-free hot path.
+func saturatedBench(b *testing.B, topology string, concentration int, coding string) {
 	rng := rand.New(rand.NewSource(3))
 	var id uint64
 	cfg := Config{Width: 8, Height: 8, Topology: topology, Concentration: concentration, VCs: 4, BufDepth: 4, LinkBits: 128}
-	benchSim(b, cfg, func(s *Sim, cycle int64) {
+	benchSim(b, cfg, coding, func(s *Sim, cycle int64) {
 		if cycle%16 != 0 {
 			return
 		}
@@ -134,15 +144,22 @@ func saturatedBench(b *testing.B, topology string, concentration int) {
 }
 
 // BenchmarkStepSaturated8x8 is the saturated regime on the default mesh.
-func BenchmarkStepSaturated8x8(b *testing.B) { saturatedBench(b, "", 0) }
+func BenchmarkStepSaturated8x8(b *testing.B) { saturatedBench(b, "", 0, "") }
+
+// BenchmarkStepSaturated8x8BusInvert saturates the mesh with segmented
+// bus-invert on every link: each hop runs the Drive kernel per flit.
+func BenchmarkStepSaturated8x8BusInvert(b *testing.B) { saturatedBench(b, "", 0, "businvert") }
+
+// BenchmarkStepSaturated8x8Gray saturates the mesh with Gray-coded links.
+func BenchmarkStepSaturated8x8Gray(b *testing.B) { saturatedBench(b, "", 0, "gray") }
 
 // BenchmarkStepSaturatedTorus8x8 saturates the wraparound torus: the
 // dateline VC-class split must not push flits off the pooled path.
-func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0) }
+func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0, "") }
 
 // BenchmarkStepSaturatedCMesh8x8 saturates the concentrated mesh (4 NIs
 // per router): higher local-port contention, same allocation budget.
-func BenchmarkStepSaturatedCMesh8x8(b *testing.B) { saturatedBench(b, "cmesh", 4) }
+func BenchmarkStepSaturatedCMesh8x8(b *testing.B) { saturatedBench(b, "cmesh", 4, "") }
 
 // BenchmarkStepSaturated4x4Wide is the float-32 flavour: a 4×4 mesh with
 // 512-bit links under sustained traffic from its two MC corners.
@@ -150,7 +167,7 @@ func BenchmarkStepSaturated4x4Wide(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	var id uint64
 	mcs := []int{0, 15}
-	benchSim(b, Config{Width: 4, Height: 4, VCs: 4, BufDepth: 4, LinkBits: 512}, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 4, Height: 4, VCs: 4, BufDepth: 4, LinkBits: 512}, "", func(s *Sim, cycle int64) {
 		if cycle%16 != 0 {
 			return
 		}
