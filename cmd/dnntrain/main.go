@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -34,7 +35,7 @@ func run(args []string, stdout io.Writer) error {
 	modelName := fs.String("model", "lenet", "lenet or darknet")
 	samples := fs.Int("samples", 300, "training samples")
 	epochs := fs.Int("epochs", 8, "training epochs")
-	lr := fs.Float64("lr", 0.002, "learning rate")
+	lr := fs.Float64("lr", 0.002, "learning rate (finite, > 0)")
 	seed := fs.Int64("seed", 1, "init/dataset seed")
 	holdout := fs.Int("holdout", 200, "holdout samples for the final accuracy")
 	if err := fs.Parse(args); err != nil {
@@ -46,6 +47,11 @@ func run(args []string, stdout io.Writer) error {
 	if *samples < 1 || *epochs < 1 || *holdout < 1 {
 		return fmt.Errorf("-samples, -epochs and -holdout must be >= 1 (got %d, %d, %d)",
 			*samples, *epochs, *holdout)
+	}
+	// train.Config reads a zero LR as "use the default", so 0 must be
+	// rejected here rather than silently train at another rate.
+	if lr32 := float32(*lr); !(lr32 > 0) || math.IsInf(float64(lr32), 0) {
+		return fmt.Errorf("-lr must be a finite positive float32 (got %g)", *lr)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

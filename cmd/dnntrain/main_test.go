@@ -61,3 +61,33 @@ func TestRunRejectsDegenerateSizes(t *testing.T) {
 		}
 	}
 }
+
+func TestRunRejectsBadLearningRate(t *testing.T) {
+	for _, lr := range []string{
+		"0",      // train.Config would replace it with the 0.01 default
+		"-0",     // likewise
+		"-1",     // ascends the loss
+		"NaN",    // poisons every weight
+		"+Inf",   // likewise
+		"1e39",   // overflows float32 to +Inf
+		"1e-50",  // underflows float32 to 0
+		"-1e-50", // underflows to -0
+	} {
+		var sb strings.Builder
+		err := run([]string{"-lr", lr, "-samples", "1", "-epochs", "1", "-holdout", "1"}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-lr must be a finite positive float32") {
+			t.Errorf("-lr %s not rejected: %v", lr, err)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("-lr %s: trained before rejecting:\n%s", lr, sb.String())
+		}
+	}
+}
+
+func TestRunAcceptsSmallLearningRate(t *testing.T) {
+	var sb strings.Builder
+	// The smallest positive float32 is a valid, if useless, rate.
+	if err := run([]string{"-lr", "1.5e-45", "-samples", "2", "-epochs", "1", "-holdout", "2"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -174,7 +174,7 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
-// AddScaled adds s*other element-wise in place (the SGD update primitive).
+// AddScaled adds s*other element-wise in place.
 func (t *Tensor) AddScaled(other *Tensor, s float32) {
 	if len(other.Data) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: AddScaled size mismatch %d vs %d", len(t.Data), len(other.Data)))

@@ -71,6 +71,8 @@ func (c Config) withDefaults() Config {
 // Trainer runs SGD with momentum over a model.
 type Trainer struct {
 	cfg      Config
+	params   []*tensor.Tensor // m.Params(), fixed for the model's lifetime
+	grads    []*tensor.Tensor // m.Grads(), matching params
 	velocity []*tensor.Tensor
 	model    *dnn.Model
 }
@@ -83,7 +85,7 @@ func NewTrainer(m *dnn.Model, cfg Config) *Trainer {
 	for i, p := range params {
 		vel[i] = tensor.New(p.Shape()...)
 	}
-	return &Trainer{cfg: cfg, velocity: vel, model: m}
+	return &Trainer{cfg: cfg, params: params, grads: m.Grads(), velocity: vel, model: m}
 }
 
 // EpochStats summarizes one training epoch.
@@ -105,18 +107,39 @@ func (t *Trainer) Step(s Sample) (float64, bool) {
 	m.ZeroGrads()
 	m.Backward(grad)
 
-	params := m.Params()
-	grads := m.Grads()
-	for i, p := range params {
-		v := t.velocity[i]
-		v.Scale(t.cfg.Momentum)
-		v.AddScaled(grads[i], -t.cfg.LR)
-		if t.cfg.WeightDecay != 0 {
-			v.AddScaled(p, -t.cfg.LR*t.cfg.WeightDecay)
-		}
-		p.AddScaled(v, 1)
+	for i, p := range t.params {
+		t.update(p.Data, t.grads[i].Data, t.velocity[i].Data)
 	}
 	return loss, correct
+}
+
+// update applies one momentum step to a parameter in a single pass. Each
+// element must see the float32 operations, in order, of the tensor passes
+//
+//	v.Scale(momentum); v.AddScaled(g, −lr); [v.AddScaled(p, −lr·decay);] p.AddScaled(v, 1)
+//
+// (TestStepMatchesTensorOps holds it to them). The explicit conversions
+// round where those passes store to memory, so no architecture can fuse a
+// multiply of one pass with an add of the next.
+func (t *Trainer) update(p, g, v []float32) {
+	mom, negLR := t.cfg.Momentum, -t.cfg.LR
+	negDecay := -t.cfg.LR * t.cfg.WeightDecay
+	g, v = g[:len(p)], v[:len(p)]
+	// Test WeightDecay itself, as the old pass did: the product can
+	// underflow to 0 and its pass would still have run.
+	if t.cfg.WeightDecay == 0 {
+		for j, pj := range p {
+			vj := float32(float32(v[j]*mom) + negLR*g[j])
+			v[j] = vj
+			p[j] = pj + vj
+		}
+		return
+	}
+	for j, pj := range p {
+		vj := float32(float32(float32(v[j]*mom)+negLR*g[j]) + negDecay*pj)
+		v[j] = vj
+		p[j] = pj + vj
+	}
 }
 
 // Epoch shuffles the dataset and runs one pass of single-sample SGD.
