@@ -18,8 +18,7 @@
 // -seeds/-batches, and widen the strategy axes with -orderings (any
 // registered ordering strategy) and -codings (none/gray/businvert). The
 // codings experiment compares every registered (ordering × link coding)
-// combination on the paper workloads. The deprecated -json flag emits the
-// sweep's legacy row-array JSON; -format json emits the structured
+// combination on the paper workloads. -format json emits the structured
 // experiment Result.
 package main
 
@@ -67,7 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	codings := fs.String("codings", "", "sweep: comma-separated link codings from none,gray,businvert (default: none)")
 	precisions := fs.String("precisions", "", "sweep: comma-separated fixed-point lane widths from 2,4,8,16 (default: the geometry's own format)")
 	topologies := fs.String("topology", "", "sweep: comma-separated interconnect topologies from mesh,torus,cmesh (default: the platform's own mesh)")
-	asJSON := fs.Bool("json", false, "sweep: emit the legacy row-array JSON instead of a table")
 	traceOut := fs.String("trace", "", "write packet/layer spans as Chrome trace-event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -105,12 +103,6 @@ func run(args []string, stdout io.Writer) error {
 	renderAs, err := nocbt.ParseFormat(*format)
 	if err != nil {
 		return err
-	}
-	if *asJSON && renderAs != nocbt.Text {
-		return fmt.Errorf("pass either the legacy -json flag or -format %s, not both", *format)
-	}
-	if *asJSON && exp != "sweep" {
-		return fmt.Errorf("-json applies only to the sweep experiment; use -format json for %q", exp)
 	}
 
 	params := nocbt.Params{Seed: *seed, Trained: *trained, Quick: *quick}
@@ -181,23 +173,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		return emit(sb.String())
-	}
-
-	// The deprecated -json flag keeps the sweep's legacy output shape: a
-	// bare array of rows rather than the structured Result.
-	if exp == "sweep" && *asJSON {
-		rows, err := nocbt.RunSweep(ctx, *params.Sweep)
-		if err != nil {
-			return err
-		}
-		var jb strings.Builder
-		if err := nocbt.WriteSweepJSON(&jb, rows); err != nil {
-			return err
-		}
-		if err := writeTrace(); err != nil {
-			return err
-		}
-		return emit(strings.TrimRight(jb.String(), "\n") + "\n")
 	}
 
 	res, err := nocbt.RunExperiment(ctx, exp, params)

@@ -90,14 +90,6 @@ func TestRunFormatErrors(t *testing.T) {
 	if err := run([]string{"-run", "fig1", "fig1"}, &sb); err == nil {
 		t.Error("-run plus positional experiment not rejected")
 	}
-	if err := run([]string{"-json", "-format", "csv", "-run", "sweep"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "not both") {
-		t.Errorf("-json with explicit -format not rejected: %v", err)
-	}
-	if err := run([]string{"-json", "-run", "fig1"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "applies only to the sweep") {
-		t.Errorf("-json on a non-sweep experiment not rejected: %v", err)
-	}
 }
 
 // TestRunOutputFile pins -o: the rendering lands in the file, not stdout.
@@ -251,19 +243,28 @@ func TestRunSweepJSON(t *testing.T) {
 		t.Skip("runs 3 NoC inferences; skipped in -short mode")
 	}
 	var sb strings.Builder
-	err := run([]string{"-quick", "-json", "-platforms", "4x4", "-formats", "fixed8", "sweep"}, &sb)
+	err := run([]string{"-quick", "-format", "json", "-platforms", "4x4", "-formats", "fixed8", "sweep"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &rows); err != nil {
-		t.Fatalf("sweep -json emitted invalid JSON: %v\n%s", err, sb.String())
+	var res nocbt.Result
+	if err := json.Unmarshal([]byte(sb.String()), &res); err != nil {
+		t.Fatalf("sweep -format json emitted invalid JSON: %v\n%s", err, sb.String())
 	}
-	if len(rows) != 3 {
-		t.Fatalf("expected 3 rows (one per ordering), got %d", len(rows))
+	if res.Experiment != "sweep" || len(res.Tables) != 1 {
+		t.Fatalf("sweep result %q has %d tables, want one:\n%s", res.Experiment, len(res.Tables), sb.String())
 	}
-	if rows[0]["platform"] != "4x4 MC2" || rows[0]["format"] != "fixed-8" {
-		t.Errorf("unexpected sweep row: %v", rows[0])
+	tbl := res.Tables[0]
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("expected 3 rows (one per ordering), got %d", len(tbl.Rows))
+	}
+	col := make(map[string]int, len(tbl.Columns))
+	for i, c := range tbl.Columns {
+		col[c] = i
+	}
+	row := tbl.Rows[0]
+	if row[col["Platform"]] != "4x4 MC2" || row[col["Format"]] != "fixed-8" || row[col["Ordering"]] != "O0" {
+		t.Errorf("unexpected sweep row %v (columns %v)", row, tbl.Columns)
 	}
 }
 

@@ -2,9 +2,7 @@ package accel
 
 import (
 	"fmt"
-	"slices"
 
-	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
@@ -23,9 +21,34 @@ type mcFeed struct {
 	next int // index in run.segs of the next segment to send
 }
 
+// feedAt returns MC m's feed over run, of the tasks m, m+|MCs|, …; next
+// is -1 when the run has no task for m.
+func feedAt(run *layerRun, m int) mcFeed {
+	fd := mcFeed{run: run, task: m, next: -1}
+	if m < run.layer.ntasks {
+		fd.next = int(run.segStart[m])
+	}
+	return fd
+}
+
+// step moves fd to its MC's next segment of the run, reporting false (and
+// setting next to -1) when the run has none left.
+func (fd *mcFeed) step(mcs int) bool {
+	if fd.next++; fd.next < int(fd.run.segStart[fd.task+1]) {
+		return true
+	}
+	if fd.task += mcs; fd.task < fd.run.layer.ntasks {
+		fd.next = int(fd.run.segStart[fd.task])
+		return true
+	}
+	fd.next = -1
+	return false
+}
+
 // dispatch is the memory-controller side of the scheduler: it assigns a
-// layer's tasks to MCs and PEs, reserves the layer's packet IDs and queues
-// its segments at their MCs. feedMCs then streams them out.
+// layer's tasks to MCs and PEs, reserves the layer's packet IDs, queues
+// its segments at their MCs and hands the run to the encode-ahead helper.
+// feedMCs then streams them out.
 //
 // Task ti is owned by MC ti mod |MCs| and computed by PE
 // (ti div |MCs|) mod |PEs| — both round-robin, spreading load the way a
@@ -71,10 +94,11 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 	e.nextPacketID += uint64(len(run.segs))
 	for m := range e.cfg.MCs {
 		if m < nl.ntasks {
-			s.feeds[m] = append(s.feeds[m], mcFeed{run: run, task: m, next: int(run.segStart[m])})
+			s.feeds[m] = append(s.feeds[m], feedAt(run, m))
 		}
 	}
 	s.activeRuns = append(s.activeRuns, run)
+	e.ahead.push(run)
 	return run, nil
 }
 
@@ -90,16 +114,12 @@ func (s *scheduler) feedMCs() error {
 		q := s.feeds[m]
 		for held := e.sim.Pending(mc); held < mcQueueDepth && len(q) > 0; held++ {
 			fd := &q[0]
-			if err := s.send(fd.run, fd.next, mc); err != nil {
+			if err := s.send(fd.run, fd.next, m); err != nil {
 				return err
 			}
-			if fd.next++; fd.next == int(fd.run.segStart[fd.task+1]) {
-				if fd.task += len(mcs); fd.task < fd.run.layer.ntasks {
-					fd.next = int(fd.run.segStart[fd.task])
-				} else {
-					q[0] = mcFeed{} // let the finished run go
-					q = q[1:]
-				}
+			if !fd.step(len(mcs)) {
+				q[0] = mcFeed{} // let the finished run go
+				q = q[1:]
 			}
 		}
 		s.feeds[m] = q
@@ -107,47 +127,35 @@ func (s *scheduler) feedMCs() error {
 	return nil
 }
 
-// send encodes, orders and flitizes segment k of run at MC mc and injects
-// its task packet.
-func (s *scheduler) send(run *layerRun, k, mc int) error {
+// send injects the task packet of segment k of run at MC m, the MC's next
+// segment. The helper has usually encoded it already (ahead.go); if not,
+// send encodes it here.
+func (s *scheduler) send(run *layerRun, k, m int) error {
 	e := s.e
+	a := e.ahead
+	mc := e.cfg.MCs[m]
 	sg := &run.segs[k]
 	ti, n := int(sg.task), int(sg.pairs)
 	pe := e.pes[(ti/len(e.cfg.MCs))%len(e.pes)]
-	e.wScratch = slices.Grow(e.wScratch[:0], n)[:n]
-	e.xScratch = slices.Grow(e.xScratch[:0], n)[:n]
-	run.layer.gather(ti, int(sg.seg)*e.cfg.MaxSegmentPairs, e.wScratch, e.xScratch)
-	var bias bitutil.Word
-	if k+1 == int(run.segStart[ti+1]) {
-		bias = run.layer.bias(ti) // only the final segment carries the bias
-	}
-	// Flitize through the engine scratch and the simulator's flit pool: the
-	// payload vectors, flit structs and packet shell all come from
-	// free-lists once the engine is warm.
+	// The payload vectors come from the simulator's flit pool in the order
+	// FlitizeInto draws them — data flits, index flits, then the header —
+	// whichever goroutine encoded the segment.
 	pool := e.sim.Pool()
-	fz := &e.fzScratch
-	// Any partner-emitting strategy (O2 or a registered kin) ships its
-	// re-pairing table out-of-band unless the configuration pays for
-	// in-band index flits. An out-of-band table rides with its segment
-	// until the PE decodes the packet, so each packet orders into a table
-	// of its own, lent from the tables the PEs have handed back. An
-	// in-band table is encoded into index flits at once and reused in
-	// place.
-	oob := e.strategy.EmitsPartner() && !e.cfg.InBandIndex
-	if oob {
-		fz.PartnerIndex = nil
-		if free := len(e.partnerFree); free > 0 {
-			fz.PartnerIndex = e.partnerFree[free-1]
-			e.partnerFree = e.partnerFree[:free-1]
+	payloads := e.payloadScratch[:0]
+	// partner is where the encoded segment's out-of-band partner table sits.
+	var partner *[]int
+	slot := a.take(m)
+	if slot != nil {
+		payloads = slot.code.appendVecs(payloads, pool, a.wpf)
+		partner = &slot.code.partner
+	} else {
+		if err := a.encode(&a.inline, run, k, pool); err != nil {
+			return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, sg.seg, err)
 		}
+		payloads = a.inline.fz.AppendPayloads(payloads)
+		partner = &a.inline.fz.PartnerIndex
 	}
-	if err := flit.FlitizeInto(run.geom, flit.Task{
-		Inputs:  e.xScratch,
-		Weights: e.wScratch,
-		Bias:    bias,
-	}, flit.Options{Ordering: e.cfg.Ordering, InBandIndex: e.cfg.InBandIndex}, pool, fz); err != nil {
-		return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, sg.seg, err)
-	}
+	e.payloadScratch = payloads
 	pid := run.base + uint64(k)
 	hdr := pool.Vec()
 	flit.EncodeHeaderInto(flit.Header{
@@ -156,10 +164,23 @@ func (s *scheduler) send(run *layerRun, k, mc int) error {
 		Kind: flit.KindTask, PairCount: uint16(n),
 		Ordering: e.cfg.Ordering,
 	}, hdr)
-	e.payloadScratch = fz.AppendPayloads(e.payloadScratch[:0])
-	pkt := pool.Packet(pid, mc, pe, hdr, e.payloadScratch)
-	if oob {
-		sg.partner, fz.PartnerIndex = fz.PartnerIndex, nil
+	pkt := pool.Packet(pid, mc, pe, hdr, payloads)
+	// Any partner-emitting strategy (O2 or a registered kin) ships its
+	// re-pairing table out-of-band unless the configuration pays for
+	// in-band index flits. An out-of-band table rides with its segment
+	// until the PE decodes the packet, so each packet orders into a table
+	// of its own: the segment takes the encoded table, and the slot or
+	// encoder it came from gets one the PEs have handed back. An in-band
+	// table is encoded into index flits at once and reused in place.
+	if a.oob {
+		sg.partner, *partner = *partner, nil
+		if free := len(e.partnerFree); free > 0 {
+			*partner = e.partnerFree[free-1]
+			e.partnerFree = e.partnerFree[:free-1]
+		}
+	}
+	if slot != nil {
+		a.release(slot)
 	}
 	sg.state = segSent
 	if err := e.sim.Inject(pkt); err != nil {

@@ -64,22 +64,21 @@ type Engine struct {
 
 	lastBatch BatchStats
 
-	// Flitization/deflitization scratch, reused across every packet the
-	// engine ever builds or decodes so a warm engine's dispatch and PE
-	// paths stop allocating (the backing vectors come from the simulator's
-	// flit pool).
-	fzScratch      flit.Flitized
+	// Packet building and deflitization scratch, reused across every
+	// packet the engine ever builds or decodes so a warm engine's dispatch
+	// and PE paths stop allocating (the backing vectors come from the
+	// simulator's flit pool). partnerScratch holds the in-band partner
+	// table being decoded.
 	payloadScratch []bitutil.Vec
 	peScratch      []bitutil.Vec
 	deflitScratch  flit.Task
-	// wScratch and xScratch hold the weight and input words of the segment
-	// being flitized; partnerScratch the in-band partner table being
-	// decoded.
-	wScratch, xScratch []bitutil.Word
-	partnerScratch     []int
+	partnerScratch []int
 	// partnerFree holds the out-of-band partner tables the PEs are done
-	// with; send lends one to FlitizeInto for each new packet's table.
+	// with; send hands one to the encode-ahead slot it takes.
 	partnerFree [][]int
+	// ahead is the MC codec's encode-ahead ring (ahead.go), built by the
+	// first scheduler and reused by every later one.
+	ahead *encodeAhead
 
 	// aborted records the error of a run that died after dispatching
 	// traffic; once set, the mesh state is indeterminate and the engine

@@ -5,8 +5,9 @@ package accel
 // cycle loop:
 //
 //   - the dispatcher (dispatcher.go) queues a layer's tasks at its memory
-//     controllers, which flitize and inject each task packet just in time,
-//     when their NI has room for it;
+//     controllers, which inject each task packet just in time, when their
+//     NI has room for it; a helper goroutine encodes (gathers, orders and
+//     flitizes) the segments ahead of them (ahead.go);
 //   - the PE model (exec.go, pumpPEs) consumes task packets at processing
 //     elements, multiply-accumulates, and schedules result packets after
 //     the configured compute latency;
@@ -25,6 +26,7 @@ package accel
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
@@ -69,6 +71,9 @@ type layerRun struct {
 	segStart []int32
 	segs     []segment
 	received int
+	// queued links the run dispatched after this one, for the
+	// encode-ahead helper (ahead.go).
+	queued atomic.Pointer[layerRun]
 
 	deadline   int64
 	startCycle int64
@@ -188,6 +193,10 @@ func newScheduler(ctx context.Context, e *Engine, flows []*flow) *scheduler {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if e.ahead == nil {
+		e.ahead = newEncodeAhead(e)
+	}
+	e.ahead.reset()
 	return &scheduler{
 		ctx:     ctx,
 		e:       e,
@@ -218,6 +227,10 @@ func (s *scheduler) run() error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
+	// The helper encodes segments ahead while this goroutine simulates;
+	// it is joined before run returns, on every path.
+	s.e.ahead.start()
+	defer s.e.ahead.halt()
 	if s.e.cfg.LayerMode == SerialLayers {
 		for i := range s.flows {
 			if err := s.execute(s.flows[i : i+1]); err != nil {
@@ -369,7 +382,7 @@ func (s *scheduler) finishLayer(run *layerRun) error {
 //	mac               [firstEject, lastReady]  PE multiply-accumulate
 //	collect           [lastReady, end]   results return and reduce
 //
-// The MCs flitize each segment as their NI frees up, so flitization itself
+// Segments are flitized ahead of their MC's sends, so flitization itself
 // streams across the whole layer, overlapping route, mac and collect; the
 // quantize+flitize window marks only the dispatch cycle. The boundaries
 // are clamped monotone so degenerate layers (everything in one cycle)

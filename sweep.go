@@ -3,7 +3,6 @@ package nocbt
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 
@@ -341,11 +340,6 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 // SweepReport renders sweep rows with the standard table formatter.
 func SweepReport(rows []NoCRunResult) string {
 	return sweep.RenderTable(toInternalResults(rows))
-}
-
-// WriteSweepJSON emits sweep rows as an indented JSON array.
-func WriteSweepJSON(w io.Writer, rows []NoCRunResult) error {
-	return sweep.WriteJSON(w, toInternalResults(rows))
 }
 
 func toInternalResults(rows []NoCRunResult) []sweep.Result {
