@@ -276,6 +276,27 @@ func (e *Engine) SetSpanTracer(t *obs.Tracer) {
 	e.spanPID = e.sim.SpanPID()
 }
 
+// CountCodings counts each named link coding on every crossing of the
+// engine's mesh beside its own LinkCoding, which keeps driving TotalBT
+// (see noc.Sim.CountCodings). Codings are numbered in installation order
+// across calls; CodedBT(i) reads coding i. Call it before the first
+// inference.
+func (e *Engine) CountCodings(names ...string) error {
+	schemes := make([]flit.LinkCodingScheme, len(names))
+	for i, name := range names {
+		scheme, ok := flit.LookupLinkCoding(name)
+		if !ok {
+			return fmt.Errorf("accel: unknown link coding %q (registered: %v)", name, flit.LinkCodingNames())
+		}
+		schemes[i] = scheme
+	}
+	return e.sim.CountCodings(schemes...)
+}
+
+// CodedBT returns the accumulated transitions of the i-th coding installed
+// by CountCodings, over the same links as TotalBT.
+func (e *Engine) CodedBT(i int) int64 { return e.sim.CodedBT(i) }
+
 // layerFormat returns the lane format of NoC layer idx (the geometry
 // format for indices beyond the resolved schedule, which cannot happen on
 // a validated engine).

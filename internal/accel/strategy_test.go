@@ -117,3 +117,61 @@ func TestEngineRejectsUnknownStrategyAndCoding(t *testing.T) {
 		t.Errorf("unregistered coding = %v, want a descriptive error", err)
 	}
 }
+
+// TestEngineCountCodingsMatchesCodedEngines: the extra codings an engine
+// counts beside its own equal, inference for inference, the TotalBT of
+// engines that run each coding as their own — for every ordering, under a
+// plain and under a gray primary. Unknown names and late installs fail.
+func TestEngineCountCodingsMatchesCodedEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	m := tinyNet(rng)
+	x := testInput(m, 28)
+	for _, strat := range flit.OrderingStrategies() {
+		bt := make(map[string]int64)
+		for _, coding := range flit.LinkCodingNames() {
+			cfg := Mesh4x4MC2(paperFixed8)
+			cfg.Ordering, cfg.LinkCoding = strat.ID(), coding
+			eng := mustNew(t, cfg, m)
+			for range 2 {
+				if _, err := eng.Infer(context.Background(), x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bt[coding] = eng.TotalBT()
+		}
+		for _, primary := range []string{"none", "gray"} {
+			cfg := Mesh4x4MC2(paperFixed8)
+			cfg.Ordering, cfg.LinkCoding = strat.ID(), primary
+			eng := mustNew(t, cfg, m)
+			var extras []string
+			for _, coding := range flit.LinkCodingNames() {
+				if coding != primary {
+					extras = append(extras, coding)
+				}
+			}
+			if err := eng.CountCodings(extras...); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 { // counts accumulate across inferences, like TotalBT
+				if _, err := eng.Infer(context.Background(), x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := eng.TotalBT(); got != bt[primary] {
+				t.Errorf("%s/%s: TotalBT %d with extras, want %d", strat.Name(), primary, got, bt[primary])
+			}
+			for i, coding := range extras {
+				if got := eng.CodedBT(i); got != bt[coding] {
+					t.Errorf("%s/%s: CodedBT(%s) %d, want its own engine's %d", strat.Name(), primary, coding, got, bt[coding])
+				}
+			}
+			if err := eng.CountCodings("gray"); err == nil {
+				t.Errorf("%s/%s: CountCodings accepted after an inference", strat.Name(), primary)
+			}
+		}
+	}
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
+	if err := eng.CountCodings("huffman"); err == nil || !strings.Contains(err.Error(), "unknown link coding") {
+		t.Errorf("CountCodings(huffman) = %v, want a descriptive error", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
@@ -45,6 +46,10 @@ type Link struct {
 	Name string
 	// Class is the link's position in the topology.
 	Class LinkClass
+	// id is the link's index in the simulator's link slab; it also indexes
+	// the per-Sim slabs of extra link codings (see Sim.CountCodings). It
+	// sits in Class's padding, so it does not grow Link.
+	id int32
 
 	// wire is the current wire state, one word per 64 payload bits
 	// (starts all-zero).
@@ -106,6 +111,90 @@ func (s *Sim) transmit(l *Link, f *flit.Flit) {
 	l.sent++
 	l.inFlight = f
 	s.busy = append(s.busy, l)
+	if len(s.coded) != 0 {
+		s.countCodings(l, f.Payload)
+	}
+}
+
+// countCodings drives a crossing's payload through every extra coding of
+// link l (see CountCodings): coding k of link i sits at k·len(links) + i.
+func (s *Sim) countCodings(l *Link, payload bitutil.Vec) {
+	for j := int(l.id); j < len(s.coded); j += len(s.links) {
+		s.codedBT[j] += int64(s.coded[j].Transitions(payload))
+	}
+}
+
+// plainCoding counts plain binary transitions: it stands in for "none"
+// among the extra codings when the primary coding is something else.
+type plainCoding struct {
+	wire []uint64
+}
+
+func (c *plainCoding) Transitions(payload bitutil.Vec) int {
+	d := 0
+	for i, w := range payload.Words() {
+		d += bits.OnesCount64(c.wire[i] ^ w)
+		c.wire[i] = w
+	}
+	return d
+}
+
+// CountCodings counts each scheme's transitions on every link crossing
+// beside the installed link coding, which keeps driving BT, Stats and
+// TotalBT. A link coding changes only how toggles are counted, never a
+// packet or a cycle, so one simulation measures every coding of the same
+// traffic. Extra codings are numbered in installation order across calls;
+// CodedBT(i) reads coding i. A nil scheme counts plain binary transitions.
+// Install before any traffic, like SetLinkCoding; if a scheme rejects the
+// link width, nothing from this call is installed.
+func (s *Sim) CountCodings(schemes ...flit.LinkCodingScheme) error {
+	if s.cycle != 0 || s.Busy() {
+		return fmt.Errorf("noc: extra link codings must be installed before any traffic")
+	}
+	n, words := len(s.links), (s.cfg.LinkBits+63)/64
+	plains := 0
+	for _, scheme := range schemes {
+		if scheme == nil {
+			plains++
+		}
+	}
+	plain := make([]plainCoding, plains*n)
+	wires := make([]uint64, len(plain)*words)
+	coded := make([]flit.LinkCoding, len(s.coded), len(s.coded)+len(schemes)*n)
+	copy(coded, s.coded)
+	p := 0 // next plain coder
+	for _, scheme := range schemes {
+		for i := range s.links {
+			if scheme == nil {
+				c := &plain[p]
+				c.wire = wires[p*words : (p+1)*words : (p+1)*words]
+				p++
+				coded = append(coded, c)
+				continue
+			}
+			c, err := scheme.New(s.cfg.LinkBits)
+			if err != nil {
+				return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), s.links[i].Name, err)
+			}
+			coded = append(coded, c)
+		}
+	}
+	s.coded = coded
+	s.codedBT = append(s.codedBT, make([]int64, len(coded)-len(s.codedBT))...)
+	return nil
+}
+
+// CodedBT returns extra coding i's transitions (see CountCodings) over
+// exactly the links TotalBT counts: router and ejection links, plus
+// injection links when the configuration counts them.
+func (s *Sim) CodedBT(i int) int64 {
+	var total int64
+	for j, bt := range s.codedBT[i*len(s.links) : (i+1)*len(s.links)] {
+		if s.links[j].Class != InjectionLink || s.cfg.CountInjection {
+			total += bt
+		}
+	}
+	return total
 }
 
 // BT returns the accumulated bit transitions on this link.

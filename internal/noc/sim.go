@@ -74,6 +74,13 @@ type Sim struct {
 	latencyMax int64
 	delivered  int64
 
+	// coded holds the per-link state of the extra link codings counted
+	// beside the installed one (CountCodings): extra coding k of link i is
+	// coded[k·len(links) + i], and codedBT[k·len(links) + i] is its
+	// transition count. Both stay nil unless CountCodings is called.
+	coded   []flit.LinkCoding
+	codedBT []int64
+
 	// observer, when set, receives the inject, hop and eject events of
 	// every flit: the TraceFunc packet trace and the span tracer's packet
 	// lifecycle. It is nil unless one of them is installed, so an
@@ -181,7 +188,7 @@ func New(cfg Config) (*Sim, error) {
 	addLink := func(class LinkClass) *Link {
 		i := len(s.links)
 		nameEnd[i] = len(names)
-		s.links = append(s.links, Link{Class: class, wire: wires[i*words : (i+1)*words : (i+1)*words]})
+		s.links = append(s.links, Link{Class: class, id: int32(i), wire: wires[i*words : (i+1)*words : (i+1)*words]})
 		return &s.links[i]
 	}
 	node := func(prefix string, id int) {

@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"nocbt/internal/flit"
 	"nocbt/internal/noc"
@@ -11,59 +9,50 @@ import (
 )
 
 // Result is one measured grid point. The string fields duplicate the typed
-// Geometry/Ordering so the JSON form is self-describing without leaking the
-// internal types into serialized output.
+// Geometry/Ordering in display form.
 type Result struct {
-	Platform     string        `json:"platform"`
-	Workload     string        `json:"workload"`
-	Model        string        `json:"model"`
-	Geometry     flit.Geometry `json:"-"`
-	Format       string        `json:"format"`
-	LinkBits     int           `json:"link_bits"`
-	Ordering     flit.Ordering `json:"-"`
-	OrderingName string        `json:"ordering"`
+	Platform     string
+	Workload     string
+	Model        string
+	Geometry     flit.Geometry
+	Format       string
+	LinkBits     int
+	Ordering     flit.Ordering
+	OrderingName string
 	// Coding is the link coding's display name ("none" when uncoded).
-	Coding string `json:"coding"`
-	// Topology is the canonical interconnect name ("" = the default mesh,
-	// omitted from JSON so pre-topology rows are unchanged).
-	Topology string `json:"topology,omitempty"`
-	Seed     int64  `json:"seed"`
+	Coding string
+	// Topology is the canonical interconnect name ("" = the default mesh).
+	Topology string
+	Seed     int64
 	// Batch is the inference batch size of the run (1 = serial Infer).
-	Batch int `json:"batch"`
+	Batch int
 	// Precision is the uniform lane-width override the job swept (0 when
 	// the precision axis was unused — the geometry's own format applied).
-	Precision int   `json:"precision,omitempty"`
-	TotalBT   int64 `json:"total_bt"`
-	Cycles    int64 `json:"cycles"`
-	Packets   int64 `json:"packets"`
+	Precision int
+	TotalBT   int64
+	Cycles    int64
+	Packets   int64
 	// Flits counts total injected flits (task and result packets, headers
 	// included) — the traffic volume narrower precisions shrink.
-	Flits int64 `json:"flits,omitempty"`
+	Flits int64
 	// RouterFlits counts router-to-router link traversals; divided by Flits
 	// it is the mean hop count, the distance metric topologies trade
 	// against wiring (torus wrap links cut it, cmesh concentration too).
-	RouterFlits int64 `json:"router_flits,omitempty"`
+	RouterFlits int64
 	// MACBitOps, WeightRegBits and FlitBits are the engine's per-component
 	// activity counters (see accel.EnergyCounters); together with TotalBT
 	// (= link transitions) they price a per-component energy estimate.
-	MACBitOps     int64 `json:"mac_bit_ops,omitempty"`
-	WeightRegBits int64 `json:"weight_reg_bits,omitempty"`
-	FlitBits      int64 `json:"flit_bits,omitempty"`
+	MACBitOps     int64
+	WeightRegBits int64
+	FlitBits      int64
 	// Throughput is inferences per thousand simulated cycles;
 	// AvgLatencyCycles is the mean per-inference latency. For batch 1 both
 	// degenerate to the single inference's cycle count.
-	Throughput       float64 `json:"throughput_inf_per_kcycle"`
-	AvgLatencyCycles float64 `json:"avg_latency_cycles"`
+	Throughput       float64
+	AvgLatencyCycles float64
 	// ReductionPct is relative to the group's Baseline run (0 when the
 	// sweep did not include the Baseline ordering).
-	ReductionPct float64 `json:"reduction_pct"`
-}
-
-// WriteJSON emits the results as an indented JSON array.
-func WriteJSON(w io.Writer, results []Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	ReductionPct float64
 }
 
 // RenderTable renders the results with the repository's standard table

@@ -40,13 +40,14 @@ type runner struct {
 	workloads map[workloadKey]*workloadEntry
 }
 
-// Run executes every job of the spec on a bounded worker pool and returns
-// one Result per job in expansion order. A job error aborts the sweep:
-// already-running jobs finish, still-queued jobs are skipped, and the
-// lowest-index error that was actually recorded is returned. Cancelling
-// the context aborts the sweep promptly — workers stop picking up jobs,
-// in-flight inferences bail between simulator cycles, and Run returns
-// ctx.Err().
+// Run executes every job of the spec and returns one Result per job in
+// expansion order. Jobs that differ only in their coding form a coding
+// group (see codingGroups); each group is one engine and one simulation on
+// a bounded worker pool. A job error aborts the sweep: already-running
+// groups finish, still-queued groups are skipped, and the lowest-index
+// error that was actually recorded is returned. Cancelling the context
+// aborts the sweep promptly — workers stop picking up groups, in-flight
+// inferences bail between simulator cycles, and Run returns ctx.Err().
 func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -55,37 +56,37 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 		return nil, err
 	}
 	jobs := spec.Jobs()
+	groups := codingGroups(jobs)
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 
 	r := &runner{workloads: make(map[workloadKey]*workloadEntry)}
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var failed atomic.Bool
-	ch := make(chan Job)
+	ch := make(chan []Job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range ch {
+			for group := range ch {
 				if failed.Load() || ctx.Err() != nil {
 					continue // drain the queue without running
 				}
-				results[job.Index], errs[job.Index] = r.runJob(ctx, job)
-				if errs[job.Index] != nil {
+				if !r.runGroup(ctx, group, results, errs) {
 					failed.Store(true)
 				}
 			}
 		}()
 	}
-	for _, job := range jobs {
-		ch <- job
+	for _, group := range groups {
+		ch <- group
 	}
 	close(ch)
 	wg.Wait()
@@ -102,6 +103,37 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	}
 	fillReductions(results)
 	return results, nil
+}
+
+// codingGroups splits the jobs into coding groups: jobs equal in every
+// coordinate but Coding, each group in expansion order and the groups in
+// the order of their first jobs. A link coding changes only how the
+// wires' toggles are counted, never a packet, a cycle or an output, so a
+// group needs one simulation however many codings it lists.
+func codingGroups(jobs []Job) [][]Job {
+	type key struct {
+		seed      int64
+		batch     int
+		workload  string
+		geometry  flit.Geometry
+		precision int
+		platform  string
+		topology  string
+		ordering  flit.Ordering
+	}
+	index := make(map[key]int)
+	var groups [][]Job
+	for _, j := range jobs {
+		k := key{j.Seed, j.Batch, j.Workload.Name, j.Geometry, j.Precision, j.Platform.Name, j.Topology, j.Ordering}
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], j)
+	}
+	return groups
 }
 
 // workload returns the memoized materialization for the job's (workload,
@@ -126,14 +158,24 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 	return e
 }
 
-// runJob measures one grid point: build the platform, clone the shared
-// model for race-free inference, run it through the NoC. Batch sizes above
-// one share the mesh between all inferences via Engine.InferBatch; size one
-// keeps the classic serial Infer path.
-func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
+// runGroup measures one coding group on one engine and writes each job's
+// Result, or its error, at the job's index; it reports whether every job
+// succeeded. The group's first job sets the engine's own LinkCoding; every
+// other coding is counted on the same link crossings (Engine.CountCodings),
+// so a job's Result is the group's with its own Coding and TotalBT.
+// runGroup builds the platform, clones the shared model for race-free
+// inference and runs it through the NoC. Batch sizes above one share the
+// mesh between all inferences via Engine.InferRepeated; size one keeps the
+// classic serial Infer path.
+func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, errs []error) bool {
+	job := group[0]
+	fail := func(j Job, err error) bool {
+		errs[j.Index] = err
+		return false
+	}
 	entry := r.workload(job.Workload, job.Seed)
 	if entry.err != nil {
-		return Result{}, entry.err
+		return fail(job, entry.err)
 	}
 	cfg := job.Platform.Build(job.Geometry)
 	cfg.Ordering = job.Ordering
@@ -144,17 +186,22 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 		// row label, the engine keeps the geometry's own format).
 		cfg.Precisions = []int{precision}
 	}
-	if job.Coding != "" {
-		// A listed coding — "none" included — overrides the platform's own
-		// LinkCoding; an empty axis value keeps it.
-		cfg.LinkCoding = job.Coding
+	// A listed coding — "none" included — overrides the platform's own
+	// LinkCoding; an empty axis value keeps it. Each row reports the coding
+	// it measures in canonical display form.
+	codings := make([]string, len(group))
+	for k, j := range group {
+		coding := cfg.LinkCoding
+		if j.Coding != "" {
+			coding = j.Coding
+		}
+		canonical, ok := flit.CanonicalLinkCodingName(coding)
+		if !ok {
+			return fail(j, fmt.Errorf("unknown link coding %q", coding))
+		}
+		codings[k] = canonical
 	}
-	// The row reports the coding the engine actually runs (the platform's
-	// own when the axis is empty), in canonical display form.
-	effCoding, ok := flit.CanonicalLinkCodingName(cfg.LinkCoding)
-	if !ok {
-		return Result{}, fmt.Errorf("unknown link coding %q", cfg.LinkCoding)
-	}
+	cfg.LinkCoding = codings[0]
 	if job.Topology != "" {
 		// A listed topology — "mesh" included — overrides the platform's
 		// own interconnect; an empty axis value keeps it.
@@ -162,7 +209,7 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	}
 	effTopology, ok := noc.CanonicalTopologyName(cfg.Mesh.Topology)
 	if !ok {
-		return Result{}, fmt.Errorf("unknown topology %q", cfg.Mesh.Topology)
+		return fail(job, fmt.Errorf("unknown topology %q", cfg.Mesh.Topology))
 	}
 	batch := job.Batch
 	if batch < 1 {
@@ -177,7 +224,22 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	model := entry.model.CloneForInference()
 	eng, err := accel.New(cfg, model)
 	if err != nil {
-		return Result{}, err
+		return fail(job, err)
+	}
+	// counted[k] is the CountCodings index of job k's coding, or -1 when it
+	// is the engine's own.
+	counted := make([]int, len(group))
+	installed := map[string]int{codings[0]: -1}
+	for k, coding := range codings {
+		i, ok := installed[coding]
+		if !ok {
+			if err := eng.CountCodings(coding); err != nil {
+				return fail(group[k], err)
+			}
+			i = len(installed) - 1
+			installed[coding] = i
+		}
+		counted[k] = i
 	}
 	if t := obs.FromContext(ctx); t != nil {
 		eng.SetSpanTracer(t)
@@ -191,7 +253,6 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 		LinkBits:     job.Geometry.LinkBits,
 		Ordering:     job.Ordering,
 		OrderingName: job.Ordering.String(),
-		Coding:       codingName(effCoding),
 		Topology:     effTopology,
 		Seed:         job.Seed,
 		Batch:        batch,
@@ -199,7 +260,7 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	}
 	if batch == 1 {
 		if _, err := eng.Infer(ctx, entry.input); err != nil {
-			return Result{}, err
+			return fail(job, err)
 		}
 		if c := eng.Cycles(); c > 0 {
 			res.Throughput = 1000 / float64(c)
@@ -207,13 +268,12 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 		}
 	} else {
 		if _, err := eng.InferRepeated(ctx, entry.input, batch); err != nil {
-			return Result{}, err
+			return fail(job, err)
 		}
 		st := eng.LastBatchStats()
 		res.Throughput = st.Throughput()
 		res.AvgLatencyCycles = st.AvgLatencyCycles
 	}
-	res.TotalBT = eng.TotalBT()
 	res.Cycles = eng.Cycles()
 	res.Packets = eng.TaskPackets() + eng.ResultPackets()
 	res.Flits = eng.TotalFlits()
@@ -224,12 +284,19 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	res.MACBitOps = ec.MACBitOps
 	res.WeightRegBits = ec.WeightRegBits
 	res.FlitBits = ec.FlitBits
-	return res, nil
+	for k, j := range group {
+		res.Coding = codingName(codings[k])
+		res.TotalBT = eng.TotalBT()
+		if counted[k] >= 0 {
+			res.TotalBT = eng.CodedBT(counted[k])
+		}
+		results[j.Index] = res
+	}
+	return true
 }
 
-// codingName maps the spec's coding axis value onto the display/JSON name:
-// the empty string renders as "none" so serialized rows stay
-// self-describing.
+// codingName maps a canonical coding name onto its display name: the
+// empty string (uncoded) renders as "none" so rows stay self-describing.
 func codingName(c string) string {
 	if c == "" {
 		return "none"

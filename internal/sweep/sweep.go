@@ -16,6 +16,18 @@
 //
 // Results come back in job-expansion order regardless of completion order,
 // with reduction rates filled in relative to each group's Baseline run.
+//
+// The unit of work is a coding group: the jobs that differ only in their
+// link coding. A coding changes how the wires' toggles are counted, never
+// a packet, a cycle or an output, so each group runs one engine and one
+// simulation. The group's first job in expansion order sets the engine's
+// own LinkCoding; every other coding of the group is counted on the same
+// link crossings (accel.Engine.CountCodings), and each job's Result is the
+// group's with its own Coding and TotalBT. Two things follow:
+//
+//   - a span trace of a sweep shows one engine per coding group, and its
+//     per-hop BT is that of the group's own (first) coding;
+//   - Workers above the number of groups adds no parallelism.
 package sweep
 
 import (
@@ -70,7 +82,8 @@ type Spec struct {
 	// Codings lists link codings to measure, by registered name; "" or
 	// "none" is plain binary transmission. Empty means {""} — the paper's
 	// uncoded links. Codings stack with the Orderings axis: every
-	// (ordering, coding) combination becomes its own grid point.
+	// (ordering, coding) combination becomes its own grid point, and the
+	// codings of one point share one simulation (see the package doc).
 	Codings []string
 	// Precisions lists uniform fixed-point lane widths to measure (2, 4, 8
 	// or 16); each entry becomes its own grid point that overrides the
@@ -83,7 +96,8 @@ type Spec struct {
 	// topology on the same terminal grid. "" keeps the platform's
 	// configuration, as does the empty axis.
 	Topologies []string
-	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0).
+	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0). The pool
+	// never exceeds the number of coding groups.
 	Workers int
 }
 

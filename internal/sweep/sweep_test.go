@@ -1,10 +1,9 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -254,32 +253,6 @@ func TestRunAbortsQueuedJobsAfterError(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	spec := tinySpec()
-	spec.Seeds = []int64{1}
-	spec.Geometries = spec.Geometries[:1]
-	results, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(decoded) != len(results) {
-		t.Fatalf("JSON rows %d, results %d", len(decoded), len(results))
-	}
-	first := decoded[0]
-	if first["platform"] != "2x2 MC1" || first["ordering"] != "O0" ||
-		first["format"] != "fixed-8" || first["total_bt"].(float64) <= 0 {
-		t.Errorf("unexpected JSON row: %v", first)
-	}
-}
-
 func TestRenderTable(t *testing.T) {
 	spec := tinySpec()
 	spec.Seeds = []int64{1}
@@ -384,7 +357,8 @@ func TestRunCancelledContext(t *testing.T) {
 
 // TestRunCancelMidSweep cancels from another goroutine once the first job
 // reports in and requires Run to return ctx.Err() without burning the rest
-// of the grid.
+// of the grid. The grid lists several codings, so each unit of work is a
+// coding group.
 func TestRunCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -393,7 +367,8 @@ func TestRunCancelMidSweep(t *testing.T) {
 	var ran atomic.Int64
 	spec := tinySpec()
 	spec.Seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	spec.Workers = 1 // deterministic: jobs run one at a time off the queue
+	spec.Codings = []string{"none", "gray", "businvert"}
+	spec.Workers = 1 // deterministic: groups run one at a time off the queue
 	inner := spec.Workloads[0].Build
 	spec.Workloads = []Workload{{
 		Name: "signal",
@@ -487,5 +462,111 @@ func TestEmptyCodingsAxisKeepsPlatformCoding(t *testing.T) {
 	spelled := run(tinyPlatform(), []string{"GRAY"})
 	if spelled.Coding != "gray" {
 		t.Errorf("GRAY row labeled %q, want canonical gray", spelled.Coding)
+	}
+}
+
+// perJobRun measures every job of the spec on an engine of its own, with
+// the job's coding as the engine's LinkCoding, and fills reductions as Run
+// does: the reference a coding group's shared simulation must reproduce.
+func perJobRun(t *testing.T, spec Spec) []Result {
+	t.Helper()
+	r := &runner{workloads: make(map[workloadKey]*workloadEntry)}
+	jobs := spec.Jobs()
+	results := make([]Result, len(jobs))
+	errs := make([]error, len(jobs))
+	for _, j := range jobs {
+		if !r.runGroup(context.Background(), []Job{j}, results, errs) {
+			t.Fatalf("job %s: %v", j.Name(), errs[j.Index])
+		}
+	}
+	fillReductions(results)
+	return results
+}
+
+// TestCodingGroupsMatchPerJobEngines is the equivalence contract of coding
+// groups: on a gray-coded platform, every registered ordering × codings
+// {"", none, gray, businvert} × topologies × batches × precisions grid
+// comes out of the grouped runner exactly as if each job had its own
+// engine, on one worker and on four.
+func TestCodingGroupsMatchPerJobEngines(t *testing.T) {
+	spec := Spec{
+		Platforms:  []Platform{codedTinyPlatform("gray")},
+		Geometries: []flit.Geometry{paperFixed8},
+		Orderings:  flit.Orderings(),
+		Workloads:  []Workload{tinyWorkload("tiny")},
+		Seeds:      []int64{1},
+		Codings:    []string{"", "none", "gray", "businvert"},
+		Topologies: []string{"mesh", "torus"},
+		Batches:    []int{1, 2},
+		Precisions: []int{0, 4},
+	}
+	want := perJobRun(t, spec)
+	if groups := codingGroups(spec.Jobs()); len(groups)*len(spec.Codings) != len(want) {
+		t.Fatalf("%d coding groups for %d jobs of %d codings", len(groups), len(want), len(spec.Codings))
+	}
+	for i := 0; i < len(want); i += len(spec.Orderings) * len(spec.Codings) {
+		// Rows of one (ordering, coding) block: the platform's own gray,
+		// none, gray, businvert. Distinct codings must count differently,
+		// or this comparison could not catch a coding mix-up.
+		own, none, gray, bi := want[i], want[i+len(spec.Orderings)], want[i+2*len(spec.Orderings)], want[i+3*len(spec.Orderings)]
+		if own.Coding != "gray" || own.TotalBT != gray.TotalBT {
+			t.Errorf("empty coding row %+v is not the platform's gray %+v", own, gray)
+		}
+		if none.TotalBT == gray.TotalBT || none.TotalBT == bi.TotalBT || gray.TotalBT == bi.TotalBT {
+			t.Errorf("codings count the same BT: none %d, gray %d, businvert %d", none.TotalBT, gray.TotalBT, bi.TotalBT)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		spec.Workers = workers
+		got, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%d workers, job %d:\ngrouped %+v\nper-job %+v", workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// rejectScheme is a link coding whose New refuses every link width.
+type rejectScheme struct{}
+
+func (rejectScheme) Name() string       { return "sweep-test-reject" }
+func (rejectScheme) ExtraLines(int) int { return 0 }
+func (rejectScheme) New(width int) (flit.LinkCoding, error) {
+	return nil, fmt.Errorf("no %d-bit coder", width)
+}
+
+var registerReject sync.Once
+
+// TestCodingGroupRejectedWidth: a coding whose New rejects the link width
+// fails the sweep naming that coding's first job, with the simulator's
+// install error, whether it is a group's own coding or a counted one.
+func TestCodingGroupRejectedWidth(t *testing.T) {
+	registerReject.Do(func() { flit.MustRegisterLinkCoding(rejectScheme{}) })
+	for _, codings := range [][]string{
+		{"gray", "sweep-test-reject", "none"},
+		{"sweep-test-reject", "gray"},
+	} {
+		spec := tinySpec()
+		spec.Seeds = []int64{1}
+		spec.Codings = codings
+		spec.Workers = 1
+		var job Job
+		for _, j := range spec.Jobs() {
+			if j.Coding == "sweep-test-reject" {
+				job = j
+				break
+			}
+		}
+		_, err := Run(context.Background(), spec)
+		prefix := "sweep: job " + job.Name() + `: noc: link coding "sweep-test-reject" on link `
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("codings %v: error %v, want prefix %q", codings, err, prefix)
+		}
 	}
 }

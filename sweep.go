@@ -135,7 +135,9 @@ type SweepSpec struct {
 	// Codings lists link codings to measure by registered name ("none",
 	// "gray", "businvert"); every (ordering, coding) combination becomes a
 	// grid point, overriding each platform's own LinkCoding. Empty keeps
-	// the platforms' configured codings (usually none).
+	// the platforms' configured codings (usually none). The codings of one
+	// grid point share one simulation: the first is the engine's own, the
+	// rest are counted on the same link crossings.
 	Codings []string
 	// Precisions lists uniform fixed-point lane widths (see FixedWidths) to
 	// measure; each becomes its own grid point overriding the geometry's
@@ -148,9 +150,11 @@ type SweepSpec struct {
 	// platform's interconnect on the same terminal grid. Empty keeps the
 	// platforms' configured topologies (usually the paper's mesh).
 	Topologies []string
-	// Workers bounds the worker pool; 0 means GOMAXPROCS. It only changes
-	// wall-clock parallelism, never the deterministic per-job results, so
-	// it is deliberately excluded from the sweep fingerprint.
+	// Workers bounds the worker pool; 0 means GOMAXPROCS. Each worker runs
+	// one coding group (a grid point's codings) at a time, so workers
+	// beyond the number of groups add nothing. It only changes wall-clock
+	// parallelism, never the deterministic per-job results, so it is
+	// deliberately excluded from the sweep fingerprint.
 	// fingerprint:ignore result-invariant: worker-pool size cannot change deterministic sweep results
 	Workers int
 }
