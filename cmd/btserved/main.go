@@ -1,13 +1,13 @@
 // Command btserved is the long-running serving daemon over the nocbt
 // simulator: an HTTP/JSON service executing inference requests on a
-// sharded pool of warm accelerator engines via an adaptive micro-batcher,
-// with a content-addressed result cache in front of experiments and
-// inferences.
+// sharded pool of warm accelerator engines via a work-conserving
+// micro-batcher, with a content-addressed result cache in front of
+// experiments and inferences.
 //
 // Usage:
 //
-//	btserved [-addr :8344] [-replicas 2] [-max-batch 8] [-batch-window 2ms]
-//	         [-cache-entries 1024] [-cache-dir DIR] [-trace-spans 4096] [-pprof]
+//	btserved [-addr :8344] [-replicas 2] [-max-batch 8] [-cache-entries 1024]
+//	         [-cache-dir DIR] [-trace-spans 4096] [-pprof]
 //
 // Endpoints (see internal/serve):
 //
@@ -60,8 +60,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("btserved", flag.ContinueOnError)
 	addr := fs.String("addr", ":8344", "listen address")
 	replicas := fs.Int("replicas", 2, "warm engines per (platform, model, seed) shard")
-	maxBatch := fs.Int("max-batch", 8, "micro-batch flush size (1 disables coalescing)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "micro-batch flush deadline")
+	maxBatch := fs.Int("max-batch", 8, "most requests coalesced into one batch while every replica is busy (1 disables coalescing)")
 	cacheEntries := fs.Int("cache-entries", 1024, "result cache memory-tier capacity")
 	cacheDir := fs.String("cache-dir", "", "result cache disk tier (empty: memory only)")
 	traceSpans := fs.Int("trace-spans", 4096, "span ring capacity for /debug/trace (negative disables)")
@@ -79,7 +78,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	srv, err := serve.New(serve.Config{
 		Replicas:     *replicas,
 		MaxBatch:     *maxBatch,
-		BatchWindow:  *batchWindow,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
 		TraceSpans:   *traceSpans,
@@ -98,8 +96,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if testOnListen != nil {
 		testOnListen(ln.Addr())
 	}
-	fmt.Fprintf(stdout, "btserved: listening on %s (replicas=%d max-batch=%d window=%v)\n",
-		ln.Addr(), *replicas, *maxBatch, *batchWindow)
+	fmt.Fprintf(stdout, "btserved: listening on %s (replicas=%d max-batch=%d)\n",
+		ln.Addr(), *replicas, *maxBatch)
 
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -1,8 +1,9 @@
 // Serve client: spin up the serving subsystem in-process on an ephemeral
 // port, then act as an HTTP client against it — the request patterns a
 // production deployment of cmd/btserved sees. The example fires a burst
-// of concurrent /v1/infer requests (watch batch_size: the adaptive
-// micro-batcher coalesces them), repeats an experiment run to show the
+// of concurrent /v1/infer requests (watch batch_size: the first requests
+// run alone on the idle replicas, and the micro-batcher coalesces the
+// rest while both replicas are busy), repeats an experiment run to show the
 // content-addressed cache answering byte-identically, and finishes with
 // the /metrics counters.
 package main
@@ -17,16 +18,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"time"
 
 	"nocbt/internal/serve"
 )
 
 func main() {
 	srv, err := serve.New(serve.Config{
-		Replicas:    2,
-		MaxBatch:    4,
-		BatchWindow: 25 * time.Millisecond,
+		Replicas: 2,
+		MaxBatch: 4,
 	})
 	if err != nil {
 		log.Fatal(err)

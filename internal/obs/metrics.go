@@ -84,6 +84,26 @@ func (g *GaugeFunc) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// CounterFunc is a counter whose value is read at scrape time: a Counter
+// embedded by value in a struct registers as one through its Load method,
+// and so do statistics kept elsewhere (the result cache's hit counts).
+type CounterFunc struct {
+	name, help string
+	fn         func() int64
+}
+
+// NewCounterFunc builds a scrape-time counter.
+func NewCounterFunc(name, help string, fn func() int64) *CounterFunc {
+	return &CounterFunc{name: name, help: help, fn: fn}
+}
+
+// WritePrometheus renders the counter with a fresh read.
+func (c *CounterFunc) WritePrometheus(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
+		c.name, c.help, c.name, c.name, c.fn())
+	return err
+}
+
 // Histogram is a fixed-bucket histogram behind lock-free atomics: one
 // atomic bucket counter per upper bound plus an atomic float64-bits sum.
 // Observe is wait-free; rendering cumulates the buckets into the

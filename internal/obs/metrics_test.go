@@ -52,6 +52,20 @@ func TestGaugeFuncEvaluatesAtScrape(t *testing.T) {
 	}
 }
 
+func TestCounterFuncReadsAtScrape(t *testing.T) {
+	var c Counter
+	f := NewCounterFunc("nocbt_test_total", "Fn counter.", c.Load)
+	c.Add(3)
+	want := "# HELP nocbt_test_total Fn counter.\n# TYPE nocbt_test_total counter\nnocbt_test_total 3\n"
+	if got := render(t, f); got != want {
+		t.Fatalf("render = %q, want %q", got, want)
+	}
+	c.Add(2)
+	if got := render(t, f); !strings.Contains(got, "nocbt_test_total 5\n") {
+		t.Fatalf("render %q did not re-read", got)
+	}
+}
+
 func TestHistogramBucketsCumulateAndSum(t *testing.T) {
 	var nilH *Histogram
 	nilH.Observe(1) // must not panic

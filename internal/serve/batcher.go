@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"nocbt/internal/accel"
@@ -10,22 +11,24 @@ import (
 )
 
 // Batcher coalesces single-inference requests into Engine.InferBatch
-// calls against one pool shard. The batching discipline is adaptive: the
-// first request of a batch starts a flush deadline, and the batch flushes
-// as soon as it reaches MaxBatch requests or the deadline fires —
-// whichever comes first. Under load the mesh therefore runs full
-// micro-batches; a lone request pays at most the window in extra latency.
+// calls against one pool shard. The discipline is work-conserving: the
+// collector queues every request it receives, and whenever a replica slot
+// is free while requests wait, it hands the slot a batch at once. The
+// batch is one request while another replica is also free, and otherwise
+// every queued request up to MaxBatch. A request that finds an idle
+// replica therefore runs at once, and requests coalesce only while every
+// replica is busy, which is when batching saves time.
 //
-// Flushes run concurrently up to the shard's replica count (Acquire
-// blocks on the free list), so the collector goroutine keeps batching
-// while earlier batches are still on a mesh.
+// Each batch runs on its own flush goroutine, which warms the slot
+// (building the engine if the slot is cold) and releases it after
+// InferBatch, so the collector never blocks on an engine build and keeps
+// queueing while earlier batches are still on a mesh.
 type Batcher struct {
 	shard    *Shard
 	maxBatch int
-	window   time.Duration
 	metrics  *Metrics
 
-	// ctx is the batcher's lifecycle: it gates engine acquisition and the
+	// ctx is the batcher's lifecycle: it gates replica slots and the
 	// simulations themselves, so cancelling it fails pending requests
 	// instead of stranding them.
 	ctx  context.Context
@@ -48,9 +51,8 @@ type inferDone struct {
 }
 
 // NewBatcher starts a batcher over the shard. maxBatch < 1 is treated as
-// 1 (no coalescing); window <= 0 flushes without waiting beyond the
-// requests already queued. The batcher stops when ctx is cancelled.
-func NewBatcher(ctx context.Context, shard *Shard, maxBatch int, window time.Duration, metrics *Metrics) *Batcher {
+// 1 (no coalescing). The batcher stops when ctx is cancelled.
+func NewBatcher(ctx context.Context, shard *Shard, maxBatch int, metrics *Metrics) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -60,7 +62,6 @@ func NewBatcher(ctx context.Context, shard *Shard, maxBatch int, window time.Dur
 	b := &Batcher{
 		shard:    shard,
 		maxBatch: maxBatch,
-		window:   window,
 		metrics:  metrics,
 		ctx:      ctx,
 		reqs:     make(chan *inferJob),
@@ -96,65 +97,51 @@ func (b *Batcher) Do(ctx context.Context, input *tensor.Tensor) (*tensor.Tensor,
 	}
 }
 
-// collect is the batching loop: one goroutine per batcher accumulates
-// jobs into batches and hands each batch to a flush goroutine.
+// collect is the batching loop: one goroutine per batcher accepts
+// requests into its queue and pairs each batch with a free replica slot.
+// The queue-depth gauge counts a request from here until the flush that
+// ran it releases its slot.
 func (b *Batcher) collect() {
+	var queue []*inferJob
 	for {
-		var first *inferJob
+		var free <-chan *slot // nil, so never ready, while nothing waits
+		if len(queue) > 0 {
+			free = b.shard.free()
+		}
 		select {
-		case first = <-b.reqs:
+		case job := <-b.reqs:
+			b.metrics.QueueDepth.Add(1)
+			queue = append(queue, job)
+		case sl := <-free:
+			n := 1 // another replica is free: the rest of the queue runs there
+			if !b.shard.idle() {
+				n = min(len(queue), b.maxBatch)
+			}
+			batch := slices.Clone(queue[:n])
+			queue = slices.Delete(queue, 0, n)
+			go b.flush(batch, sl)
 		case <-b.ctx.Done():
+			b.metrics.QueueDepth.Add(-int64(len(queue)))
+			b.fail(queue, fmt.Errorf("serve: batcher shut down: %w", b.ctx.Err()))
 			return
 		}
-		batch := []*inferJob{first}
-		switch {
-		case b.maxBatch <= 1:
-			// No coalescing.
-		case b.window <= 0:
-			// Drain whatever is already queued, without waiting.
-		drain:
-			for len(batch) < b.maxBatch {
-				select {
-				case job := <-b.reqs:
-					batch = append(batch, job)
-				default:
-					break drain
-				}
-			}
-		default:
-			timer := time.NewTimer(b.window)
-		fill:
-			for len(batch) < b.maxBatch {
-				select {
-				case job := <-b.reqs:
-					batch = append(batch, job)
-				case <-timer.C:
-					break fill
-				case <-b.ctx.Done():
-					timer.Stop()
-					b.fail(batch, fmt.Errorf("serve: batcher shut down: %w", b.ctx.Err()))
-					return
-				}
-			}
-			timer.Stop()
-		}
-		go b.flush(batch)
 	}
 }
 
-// flush runs one micro-batch on a warm engine from the shard, recording
-// the flush-latency and achieved-batch-size distributions and a
-// batch.flush span (each flush gets its own trace track: flushes from one
-// shard overlap up to the replica count). The flush is recorded before any
+// flush runs one micro-batch on the held slot's engine, recording the
+// flush-latency and achieved-batch-size distributions and a batch.flush
+// span (each flush gets its own trace track: flushes from one shard
+// overlap up to the replica count). The flush is recorded before any
 // requester is answered, so a client holding its response already finds
 // this flush in /metrics and /debug/trace.
-func (b *Batcher) flush(batch []*inferJob) {
+func (b *Batcher) flush(batch []*inferJob, sl *slot) {
 	t := b.metrics.Spans
 	sp := t.Begin("batch.flush", "serve", servePID, t.NextTID(), t.Ticks()).
 		SetAttrInt("batch_size", int64(len(batch))).
 		SetAttr("shard", b.shard.Key())
 	flushStart := time.Now()
-	outs, stats, err := b.infer(batch)
+	outs, stats, err := b.infer(batch, sl)
+	b.metrics.QueueDepth.Add(-int64(len(batch)))
 	b.metrics.FlushLatency.Observe(time.Since(flushStart).Seconds())
 	b.metrics.BatchSize.Observe(float64(len(batch)))
 	t.End(sp, t.Ticks())
@@ -169,14 +156,14 @@ func (b *Batcher) flush(batch []*inferJob) {
 	}
 }
 
-// infer acquires a warm engine, runs the batch on it and returns one
-// output and one per-inference stat per job.
-func (b *Batcher) infer(batch []*inferJob) ([]*tensor.Tensor, []accel.InferenceStat, error) {
-	eng, release, err := b.shard.Acquire(b.ctx)
+// infer warms the held slot, runs the batch on its engine, releases the
+// slot and returns one output and one per-inference stat per job.
+func (b *Batcher) infer(batch []*inferJob, sl *slot) ([]*tensor.Tensor, []accel.InferenceStat, error) {
+	eng, err := b.shard.warm(sl)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer release()
+	defer b.shard.release(sl)
 
 	inputs := make([]*tensor.Tensor, len(batch))
 	for i, job := range batch {
@@ -184,8 +171,8 @@ func (b *Batcher) infer(batch []*inferJob) ([]*tensor.Tensor, []accel.InferenceS
 	}
 	outs, err := eng.InferBatch(b.ctx, inputs)
 	if err != nil {
-		// release() sees Reusable() == false for poisoned engines and
-		// retires them; the next flush acquires a rebuilt replica.
+		// release sees Reusable() == false for a poisoned engine and
+		// retires it; the next flush on that slot builds a replacement.
 		return nil, nil, err
 	}
 	stats := eng.LastBatchStats()

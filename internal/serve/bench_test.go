@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
@@ -70,7 +69,7 @@ func BenchmarkServeInfer(b *testing.B) {
 		shard := pool.Shard("bench", func() (Engine, error) {
 			return accel.New(benchPlatform(), model.CloneForInference())
 		})
-		batcher := NewBatcher(ctx, shard, maxBatch, 100*time.Millisecond, nil)
+		batcher := NewBatcher(ctx, shard, maxBatch, nil)
 
 		// Warm the engine so the lazy build is outside the timer.
 		if _, _, _, err := batcher.Do(ctx, inputs[0]); err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 
@@ -47,13 +46,15 @@ type Metrics struct {
 	// InferLatency is the end-to-end /v1/infer latency distribution
 	// (request arrival to response written), in seconds.
 	InferLatency *obs.Histogram
-	// FlushLatency is the micro-batcher's flush wall time (engine acquire
-	// through InferBatch return), in seconds.
+	// FlushLatency is the micro-batcher's flush wall time (warming the
+	// held replica, building its engine if cold, through InferBatch
+	// return), in seconds.
 	FlushLatency *obs.Histogram
 	// BatchSize is the achieved micro-batch size at each flush.
 	BatchSize *obs.Histogram
-	// QueueDepth gauges requests currently holding or waiting for a warm
-	// engine; PoolShards gauges materialized warm-pool shards.
+	// QueueDepth gauges inference requests in a micro-batcher, from the
+	// collector accepting them until the flush that ran them releases its
+	// replica; PoolShards gauges materialized warm-pool shards.
 	QueueDepth *obs.Gauge
 	PoolShards *obs.Gauge
 	// HTTPResponses counts every response by status code, the labeled
@@ -107,39 +108,38 @@ func NewMetrics(traceSpans int) *Metrics {
 }
 
 // WritePrometheus renders the counters (and the result cache's, when a
-// cache is attached) as Prometheus text. The legacy counter block renders
-// first, byte-identical to the pre-registry exposition; the registry's
-// histograms and gauges follow.
+// cache is attached) and then the registry's histograms and gauges as
+// Prometheus text. The counter block comes first, byte-identical to the
+// pre-registry exposition. The counters are registered here, at scrape
+// time, so a zero-value Metrics renders them too.
 func (m *Metrics) WritePrometheus(w io.Writer, cache *resultcache.Cache) error {
-	type counter struct {
-		name, help string
-		value      int64
-	}
-	counters := []counter{
-		{"nocbt_serve_infer_requests_total", "Inference requests accepted.", m.InferRequests.Load()},
-		{"nocbt_serve_infer_batches_total", "Micro-batched InferBatch calls issued.", m.InferBatches.Load()},
-		{"nocbt_serve_infer_batched_requests_total", "Inference requests summed over issued batches.", m.InferBatchedRequests.Load()},
-		{"nocbt_serve_experiment_runs_total", "Experiment executions (cache misses).", m.ExperimentRuns.Load()},
-		{"nocbt_serve_engine_builds_total", "Warm-pool engine constructions.", m.EngineBuilds.Load()},
-		{"nocbt_serve_engine_retirements_total", "Engines retired after an aborted run.", m.EngineRetirements.Load()},
-		{"nocbt_serve_http_errors_total", "Requests answered with an error status.", m.HTTPErrors.Load()},
-		{"nocbt_serve_cache_put_errors_total", "Result-cache stores that failed (disk tier unwritable).", m.CachePutErrors.Load()},
-	}
+	counters := obs.NewRegistry()
+	counters.Register(
+		obs.NewCounterFunc("nocbt_serve_infer_requests_total", "Inference requests accepted.", m.InferRequests.Load),
+		obs.NewCounterFunc("nocbt_serve_infer_batches_total", "Micro-batched InferBatch calls issued.", m.InferBatches.Load),
+		obs.NewCounterFunc("nocbt_serve_infer_batched_requests_total", "Inference requests summed over issued batches.", m.InferBatchedRequests.Load),
+		obs.NewCounterFunc("nocbt_serve_experiment_runs_total", "Experiment executions (cache misses).", m.ExperimentRuns.Load),
+		obs.NewCounterFunc("nocbt_serve_engine_builds_total", "Warm-pool engine constructions.", m.EngineBuilds.Load),
+		obs.NewCounterFunc("nocbt_serve_engine_retirements_total", "Engines retired after an aborted run.", m.EngineRetirements.Load),
+		obs.NewCounterFunc("nocbt_serve_http_errors_total", "Requests answered with an error status.", m.HTTPErrors.Load),
+		obs.NewCounterFunc("nocbt_serve_cache_put_errors_total", "Result-cache stores that failed (disk tier unwritable).", m.CachePutErrors.Load),
+	)
 	if cache != nil {
-		st := cache.Stats()
-		counters = append(counters,
-			counter{"nocbt_serve_cache_hits_total", "Result cache hits.", st.Hits},
-			counter{"nocbt_serve_cache_misses_total", "Result cache misses.", st.Misses},
-			counter{"nocbt_serve_cache_disk_hits_total", "Result cache hits served by the disk tier.", st.DiskHits},
-			counter{"nocbt_serve_cache_disk_errors_total", "Result cache disk-tier reads that failed for a reason other than a cold key.", st.DiskErrors},
-			counter{"nocbt_serve_cache_evictions_total", "Result cache memory-tier evictions.", st.Evictions},
+		counters.Register(
+			obs.NewCounterFunc("nocbt_serve_cache_hits_total", "Result cache hits.",
+				func() int64 { return cache.Stats().Hits }),
+			obs.NewCounterFunc("nocbt_serve_cache_misses_total", "Result cache misses.",
+				func() int64 { return cache.Stats().Misses }),
+			obs.NewCounterFunc("nocbt_serve_cache_disk_hits_total", "Result cache hits served by the disk tier.",
+				func() int64 { return cache.Stats().DiskHits }),
+			obs.NewCounterFunc("nocbt_serve_cache_disk_errors_total", "Result cache disk-tier reads that failed for a reason other than a cold key.",
+				func() int64 { return cache.Stats().DiskErrors }),
+			obs.NewCounterFunc("nocbt_serve_cache_evictions_total", "Result cache memory-tier evictions.",
+				func() int64 { return cache.Stats().Evictions }),
 		)
 	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.value); err != nil {
-			return err
-		}
+	if err := counters.WritePrometheus(w); err != nil {
+		return err
 	}
 	return m.reg.WritePrometheus(w)
 }

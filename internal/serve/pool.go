@@ -24,7 +24,7 @@ type Engine interface {
 }
 
 // BuildFunc constructs one warm engine for a shard. It is called lazily —
-// on the first Acquire of each replica slot and again whenever a retired
+// on the first use of each replica slot and again whenever a retired
 // engine needs a replacement — and may be slow (model training, platform
 // validation); the pool never holds a lock across it.
 type BuildFunc func() (Engine, error)
@@ -98,49 +98,62 @@ func (s *Shard) Key() string { return s.key }
 
 // Acquire returns a warm engine and the release func that must be called
 // (exactly once) when the caller is done with it. It blocks until a
-// replica slot frees up or ctx is done. Release inspects
-// Engine.Reusable(): an engine poisoned by an aborted run is retired and
-// its slot rebuilt on the next acquire, so one bad run costs one rebuild,
-// never a stuck replica.
+// replica slot frees up or ctx is done, then warms the slot. Release
+// inspects Engine.Reusable(): an engine poisoned by an aborted run is
+// retired and its slot rebuilt on the next acquire, so one bad run costs
+// one rebuild, never a stuck replica.
 func (s *Shard) Acquire(ctx context.Context) (Engine, func(), error) {
-	// The queue-depth gauge covers the whole hold: waiting for a slot,
-	// building if the slot is cold, and running until release.
-	s.metrics.QueueDepth.Add(1)
 	var sl *slot
 	select {
 	case sl = <-s.slots:
 	case <-ctx.Done():
-		s.metrics.QueueDepth.Add(-1)
 		return nil, nil, ctx.Err()
 	}
-	if sl.eng == nil {
-		eng, err := s.buildTraced()
-		if err != nil {
-			s.slots <- sl // keep the slot; a later acquire retries the build
-			s.metrics.QueueDepth.Add(-1)
-			return nil, nil, fmt.Errorf("serve: building engine for shard %s: %w", s.key, err)
-		}
-		if eng == nil {
-			s.slots <- sl
-			s.metrics.QueueDepth.Add(-1)
-			return nil, nil, fmt.Errorf("serve: shard %s builder returned a nil engine", s.key)
-		}
-		s.metrics.EngineBuilds.Add(1)
-		sl.eng = eng
+	eng, err := s.warm(sl)
+	if err != nil {
+		return nil, nil, err
 	}
-	eng := sl.eng
 	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			if !eng.Reusable() {
-				s.metrics.EngineRetirements.Add(1)
-				sl.eng = nil
-			}
-			s.slots <- sl
-			s.metrics.QueueDepth.Add(-1)
-		})
+	return eng, func() { once.Do(func() { s.release(sl) }) }, nil
+}
+
+// free is the shard's free list: receiving from it takes a replica slot,
+// which the holder passes to warm and, once warm succeeds, hands back
+// through release.
+func (s *Shard) free() <-chan *slot { return s.slots }
+
+// idle reports whether a replica slot is free at this moment.
+func (s *Shard) idle() bool { return len(s.slots) > 0 }
+
+// warm returns the held slot's engine, building it first if the slot is
+// cold. A failed build hands the slot back at once, so its next holder
+// retries the build.
+func (s *Shard) warm(sl *slot) (Engine, error) {
+	if sl.eng != nil {
+		return sl.eng, nil
 	}
-	return eng, release, nil
+	eng, err := s.buildTraced()
+	if err != nil {
+		s.slots <- sl
+		return nil, fmt.Errorf("serve: building engine for shard %s: %w", s.key, err)
+	}
+	if eng == nil {
+		s.slots <- sl
+		return nil, fmt.Errorf("serve: shard %s builder returned a nil engine", s.key)
+	}
+	s.metrics.EngineBuilds.Add(1)
+	sl.eng = eng
+	return eng, nil
+}
+
+// release hands a warmed slot back to the shard, retiring its engine if
+// the last run poisoned it (Engine.Reusable() == false).
+func (s *Shard) release(sl *slot) {
+	if !sl.eng.Reusable() {
+		s.metrics.EngineRetirements.Add(1)
+		sl.eng = nil
+	}
+	s.slots <- sl
 }
 
 // buildTraced wraps the shard's build func in an engine.build span — cold

@@ -1,8 +1,8 @@
 // Package serve is the long-running serving layer over the nocbt
 // simulator: an HTTP/JSON service that executes inference requests on a
-// sharded pool of warm accelerator engines via an adaptive micro-batcher,
-// runs registered experiments, and answers repeated work from a
-// content-addressed result cache.
+// sharded pool of warm accelerator engines via a work-conserving
+// micro-batcher, runs registered experiments, and answers repeated work
+// from a content-addressed result cache.
 //
 // Endpoints:
 //
@@ -36,12 +36,11 @@ type Config struct {
 	// Replicas is the number of warm engines per (platform, model, seed)
 	// shard — the shard's maximum concurrent micro-batches. Default 2.
 	Replicas int
-	// MaxBatch is the micro-batcher's flush size. Default 8; 1 disables
-	// coalescing.
+	// MaxBatch bounds how many queued requests the micro-batcher
+	// coalesces into one InferBatch call while every replica is busy; a
+	// request that finds an idle replica runs at once. Default 8; 1
+	// disables coalescing.
 	MaxBatch int
-	// BatchWindow is the micro-batcher's flush deadline: the longest a
-	// lone request waits for company. Default 2ms.
-	BatchWindow time.Duration
 	// CacheEntries bounds the result cache's memory tier. Default 1024:
 	// enough to keep every result of a 20-second burst of two closed-loop
 	// LeNet clients, so a replay of its first inputs still hits.
@@ -78,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
@@ -436,7 +432,7 @@ func (s *Server) shardHandle(fp string, req InferRequest, provider ModelProvider
 			return accel.New(platform, model.CloneForInference())
 		}
 		shard := s.pool.Shard(key, build)
-		h.batcher = NewBatcher(s.ctx, shard, s.cfg.MaxBatch, s.cfg.BatchWindow, s.metrics)
+		h.batcher = NewBatcher(s.ctx, shard, s.cfg.MaxBatch, s.metrics)
 		h.model = model
 	})
 	if h.err != nil {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"nocbt"
 	"nocbt/internal/accel"
@@ -144,7 +143,7 @@ func TestExperimentsList(t *testing.T) {
 // concurrent micro-batched /v1/infer responses are bit-identical to
 // serial Engine.Infer runs of the same requests on fresh engines.
 func TestInferConcurrentBitIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{Replicas: 2, MaxBatch: 4, BatchWindow: 20 * time.Millisecond})
+	_, ts := newTestServer(t, Config{Replicas: 2, MaxBatch: 4})
 
 	const n = 8
 	outputs := make([][]float32, n)
