@@ -93,17 +93,6 @@ func BenchmarkTopologyQuick(b *testing.B) {
 
 // ---- Fig. 12: NoC size sweep ----------------------------------------------
 
-// paperPlatform builds one of the paper's preset platforms from its option
-// bundle, failing tb on error.
-func paperPlatform(tb testing.TB, opts []nocbt.PlatformOption) nocbt.Platform {
-	tb.Helper()
-	cfg, err := nocbt.NewPlatform(opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return cfg
-}
-
 func benchNoCRun(b *testing.B, platform string, cfg nocbt.Platform, ord nocbt.Ordering) {
 	model := nocbt.TrainedLeNet(1)
 	input := nocbt.SampleInput(model, 7)
@@ -125,42 +114,42 @@ func benchNoCRun(b *testing.B, platform string, cfg nocbt.Platform, ord nocbt.Or
 }
 
 func BenchmarkFig12NoC4x4MC2Fixed8O0(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O0)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O0)
 }
 func BenchmarkFig12NoC4x4MC2Fixed8O1(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O1)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O1)
 }
 func BenchmarkFig12NoC4x4MC2Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2)
 }
 func BenchmarkFig12NoC4x4MC2Float32O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Float32())), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Float32())...), nocbt.O2)
 }
 func BenchmarkFig12NoC8x8MC4Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "8x8 MC4", paperPlatform(b, nocbt.PaperOptions8x8MC4(nocbt.Fixed8())), nocbt.O2)
+	benchNoCRun(b, "8x8 MC4", nocbt.MustPlatform(nocbt.PaperOptions8x8MC4(nocbt.Fixed8())...), nocbt.O2)
 }
 func BenchmarkFig12NoC8x8MC8Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "8x8 MC8", paperPlatform(b, nocbt.PaperOptions8x8MC8(nocbt.Fixed8())), nocbt.O2)
+	benchNoCRun(b, "8x8 MC8", nocbt.MustPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...), nocbt.O2)
 }
 
 // ---- Fig. 13: model sweep ---------------------------------------------------
 
 func BenchmarkFig13LeNetFixed8O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2)
 }
 
 func BenchmarkFig13DarkNetFixed8O2(b *testing.B) {
 	// DarkNet with random weights: one inference is ~10× LeNet's traffic.
 	model := nocbt.DarkNet(1)
 	input := nocbt.SampleInput(model, 7)
-	base, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O0, model, input)
+	base, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O0, model, input)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var r nocbt.NoCRunResult
 	for i := 0; i < b.N; i++ {
-		r, err = nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8())), nocbt.O2, model, input)
+		r, err = nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2, model, input)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +263,7 @@ func BenchmarkAblationInBandIndex(b *testing.B) {
 	model := nocbt.LeNet(1)
 	input := nocbt.SampleInput(model, 7)
 	run := func(inBand bool) int64 {
-		cfg := paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8()))
+		cfg := nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
 		cfg.Ordering = nocbt.O2
 		cfg.InBandIndex = inBand
 		eng, err := nocbt.NewEngine(cfg, model)
@@ -301,7 +290,7 @@ func BenchmarkAblationVC(b *testing.B) {
 	model := nocbt.LeNet(1)
 	input := nocbt.SampleInput(model, 7)
 	run := func(vcs int, ord nocbt.Ordering) int64 {
-		cfg := paperPlatform(b, nocbt.PaperOptions4x4MC2(nocbt.Fixed8()))
+		cfg := nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
 		cfg.Mesh.VCs = vcs
 		cfg.Ordering = ord
 		eng, err := nocbt.NewEngine(cfg, model)
@@ -393,7 +382,7 @@ func batchBenchWorkload(tb testing.TB) (nocbt.Platform, *dnn.Model, []*tensor.Te
 		x.Uniform(0, 1, rand.New(rand.NewSource(int64(10+i))))
 		inputs[i] = x
 	}
-	cfg := paperPlatform(tb, nocbt.PaperOptions8x8MC8(nocbt.Fixed8()))
+	cfg := nocbt.MustPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...)
 	cfg.PEComputeCycles = 64
 	return cfg, model, inputs
 }

@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	models := fs.String("models", "", "sweep: comma-separated subset of lenet,darknet")
 	seeds := fs.String("seeds", "", "sweep: comma-separated seed list (default: -seed)")
 	batches := fs.String("batches", "", "sweep: comma-separated inference batch sizes (default: 1)")
-	orderings := fs.String("orderings", "", "sweep: comma-separated ordering strategy names (default: O0,O1,O2; see the strategy registry)")
+	orderings := fs.String("orderings", "", "sweep: comma-separated ordering strategy names (default: O0,O1,O2; see the strategy registry; baseline, affiliated and separated also work)")
 	codings := fs.String("codings", "", "sweep: comma-separated link codings from none,gray,businvert (default: none)")
 	precisions := fs.String("precisions", "", "sweep: comma-separated fixed-point lane widths from 2,4,8,16 (default: the geometry's own format)")
 	topologies := fs.String("topology", "", "sweep: comma-separated interconnect topologies from mesh,torus,cmesh (default: the platform's own mesh)")
@@ -208,93 +208,48 @@ func atomicWriteFile(path string, data []byte) error {
 	return fsutil.WriteFileAtomic(path, data, 0o644)
 }
 
-// sweepSpec assembles a SweepSpec from the command-line subset flags;
-// empty flags keep the paper's full default axis.
+// sweepSpec assembles a SweepSpec from the command-line subset flags
+// through nocbt.SweepNames; empty flags keep the paper's full default axis.
 func sweepSpec(platforms, formats, models, seeds, batches, orderings, codings, precisions, topologies string, seed int64, trained bool) (nocbt.SweepSpec, error) {
-	spec := nocbt.SweepSpec{Trained: trained, Seeds: []int64{seed}}
-	if platforms != "" {
-		for _, name := range strings.Split(platforms, ",") {
-			p, ok := nocbt.LookupPaperPlatform(name)
-			if !ok {
-				return spec, fmt.Errorf("unknown platform %q (want 4x4, 8x8mc4 or 8x8mc8)", name)
-			}
-			spec.Platforms = append(spec.Platforms, p)
-		}
+	names := nocbt.SweepNames{
+		Platforms:  list(platforms),
+		Formats:    list(formats),
+		Orderings:  list(orderings),
+		Codings:    list(codings),
+		Models:     list(models),
+		Topologies: list(topologies),
 	}
-	if formats != "" {
-		for _, name := range strings.Split(formats, ",") {
-			switch strings.ToLower(strings.TrimSpace(name)) {
-			case "fixed8", "fixed-8":
-				spec.Geometries = append(spec.Geometries, nocbt.Fixed8())
-			case "float32", "float-32":
-				spec.Geometries = append(spec.Geometries, nocbt.Float32())
-			default:
-				return spec, fmt.Errorf("unknown format %q (want fixed8 or float32)", name)
-			}
-		}
+	var err error
+	if names.Seeds, err = parseInts[int64](seeds, "seed"); err != nil {
+		return nocbt.SweepSpec{}, err
 	}
-	if models != "" {
-		for _, name := range strings.Split(models, ",") {
-			spec.Models = append(spec.Models, nocbt.SweepModel(strings.ToLower(strings.TrimSpace(name))))
-		}
+	if names.Batches, err = parseInts[int](batches, "batch size"); err != nil {
+		return nocbt.SweepSpec{}, err
 	}
-	if seeds != "" {
-		spec.Seeds = spec.Seeds[:0]
-		for _, s := range strings.Split(seeds, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			spec.Seeds = append(spec.Seeds, v)
-		}
+	if names.Precisions, err = parseInts[int](precisions, "precision"); err != nil {
+		return nocbt.SweepSpec{}, err
 	}
-	if batches != "" {
-		for _, s := range strings.Split(batches, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				return spec, fmt.Errorf("bad batch size %q (want a positive integer)", s)
-			}
-			spec.Batches = append(spec.Batches, v)
-		}
+	return names.Spec(seed, trained)
+}
+
+// list splits a comma-separated flag value; the empty flag is no entries.
+func list(s string) []string {
+	if s == "" {
+		return nil
 	}
-	if orderings != "" {
-		for _, name := range strings.Split(orderings, ",") {
-			ord, err := nocbt.ParseOrdering(strings.TrimSpace(name))
-			if err != nil {
-				return spec, err
-			}
-			spec.Orderings = append(spec.Orderings, ord)
+	return strings.Split(s, ",")
+}
+
+// parseInts parses a comma-separated list of integers, naming what it
+// parses in the error.
+func parseInts[T int | int64](s, what string) ([]T, error) {
+	var out []T
+	for _, f := range list(s) {
+		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q: %w", what, f, err)
 		}
+		out = append(out, T(v))
 	}
-	if codings != "" {
-		for _, name := range strings.Split(codings, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := nocbt.LookupLinkCoding(name); !ok {
-				return spec, fmt.Errorf("unknown link coding %q (registered: %v)", name, nocbt.LinkCodingNames())
-			}
-			spec.Codings = append(spec.Codings, name)
-		}
-	}
-	if precisions != "" {
-		for _, s := range strings.Split(precisions, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return spec, fmt.Errorf("bad precision %q (want one of %v)", s, nocbt.FixedWidths())
-			}
-			if _, gerr := nocbt.FixedGeometry(v); gerr != nil {
-				return spec, fmt.Errorf("bad precision %q: %w", s, gerr)
-			}
-			spec.Precisions = append(spec.Precisions, v)
-		}
-	}
-	if topologies != "" {
-		for _, name := range strings.Split(topologies, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := nocbt.CanonicalTopologyName(name); !ok {
-				return spec, fmt.Errorf("unknown topology %q (registered: %v)", name, nocbt.TopologyNames())
-			}
-			spec.Topologies = append(spec.Topologies, name)
-		}
-	}
-	return spec, nil
+	return out, nil
 }

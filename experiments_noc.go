@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nocbt/internal/hwmodel"
+	"nocbt/internal/sweep"
 )
 
 // This file implements the paper's *with-NoC* experiments (Figs. 12/13),
@@ -28,150 +29,20 @@ func init() {
 		}))
 }
 
-// NoCRunResult is one (platform, geometry, ordering) measurement of a full
-// DNN inference through the NoC.
-type NoCRunResult struct {
-	Platform string
-	// Model is the model's display name (e.g. "LeNet"); Workload is the
-	// sweep-grid workload name the run came from (e.g. "lenet", matching
-	// SweepModel). Sweep paths fill both; direct RunModelOnNoC calls leave
-	// Workload empty.
-	Model    string
-	Workload string
-	Geometry Geometry
-	Ordering Ordering
-	// Coding is the link coding's display name; empty and "none" both mean
-	// the paper's plain binary links.
-	Coding string
-	// Topology is the canonical interconnect name; empty means the default
-	// mesh, the paper's platform.
-	Topology string
-	// Seed is the weight/input seed of the run (sweep paths fill it in;
-	// direct RunModelOnNoC calls leave it 0 unless the caller sets it).
-	Seed int64
-	// Batch is the inference batch size (1 = serial Infer).
-	Batch int
-	// Precision is the uniform lane-width override the sweep's precision
-	// axis applied (0 when unused — the geometry's own format ran).
-	Precision int
-	TotalBT   int64
-	Cycles    int64
-	Packets   int64
-	// Flits counts total injected flits (headers included) — the traffic
-	// volume a narrower precision shrinks.
-	Flits int64
-	// RouterFlits counts router-to-router link traversals; RouterFlits /
-	// Flits is the mean hop count, which torus wrap links and cmesh
-	// concentration shrink.
-	RouterFlits int64
-	// MACBitOps, WeightRegBits and FlitBits are the engine's per-component
-	// activity counters (accel.EnergyCounters); with TotalBT as the link
-	// transition count they price a per-component energy estimate.
-	MACBitOps     int64
-	WeightRegBits int64
-	FlitBits      int64
-	// Throughput is inferences per thousand simulated cycles and
-	// AvgLatencyCycles the mean per-inference latency; for batch 1 both
-	// degenerate to the single inference's cycle count.
-	Throughput       float64
-	AvgLatencyCycles float64
-	// ReductionPct is relative to the same platform/geometry's O0 run.
-	ReductionPct float64
-}
-
-// codingDisplayName canonicalizes a platform's LinkCoding for result rows:
-// the empty (uncoded) spelling renders as "none", matching the sweep
-// runner's display form so serial and swept rows compare equal.
-func codingDisplayName(c string) string {
-	if c == "" {
-		return "none"
-	}
-	return c
-}
+// NoCRunResult is one measurement of a full DNN inference (or batch of
+// inferences) through the NoC: a RunSweep grid point or a RunModelOnNoC
+// call. Its fields are documented on sweep.Result.
+type NoCRunResult = sweep.Result
 
 // RunModelOnNoC executes one inference of the model on the platform with
-// the given ordering and returns the measurement. The context cancels the
-// simulation between cycles.
+// the given ordering and returns the measurement, with the row arithmetic
+// of RunSweep: Coding and Topology in canonical display form, Workload and
+// Seed left empty. The context cancels the simulation between cycles and
+// may carry a span tracer (WithTracer).
 func RunModelOnNoC(ctx context.Context, name string, cfg Platform, ord Ordering, model *Model, input *Tensor) (NoCRunResult, error) {
 	cfg.Ordering = ord
-	eng, err := NewEngine(cfg, model)
-	if err != nil {
-		return NoCRunResult{}, err
-	}
-	if t := TracerFromContext(ctx); t != nil {
-		eng.SetSpanTracer(t)
-	}
-	if _, err := eng.Infer(ctx, input); err != nil {
-		return NoCRunResult{}, err
-	}
-	ec := eng.EnergyCounters()
-	topology, _ := CanonicalTopologyName(cfg.Mesh.Topology)
-	res := NoCRunResult{
-		Platform:      name,
-		Model:         model.Name(),
-		Geometry:      cfg.Geometry,
-		Ordering:      ord,
-		Coding:        codingDisplayName(cfg.LinkCoding),
-		Topology:      topology,
-		Batch:         1,
-		TotalBT:       eng.TotalBT(),
-		Cycles:        eng.Cycles(),
-		Packets:       eng.TaskPackets() + eng.ResultPackets(),
-		Flits:         eng.TotalFlits(),
-		RouterFlits:   eng.NoCStats().RouterFlits,
-		MACBitOps:     ec.MACBitOps,
-		WeightRegBits: ec.WeightRegBits,
-		FlitBits:      ec.FlitBits,
-	}
-	if res.Cycles > 0 {
-		res.Throughput = 1000 / float64(res.Cycles)
-		res.AvgLatencyCycles = float64(res.Cycles)
-	}
-	return res, nil
-}
-
-// RunModelBatchOnNoC executes a batch of identical inferences concurrently
-// on the mesh (Engine.InferRepeated under PipelinedLayers) and returns the
-// measurement with batch throughput and latency filled in — the same
-// arithmetic the sweep runner's batch axis records.
-func RunModelBatchOnNoC(ctx context.Context, name string, cfg Platform, ord Ordering, model *Model, input *Tensor, batch int) (NoCRunResult, error) {
-	if batch < 1 {
-		return NoCRunResult{}, fmt.Errorf("nocbt: batch size %d < 1", batch)
-	}
-	if batch == 1 {
-		return RunModelOnNoC(ctx, name, cfg, ord, model, input)
-	}
-	cfg.Ordering = ord
-	cfg.LayerMode = PipelinedLayers
-	eng, err := NewEngine(cfg, model)
-	if err != nil {
-		return NoCRunResult{}, err
-	}
-	if t := TracerFromContext(ctx); t != nil {
-		eng.SetSpanTracer(t)
-	}
-	if _, err := eng.InferRepeated(ctx, input, batch); err != nil {
-		return NoCRunResult{}, err
-	}
-	st := eng.LastBatchStats()
-	ec := eng.EnergyCounters()
-	return NoCRunResult{
-		Platform:         name,
-		Model:            model.Name(),
-		Geometry:         cfg.Geometry,
-		Ordering:         ord,
-		Coding:           codingDisplayName(cfg.LinkCoding),
-		Batch:            batch,
-		TotalBT:          eng.TotalBT(),
-		Cycles:           eng.Cycles(),
-		Packets:          eng.TaskPackets() + eng.ResultPackets(),
-		Flits:            eng.TotalFlits(),
-		MACBitOps:        ec.MACBitOps,
-		WeightRegBits:    ec.WeightRegBits,
-		FlitBits:         ec.FlitBits,
-		Throughput:       st.Throughput(),
-		AvgLatencyCycles: st.AvgLatencyCycles,
-	}, nil
+	res, _, err := sweep.Measure(ctx, name, cfg, model, input, 1, nil)
+	return res, err
 }
 
 // fig12Spec is the Fig. 12 grid: LeNet on the paper's three platforms,
@@ -187,17 +58,9 @@ func fig12Spec(seed int64, trained bool) SweepSpec {
 	}
 }
 
-// Fig12 reproduces the NoC-size sweep: LeNet inference on 4×4/MC2, 8×8/MC4
-// and 8×8/MC8 for both data formats and all three orderings, executed on
-// the concurrent sweep runner. Trained weights by default (the paper
-// evaluates both; trained is its headline).
-func Fig12(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error) {
-	return RunSweep(ctx, fig12Spec(seed, trained))
-}
-
 // fig12Result measures the Fig. 12 grid at Params.Seed (0 included).
 func fig12Result(ctx context.Context, p Params) (*Result, error) {
-	rows, err := Fig12(ctx, p.Seed, p.Trained)
+	rows, err := RunSweep(ctx, fig12Spec(p.Seed, p.Trained))
 	if err != nil {
 		return nil, err
 	}
@@ -237,16 +100,9 @@ func fig13Spec(seed int64, trained bool) SweepSpec {
 	}
 }
 
-// Fig13 reproduces the model sweep: LeNet and the DarkNet-like model on the
-// default 4×4/MC2 platform, both formats, all orderings, executed on the
-// concurrent sweep runner.
-func Fig13(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error) {
-	return RunSweep(ctx, fig13Spec(seed, trained))
-}
-
 // fig13Result measures the Fig. 13 grid at Params.Seed (0 included).
 func fig13Result(ctx context.Context, p Params) (*Result, error) {
-	rows, err := Fig13(ctx, p.Seed, p.Trained)
+	rows, err := RunSweep(ctx, fig13Spec(p.Seed, p.Trained))
 	if err != nil {
 		return nil, err
 	}

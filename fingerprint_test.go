@@ -249,6 +249,25 @@ func TestPlatformFingerprint(t *testing.T) {
 	if len(f1) != 64 {
 		t.Errorf("fingerprint %q is not a sha256 hex digest", f1)
 	}
+	// The paper presets build the platform their option bundles describe.
+	presets := map[string]func(Geometry) []PlatformOption{
+		"4x4 MC2": PaperOptions4x4MC2, "8x8 MC4": PaperOptions8x8MC4, "8x8 MC8": PaperOptions8x8MC8,
+	}
+	for _, p := range PaperPlatforms() {
+		for _, g := range []Geometry{Float32(), Fixed8()} {
+			got, err := PlatformFingerprint(p.Build(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := PlatformFingerprint(MustPlatform(presets[p.Name](g)...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s %s: preset fingerprint %s, option bundle %s", p.Name, g.Format, got[:16], want[:16])
+			}
+		}
+	}
 }
 
 func TestLookupPaperPlatform(t *testing.T) {

@@ -194,6 +194,80 @@ func TestSweepReport(t *testing.T) {
 	}
 }
 
+// TestRowsAgreeAcrossPaths runs one coded torus platform, with the coding
+// spelled "Gray", through RunModelOnNoC and through RunSweep at batches 1
+// and 2: every row names the canonical topology and coding and counts
+// router-link flit-hops, and the direct row equals the sweep's batch-1 row.
+func TestRowsAgreeAcrossPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 4 NoC inferences; skipped in -short mode")
+	}
+	cfg := mustPlatform(t, WithMesh(4, 4), WithTopology("torus"), WithLinkCoding("Gray"))
+	model := LeNet(1)
+	direct, err := RunModelOnNoC(context.Background(), "4x4 torus", cfg, O2, model, SampleInput(model, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, err := RunSweep(context.Background(), SweepSpec{
+		Platforms:  []NamedPlatform{FixedPlatform("4x4 torus", cfg)},
+		Geometries: []Geometry{Fixed8()},
+		Orderings:  []Ordering{O2},
+		Batches:    []int{1, 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range append([]NoCRunResult{direct}, swept...) {
+		if r.Topology != "torus" || r.RouterFlits <= 0 || r.Coding != "gray" {
+			t.Errorf("row %d: topology %q, router flits %d, coding %q; want torus, > 0, gray",
+				i, r.Topology, r.RouterFlits, r.Coding)
+		}
+	}
+	direct.Workload, direct.Seed = string(LeNetModel), 1
+	if !reflect.DeepEqual(direct, swept[0]) {
+		t.Errorf("direct row differs from the sweep's batch-1 row:\ndirect: %+v\nsweep:  %+v", direct, swept[0])
+	}
+}
+
+// TestSweepNamesSpec pins the shared name vocabulary of btexp's sweep
+// flags and btserved's sweep parameters: both spellings of each ordering
+// resolve, the precision axis keeps 0 as "the geometry's own format", and
+// each axis rejects an unknown name with its own message.
+func TestSweepNamesSpec(t *testing.T) {
+	spec, err := SweepNames{
+		Platforms:  []string{" 8x8 MC4"},
+		Orderings:  []string{"baseline", " O1", "separated", "hamming-nn"},
+		Precisions: []int{0, 4},
+	}.Spec(5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Ordering{O0, O1, O2, HammingNN}; !reflect.DeepEqual(spec.Orderings, want) {
+		t.Errorf("orderings = %v, want %v", spec.Orderings, want)
+	}
+	if len(spec.Platforms) != 1 || spec.Platforms[0].Name != "8x8 MC4" || !spec.Trained ||
+		!reflect.DeepEqual(spec.Seeds, []int64{5}) || !reflect.DeepEqual(spec.Precisions, []int{0, 4}) {
+		t.Errorf("spec resolved wrong: %+v", spec)
+	}
+	for _, tc := range []struct {
+		names SweepNames
+		want  string
+	}{
+		{SweepNames{Platforms: []string{"9x9"}}, "unknown platform"},
+		{SweepNames{Formats: []string{"fp64"}}, "unknown format"},
+		{SweepNames{Orderings: []string{"o9"}}, "unknown ordering"},
+		{SweepNames{Codings: []string{"huffman"}}, "unknown link coding"},
+		{SweepNames{Topologies: []string{"hypercube"}}, "unknown topology"},
+		{SweepNames{Models: []string{"resnet"}}, "unknown sweep model"},
+		{SweepNames{Batches: []int{0}}, "bad batch size"},
+		{SweepNames{Precisions: []int{7}}, "bad precision"},
+	} {
+		if _, err := tc.names.Spec(1, false); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.names, err, tc.want)
+		}
+	}
+}
+
 // checkGolden compares got against testdata/<name>.golden, rewriting the
 // file under -update.
 func checkGolden(t *testing.T, name, got string) {

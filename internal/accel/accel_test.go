@@ -61,14 +61,6 @@ func TestPerimeterMCsPlacement(t *testing.T) {
 	}
 }
 
-func TestPerimeterMCsCountCap(t *testing.T) {
-	// Requesting more MCs than perimeter nodes must cap, not panic.
-	got := PerimeterMCs(2, 2, 100)
-	if len(got) != 4 {
-		t.Errorf("2x2 capped MCs = %v", got)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	g := paperFixed8
 	good := Mesh4x4MC2(g).withDefaults()

@@ -231,7 +231,8 @@ func (c Config) PEs() []int {
 // perimeter, walking clockwise from the north-west corner — the paper's
 // Fig. 6 attaches MCs (with their ordering units and off-chip memory) at
 // the mesh edge. Deterministic: the same (w, h, count) always yields the
-// same placement.
+// same placement. count must not exceed the perimeter's node count
+// (nocbt.NewPlatform rejects larger counts before placing).
 //
 // Placement is on the terminal (NI) grid, which every topology preserves:
 // torus and cmesh re-map terminals onto routers internally, so MC node IDs
@@ -239,9 +240,6 @@ func (c Config) PEs() []int {
 func PerimeterMCs(w, h, count int) []int {
 	cfg := noc.Config{Width: w, Height: h}
 	perimeter := perimeterWalk(w, h)
-	if count > len(perimeter) {
-		count = len(perimeter)
-	}
 	out := make([]int, 0, count)
 	for i := 0; i < count; i++ {
 		x, y := perimeter[i*len(perimeter)/count][0], perimeter[i*len(perimeter)/count][1]

@@ -78,11 +78,13 @@ var Targets = []Target{
 	// rides along as a JSON-marshaled value inside it.
 	{Pkg: "nocbt", Type: "Params", Mode: Serialized, Serializers: []string{"Fingerprint", "withDefaults", "table1Params"}},
 	{Pkg: "nocbt", Type: "SweepSpec", Mode: Serialized, Serializers: []string{"Fingerprint"}},
+	// SweepNames (btserved's SweepParams) reaches the cache key through
+	// the SweepSpec its Spec method resolves.
+	{Pkg: "nocbt", Type: "SweepNames", Mode: Serialized, Serializers: []string{"Spec"}},
 	{Pkg: "nocbt", Type: "Table1Config", Mode: JSONVisible},
 	// Serving specs reach the cache key through the platform they build:
 	// a field that never reaches Build cannot affect the fingerprint.
 	{Pkg: "nocbt/internal/serve", Type: "PlatformSpec", Mode: Serialized, Serializers: []string{"Build", "withDefaults"}},
-	{Pkg: "nocbt/internal/serve", Type: "SweepParams", Mode: Serialized, Serializers: []string{"toParams"}},
 }
 
 const marker = "fingerprint:ignore"

@@ -68,8 +68,9 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 type ctxKey struct{}
 
 // NewContext returns ctx carrying the tracer, the plumbing experiments use
-// to hand one tracer to every engine a run constructs (the sweep runner
-// and the public RunModelOnNoC install it on each engine they build).
+// to hand one tracer to every engine a run constructs (sweep.Measure, the
+// one measuring path behind RunSweep and RunModelOnNoC, installs it on each
+// engine it builds).
 func NewContext(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, ctxKey{}, t)
 }

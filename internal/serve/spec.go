@@ -98,9 +98,9 @@ func (s PlatformSpec) Build() (nocbt.Platform, error) {
 	default:
 		return nocbt.Platform{}, fmt.Errorf("serve: unknown geometry %q (want fixed8 or float32)", s.Geometry)
 	}
-	ord, err := parseOrdering(s.Ordering)
+	ord, err := nocbt.ParseOrdering(s.Ordering)
 	if err != nil {
-		return nocbt.Platform{}, err
+		return nocbt.Platform{}, fmt.Errorf("serve: %w", err)
 	}
 	opts = append(opts, nocbt.WithOrdering(ord))
 	if _, ok := nocbt.LookupLinkCoding(s.LinkCoding); !ok {
@@ -137,25 +137,6 @@ func (s PlatformSpec) Build() (nocbt.Platform, error) {
 		opts = append(opts, nocbt.WithTopology(s.Topology, nocbt.WithConcentration(s.Concentration)))
 	}
 	return nocbt.NewPlatform(opts...)
-}
-
-// parseOrdering resolves a wire ordering name: the paper's long aliases
-// first (the pre-registry serving API accepted "baseline" etc.), then any
-// name in the strategy registry.
-func parseOrdering(name string) (nocbt.Ordering, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "baseline":
-		return nocbt.O0, nil
-	case "affiliated":
-		return nocbt.O1, nil
-	case "separated":
-		return nocbt.O2, nil
-	}
-	ord, err := nocbt.ParseOrdering(name)
-	if err != nil {
-		return 0, fmt.Errorf("serve: %w", err)
-	}
-	return ord, nil
 }
 
 // ModelProvider materializes one servable model family.
@@ -253,28 +234,10 @@ type ExperimentParams struct {
 	Sweep          *SweepParams `json:"sweep,omitempty"`
 }
 
-// SweepParams restricts the "sweep" experiment's grid. Empty axes keep
-// the paper's defaults; platform names resolve through
-// nocbt.LookupPaperPlatform.
-type SweepParams struct {
-	Platforms []string `json:"platforms,omitempty"`
-	Formats   []string `json:"formats,omitempty"`
-	// Orderings restricts the ordering axis by registry name ("o0",
-	// "hamming-nn", …); empty keeps the paper's O0/O1/O2 default.
-	Orderings []string `json:"orderings,omitempty"`
-	// Codings adds a link-coding axis by registry name ("none", "gray",
-	// "businvert"); empty sweeps plain binary links only.
-	Codings []string `json:"codings,omitempty"`
-	Models  []string `json:"models,omitempty"`
-	Seeds   []int64  `json:"seeds,omitempty"`
-	Batches []int    `json:"batches,omitempty"`
-	// Precisions adds a uniform fixed-point lane-width axis (entries from
-	// nocbt.FixedWidths()); empty keeps each geometry's own format.
-	Precisions []int `json:"precisions,omitempty"`
-	// Topologies adds an interconnect axis by registry name ("mesh",
-	// "torus", "cmesh"); empty keeps each platform's own topology.
-	Topologies []string `json:"topologies,omitempty"`
-}
+// SweepParams is the wire form of a "sweep" grid restriction: a grid
+// spelled by name, resolved by nocbt.SweepNames.Spec. Empty axes keep the
+// paper's defaults.
+type SweepParams = nocbt.SweepNames
 
 // toParams lowers the wire params onto nocbt.Params.
 func (p ExperimentParams) toParams() (nocbt.Params, error) {
@@ -289,54 +252,9 @@ func (p ExperimentParams) toParams() (nocbt.Params, error) {
 	if p.Sweep == nil {
 		return out, nil
 	}
-	spec := nocbt.SweepSpec{Trained: p.Trained, Seeds: p.Sweep.Seeds, Batches: p.Sweep.Batches, Precisions: p.Sweep.Precisions}
-	if len(spec.Seeds) == 0 {
-		spec.Seeds = []int64{p.Seed}
-	}
-	for _, name := range p.Sweep.Platforms {
-		pl, ok := nocbt.LookupPaperPlatform(name)
-		if !ok {
-			return out, fmt.Errorf("serve: unknown sweep platform %q (want 4x4, 8x8mc4 or 8x8mc8)", name)
-		}
-		spec.Platforms = append(spec.Platforms, pl)
-	}
-	for _, f := range p.Sweep.Formats {
-		switch strings.ToLower(strings.TrimSpace(f)) {
-		case "fixed8", "fixed-8":
-			spec.Geometries = append(spec.Geometries, nocbt.Fixed8())
-		case "float32", "float-32":
-			spec.Geometries = append(spec.Geometries, nocbt.Float32())
-		default:
-			return out, fmt.Errorf("serve: unknown sweep format %q (want fixed8 or float32)", f)
-		}
-	}
-	for _, o := range p.Sweep.Orderings {
-		ord, err := parseOrdering(o)
-		if err != nil {
-			return out, err
-		}
-		spec.Orderings = append(spec.Orderings, ord)
-	}
-	for _, c := range p.Sweep.Codings {
-		if _, ok := nocbt.LookupLinkCoding(c); !ok {
-			return out, fmt.Errorf("serve: unknown sweep link coding %q (registered: %v)", c, nocbt.LinkCodingNames())
-		}
-		spec.Codings = append(spec.Codings, c)
-	}
-	for _, t := range p.Sweep.Topologies {
-		if _, ok := nocbt.CanonicalTopologyName(t); !ok {
-			return out, fmt.Errorf("serve: unknown sweep topology %q (registered: %v)", t, nocbt.TopologyNames())
-		}
-		spec.Topologies = append(spec.Topologies, t)
-	}
-	for _, m := range p.Sweep.Models {
-		model := nocbt.SweepModel(strings.ToLower(strings.TrimSpace(m)))
-		switch model {
-		case nocbt.LeNetModel, nocbt.DarkNetModel:
-			spec.Models = append(spec.Models, model)
-		default:
-			return out, fmt.Errorf("serve: unknown sweep model %q (want lenet or darknet)", m)
-		}
+	spec, err := p.Sweep.Spec(p.Seed, p.Trained)
+	if err != nil {
+		return out, fmt.Errorf("serve: sweep: %w", err)
 	}
 	out.Sweep = &spec
 	return out, nil

@@ -1,29 +1,24 @@
 package sweep
 
-import (
-	"fmt"
+import "nocbt/internal/flit"
 
-	"nocbt/internal/flit"
-	"nocbt/internal/noc"
-	"nocbt/internal/stats"
-)
-
-// Result is one measured grid point. The string fields duplicate the typed
-// Geometry/Ordering in display form.
+// Result is one measured NoC run: a sweep grid point, or one direct
+// Measure call.
 type Result struct {
-	Platform     string
-	Workload     string
-	Model        string
-	Geometry     flit.Geometry
-	Format       string
-	LinkBits     int
-	Ordering     flit.Ordering
-	OrderingName string
+	Platform string
+	// Model is the model's display name (e.g. "LeNet"); Workload is the
+	// grid workload name the run came from (e.g. "lenet"). Measure leaves
+	// Workload empty; Run fills it.
+	Model    string
+	Workload string
+	Geometry flit.Geometry
+	Ordering flit.Ordering
 	// Coding is the link coding's display name ("none" when uncoded).
 	Coding string
 	// Topology is the canonical interconnect name ("" = the default mesh).
 	Topology string
-	Seed     int64
+	// Seed is the weight and input seed of a sweep run (0 from Measure).
+	Seed int64
 	// Batch is the inference batch size of the run (1 = serial Infer).
 	Batch int
 	// Precision is the uniform lane-width override the job swept (0 when
@@ -53,24 +48,4 @@ type Result struct {
 	// ReductionPct is relative to the group's Baseline run (0 when the
 	// sweep did not include the Baseline ordering).
 	ReductionPct float64
-}
-
-// RenderTable renders the results with the repository's standard table
-// formatter, one row per grid point in sweep order.
-func RenderTable(results []Result) string {
-	t := stats.NewTable("Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
-		"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %")
-	for _, r := range results {
-		coding := r.Coding
-		if coding == "" {
-			coding = "none" // rows predating the coding axis
-		}
-		prec := "-"
-		if r.Precision > 0 {
-			prec = fmt.Sprintf("%d", r.Precision)
-		}
-		t.AddRowf(r.Platform, noc.TopologyDisplayName(r.Topology), r.Model, r.Format, prec, r.OrderingName, coding, r.Seed, r.Batch,
-			r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
-	}
-	return t.String()
 }

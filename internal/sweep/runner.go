@@ -162,11 +162,8 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 // Result, or its error, at the job's index; it reports whether every job
 // succeeded. The group's first job sets the engine's own LinkCoding; every
 // other coding is counted on the same link crossings (Engine.CountCodings),
-// so a job's Result is the group's with its own Coding and TotalBT.
-// runGroup builds the platform, clones the shared model for race-free
-// inference and runs it through the NoC. Batch sizes above one share the
-// mesh between all inferences via Engine.InferRepeated; size one keeps the
-// classic serial Infer path.
+// so a job's Result is the group's with its own Coding and TotalBT. Each
+// group infers on its own clone of the shared model.
 func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, errs []error) bool {
 	job := group[0]
 	fail := func(j Job, err error) bool {
@@ -179,16 +176,19 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	}
 	cfg := job.Platform.Build(job.Geometry)
 	cfg.Ordering = job.Ordering
-	precision := job.Precision
-	if precision > 0 && cfg.Geometry.Format.IsFixed() {
+	if job.Precision > 0 && cfg.Geometry.Format.IsFixed() {
 		// A uniform lane-width override: every NoC layer flitizes at this
 		// width. Non-fixed geometries skip the axis (precision stays in the
 		// row label, the engine keeps the geometry's own format).
-		cfg.Precisions = []int{precision}
+		cfg.Precisions = []int{job.Precision}
+	}
+	if job.Topology != "" {
+		// A listed topology — "mesh" included — overrides the platform's
+		// own interconnect; an empty axis value keeps it.
+		cfg.Mesh.Topology = job.Topology
 	}
 	// A listed coding — "none" included — overrides the platform's own
-	// LinkCoding; an empty axis value keeps it. Each row reports the coding
-	// it measures in canonical display form.
+	// LinkCoding; an empty axis value keeps it.
 	codings := make([]string, len(group))
 	for k, j := range group {
 		coding := cfg.LinkCoding
@@ -202,88 +202,35 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 		codings[k] = canonical
 	}
 	cfg.LinkCoding = codings[0]
-	if job.Topology != "" {
-		// A listed topology — "mesh" included — overrides the platform's
-		// own interconnect; an empty axis value keeps it.
-		cfg.Mesh.Topology = job.Topology
-	}
-	effTopology, ok := noc.CanonicalTopologyName(cfg.Mesh.Topology)
-	if !ok {
-		return fail(job, fmt.Errorf("unknown topology %q", cfg.Mesh.Topology))
-	}
-	batch := job.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > 1 {
-		// The batch axis measures sustained concurrent traffic; the
-		// paper-faithful SerialLayers default would reduce it to N scaled
-		// serial rows.
-		cfg.LayerMode = accel.PipelinedLayers
-	}
-	model := entry.model.CloneForInference()
-	eng, err := accel.New(cfg, model)
-	if err != nil {
-		return fail(job, err)
-	}
 	// counted[k] is the CountCodings index of job k's coding, or -1 when it
-	// is the engine's own.
+	// is the engine's own; a coding that cannot be counted fails the first
+	// job that lists it.
 	counted := make([]int, len(group))
-	installed := map[string]int{codings[0]: -1}
-	for k, coding := range codings {
-		i, ok := installed[coding]
-		if !ok {
-			if err := eng.CountCodings(coding); err != nil {
-				return fail(group[k], err)
+	failed := job
+	countCodings := func(eng *accel.Engine) error {
+		installed := map[string]int{codings[0]: -1}
+		for k, coding := range codings {
+			i, ok := installed[coding]
+			if !ok {
+				if err := eng.CountCodings(coding); err != nil {
+					failed = group[k]
+					return err
+				}
+				i = len(installed) - 1
+				installed[coding] = i
 			}
-			i = len(installed) - 1
-			installed[coding] = i
+			counted[k] = i
 		}
-		counted[k] = i
+		return nil
 	}
-	if t := obs.FromContext(ctx); t != nil {
-		eng.SetSpanTracer(t)
+	res, eng, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch, countCodings)
+	if err != nil {
+		return fail(failed, err)
 	}
-	res := Result{
-		Platform:     job.Platform.Name,
-		Workload:     job.Workload.Name,
-		Model:        model.Name(),
-		Geometry:     job.Geometry,
-		Format:       job.Geometry.Format.String(),
-		LinkBits:     job.Geometry.LinkBits,
-		Ordering:     job.Ordering,
-		OrderingName: job.Ordering.String(),
-		Topology:     effTopology,
-		Seed:         job.Seed,
-		Batch:        batch,
-		Precision:    job.Precision,
-	}
-	if batch == 1 {
-		if _, err := eng.Infer(ctx, entry.input); err != nil {
-			return fail(job, err)
-		}
-		if c := eng.Cycles(); c > 0 {
-			res.Throughput = 1000 / float64(c)
-			res.AvgLatencyCycles = float64(c)
-		}
-	} else {
-		if _, err := eng.InferRepeated(ctx, entry.input, batch); err != nil {
-			return fail(job, err)
-		}
-		st := eng.LastBatchStats()
-		res.Throughput = st.Throughput()
-		res.AvgLatencyCycles = st.AvgLatencyCycles
-	}
-	res.Cycles = eng.Cycles()
-	res.Packets = eng.TaskPackets() + eng.ResultPackets()
-	res.Flits = eng.TotalFlits()
-	// Router-link flit-hops over injected flits is the mean hop count —
-	// the traffic-distance metric topologies trade against wiring.
-	res.RouterFlits = eng.NoCStats().RouterFlits
-	ec := eng.EnergyCounters()
-	res.MACBitOps = ec.MACBitOps
-	res.WeightRegBits = ec.WeightRegBits
-	res.FlitBits = ec.FlitBits
+	res.Workload = job.Workload.Name
+	res.Geometry = job.Geometry
+	res.Seed = job.Seed
+	res.Precision = job.Precision
 	for k, j := range group {
 		res.Coding = codingName(codings[k])
 		res.TotalBT = eng.TotalBT()
@@ -293,6 +240,76 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 		results[j.Index] = res
 	}
 	return true
+}
+
+// Measure runs one measurement of model on cfg and returns its row with
+// the engine that ran it. Batch 1 is one Engine.Infer; a larger batch runs
+// Engine.InferRepeated under PipelinedLayers, so the batch's inferences
+// share the mesh, which the paper-faithful SerialLayers default would
+// reduce to scaled serial runs. The row carries the canonical topology,
+// the display coding, every traffic and energy counter, throughput and
+// latency; the grid coordinates Workload, Seed and Precision are left to
+// the caller. Measure installs the context's span tracer on the engine,
+// and prepare, when non-nil, runs on the engine before inference.
+func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.Model, input *tensor.Tensor,
+	batch int, prepare func(*accel.Engine) error) (Result, *accel.Engine, error) {
+	if batch < 1 {
+		return Result{}, nil, fmt.Errorf("batch size %d < 1", batch)
+	}
+	if canonical, ok := flit.CanonicalLinkCodingName(cfg.LinkCoding); ok {
+		cfg.LinkCoding = canonical
+	}
+	if batch > 1 {
+		cfg.LayerMode = accel.PipelinedLayers
+	}
+	eng, err := accel.New(cfg, model)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if prepare != nil {
+		if err := prepare(eng); err != nil {
+			return Result{}, nil, err
+		}
+	}
+	if t := obs.FromContext(ctx); t != nil {
+		eng.SetSpanTracer(t)
+	}
+	topology, _ := noc.CanonicalTopologyName(cfg.Mesh.Topology)
+	res := Result{
+		Platform: platform,
+		Model:    model.Name(),
+		Geometry: cfg.Geometry,
+		Ordering: cfg.Ordering,
+		Coding:   codingName(cfg.LinkCoding),
+		Topology: topology,
+		Batch:    batch,
+	}
+	if batch == 1 {
+		if _, err := eng.Infer(ctx, input); err != nil {
+			return Result{}, nil, err
+		}
+		if c := eng.Cycles(); c > 0 {
+			res.Throughput = 1000 / float64(c)
+			res.AvgLatencyCycles = float64(c)
+		}
+	} else {
+		if _, err := eng.InferRepeated(ctx, input, batch); err != nil {
+			return Result{}, nil, err
+		}
+		st := eng.LastBatchStats()
+		res.Throughput = st.Throughput()
+		res.AvgLatencyCycles = st.AvgLatencyCycles
+	}
+	res.TotalBT = eng.TotalBT()
+	res.Cycles = eng.Cycles()
+	res.Packets = eng.TaskPackets() + eng.ResultPackets()
+	res.Flits = eng.TotalFlits()
+	res.RouterFlits = eng.NoCStats().RouterFlits
+	ec := eng.EnergyCounters()
+	res.MACBitOps = ec.MACBitOps
+	res.WeightRegBits = ec.WeightRegBits
+	res.FlitBits = ec.FlitBits
+	return res, eng, nil
 }
 
 // codingName maps a canonical coding name onto its display name: the
@@ -310,8 +327,7 @@ func codingName(c string) string {
 type groupKey struct {
 	platform  string
 	workload  string
-	linkBits  int
-	format    string
+	geometry  flit.Geometry
 	coding    string
 	topology  string
 	seed      int64
@@ -323,8 +339,7 @@ func (res Result) group() groupKey {
 	return groupKey{
 		platform:  res.Platform,
 		workload:  res.Workload,
-		linkBits:  res.LinkBits,
-		format:    res.Format,
+		geometry:  res.Geometry,
 		coding:    res.Coding,
 		topology:  res.Topology,
 		seed:      res.Seed,

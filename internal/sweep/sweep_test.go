@@ -189,7 +189,7 @@ func TestReductionPct(t *testing.T) {
 		for _, r := range results[i+1 : i+3] {
 			want := 100 * (1 - float64(r.TotalBT)/float64(base.TotalBT))
 			if r.ReductionPct != want {
-				t.Errorf("%s/%s reduction %v, want %v", r.Format, r.OrderingName, r.ReductionPct, want)
+				t.Errorf("%s/%s reduction %v, want %v", r.Geometry.Format, r.Ordering, r.ReductionPct, want)
 			}
 		}
 	}
@@ -250,22 +250,6 @@ func TestRunAbortsQueuedJobsAfterError(t *testing.T) {
 	// most len(Seeds) times; the abort must cut it to exactly one.
 	if got := ran.Load(); got != 1 {
 		t.Errorf("workload built %d times after a failing first job, want 1", got)
-	}
-}
-
-func TestRenderTable(t *testing.T) {
-	spec := tinySpec()
-	spec.Seeds = []int64{1}
-	spec.Geometries = spec.Geometries[:1]
-	results, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderTable(results)
-	for _, want := range []string{"Platform", "Reduction %", "2x2 MC1", "O2", "Tiny"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
 	}
 }
 

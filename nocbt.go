@@ -39,6 +39,7 @@ package nocbt
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"nocbt/internal/accel"
@@ -114,8 +115,21 @@ func RegisterOrderingStrategy(s OrderingStrategy) error { return flit.RegisterOr
 func OrderingStrategies() []OrderingStrategy { return flit.OrderingStrategies() }
 
 // ParseOrdering resolves a registered strategy name ("O2", "hamming-nn",
-// case-insensitive) onto its wire ID.
-func ParseOrdering(name string) (Ordering, error) { return flit.ParseOrdering(name) }
+// case-insensitive, surrounding spaces ignored) onto its wire ID. The
+// paper's long names baseline, affiliated and separated resolve to O0, O1
+// and O2.
+func ParseOrdering(name string) (Ordering, error) {
+	name = strings.TrimSpace(name)
+	switch strings.ToLower(name) {
+	case "baseline":
+		return O0, nil
+	case "affiliated":
+		return O1, nil
+	case "separated":
+		return O2, nil
+	}
+	return flit.ParseOrdering(name)
+}
 
 // LinkCodingScheme describes one link coding (bus-invert, Gray, …) and
 // builds per-link encoder state. Codings transform how the wires toggle on

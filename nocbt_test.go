@@ -95,45 +95,6 @@ func TestSampleInputDerivedFromRng(t *testing.T) {
 	}
 }
 
-// TestRunModelBatchOnNoC exercises the public batch measurement path and
-// its consistency with the serial row arithmetic.
-func TestRunModelBatchOnNoC(t *testing.T) {
-	m := LeNet(1)
-	in := SampleInput(m, 3)
-	serial, err := RunModelOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Batch != 1 || serial.Throughput <= 0 || serial.AvgLatencyCycles != float64(serial.Cycles) {
-		t.Fatalf("serial row malformed: %+v", serial)
-	}
-	batch, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Batch != 2 || batch.Throughput <= 0 || batch.AvgLatencyCycles <= 0 {
-		t.Fatalf("batch row malformed: %+v", batch)
-	}
-	if batch.Packets != 2*serial.Packets {
-		t.Errorf("batch packets %d, want %d", batch.Packets, 2*serial.Packets)
-	}
-	// Sharing the mesh must not be slower than two serial inferences.
-	if batch.Cycles > 2*serial.Cycles {
-		t.Errorf("batch cycles %d above 2x serial %d", batch.Cycles, 2*serial.Cycles)
-	}
-	// batch 1 delegates to the serial row; non-positive sizes are errors.
-	one, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one != serial {
-		t.Errorf("batch-1 row %+v differs from serial row %+v", one, serial)
-	}
-	if _, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", mustPlatform(t, PaperOptions4x4MC2(Fixed8())...), O2, m, in, 0); err == nil {
-		t.Error("batch size 0 not rejected")
-	}
-}
-
 func TestGeometryPresets(t *testing.T) {
 	if Float32().LinkBits != 512 || Fixed8().LinkBits != 128 {
 		t.Error("geometry presets wrong")

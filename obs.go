@@ -19,9 +19,9 @@ type Tracer = obs.Tracer
 // records nothing at zero cost.
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
-// WithTracer returns ctx carrying the tracer. RunExperiment, RunSweep,
-// RunModelOnNoC and RunModelBatchOnNoC install a context tracer on each
-// engine they build, so one tracer collects spans across a whole sweep.
+// WithTracer returns ctx carrying the tracer. RunExperiment, RunSweep and
+// RunModelOnNoC install a context tracer on each engine they build, so one
+// tracer collects spans across a whole sweep.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return obs.NewContext(ctx, t)
 }

@@ -300,8 +300,6 @@ func NewPlatform(opts ...PlatformOption) (Platform, error) {
 		}
 		switch s.placement {
 		case MCPerimeter:
-			// PerimeterMCs clamps oversized counts for its legacy callers;
-			// the v2 constructor's contract is rejection, not clamping.
 			if perimeter := 2*(s.width+s.height) - 4; s.mcCount > perimeter {
 				return Platform{}, fmt.Errorf("nocbt: perimeter placement supports at most %d MCs on a %dx%d mesh, got %d",
 					perimeter, s.width, s.height, s.mcCount)

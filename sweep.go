@@ -34,44 +34,19 @@ const (
 	DarkNetModel SweepModel = "darknet"
 )
 
-// NamedPlatform pairs a report label with a platform constructor.
-type NamedPlatform struct {
-	Name  string
-	Build func(Geometry) Platform
-}
+// NamedPlatform pairs a report label with a platform constructor: Build
+// returns the platform for a flit geometry.
+type NamedPlatform = sweep.Platform
 
 // PaperPlatforms returns the paper's three evaluated platforms in Fig. 12
-// order: 4×4/MC2, 8×8/MC4, 8×8/MC8.
+// order: 4×4/MC2, 8×8/MC4, 8×8/MC8. An invalid geometry builds a platform
+// that NewEngine rejects with its descriptive validation error.
 func PaperPlatforms() []NamedPlatform {
 	return []NamedPlatform{
-		{Name: "4x4 MC2", Build: paper4x4MC2},
-		{Name: "8x8 MC4", Build: paper8x8MC4},
-		{Name: "8x8 MC8", Build: paper8x8MC8},
+		{Name: "4x4 MC2", Build: accel.Mesh4x4MC2},
+		{Name: "8x8 MC4", Build: accel.Mesh8x8MC4},
+		{Name: "8x8 MC8", Build: accel.Mesh8x8MC8},
 	}
-}
-
-// paper4x4MC2, paper8x8MC4 and paper8x8MC8 build the paper presets with
-// NewPlatform. An invalid geometry falls back to the raw accel
-// constructor, so the error surfaces as NewEngine's descriptive validation
-// failure rather than as a construction panic.
-func paper4x4MC2(g Geometry) Platform {
-	return paperPlatform(PaperOptions4x4MC2(g), accel.Mesh4x4MC2, g)
-}
-
-func paper8x8MC4(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC4(g), accel.Mesh8x8MC4, g)
-}
-
-func paper8x8MC8(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC8(g), accel.Mesh8x8MC8, g)
-}
-
-func paperPlatform(opts []PlatformOption, raw func(Geometry) Platform, g Geometry) Platform {
-	cfg, err := NewPlatform(opts...)
-	if err != nil {
-		return raw(g)
-	}
-	return cfg
 }
 
 // LookupPaperPlatform resolves a case- and space-insensitive platform name
@@ -127,7 +102,7 @@ type SweepSpec struct {
 	// Seeds for weight init / training and input synthesis. Default: {1}.
 	Seeds []int64
 	// Batches lists inference batch sizes to measure. Size 1 is the
-	// classic serial Infer; larger sizes run Engine.InferBatch under
+	// classic serial Infer; larger sizes run Engine.InferRepeated under
 	// PipelinedLayers so all inferences of the batch share the mesh
 	// concurrently, measuring BT and throughput under sustained traffic.
 	// Default: {1}.
@@ -219,6 +194,7 @@ func workloadFor(m SweepModel, trained bool) (sweep.Workload, error) {
 // toInternal lowers the public spec onto the internal runner's grid.
 func (s SweepSpec) toInternal() (sweep.Spec, error) {
 	spec := sweep.Spec{
+		Platforms:  s.Platforms,
 		Geometries: s.Geometries,
 		Orderings:  s.Orderings,
 		Seeds:      s.Seeds,
@@ -227,10 +203,6 @@ func (s SweepSpec) toInternal() (sweep.Spec, error) {
 		Precisions: s.Precisions,
 		Topologies: s.Topologies,
 		Workers:    s.Workers,
-	}
-	for _, p := range s.Platforms {
-		p := p
-		spec.Platforms = append(spec.Platforms, sweep.Platform{Name: p.Name, Build: p.Build})
 	}
 	for _, m := range s.Models {
 		w, err := workloadFor(m, s.Trained)
@@ -256,37 +228,7 @@ func RunSweep(ctx context.Context, spec SweepSpec) ([]NoCRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.Run(ctx, internal)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]NoCRunResult, len(results))
-	for i, r := range results {
-		rows[i] = NoCRunResult{
-			Platform:         r.Platform,
-			Model:            r.Model,
-			Workload:         r.Workload,
-			Geometry:         r.Geometry,
-			Ordering:         r.Ordering,
-			Coding:           r.Coding,
-			Topology:         r.Topology,
-			Batch:            r.Batch,
-			Precision:        r.Precision,
-			TotalBT:          r.TotalBT,
-			Cycles:           r.Cycles,
-			Packets:          r.Packets,
-			Flits:            r.Flits,
-			RouterFlits:      r.RouterFlits,
-			MACBitOps:        r.MACBitOps,
-			WeightRegBits:    r.WeightRegBits,
-			FlitBits:         r.FlitBits,
-			Throughput:       r.Throughput,
-			AvgLatencyCycles: r.AvgLatencyCycles,
-			ReductionPct:     r.ReductionPct,
-			Seed:             r.Seed,
-		}
-	}
-	return rows, nil
+	return sweep.Run(ctx, internal)
 }
 
 // sweepResult runs the registered "sweep" experiment: the grid from
@@ -301,19 +243,6 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 	rows, err := RunSweep(ctx, spec)
 	if err != nil {
 		return nil, err
-	}
-	table := ResultTable{
-		Name: "sweep",
-		Columns: []string{"Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
-			"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %"},
-	}
-	for _, r := range rows {
-		prec := "-"
-		if r.Precision > 0 {
-			prec = fmt.Sprintf("%d", r.Precision)
-		}
-		table.AddRow(r.Platform, TopologyDisplayName(r.Topology), r.Model, r.Geometry.Format.String(), prec, r.Ordering.String(),
-			r.Coding, r.Seed, r.Batch, r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
 	}
 	resolved := spec.withDefaults()
 	platformNames := make([]string, len(resolved.Platforms))
@@ -333,7 +262,7 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 			"topologies": resolved.Topologies,
 			"trained":    resolved.Trained,
 		},
-		Tables: []ResultTable{table},
+		Tables: []ResultTable{sweepTable(rows)},
 		Sections: []Section{
 			TextSection("Sweep — ordering × platform × format × model grid\n"),
 			TableSection(0),
@@ -341,52 +270,120 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 	}, nil
 }
 
-// SweepReport renders sweep rows with the standard table formatter.
-func SweepReport(rows []NoCRunResult) string {
-	return sweep.RenderTable(toInternalResults(rows))
+// sweepTable lays sweep rows out as the sweep experiment's table, one row
+// per grid point.
+func sweepTable(rows []NoCRunResult) ResultTable {
+	table := ResultTable{
+		Name: "sweep",
+		Columns: []string{"Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
+			"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %"},
+	}
+	for _, r := range rows {
+		prec := "-"
+		if r.Precision > 0 {
+			prec = fmt.Sprintf("%d", r.Precision)
+		}
+		table.AddRow(r.Platform, TopologyDisplayName(r.Topology), r.Model, r.Geometry.Format.String(), prec, r.Ordering.String(),
+			r.Coding, r.Seed, r.Batch, r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
+	}
+	return table
 }
 
-func toInternalResults(rows []NoCRunResult) []sweep.Result {
-	out := make([]sweep.Result, len(rows))
-	for i, r := range rows {
-		workload := r.Workload
-		if workload == "" {
-			workload = r.Model // rows from direct RunModelOnNoC calls
+// SweepReport renders sweep rows as the sweep experiment's text table.
+func SweepReport(rows []NoCRunResult) string {
+	text, _ := Render(&Result{Tables: []ResultTable{sweepTable(rows)}}, Text) // a one-table text render cannot fail
+	return text
+}
+
+// SweepNames spells a sweep grid by name, the way btexp's -platforms,
+// -formats, … flags and btserved's "sweep" request parameters do; Spec
+// resolves it onto a SweepSpec. Empty axes keep SweepSpec's defaults.
+type SweepNames struct {
+	// Platforms resolve through LookupPaperPlatform ("4x4", "8x8mc4", …).
+	Platforms []string `json:"platforms,omitempty"`
+	// Formats are "fixed8" (or "fixed-8") and "float32" (or "float-32").
+	Formats []string `json:"formats,omitempty"`
+	// Orderings are ParseOrdering names ("o0", "separated", "hamming-nn",
+	// …); empty keeps the paper's O0/O1/O2.
+	Orderings []string `json:"orderings,omitempty"`
+	// Codings add a link-coding axis by registry name ("none", "gray",
+	// "businvert"); empty keeps each platform's own coding.
+	Codings []string `json:"codings,omitempty"`
+	// Models are SweepModel names ("lenet", "darknet").
+	Models []string `json:"models,omitempty"`
+	// Seeds default to the seed passed to Spec.
+	Seeds   []int64 `json:"seeds,omitempty"`
+	Batches []int   `json:"batches,omitempty"`
+	// Precisions add a uniform fixed-point lane-width axis (entries from
+	// FixedWidths(); 0 keeps the geometry's own format).
+	Precisions []int `json:"precisions,omitempty"`
+	// Topologies add an interconnect axis by registry name ("mesh",
+	// "torus", "cmesh"); empty keeps each platform's own topology.
+	Topologies []string `json:"topologies,omitempty"`
+}
+
+// Spec resolves the names onto a SweepSpec with the given default seed and
+// weight choice, failing on the first name or number it cannot resolve.
+// Names are case-insensitive and may carry surrounding spaces.
+func (n SweepNames) Spec(seed int64, trained bool) (SweepSpec, error) {
+	spec := SweepSpec{Trained: trained, Seeds: n.Seeds, Batches: n.Batches, Precisions: n.Precisions}
+	if len(spec.Seeds) == 0 {
+		spec.Seeds = []int64{seed}
+	}
+	for _, name := range n.Platforms {
+		p, ok := LookupPaperPlatform(name)
+		if !ok {
+			return SweepSpec{}, fmt.Errorf("unknown platform %q (want 4x4, 8x8mc4 or 8x8mc8)", name)
 		}
-		batch := r.Batch
-		if batch == 0 {
-			batch = 1 // rows predating the batch axis
-		}
-		coding := r.Coding
-		if coding == "" {
-			coding = "none" // rows predating the coding axis
-		}
-		out[i] = sweep.Result{
-			Platform:         r.Platform,
-			Workload:         workload,
-			Model:            r.Model,
-			Geometry:         r.Geometry,
-			Format:           r.Geometry.Format.String(),
-			LinkBits:         r.Geometry.LinkBits,
-			Ordering:         r.Ordering,
-			OrderingName:     r.Ordering.String(),
-			Coding:           coding,
-			Topology:         r.Topology,
-			Seed:             r.Seed,
-			Batch:            batch,
-			Precision:        r.Precision,
-			TotalBT:          r.TotalBT,
-			Cycles:           r.Cycles,
-			Packets:          r.Packets,
-			Flits:            r.Flits,
-			RouterFlits:      r.RouterFlits,
-			MACBitOps:        r.MACBitOps,
-			WeightRegBits:    r.WeightRegBits,
-			FlitBits:         r.FlitBits,
-			Throughput:       r.Throughput,
-			AvgLatencyCycles: r.AvgLatencyCycles,
-			ReductionPct:     r.ReductionPct,
+		spec.Platforms = append(spec.Platforms, p)
+	}
+	for _, name := range n.Formats {
+		switch strings.ToLower(strings.TrimSpace(name)) {
+		case "fixed8", "fixed-8":
+			spec.Geometries = append(spec.Geometries, Fixed8())
+		case "float32", "float-32":
+			spec.Geometries = append(spec.Geometries, Float32())
+		default:
+			return SweepSpec{}, fmt.Errorf("unknown format %q (want fixed8 or float32)", name)
 		}
 	}
-	return out
+	for _, name := range n.Orderings {
+		ord, err := ParseOrdering(name)
+		if err != nil {
+			return SweepSpec{}, err
+		}
+		spec.Orderings = append(spec.Orderings, ord)
+	}
+	for _, name := range n.Codings {
+		name = strings.TrimSpace(name)
+		if _, ok := LookupLinkCoding(name); !ok {
+			return SweepSpec{}, fmt.Errorf("unknown link coding %q (registered: %v)", name, LinkCodingNames())
+		}
+		spec.Codings = append(spec.Codings, name)
+	}
+	for _, name := range n.Topologies {
+		name = strings.TrimSpace(name)
+		if _, ok := CanonicalTopologyName(name); !ok {
+			return SweepSpec{}, fmt.Errorf("unknown topology %q (registered: %v)", name, TopologyNames())
+		}
+		spec.Topologies = append(spec.Topologies, name)
+	}
+	for _, name := range n.Models {
+		m := SweepModel(strings.ToLower(strings.TrimSpace(name)))
+		if m != LeNetModel && m != DarkNetModel {
+			return SweepSpec{}, fmt.Errorf("unknown sweep model %q (want lenet or darknet)", name)
+		}
+		spec.Models = append(spec.Models, m)
+	}
+	for _, b := range n.Batches {
+		if b < 1 {
+			return SweepSpec{}, fmt.Errorf("bad batch size %d (want a positive integer)", b)
+		}
+	}
+	for _, p := range n.Precisions {
+		if _, err := FixedGeometry(p); p != 0 && err != nil {
+			return SweepSpec{}, fmt.Errorf("bad precision %d: %w", p, err)
+		}
+	}
+	return spec, nil
 }
