@@ -14,7 +14,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	fmt.Println("training LeNet on the synthetic digit dataset (one-time, ~30s)...")
+	fmt.Println("training LeNet on the synthetic digit dataset (one-time)...")
 	model := nocbt.TrainedLeNet(1)
 	input := nocbt.SampleInput(model, 7)
 

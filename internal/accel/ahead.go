@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,6 +36,19 @@ import (
 // one by the compare-and-swap that claims it for an inline encode. A
 // helper that finds the slot already past c skips the segment; one whose
 // publish loses that race discards its copy. Every segment is sent once.
+//
+// Wait policy. The helper never spins: when no walk can step — no
+// dispatched run has a segment left, or every MC that has one has a full
+// ring — it parks. Dispatch and halt wake it at once; sends wake it only
+// at a low-water mark, each time an MC has sent another aheadDepth/2
+// segments. A woken helper so refills about half a ring, and main pays
+// one thread wake-up per half-ring rather than one per send. Before
+// blocking, the helper sets parked and then looks for a walk that can
+// step; main frees a slot (or queues a run) and then loads parked.
+// Whichever goes second sees the other, so no wake-up is lost: a ring
+// too full for the helper's next segment holds aheadDepth segments whose
+// slots main has yet to free, and freeing the first aheadDepth/2 of them
+// crosses a low-water mark.
 
 // aheadDepth is how many encoded segments each MC's ring holds: the
 // helper's lookahead over that MC's sends.
@@ -119,8 +131,8 @@ type encodeAhead struct {
 
 	// Shared.
 	stop atomic.Bool
-	// parked is set while the helper waits for a run; whoever clears it
-	// sends the one wake token.
+	// parked is set while the helper waits for a walk that can step;
+	// whoever clears it sends the one wake token.
 	parked atomic.Bool
 	wake   chan struct{}
 	wg     sync.WaitGroup
@@ -227,9 +239,7 @@ func (a *encodeAhead) start() {
 // halt stops the helper, waits for it to exit and drops the queued runs.
 func (a *encodeAhead) halt() {
 	a.stop.Store(true)
-	if a.parked.Swap(false) {
-		a.wake <- struct{}{}
-	}
+	a.unpark()
 	a.wg.Wait()
 	helperEncoders.Lock()
 	helperEncoders.free = append(helperEncoders.free, a.help)
@@ -248,8 +258,21 @@ func (a *encodeAhead) push(run *layerRun) {
 		a.tail.queued.Store(run)
 	}
 	a.tail = run
+	a.unpark()
+}
+
+// unpark wakes the helper if it is parked.
+func (a *encodeAhead) unpark() {
 	if a.parked.Load() && a.parked.CompareAndSwap(true, false) {
 		a.wake <- struct{}{}
+	}
+}
+
+// sentFreed follows every send at MC m, once the send has freed its slot:
+// at each low-water mark it wakes a helper parked on full rings.
+func (a *encodeAhead) sentFreed(m int) {
+	if a.sent[m]%(aheadDepth/2) == 0 {
+		a.unpark()
 	}
 }
 
@@ -265,6 +288,7 @@ func (a *encodeAhead) take(m int) *aheadSlot {
 	a.sent[m]++
 	sl := a.slot(m, c)
 	if sl.state.Load() != c<<1|1 && sl.state.CompareAndSwap(c<<1, (c+aheadDepth)<<1) {
+		a.sentFreed(m)
 		return nil
 	}
 	if st := sl.state.Load(); st != c<<1|1 {
@@ -273,37 +297,32 @@ func (a *encodeAhead) take(m int) *aheadSlot {
 	return sl
 }
 
-// release frees a taken slot for the segment aheadDepth further on.
-func (a *encodeAhead) release(sl *aheadSlot) {
+// release frees MC m's taken slot for the segment aheadDepth further on.
+func (a *encodeAhead) release(m int, sl *aheadSlot) {
 	sl.state.Store((sl.state.Load()>>1 + aheadDepth) << 1)
+	a.sentFreed(m)
 }
 
 // loop is the helper: it walks every MC's segments of the dispatched runs,
 // encoding each into the MC's ring while the ring has room, until halted.
 // The walks advance independently, so an MC that falls behind holds up
-// only its own ring. While a segment waits for room the helper yields
-// rather than parks: main frees a slot every few microseconds, and a
-// parked helper would cost main a thread wake-up each time. It parks only
-// when no dispatched run has a segment left to encode.
+// only its own ring. When no walk can step, it parks (see Wait policy).
 func (a *encodeAhead) loop() {
 	defer a.wg.Done()
 	//nocbtlint:ignore ctxcheck: halt sets stop on every exit path of the scheduler, which polls the context
 	for !a.stop.Load() {
-		switch stepped, full := a.sweep(); {
-		case stepped:
-		case full:
-			runtime.Gosched()
-		default:
+		if !a.sweep() {
 			a.park()
 		}
 	}
 }
 
-// park blocks the helper until main dispatches a run or halts it, unless
-// one of those happened by the time parked is visible.
+// park blocks the helper until main dispatches a run, reaches a low-water
+// mark or halts it, unless a walk can step or halt came by the time parked
+// is visible.
 func (a *encodeAhead) park() {
 	a.parked.Store(true)
-	if a.stop.Load() || a.hasSegment() {
+	if a.stop.Load() || a.ready() {
 		if a.parked.CompareAndSwap(true, false) {
 			return
 		}
@@ -311,40 +330,45 @@ func (a *encodeAhead) park() {
 	<-a.wake
 }
 
-// hasSegment reports whether any MC's walk has a segment to encode.
-func (a *encodeAhead) hasSegment() bool {
+// ready reports whether any MC's walk can step.
+func (a *encodeAhead) ready() bool {
 	for m := range a.walks {
-		if a.position(m) {
+		if a.room(m) {
 			return true
 		}
 	}
 	return false
 }
 
+// room reports whether MC m's walk has a segment and the segment's slot is
+// free of the one aheadDepth before it.
+func (a *encodeAhead) room(m int) bool {
+	if !a.position(m) {
+		return false
+	}
+	c := a.walks[m].c
+	return a.slot(m, c).state.Load()>>1 >= c
+}
+
 // sweep gives every MC's walk one step — encoding and publishing its next
 // segment when the ring has room, skipping it when main already sent it —
-// and reports whether any walk stepped and whether any waits for room.
-func (a *encodeAhead) sweep() (stepped, full bool) {
+// and reports whether any walk stepped.
+func (a *encodeAhead) sweep() (stepped bool) {
 	for m := range a.walks {
-		wk := &a.walks[m]
-		if !a.position(m) {
+		if !a.room(m) {
 			continue
 		}
+		wk := &a.walks[m]
 		c := wk.c
 		sl := a.slot(m, c)
-		st := sl.state.Load()
-		if st>>1 < c {
-			full = true
-			continue
-		}
-		if st == c<<1 {
+		if sl.state.Load() == c<<1 {
 			a.publish(sl, c, wk.run, wk.next)
 		}
 		wk.c++
 		wk.step(a.mcs)
 		stepped = true
 	}
-	return stepped, full
+	return stepped
 }
 
 // position moves MC m's walk onto its next segment, into the next

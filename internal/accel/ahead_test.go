@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"regexp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,4 +187,135 @@ func TestEncodeAheadHelperJoined(t *testing.T) {
 		t.Fatalf("encode error = %v, want a match for %s", err, want)
 	}
 	waitGoroutines(t, base, "after an encode error")
+}
+
+// TestEncodeAheadParksOnFullRing pins the helper's wait policy on a layer
+// of more than aheadDepth segments per MC: the helper fills every ring
+// and blocks rather than spinning; the sends of another aheadDepth/2
+// segments at one MC, and not fewer, wake it to refill that ring; halt
+// joins it while it waits on full rings; and every slot main takes holds
+// the segment an inline encode would produce.
+func TestEncodeAheadParksOnFullRing(t *testing.T) {
+	m := microNet(rand.New(rand.NewSource(5)))
+	cfg := Mesh4x4MC2(paperFixed8)
+	cfg.Ordering = flit.Separated // out-of-band partner tables ride in the slots too
+	eng := mustNew(t, cfg, m)
+	base := runtime.NumGoroutine()
+	s := newScheduler(context.Background(), eng, nil)
+	g := eng.layerGeometry(0)
+	nl, err := newConvLayer(g.Format, m.Layers[0].(*dnn.Conv2D), testInput(m, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := eng.ahead
+	a.start()
+	halted := false
+	defer func() {
+		if !halted {
+			a.halt()
+		}
+	}()
+	run, err := s.dispatch(&flow{}, nl, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := nl.ntasks / a.mcs; per <= 2*aheadDepth {
+		t.Fatalf("layer sends %d segments per MC, want more than %d", per, 2*aheadDepth)
+	}
+
+	// published reports whether MC m's ring holds segments lo..hi-1,
+	// published and not yet taken.
+	published := func(m int, lo, hi uint64) bool {
+		for c := lo; c < hi; c++ {
+			if a.slot(m, c).state.Load() != c<<1|1 {
+				return false
+			}
+		}
+		return true
+	}
+	// waitParked waits until the helper is blocked on its wake channel
+	// with MC 0's ring holding segments lo..lo+aheadDepth-1 and MC 1's
+	// its first aheadDepth.
+	waitParked := func(lo uint64, when string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			if a.parked.Load() && published(0, lo, lo+aheadDepth) && published(1, 0, aheadDepth) && helperBlocked() {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: helper did not park on full rings (parked %v)", when, a.parked.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitParked(0, "after dispatch")
+
+	// send takes MC 0's next segment as main does and checks it against an
+	// inline encode of the same segment.
+	feed := feedAt(run, 0)
+	var enc segEncoder
+	pool := flit.NewPool(a.linkBits)
+	send := func() {
+		t.Helper()
+		k := feed.next
+		sl := a.take(0)
+		if sl == nil {
+			t.Fatalf("segment %d (run index %d) was not published", a.sent[0]-1, k)
+		}
+		if err := a.encode(&enc, run, k, pool); err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, v := range append(enc.fz.Data, enc.fz.Index...) {
+			want = append(want, v.Words()...)
+		}
+		if got := sl.code.words[:sl.code.flits*a.wpf]; !slices.Equal(got, want) {
+			t.Fatalf("segment %d: slot words differ from an inline encode", k)
+		}
+		if !slices.Equal(sl.code.partner, enc.fz.PartnerIndex) {
+			t.Fatalf("segment %d: slot partner table %v, inline %v", k, sl.code.partner, enc.fz.PartnerIndex)
+		}
+		a.release(0, sl)
+		feed.step(a.mcs)
+	}
+
+	for range aheadDepth/2 - 1 {
+		send()
+	}
+	// One send short of the low-water mark the helper stays parked and
+	// the freed slots stay empty.
+	time.Sleep(20 * time.Millisecond)
+	if !a.parked.Load() || !helperBlocked() {
+		t.Fatal("helper woke before MC 0 sent aheadDepth/2 segments")
+	}
+	for c := uint64(aheadDepth); c < aheadDepth+aheadDepth/2-1; c++ {
+		if st := a.slot(0, c).state.Load(); st != c<<1 {
+			t.Fatalf("slot of segment %d in state %#x before the low-water mark, want %#x", c, st, c<<1)
+		}
+	}
+	send()
+	waitParked(aheadDepth/2, "after the low-water mark")
+
+	// Drain the refilled ring: all of it was published by the helper.
+	for range aheadDepth {
+		send()
+	}
+	waitParked(aheadDepth+aheadDepth/2, "after a second refill")
+
+	halted = true
+	a.halt()
+	waitGoroutines(t, base, "after halt on full rings")
+}
+
+// helperBlocked reports whether an encode-ahead helper is blocked in park
+// on its wake channel: parked, not spinning.
+func helperBlocked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*encodeAhead).park(")) && bytes.Contains(g, []byte("[chan receive")) {
+			return true
+		}
+	}
+	return false
 }

@@ -180,7 +180,7 @@ func (s *scheduler) send(run *layerRun, k, m int) error {
 		}
 	}
 	if slot != nil {
-		a.release(slot)
+		a.release(m, slot)
 	}
 	sg.state = segSent
 	if err := e.sim.Inject(pkt); err != nil {
