@@ -40,6 +40,9 @@ type Engine struct {
 	// strategy is the resolved ordering strategy for cfg.Ordering; New
 	// fails on unregistered IDs, so it is never nil on a built engine.
 	strategy flit.OrderingStrategy
+	// codings counts the link codings installed on sim: coding 0 is
+	// cfg.LinkCoding, the rest were added by CountCodings.
+	codings int
 
 	// layerFormats[i] is the lane format of the model's i-th NoC layer
 	// (conv/linear, in model order), resolved in New from the platform's
@@ -195,19 +198,12 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if scheme, ok := flit.LookupLinkCoding(cfg.LinkCoding); !ok {
-		return nil, fmt.Errorf("accel: unknown link coding %q (registered: %v)", cfg.LinkCoding, flit.LinkCodingNames())
-	} else if scheme != nil {
-		if err := sim.SetLinkCoding(scheme); err != nil {
-			return nil, err
-		}
-	}
 	pes := cfg.PEs()
 	isPE := make([]bool, cfg.Mesh.Nodes())
 	for _, pe := range pes {
 		isPE[pe] = true
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:          cfg,
 		model:        model,
 		sim:          sim,
@@ -215,7 +211,12 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 		isPE:         isPE,
 		strategy:     strategy,
 		layerFormats: formats,
-	}, nil
+	}
+	// The engine's own LinkCoding is the first coding installed: coding 0.
+	if err := e.CountCodings(cfg.LinkCoding); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // resolveLayerFormats expands the platform's precision schedule against
@@ -278,9 +279,10 @@ func (e *Engine) SetSpanTracer(t *obs.Tracer) {
 
 // CountCodings counts each named link coding on every crossing of the
 // engine's mesh beside its own LinkCoding, which keeps driving TotalBT
-// (see noc.Sim.CountCodings). Codings are numbered in installation order
-// across calls; CodedBT(i) reads coding i. Call it before the first
-// inference.
+// (see noc.Sim.SetLinkCodings). Codings are numbered in installation
+// order across calls, after the engine's own coding 0; CodedBT(i) reads
+// coding i. Call it before the first inference. If a name is unknown or a
+// coding rejects the link width, nothing from this call is installed.
 func (e *Engine) CountCodings(names ...string) error {
 	schemes := make([]flit.LinkCodingScheme, len(names))
 	for i, name := range names {
@@ -290,11 +292,16 @@ func (e *Engine) CountCodings(names ...string) error {
 		}
 		schemes[i] = scheme
 	}
-	return e.sim.CountCodings(schemes...)
+	if err := e.sim.SetLinkCodings(e.codings, schemes...); err != nil {
+		return err
+	}
+	e.codings += len(schemes)
+	return nil
 }
 
-// CodedBT returns the accumulated transitions of the i-th coding installed
-// by CountCodings, over the same links as TotalBT.
+// CodedBT returns the accumulated transitions of coding i over the same
+// links as TotalBT: coding 0 is the engine's own LinkCoding, so CodedBT(0)
+// equals TotalBT, and codings 1.. are those CountCodings added.
 func (e *Engine) CodedBT(i int) int64 { return e.sim.CodedBT(i) }
 
 // layerFormat returns the lane format of NoC layer idx (the geometry

@@ -161,7 +161,7 @@ func TestEngineCountCodingsMatchesCodedEngines(t *testing.T) {
 				t.Errorf("%s/%s: TotalBT %d with extras, want %d", strat.Name(), primary, got, bt[primary])
 			}
 			for i, coding := range extras {
-				if got := eng.CodedBT(i); got != bt[coding] {
+				if got := eng.CodedBT(i + 1); got != bt[coding] {
 					t.Errorf("%s/%s: CodedBT(%s) %d, want its own engine's %d", strat.Name(), primary, coding, got, bt[coding])
 				}
 			}

@@ -54,24 +54,22 @@ func codedSim(t *testing.T, cfg noc.Config, primary string, extras ...string) *n
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetLinkCoding(lookupCoding(t, primary)); err != nil {
-		t.Fatal(err)
+	schemes := []flit.LinkCodingScheme{lookupCoding(t, primary)}
+	for _, name := range extras {
+		schemes = append(schemes, lookupCoding(t, name))
 	}
-	schemes := make([]flit.LinkCodingScheme, len(extras))
-	for i, name := range extras {
-		schemes[i] = lookupCoding(t, name)
-	}
-	if err := sim.CountCodings(schemes...); err != nil {
+	if err := sim.SetLinkCodings(0, schemes...); err != nil {
 		t.Fatal(err)
 	}
 	return sim
 }
 
-// TestCountCodingsMatchesPrimaryRuns is the equivalence contract of
-// CountCodings: every extra coding counts, link by link, exactly what a
-// separate simulation of the same traffic with that coding installed
-// counts, and gray and bus-invert totals also match an offline recount of
-// the delivery trace. The primary counters must not notice the extras.
+// TestCountCodingsMatchesPrimaryRuns is the equivalence contract of the
+// counted codings (SetLinkCodings' codings 1..k): every extra coding
+// counts, link by link, exactly what a separate simulation of the same
+// traffic with that coding installed counts, and every extra's total also
+// matches an offline recount of the delivery trace. The primary counters
+// must not notice the extras.
 func TestCountCodingsMatchesPrimaryRuns(t *testing.T) {
 	codings := []string{"none", "gray", "businvert"}
 	var cfgs []noc.Config
@@ -120,27 +118,27 @@ func TestCountCodingsMatchesPrimaryRuns(t *testing.T) {
 					for i, c := range extras {
 						want := ref[c]
 						for j, ls := range want.LinkStats() {
-							if got := sim.CodedLinkBT(i)[j]; got != ls.BT {
+							if got := sim.CodedLinkBT(i + 1)[j]; got != ls.BT {
 								t.Errorf("primary %s, extra %s, link %s: %d transitions, its own run %d",
 									primary, c, ls.Name, got, ls.BT)
 							}
 						}
-						if got := sim.CodedBT(i); got != want.TotalBT() {
+						if got := sim.CodedBT(i + 1); got != want.TotalBT() {
 							t.Errorf("primary %s, extra %s: CodedBT %d, its own run's TotalBT %d", primary, c, got, want.TotalBT())
 						}
-						if c == "none" {
-							continue
+						recount := rec.TotalBT(classes...)
+						if scheme := lookupCoding(t, c); scheme != nil {
+							var err error
+							if recount, err = rec.CodedBT(scheme, classes...); err != nil {
+								t.Fatal(err)
+							}
 						}
-						recount, err := rec.CodedBT(lookupCoding(t, c), classes...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := sim.CodedBT(i); got != recount {
+						if got := sim.CodedBT(i + 1); got != recount {
 							t.Errorf("primary %s, extra %s: CodedBT %d, trace recount %d", primary, c, got, recount)
 						}
 					}
-					if err := sim.CountCodings(lookupCoding(t, "gray")); err == nil {
-						t.Error("CountCodings accepted after traffic")
+					if err := sim.SetLinkCodings(len(codings), lookupCoding(t, "gray")); err == nil {
+						t.Error("SetLinkCodings accepted after traffic")
 					}
 				}
 			})
@@ -158,22 +156,122 @@ func (rejectScheme) New(int) (flit.LinkCoding, error) {
 }
 
 // TestCountCodingsRejectsWidth: a scheme that cannot build a link's coder
-// fails the install with SetLinkCoding's text and installs nothing from
-// that call, so earlier extras keep their numbers.
+// fails the install with the coding's name and the link, and installs
+// nothing from that call, so earlier extras keep their numbers. A call that
+// would leave a gap in the coding numbers is refused.
 func TestCountCodingsRejectsWidth(t *testing.T) {
 	sim := codedSim(t, noc.Config{Width: 2, Height: 2, VCs: 1, BufDepth: 1, LinkBits: 16}, "none", "gray")
-	err := sim.CountCodings(nil, rejectScheme{})
+	err := sim.SetLinkCodings(2, nil, rejectScheme{})
 	if err == nil || !strings.HasPrefix(err.Error(), `noc: link coding "reject" on link `) {
-		t.Fatalf("CountCodings(reject) = %v", err)
+		t.Fatalf("SetLinkCodings(reject) = %v", err)
 	}
-	if err := sim.CountCodings(nil); err != nil {
+	if err := sim.SetLinkCodings(3, nil); err == nil {
+		t.Error("SetLinkCodings accepted coding 3 after 2 codings")
+	}
+	if err := sim.SetLinkCodings(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	codedTraffic(t, sim, 1)
-	if got, want := sim.CodedBT(1), sim.TotalBT(); got != want {
+	if got, want := sim.CodedBT(2), sim.TotalBT(); got != want {
 		t.Errorf("plain extra after a refused install counts %d, the plain links %d", got, want)
 	}
-	if sim.CodedBT(0) == sim.TotalBT() {
+	if sim.CodedBT(1) == sim.TotalBT() {
 		t.Error("gray extra counts the same as the plain links: the traffic is too small to tell them apart")
 	}
+}
+
+// fuzzCodings are the codings FuzzLinkCodingsMatchTrace draws from, by
+// byte value modulo their count.
+var fuzzCodings = []string{"none", "gray", "businvert"}
+
+// FuzzLinkCodingsMatchTrace: whatever codings one simulation counts — in
+// any order, repeats included, installed in one call or two, or none
+// installed at all — each coding's transitions per link class equal the
+// trace.Recorder's independent replay of the delivered flit stream under
+// that coding, CodedBT sums exactly the classes TotalBT counts, and coding
+// 0's per-link counts are LinkStats'. The seed corpus is
+// TestCountCodingsMatchesPrimaryRuns' configurations.
+func FuzzLinkCodingsMatchTrace(f *testing.F) {
+	for topo := uint8(0); topo < 4; topo++ {
+		for _, vcs := range []uint8{0, 3} { // 1 and 4 VCs
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, codings := range [][]byte{{0, 1, 2}, {1, 0, 2}} {
+					f.Add(topo, vcs, uint8(15), codings, uint8(0), seed, seed == 2)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, topo, vcs, width uint8, codings []byte, split uint8, seed int64, countInjection bool) {
+		cfg := noc.Config{Width: 4, Height: 4, VCs: 1 + int(vcs)%4, BufDepth: 2,
+			LinkBits: 8 * (1 + int(width)%32), CountInjection: countInjection}
+		switch topo % 4 {
+		case 1:
+			cfg.Topology, cfg.VCs = "torus", max(cfg.VCs, 2) // the dateline classes need two VCs
+		case 2, 3:
+			cfg.Topology, cfg.Concentration = "cmesh", 2*int(topo%4-1)
+		}
+		var names []string
+		var schemes []flit.LinkCodingScheme
+		for _, b := range codings[:min(len(codings), 8)] {
+			names = append(names, fuzzCodings[int(b)%len(fuzzCodings)])
+			schemes = append(schemes, lookupCoding(t, names[len(names)-1]))
+		}
+		sim, err := noc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(schemes) == 0 { // a new Sim's coding 0 is plain
+			names, schemes = []string{"none"}, []flit.LinkCodingScheme{nil}
+		} else {
+			cut := 1 + int(split)%len(schemes)
+			if err := sim.SetLinkCodings(0, schemes[:cut]...); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.SetLinkCodings(cut, schemes[cut:]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := trace.NewRecorder()
+		rec.RecordPayloads()
+		sim.SetTrace(rec.Hook())
+		codedTraffic(t, sim, seed)
+
+		links := sim.LinkStats()
+		for j, ls := range links {
+			if got := sim.CodedLinkBT(0)[j]; got != ls.BT {
+				t.Errorf("link %s: coding 0 counts %d, LinkStats %d", ls.Name, got, ls.BT)
+			}
+		}
+		if got, want := sim.CodedBT(0), sim.TotalBT(); got != want {
+			t.Errorf("CodedBT(0) %d, TotalBT %d", got, want)
+		}
+		for k, scheme := range schemes {
+			var counted int64
+			for _, class := range []noc.LinkClass{noc.RouterLink, noc.EjectionLink, noc.InjectionLink} {
+				var got int64
+				for j, ls := range links {
+					if ls.Class == class {
+						got += sim.CodedLinkBT(k)[j]
+					}
+				}
+				want := rec.TotalBT(class)
+				if scheme != nil {
+					if want, err = rec.CodedBT(scheme, class); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got != want {
+					t.Errorf("%s: coding %d (%s), %s links: %d transitions, trace replay %d",
+						cfg.Topology, k, names[k], class, got, want)
+				}
+				if class != noc.InjectionLink || countInjection {
+					counted += want
+				}
+			}
+			if got := sim.CodedBT(k); got != counted {
+				t.Errorf("%s: CodedBT(%d) (%s) %d, trace replay over TotalBT's classes %d",
+					cfg.Topology, k, names[k], got, counted)
+			}
+		}
+	})
 }

@@ -19,7 +19,7 @@ func TestSetLinkCodingRefusedAfterTraffic(t *testing.T) {
 	if !ok || scheme == nil {
 		t.Fatal("gray not registered")
 	}
-	if err := sim.SetLinkCoding(scheme); err != nil {
+	if err := sim.SetLinkCodings(0, scheme); err != nil {
 		t.Fatalf("pre-traffic install refused: %v", err)
 	}
 	hdr := bitutil.NewVec(16)
@@ -29,10 +29,10 @@ func TestSetLinkCodingRefusedAfterTraffic(t *testing.T) {
 	if err := sim.Drain(1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetLinkCoding(scheme); err == nil {
+	if err := sim.SetLinkCodings(0, scheme); err == nil {
 		t.Error("mid-flight coding switch accepted")
 	}
-	if err := sim.SetLinkCoding(nil); err == nil {
+	if err := sim.SetLinkCodings(0, nil); err == nil {
 		t.Error("mid-flight coding removal accepted")
 	}
 }

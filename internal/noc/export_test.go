@@ -1,7 +1,7 @@
 package noc
 
-// CodedLinkBT returns extra coding i's per-link transition counts, in
-// LinkStats order, for the external equivalence tests.
-func (s *Sim) CodedLinkBT(i int) []int64 {
-	return s.codedBT[i*len(s.links) : (i+1)*len(s.links)]
+// CodedLinkBT returns coding k's per-link transition counts, in LinkStats
+// order, for the external equivalence tests.
+func (s *Sim) CodedLinkBT(k int) []int64 {
+	return s.linkBT[k*len(s.links) : (k+1)*len(s.links)]
 }

@@ -36,36 +36,28 @@ func (c LinkClass) String() string {
 	}
 }
 
-// Link is one unidirectional physical channel with a transition recorder.
-// Wires hold their last driven value between flits, so idle cycles add no
-// transitions — exactly the Flit_pre / Flit_current comparison of Fig. 8.
-// Links live in the simulator's link slab; their wire words are a window of
-// its wire slab.
+// Link is one unidirectional physical channel. Its transitions are
+// counted by the simulator's link-coding slab (see Sim.SetLinkCodings),
+// whose coders hold the wires' last driven value between flits, so idle
+// cycles add no transitions — exactly the Flit_pre / Flit_current
+// comparison of Fig. 8.
 type Link struct {
 	// Name identifies the link in reports, e.g. "r5.east->r6".
 	Name string
 	// Class is the link's position in the topology.
 	Class LinkClass
-	// id is the link's index in the simulator's link slab; it also indexes
-	// the per-Sim slabs of extra link codings (see Sim.CountCodings). It
-	// sits in Class's padding, so it does not grow Link.
+	// id is the link's index in the simulator's link slab; coding k's
+	// coder and count for this link sit at k·len(links) + id in the
+	// per-Sim coding slab. It sits in Class's padding, so it does not grow
+	// Link.
 	id int32
 
-	// wire is the current wire state, one word per 64 payload bits
-	// (starts all-zero).
-	wire []uint64
-	bt   int64
 	sent int64
-	// lastBT is the transition count of the most recent crossing. A link
-	// carries at most one flit between transmit and delivery, so the span
-	// tracer can read the delivered flit's per-hop BT from here in Step's
-	// delivery phase.
+	// lastBT is the transition count of the most recent crossing under the
+	// installed coding (coding 0). A link carries at most one flit between
+	// transmit and delivery, so the span tracer can read the delivered
+	// flit's per-hop BT from here in Step's delivery phase.
 	lastBT int64
-
-	// coder, when set, owns the wire state: transitions are whatever the
-	// installed link coding (bus-invert, Gray, …) reports, including any
-	// extra-line flips. Nil links count plain binary transitions.
-	coder flit.LinkCoding
 
 	// inFlight is the flit traversing this cycle; it is delivered to the
 	// sink at the start of the next cycle.
@@ -83,10 +75,9 @@ type Link struct {
 	order int
 }
 
-// transmit places f on link l, recording the bit transitions between the
-// previous wire state and f's payload, and registers l on the busy list.
-// Exactly one flit may be in flight. Uncoded links XOR-popcount and store
-// the payload into the wire word by word in one pass.
+// transmit places f on link l, driving its payload through l's coder of
+// every coding and adding each coder's transitions to its count, and
+// registers l on the busy list. Exactly one flit may be in flight.
 func (s *Sim) transmit(l *Link, f *flit.Flit) {
 	if l.inFlight != nil {
 		panic(fmt.Sprintf("noc: link %s already carries a flit", l.Name))
@@ -95,63 +86,56 @@ func (s *Sim) transmit(l *Link, f *flit.Flit) {
 		panic(fmt.Sprintf("noc: link %s is %d bits, flit payload %d",
 			l.Name, s.cfg.LinkBits, f.Payload.Width()))
 	}
-	var d int
-	if l.coder != nil {
-		d = l.coder.Transitions(f.Payload)
-	} else {
-		words := f.Payload.Words()
-		wire := l.wire[:len(words)]
-		for i, w := range words {
-			d += bits.OnesCount64(wire[i] ^ w)
-			wire[i] = w
-		}
+	// Locals, so the loop does not reload them after each coder call.
+	coders, counts, payload := s.coders, s.linkBT, f.Payload
+	before := counts[l.id]
+	for j := int(l.id); j < len(coders); j += len(s.links) {
+		counts[j] += int64(coders[j].Transitions(payload))
 	}
-	l.bt += int64(d)
-	l.lastBT = int64(d)
+	l.lastBT = counts[l.id] - before
 	l.sent++
 	l.inFlight = f
 	s.busy = append(s.busy, l)
-	if len(s.coded) != 0 {
-		s.countCodings(l, f.Payload)
-	}
 }
 
-// countCodings drives a crossing's payload through every extra coding of
-// link l (see CountCodings): coding k of link i sits at k·len(links) + i.
-func (s *Sim) countCodings(l *Link, payload bitutil.Vec) {
-	for j := int(l.id); j < len(s.coded); j += len(s.links) {
-		s.codedBT[j] += int64(s.coded[j].Transitions(payload))
-	}
-}
-
-// plainCoding counts plain binary transitions: it stands in for "none"
-// among the extra codings when the primary coding is something else.
+// plainCoding counts plain binary transitions: it is the coder of every
+// coding installed as a nil scheme, the installed coding of a new Sim
+// included.
 type plainCoding struct {
 	wire []uint64
 }
 
 func (c *plainCoding) Transitions(payload bitutil.Vec) int {
 	d := 0
-	for i, w := range payload.Words() {
-		d += bits.OnesCount64(c.wire[i] ^ w)
-		c.wire[i] = w
+	words := payload.Words()
+	wire := c.wire[:len(words)]
+	for i, w := range words {
+		d += bits.OnesCount64(wire[i] ^ w)
+		wire[i] = w
 	}
 	return d
 }
 
-// CountCodings counts each scheme's transitions on every link crossing
-// beside the installed link coding, which keeps driving BT, Stats and
-// TotalBT. A link coding changes only how toggles are counted, never a
-// packet or a cycle, so one simulation measures every coding of the same
-// traffic. Extra codings are numbered in installation order across calls;
-// CodedBT(i) reads coding i. A nil scheme counts plain binary transitions.
-// Install before any traffic, like SetLinkCoding; if a scheme rejects the
-// link width, nothing from this call is installed.
-func (s *Sim) CountCodings(schemes ...flit.LinkCodingScheme) error {
+// SetLinkCodings installs fresh per-link coder state from the schemes as
+// codings from, from+1, …: the codings before from stay, those from on are
+// replaced. Coding 0 is the links' installed coding: it drives Stats,
+// LinkStats, TotalBT and the span tracer's per-hop BT. The rest are
+// counted beside it. A link coding changes only how toggles are counted,
+// never a packet or a cycle, so one simulation measures every coding of
+// the same traffic; CodedBT(k) reads coding k, and CodedBT(0) equals
+// TotalBT. A nil scheme counts plain binary transitions, as coding 0 of a
+// new Sim does. Install before any traffic: switching codings mid-flight
+// would misalign coder wire state with the transitions already recorded.
+// If a scheme rejects the link width, nothing from this call is
+// installed.
+func (s *Sim) SetLinkCodings(from int, schemes ...flit.LinkCodingScheme) error {
 	if s.cycle != 0 || s.Busy() {
-		return fmt.Errorf("noc: extra link codings must be installed before any traffic")
+		return fmt.Errorf("noc: link codings must be installed before any traffic")
 	}
 	n, words := len(s.links), (s.cfg.LinkBits+63)/64
+	if from < 0 || from*n > len(s.coders) || from+len(schemes) == 0 {
+		return fmt.Errorf("noc: cannot install %d link codings from coding %d of %d", len(schemes), from, len(s.coders)/n)
+	}
 	plains := 0
 	for _, scheme := range schemes {
 		if scheme == nil {
@@ -160,8 +144,8 @@ func (s *Sim) CountCodings(schemes ...flit.LinkCodingScheme) error {
 	}
 	plain := make([]plainCoding, plains*n)
 	wires := make([]uint64, len(plain)*words)
-	coded := make([]flit.LinkCoding, len(s.coded), len(s.coded)+len(schemes)*n)
-	copy(coded, s.coded)
+	coders := make([]flit.LinkCoding, from*n, (from+len(schemes))*n)
+	copy(coders, s.coders)
 	p := 0 // next plain coder
 	for _, scheme := range schemes {
 		for i := range s.links {
@@ -169,36 +153,33 @@ func (s *Sim) CountCodings(schemes ...flit.LinkCodingScheme) error {
 				c := &plain[p]
 				c.wire = wires[p*words : (p+1)*words : (p+1)*words]
 				p++
-				coded = append(coded, c)
+				coders = append(coders, c)
 				continue
 			}
 			c, err := scheme.New(s.cfg.LinkBits)
 			if err != nil {
 				return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), s.links[i].Name, err)
 			}
-			coded = append(coded, c)
+			coders = append(coders, c)
 		}
 	}
-	s.coded = coded
-	s.codedBT = append(s.codedBT, make([]int64, len(coded)-len(s.codedBT))...)
+	s.coders = coders
+	s.linkBT = make([]int64, len(coders))
 	return nil
 }
 
-// CodedBT returns extra coding i's transitions (see CountCodings) over
-// exactly the links TotalBT counts: router and ejection links, plus
-// injection links when the configuration counts them.
-func (s *Sim) CodedBT(i int) int64 {
+// CodedBT returns coding k's transitions (see SetLinkCodings) over exactly
+// the links TotalBT counts: router and ejection links, plus injection
+// links when the configuration counts them.
+func (s *Sim) CodedBT(k int) int64 {
 	var total int64
-	for j, bt := range s.codedBT[i*len(s.links) : (i+1)*len(s.links)] {
-		if s.links[j].Class != InjectionLink || s.cfg.CountInjection {
+	for i, bt := range s.linkBT[k*len(s.links) : (k+1)*len(s.links)] {
+		if s.links[i].Class != InjectionLink || s.cfg.CountInjection {
 			total += bt
 		}
 	}
 	return total
 }
-
-// BT returns the accumulated bit transitions on this link.
-func (l *Link) BT() int64 { return l.bt }
 
 // Flits returns how many flits have traversed this link.
 func (l *Link) Flits() int64 { return l.sent }

@@ -31,7 +31,7 @@ import (
 // the upstream output port feeding it, so popping a flit from slot s
 // returns its credit at credits[s]. Ejection slots have effectively
 // infinite credits and no buffer. Routers, ports (by r·Ports + p), links
-// and NIs are value slabs; each link's wire words are a window of wires.
+// and NIs are value slabs.
 type Sim struct {
 	cfg       Config
 	topo      Topology
@@ -74,12 +74,13 @@ type Sim struct {
 	latencyMax int64
 	delivered  int64
 
-	// coded holds the per-link state of the extra link codings counted
-	// beside the installed one (CountCodings): extra coding k of link i is
-	// coded[k·len(links) + i], and codedBT[k·len(links) + i] is its
-	// transition count. Both stay nil unless CountCodings is called.
-	coded   []flit.LinkCoding
-	codedBT []int64
+	// coders holds every link coding's per-link wire state (see
+	// SetLinkCodings): coding k of link i is coders[k·len(links) + i], and
+	// linkBT[k·len(links) + i] is its transition count. Coding 0 is the
+	// links' installed coding, plain binary unless SetLinkCodings says
+	// otherwise.
+	coders []flit.LinkCoding
+	linkBT []int64
 
 	// observer, when set, receives the inject, hop and eject events of
 	// every flit: the TraceFunc packet trace and the span tracer's packet
@@ -132,7 +133,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	nlinks := wired + 2*nodes
-	words := (cfg.LinkBits + 63) / 64 // wire words per link
 
 	s := &Sim{
 		cfg: cfg, topo: topo, vcClasses: topo.VCClasses(), reqs: reqs,
@@ -151,7 +151,6 @@ func New(cfg Config) (*Sim, error) {
 	setWords := make([]uint64, reqWords(routers)+reqWords(nodes)+routers*(1+2*ports)*reqWords(reqs))
 	s.active = cutReqSet(&setWords, routers)
 	s.ejected = cutReqSet(&setWords, nodes)
-	wires := make([]uint64, nlinks*words)
 	partial := make([]*flit.Packet, nodes*vcs)
 	for i := range s.slots {
 		s.slots[i] = vcSlot{port: int32(i % reqs / vcs), route: -1, outVC: -1}
@@ -188,7 +187,7 @@ func New(cfg Config) (*Sim, error) {
 	addLink := func(class LinkClass) *Link {
 		i := len(s.links)
 		nameEnd[i] = len(names)
-		s.links = append(s.links, Link{Class: class, id: int32(i), wire: wires[i*words : (i+1)*words : (i+1)*words]})
+		s.links = append(s.links, Link{Class: class, id: int32(i)})
 		return &s.links[i]
 	}
 	node := func(prefix string, id int) {
@@ -277,6 +276,9 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
+	if err := s.SetLinkCodings(0, nil); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -298,31 +300,6 @@ func (s *Sim) Pool() *flit.Pool { return s.pool }
 // packets, their flits or payload vectors afterwards: the backing stores
 // are reused for future traffic.
 func (s *Sim) Recycle(pkts ...*flit.Packet) { s.pool.Release(pkts...) }
-
-// SetLinkCoding installs fresh per-link coding state from the scheme on
-// every link of the mesh, so all BT recorders count the coded wire
-// activity (payload transitions under the coding plus extra-line flips).
-// A nil scheme restores plain binary transmission. Install before any
-// traffic: switching codings mid-flight would misalign coder wire state
-// with the transitions already recorded.
-func (s *Sim) SetLinkCoding(scheme flit.LinkCodingScheme) error {
-	if s.cycle != 0 || s.Busy() {
-		return fmt.Errorf("noc: link coding must be installed before any traffic")
-	}
-	for i := range s.links {
-		l := &s.links[i]
-		if scheme == nil {
-			l.coder = nil
-			continue
-		}
-		coder, err := scheme.New(s.cfg.LinkBits)
-		if err != nil {
-			return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), l.Name, err)
-		}
-		l.coder = coder
-	}
-	return nil
-}
 
 // Inject queues a packet for transmission at its source NI.
 func (s *Sim) Inject(p *flit.Packet) error {
@@ -526,15 +503,15 @@ func (s *Sim) Stats() Stats {
 		MaxLatency:       s.latencyMax,
 	}
 	for i := range s.links {
-		l := &s.links[i]
+		l, bt := &s.links[i], s.linkBT[i]
 		switch l.Class {
 		case RouterLink:
-			st.RouterBT += l.BT()
+			st.RouterBT += bt
 			st.RouterFlits += l.Flits()
 		case EjectionLink:
-			st.EjectionBT += l.BT()
+			st.EjectionBT += bt
 		case InjectionLink:
-			st.InjectionBT += l.BT()
+			st.InjectionBT += bt
 		}
 	}
 	if s.delivered > 0 {
@@ -543,24 +520,18 @@ func (s *Sim) Stats() Stats {
 	return st
 }
 
-// TotalBT returns the transitions the paper's Fig. 8 recorder accumulates:
-// all router output ports (router→router plus ejection), plus injection
-// links when the configuration asks for them.
-func (s *Sim) TotalBT() int64 {
-	st := s.Stats()
-	total := st.RouterBT + st.EjectionBT
-	if s.cfg.CountInjection {
-		total += st.InjectionBT
-	}
-	return total
-}
+// TotalBT returns the transitions the paper's Fig. 8 recorder accumulates
+// under the installed link coding: all router output ports (router→router
+// plus ejection), plus injection links when the configuration asks for
+// them. It is CodedBT(0).
+func (s *Sim) TotalBT() int64 { return s.CodedBT(0) }
 
 // LinkStats returns per-link counters for detailed reporting.
 func (s *Sim) LinkStats() []LinkStat {
 	out := make([]LinkStat, 0, len(s.links))
 	for i := range s.links {
 		l := &s.links[i]
-		out = append(out, LinkStat{Name: l.Name, Class: l.Class, BT: l.BT(), Flits: l.Flits()})
+		out = append(out, LinkStat{Name: l.Name, Class: l.Class, BT: s.linkBT[i], Flits: l.Flits()})
 	}
 	return out
 }

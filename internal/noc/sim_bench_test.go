@@ -45,7 +45,7 @@ func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Ra
 
 // benchSim steps the configured interconnect for b.N cycles with the named
 // link codings: the first is installed on the links (none or "" for
-// uncoded), the rest are counted beside it (CountCodings). inject is
+// uncoded), the rest are counted beside it (SetLinkCodings). inject is
 // called every cycle and may queue new packets, pop drains ejected packets
 // periodically — recycling them into the pool, as the accelerator's PE/MC
 // consumers do — so NI reassembly queues stay bounded and flits keep
@@ -61,12 +61,7 @@ func benchSim(b *testing.B, cfg Config, codings []string, inject func(s *Sim, cy
 		if !ok {
 			b.Fatalf("unknown link coding %q", coding)
 		}
-		if i == 0 {
-			err = s.SetLinkCoding(scheme)
-		} else {
-			err = s.CountCodings(scheme)
-		}
-		if err != nil {
+		if err := s.SetLinkCodings(i, scheme); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -160,10 +161,12 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 
 // runGroup measures one coding group on one engine and writes each job's
 // Result, or its error, at the job's index; it reports whether every job
-// succeeded. The group's first job sets the engine's own LinkCoding; every
-// other coding is counted on the same link crossings (Engine.CountCodings),
-// so a job's Result is the group's with its own Coding and TotalBT. Each
-// group infers on its own clone of the shared model.
+// succeeded. The group's distinct codings are the engine's coding slab:
+// the first job's is the engine's own LinkCoding (coding 0), and every
+// other one is counted on the same link crossings (Engine.CountCodings),
+// so a job's Result is the group's with its own Coding and with TotalBT
+// read from its coding's row (Engine.CodedBT). Each group infers on its
+// own clone of the shared model.
 func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, errs []error) bool {
 	job := group[0]
 	fail := func(j Job, err error) bool {
@@ -202,24 +205,23 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 		codings[k] = canonical
 	}
 	cfg.LinkCoding = codings[0]
-	// counted[k] is the CountCodings index of job k's coding, or -1 when it
-	// is the engine's own; a coding that cannot be counted fails the first
-	// job that lists it.
-	counted := make([]int, len(group))
+	// index[k] is the engine's coding number of job k's coding; a coding
+	// that cannot be counted fails the first job that lists it.
+	index := make([]int, len(group))
 	failed := job
 	countCodings := func(eng *accel.Engine) error {
-		installed := map[string]int{codings[0]: -1}
+		installed := codings[:1:1] // installed[i] is the engine's coding i
 		for k, coding := range codings {
-			i, ok := installed[coding]
-			if !ok {
+			i := slices.Index(installed, coding)
+			if i < 0 {
 				if err := eng.CountCodings(coding); err != nil {
 					failed = group[k]
 					return err
 				}
-				i = len(installed) - 1
-				installed[coding] = i
+				i = len(installed)
+				installed = append(installed, coding)
 			}
-			counted[k] = i
+			index[k] = i
 		}
 		return nil
 	}
@@ -233,10 +235,7 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	res.Precision = job.Precision
 	for k, j := range group {
 		res.Coding = codingName(codings[k])
-		res.TotalBT = eng.TotalBT()
-		if counted[k] >= 0 {
-			res.TotalBT = eng.CodedBT(counted[k])
-		}
+		res.TotalBT = eng.CodedBT(index[k])
 		results[j.Index] = res
 	}
 	return true

@@ -20,10 +20,12 @@
 // The unit of work is a coding group: the jobs that differ only in their
 // link coding. A coding changes how the wires' toggles are counted, never
 // a packet, a cycle or an output, so each group runs one engine and one
-// simulation. The group's first job in expansion order sets the engine's
-// own LinkCoding; every other coding of the group is counted on the same
-// link crossings (accel.Engine.CountCodings), and each job's Result is the
-// group's with its own Coding and TotalBT. Two things follow:
+// simulation. The group's codings are the rows of the engine's one coding
+// slab: the first job's in expansion order is the engine's own LinkCoding
+// (coding 0), and every other coding of the group is counted on the same
+// link crossings (accel.Engine.CountCodings). Each job's Result is the
+// group's with its own Coding, and its TotalBT is its coding's row
+// (accel.Engine.CodedBT). Two things follow:
 //
 //   - a span trace of a sweep shows one engine per coding group, and its
 //     per-hop BT is that of the group's own (first) coding;

@@ -19,7 +19,7 @@ func codedSim(t *testing.T, coding string) (*noc.Sim, *Recorder) {
 	if !ok || scheme == nil {
 		t.Fatalf("link coding %q not registered", coding)
 	}
-	if err := sim.SetLinkCoding(scheme); err != nil {
+	if err := sim.SetLinkCodings(0, scheme); err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
