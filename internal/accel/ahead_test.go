@@ -21,31 +21,28 @@ import (
 	"nocbt/internal/tensor"
 )
 
-// schedRecord runs one Infer and an InferRepeated of 3 on a serial engine
-// and an InferBatch of every input on a pipelined one, all under
-// GOMAXPROCS procs, and renders everything the runs produce: outputs as
-// float32 bits, TotalBT, Cycles, LayerStats, EnergyCounters and
-// TaskPackets of both engines.
+// schedRecord runs one Infer and an InferBatch of three copies of one
+// input on a serial engine and an InferBatch of every input on a pipelined
+// one, all under GOMAXPROCS procs, and renders everything the runs
+// produce: outputs as float32 bits, each call's LayerStats and
+// LastBatchStats, and TotalBT, Cycles, EnergyCounters and TaskPackets of
+// both engines.
 func schedRecord(t *testing.T, cfg Config, m *dnn.Model, inputs []*tensor.Tensor, procs int) []byte {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var b bytes.Buffer
-	outputs := func(outs ...*tensor.Tensor) {
+	// record renders one call's outputs and the engine's per-call records.
+	record := func(eng *Engine, outs ...*tensor.Tensor) {
 		for _, out := range outs {
 			for _, v := range out.Data {
 				fmt.Fprintf(&b, " %08x", math.Float32bits(v))
 			}
 			b.WriteByte('\n')
 		}
-	}
-	engines := func(engs ...*Engine) {
-		for _, eng := range engs {
-			fmt.Fprintf(&b, "bt %d cycles %d tasks %d energy %+v\n",
-				eng.TotalBT(), eng.Cycles(), eng.TaskPackets(), eng.EnergyCounters())
-			for _, st := range eng.LayerStats() {
-				fmt.Fprintf(&b, "layer %+v\n", st)
-			}
+		for _, st := range eng.LayerStats() {
+			fmt.Fprintf(&b, "layer %+v\n", st)
 		}
+		fmt.Fprintf(&b, "batch %+v\n", eng.LastBatchStats())
 	}
 	ctx := context.Background()
 	serial := mustNew(t, cfg, m)
@@ -53,20 +50,23 @@ func schedRecord(t *testing.T, cfg Config, m *dnn.Model, inputs []*tensor.Tensor
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs(out)
-	outs, err := serial.InferRepeated(ctx, inputs[1], 3)
+	record(serial, out)
+	outs, err := serial.InferBatch(ctx, []*tensor.Tensor{inputs[1], inputs[1], inputs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs(outs...)
+	record(serial, outs...)
 	pcfg := cfg
 	pcfg.LayerMode = PipelinedLayers
 	pipelined := mustNew(t, pcfg, m)
 	if outs, err = pipelined.InferBatch(ctx, inputs); err != nil {
 		t.Fatal(err)
 	}
-	outputs(outs...)
-	engines(serial, pipelined)
+	record(pipelined, outs...)
+	for _, eng := range []*Engine{serial, pipelined} {
+		fmt.Fprintf(&b, "bt %d cycles %d tasks %d energy %+v\n",
+			eng.TotalBT(), eng.Cycles(), eng.TaskPackets(), eng.EnergyCounters())
+	}
 	return b.Bytes()
 }
 
@@ -76,7 +76,7 @@ func schedRecord(t *testing.T, cfg Config, m *dnn.Model, inputs []*tensor.Tensor
 // segment inline; under GOMAXPROCS(4) the helper encodes most of them.
 // Outputs, BT, cycles, layer stats, energy counters and packet counts must
 // agree bit for bit, for every ordering, index mode and lane format, on
-// the serial, repeated and pipelined batch paths.
+// a single Infer and on serial and pipelined batches.
 func TestEncodeAheadSchedulingIndependent(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(61)))
 	inputs := batchInputs(m, 4, 62)

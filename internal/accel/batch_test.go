@@ -212,6 +212,40 @@ func TestInferBatchLayerStats(t *testing.T) {
 	}
 }
 
+// TestCallRecordsReplacePrevious pins the per-call records of a warm
+// engine: Infer is a batch of one, so each call's LayerStats and
+// LastBatchStats replace the previous call's instead of piling up, while
+// Cycles stays cumulative.
+func TestCallRecordsReplacePrevious(t *testing.T) {
+	m := microNet(rand.New(rand.NewSource(43)))
+	inputs := batchInputs(m, 2, 44)
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		start := eng.Cycles()
+		if _, err := eng.Infer(ctx, inputs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(eng.LayerStats()); got != len(m.Layers) {
+			t.Errorf("Infer %d: %d layer stats, want %d", i, got, len(m.Layers))
+		}
+		st := eng.LastBatchStats()
+		if st.Inferences != 1 || st.Cycles != eng.Cycles()-start || st.Cycles <= 0 {
+			t.Errorf("Infer %d: batch stats %+v, want 1 inference over %d cycles", i, st, eng.Cycles()-start)
+		}
+	}
+	start := eng.Cycles()
+	if _, err := eng.InferBatch(ctx, inputs); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(eng.LayerStats()); got != 2*len(m.Layers) {
+		t.Errorf("InferBatch of 2: %d layer stats, want %d", got, 2*len(m.Layers))
+	}
+	if st := eng.LastBatchStats(); st.Inferences != 2 || st.Cycles != eng.Cycles()-start {
+		t.Errorf("InferBatch of 2: batch stats %+v, want 2 inferences over %d cycles", st, eng.Cycles()-start)
+	}
+}
+
 // TestInferBatchValidation covers the input validation paths.
 func TestInferBatchValidation(t *testing.T) {
 	m := microNet(rand.New(rand.NewSource(39)))
@@ -239,7 +273,7 @@ func TestSchedulerContextsClearedOnError(t *testing.T) {
 	cfg.Ordering = flit.Separated // oob partner tables in play
 	cfg.DrainCycleCap = 3         // guarantees a mid-flight failure
 	eng := mustNew(t, cfg, m)
-	flows := []*flow{{idx: 0, act: input}}
+	flows := []flow{{idx: 0, act: input}}
 	s := newScheduler(context.Background(), eng, flows)
 	runErr := s.run()
 	if runErr == nil || !strings.Contains(runErr.Error(), "cycle cap") {

@@ -25,8 +25,9 @@ func TestInferContextCancelled(t *testing.T) {
 	if _, err := eng.InferBatch(ctx, []*tensor.Tensor{testInput(m, 2)}); !errors.Is(err, context.Canceled) {
 		t.Errorf("InferBatch under cancelled context = %v, want context.Canceled", err)
 	}
-	if _, err := eng.InferRepeated(ctx, testInput(m, 2), 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("InferRepeated under cancelled context = %v, want context.Canceled", err)
+	in := testInput(m, 2)
+	if _, err := eng.InferBatch(ctx, []*tensor.Tensor{in, in}); !errors.Is(err, context.Canceled) {
+		t.Errorf("InferBatch of two under cancelled context = %v, want context.Canceled", err)
 	}
 }
 

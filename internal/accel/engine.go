@@ -145,7 +145,7 @@ type InferenceStat struct {
 // LatencyCycles returns the inference's start-to-finish latency.
 func (s InferenceStat) LatencyCycles() int64 { return s.EndCycle - s.StartCycle }
 
-// BatchStats aggregates one InferBatch call.
+// BatchStats aggregates one Infer or InferBatch call.
 type BatchStats struct {
 	// Inferences is the batch size.
 	Inferences int
@@ -327,27 +327,22 @@ func (e *Engine) nextID() uint64 {
 	return e.nextPacketID
 }
 
-// Infer runs one forward pass: conv and linear layers travel through the
-// NoC as task/result packets; other layers execute memory-side. The
-// context cancels or deadline-bounds the simulation: the scheduler polls
-// it between cycles, so a cancelled inference returns ctx.Err() promptly
-// instead of simulating to completion.
+// Infer runs one forward pass: a batch of one through InferBatch's path,
+// so it records LayerStats and LastBatchStats like any other call. Conv
+// and linear layers travel through the NoC as task/result packets; other
+// layers execute memory-side. The context cancels or deadline-bounds the
+// simulation: the scheduler polls it between cycles, so a cancelled
+// inference returns ctx.Err() promptly instead of simulating to
+// completion.
 func (e *Engine) Infer(ctx context.Context, input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil {
 		return nil, fmt.Errorf("accel: nil input")
 	}
-	if err := e.usable(); err != nil {
+	var out [1]*tensor.Tensor
+	if err := e.run(ctx, []*tensor.Tensor{input}, out[:]); err != nil {
 		return nil, err
 	}
-	startTasks := e.taskPackets
-	flows := []*flow{{idx: 0, act: input}}
-	s := newScheduler(ctx, e, flows)
-	if err := s.run(); err != nil {
-		e.noteAbort(err, startTasks)
-		return nil, err
-	}
-	e.layers = append(e.layers, flows[0].layers...)
-	return flows[0].act, nil
+	return out[0], nil
 }
 
 // InferBatch runs every input through the model. Under the paper-faithful
@@ -375,24 +370,39 @@ func (e *Engine) InferBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*te
 			return nil, fmt.Errorf("accel: nil input %d", i)
 		}
 	}
-	if err := e.usable(); err != nil {
+	outs := make([]*tensor.Tensor, len(inputs))
+	if err := e.run(ctx, inputs, outs); err != nil {
 		return nil, err
+	}
+	return outs, nil
+}
+
+// run executes the non-nil inputs as one batch, writes input i's output to
+// outs[i], and replaces the per-call records: LayerStats and
+// LastBatchStats. A failed call leaves the previous call's records.
+func (e *Engine) run(ctx context.Context, inputs, outs []*tensor.Tensor) error {
+	if err := e.usable(); err != nil {
+		return err
 	}
 	startCycle := e.sim.Cycle()
 	startBT := e.sim.TotalBT()
 	startTasks, startResults := e.taskPackets, e.resultPackets
 
-	flows := make([]*flow, len(inputs))
+	// Every layer of the model records exactly one LayerStat, so flow i
+	// fills exactly layers[i*n:(i+1)*n] and the slab is the call's
+	// LayerStats, grouped per inference.
+	n := len(e.model.Layers)
+	layers := make([]LayerStat, len(inputs)*n)
+	flows := make([]flow, len(inputs))
 	for i, in := range inputs {
-		flows[i] = &flow{idx: i, act: in}
+		flows[i] = flow{idx: i, act: in, layers: layers[i*n : i*n : (i+1)*n]}
 	}
 	s := newScheduler(ctx, e, flows)
 	if err := s.run(); err != nil {
 		e.noteAbort(err, startTasks)
-		return nil, err
+		return err
 	}
 
-	outs := make([]*tensor.Tensor, len(flows))
 	stats := BatchStats{
 		Inferences:    len(flows),
 		Cycles:        e.sim.Cycle() - startCycle,
@@ -402,9 +412,9 @@ func (e *Engine) InferBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*te
 		PerInference:  make([]InferenceStat, len(flows)),
 	}
 	var latencySum int64
-	for i, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		outs[i] = f.act
-		e.layers = append(e.layers, f.layers...)
 		st := InferenceStat{Index: i, StartCycle: f.startCycle, EndCycle: f.endCycle}
 		stats.PerInference[i] = st
 		lat := st.LatencyCycles()
@@ -414,12 +424,13 @@ func (e *Engine) InferBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*te
 		}
 	}
 	stats.AvgLatencyCycles = float64(latencySum) / float64(len(flows))
+	e.layers = layers
 	e.lastBatch = stats
-	return outs, nil
+	return nil
 }
 
 // LastBatchStats returns the throughput/latency record of the most recent
-// InferBatch call (zero value before the first one).
+// Infer or InferBatch call (zero value before the first one).
 func (e *Engine) LastBatchStats() BatchStats { return e.lastBatch }
 
 // Aborted returns the error that poisoned the engine, or nil while the
@@ -431,17 +442,3 @@ func (e *Engine) Aborted() error { return e.aborted }
 // lifecycle hook pools of warm engines use to decide between returning an
 // engine to the free list and retiring it for a rebuilt replacement.
 func (e *Engine) Reusable() bool { return e.aborted == nil }
-
-// InferRepeated runs n copies of the same input as one batch — the
-// sustained-traffic measurement shape the sweep runner and the batch
-// experiments use.
-func (e *Engine) InferRepeated(ctx context.Context, input *tensor.Tensor, n int) ([]*tensor.Tensor, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("accel: batch size %d < 1", n)
-	}
-	inputs := make([]*tensor.Tensor, n)
-	for i := range inputs {
-		inputs[i] = input
-	}
-	return e.InferBatch(ctx, inputs)
-}

@@ -213,9 +213,11 @@ func (e *Engine) TotalBT() int64 { return e.sim.TotalBT() }
 // Cycles returns the total simulated cycles.
 func (e *Engine) Cycles() int64 { return e.sim.Cycle() }
 
-// LayerStats returns per-layer traffic records in execution order. After an
-// InferBatch call the records carry the batch index in Inference and are
-// grouped per inference.
+// LayerStats returns the per-layer traffic records of the most recent
+// Infer or InferBatch call, one per model layer of each inference, grouped
+// per inference in batch order and carrying the batch index in Inference.
+// Each call's records replace the previous call's; a failed call leaves
+// them as they were.
 func (e *Engine) LayerStats() []LayerStat { return e.layers }
 
 // TaskPackets returns the number of task packets sent.

@@ -24,9 +24,9 @@ func mkValidationScheduler(t *testing.T, tasks int) (*Engine, *scheduler, *layer
 	t.Helper()
 	m := tinyNet(rand.New(rand.NewSource(51)))
 	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
-	s := newScheduler(context.Background(), eng, []*flow{{idx: 0}})
+	s := newScheduler(context.Background(), eng, []flow{{idx: 0}})
 	run := &layerRun{
-		flow:     s.flows[0],
+		flow:     &s.flows[0],
 		layer:    nocLayer{name: "forged", ntasks: tasks},
 		base:     1,
 		segStart: make([]int32, tasks+1),
@@ -234,8 +234,8 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := &flow{act: testInput(m, 2)}
-			s := newScheduler(context.Background(), eng, []*flow{f})
+			s := newScheduler(context.Background(), eng, []flow{{act: testInput(m, 2)}})
+			f := &s.flows[0]
 			if err := s.advance(f); err != nil {
 				t.Fatal(err)
 			}

@@ -167,7 +167,7 @@ type pendingResult struct {
 type scheduler struct {
 	ctx   context.Context
 	e     *Engine
-	flows []*flow
+	flows []flow
 
 	// feeds[m] queues, in dispatch order, the runs with segments still to
 	// send from MC cfg.MCs[m].
@@ -189,7 +189,7 @@ type scheduler struct {
 // ctxPollInterval is the number of simulated cycles between context polls.
 const ctxPollInterval = 1024
 
-func newScheduler(ctx context.Context, e *Engine, flows []*flow) *scheduler {
+func newScheduler(ctx context.Context, e *Engine, flows []flow) *scheduler {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -246,9 +246,10 @@ func (s *scheduler) run() error {
 }
 
 // execute drives one working set of flows through the cycle loop.
-func (s *scheduler) execute(flows []*flow) error {
+func (s *scheduler) execute(flows []flow) error {
 	s.running = len(flows)
-	for _, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		f.startCycle = s.e.sim.Cycle()
 		if err := s.advance(f); err != nil {
 			return err

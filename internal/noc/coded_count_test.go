@@ -126,12 +126,9 @@ func TestCountCodingsMatchesPrimaryRuns(t *testing.T) {
 						if got := sim.CodedBT(i + 1); got != want.TotalBT() {
 							t.Errorf("primary %s, extra %s: CodedBT %d, its own run's TotalBT %d", primary, c, got, want.TotalBT())
 						}
-						recount := rec.TotalBT(classes...)
-						if scheme := lookupCoding(t, c); scheme != nil {
-							var err error
-							if recount, err = rec.CodedBT(scheme, classes...); err != nil {
-								t.Fatal(err)
-							}
+						recount, err := rec.CodedBT(lookupCoding(t, c), classes...)
+						if err != nil {
+							t.Fatal(err)
 						}
 						if got := sim.CodedBT(i + 1); got != recount {
 							t.Errorf("primary %s, extra %s: CodedBT %d, trace recount %d", primary, c, got, recount)
@@ -254,11 +251,9 @@ func FuzzLinkCodingsMatchTrace(f *testing.F) {
 						got += sim.CodedLinkBT(k)[j]
 					}
 				}
-				want := rec.TotalBT(class)
-				if scheme != nil {
-					if want, err = rec.CodedBT(scheme, class); err != nil {
-						t.Fatal(err)
-					}
+				want, err := rec.CodedBT(scheme, class)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if got != want {
 					t.Errorf("%s: coding %d (%s), %s links: %d transitions, trace replay %d",

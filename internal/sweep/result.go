@@ -19,7 +19,7 @@ type Result struct {
 	Topology string
 	// Seed is the weight and input seed of a sweep run (0 from Measure).
 	Seed int64
-	// Batch is the inference batch size of the run (1 = serial Infer).
+	// Batch is the inference batch size of the run (1 = a single inference).
 	Batch int
 	// Precision is the uniform lane-width override the job swept (0 when
 	// the precision axis was unused — the geometry's own format applied).

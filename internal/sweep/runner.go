@@ -12,7 +12,6 @@ import (
 	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
-	"nocbt/internal/noc"
 	"nocbt/internal/obs"
 	"nocbt/internal/stats"
 	"nocbt/internal/tensor"
@@ -242,21 +241,19 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 }
 
 // Measure runs one measurement of model on cfg and returns its row with
-// the engine that ran it. Batch 1 is one Engine.Infer; a larger batch runs
-// Engine.InferRepeated under PipelinedLayers, so the batch's inferences
-// share the mesh, which the paper-faithful SerialLayers default would
-// reduce to scaled serial runs. The row carries the canonical topology,
-// the display coding, every traffic and energy counter, throughput and
-// latency; the grid coordinates Workload, Seed and Precision are left to
-// the caller. Measure installs the context's span tracer on the engine,
-// and prepare, when non-nil, runs on the engine before inference.
+// the engine that ran it: one Engine.InferBatch of batch copies of input,
+// whose LastBatchStats give the row's throughput and latency. A batch
+// larger than one runs under PipelinedLayers, so its inferences share the
+// mesh, which the paper-faithful SerialLayers default would reduce to
+// scaled serial runs. The row carries the canonical topology, the display
+// coding, every traffic and energy counter, throughput and latency; the
+// grid coordinates Workload, Seed and Precision are left to the caller.
+// Measure installs the context's span tracer on the engine, and prepare,
+// when non-nil, runs on the engine before inference.
 func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.Model, input *tensor.Tensor,
 	batch int, prepare func(*accel.Engine) error) (Result, *accel.Engine, error) {
 	if batch < 1 {
 		return Result{}, nil, fmt.Errorf("batch size %d < 1", batch)
-	}
-	if canonical, ok := flit.CanonicalLinkCodingName(cfg.LinkCoding); ok {
-		cfg.LinkCoding = canonical
 	}
 	if batch > 1 {
 		cfg.LayerMode = accel.PipelinedLayers
@@ -273,42 +270,36 @@ func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.
 	if t := obs.FromContext(ctx); t != nil {
 		eng.SetSpanTracer(t)
 	}
-	topology, _ := noc.CanonicalTopologyName(cfg.Mesh.Topology)
-	res := Result{
-		Platform: platform,
-		Model:    model.Name(),
-		Geometry: cfg.Geometry,
-		Ordering: cfg.Ordering,
-		Coding:   codingName(cfg.LinkCoding),
-		Topology: topology,
-		Batch:    batch,
+	inputs := make([]*tensor.Tensor, batch)
+	for i := range inputs {
+		inputs[i] = input
 	}
-	if batch == 1 {
-		if _, err := eng.Infer(ctx, input); err != nil {
-			return Result{}, nil, err
-		}
-		if c := eng.Cycles(); c > 0 {
-			res.Throughput = 1000 / float64(c)
-			res.AvgLatencyCycles = float64(c)
-		}
-	} else {
-		if _, err := eng.InferRepeated(ctx, input, batch); err != nil {
-			return Result{}, nil, err
-		}
-		st := eng.LastBatchStats()
-		res.Throughput = st.Throughput()
-		res.AvgLatencyCycles = st.AvgLatencyCycles
+	if _, err := eng.InferBatch(ctx, inputs); err != nil {
+		return Result{}, nil, err
 	}
-	res.TotalBT = eng.TotalBT()
-	res.Cycles = eng.Cycles()
-	res.Packets = eng.TaskPackets() + eng.ResultPackets()
-	res.Flits = eng.TotalFlits()
-	res.RouterFlits = eng.NoCStats().RouterFlits
+	// The engine's Config carries the canonical coding and topology names.
+	cfg = eng.Config()
+	st := eng.LastBatchStats()
 	ec := eng.EnergyCounters()
-	res.MACBitOps = ec.MACBitOps
-	res.WeightRegBits = ec.WeightRegBits
-	res.FlitBits = ec.FlitBits
-	return res, eng, nil
+	return Result{
+		Platform:         platform,
+		Model:            model.Name(),
+		Geometry:         cfg.Geometry,
+		Ordering:         cfg.Ordering,
+		Coding:           codingName(cfg.LinkCoding),
+		Topology:         cfg.Mesh.Topology,
+		Batch:            batch,
+		TotalBT:          eng.TotalBT(),
+		Cycles:           eng.Cycles(),
+		Packets:          eng.TaskPackets() + eng.ResultPackets(),
+		Flits:            eng.TotalFlits(),
+		RouterFlits:      eng.NoCStats().RouterFlits,
+		MACBitOps:        ec.MACBitOps,
+		WeightRegBits:    ec.WeightRegBits,
+		FlitBits:         ec.FlitBits,
+		Throughput:       st.Throughput(),
+		AvgLatencyCycles: st.AvgLatencyCycles,
+	}, eng, nil
 }
 
 // codingName maps a canonical coding name onto its display name: the

@@ -76,10 +76,10 @@ type Spec struct {
 	Orderings  []flit.Ordering
 	Workloads  []Workload
 	Seeds      []int64
-	// Batches lists the inference batch sizes to measure. Size 1 runs the
-	// classic single Infer; larger sizes run Engine.InferRepeated under
-	// PipelinedLayers, measuring BT and throughput under sustained
-	// multi-inference traffic. Empty means {1}.
+	// Batches lists the inference batch sizes to measure. Each size runs
+	// one Engine.InferBatch of that many copies of the input; sizes above 1
+	// run under PipelinedLayers, measuring BT and throughput under
+	// sustained multi-inference traffic. Empty means {1}.
 	Batches []int
 	// Codings lists link codings to measure, by registered name; "" or
 	// "none" is plain binary transmission. Empty means {""} — the paper's

@@ -101,10 +101,11 @@ func (r *Recorder) Hook() noc.TraceFunc {
 // (all classes when none are given). This is the scalar cross-check for a
 // coded simulation's in-line BT recorders: the trace carries raw payloads,
 // so an independent recount must re-encode them exactly as each link did.
-// Requires RecordPayloads to have been enabled before recording.
+// Requires RecordPayloads to have been enabled before recording, except
+// for a nil scheme: that is plain binary, whose recount is TotalBT.
 func (r *Recorder) CodedBT(scheme flit.LinkCodingScheme, classes ...noc.LinkClass) (int64, error) {
 	if scheme == nil {
-		return 0, fmt.Errorf("trace: nil link coding scheme")
+		return r.TotalBT(classes...), nil
 	}
 	if len(r.payloads) != len(r.events) {
 		return 0, fmt.Errorf("trace: %d payloads for %d events; enable RecordPayloads before recording",

@@ -67,6 +67,16 @@ func TestRecorderMatchesSimCounters(t *testing.T) {
 	if got := rec.TotalBT(); got != st.RouterBT+st.EjectionBT+st.InjectionBT {
 		t.Errorf("trace total %d != sum of classes", got)
 	}
+	// A nil scheme is plain binary, as everywhere else: its recount is the
+	// uncoded total, per class and overall.
+	for _, class := range []noc.LinkClass{noc.RouterLink, noc.EjectionLink, noc.InjectionLink} {
+		if got, err := rec.CodedBT(nil, class); err != nil || got != rec.TotalBT(class) {
+			t.Errorf("CodedBT(nil, %s) = %d, %v; TotalBT %d", class, got, err, rec.TotalBT(class))
+		}
+	}
+	if got, err := rec.CodedBT(nil); err != nil || got != st.RouterBT+st.EjectionBT+st.InjectionBT {
+		t.Errorf("CodedBT(nil) = %d, %v; sum of classes %d", got, err, st.RouterBT+st.EjectionBT+st.InjectionBT)
+	}
 }
 
 func TestPerLinkBTMatchesSim(t *testing.T) {

@@ -204,13 +204,15 @@ func FixedWidths() []int { return bitutil.FixedWidths() }
 // placement policies — or start from a paper preset option bundle.
 type Platform = accel.Config
 
-// Engine executes DNN inference over the simulated NoC. Engine.Infer runs
-// one inference at a time; Engine.InferBatch keeps a whole batch of
-// inferences in flight on the mesh concurrently and records throughput and
-// per-inference latency (Engine.LastBatchStats).
+// Engine executes DNN inference over the simulated NoC. Engine.InferBatch
+// runs a batch of inferences (concurrently on the mesh under
+// PipelinedLayers) and Engine.Infer is a batch of one; each call records
+// its throughput and per-inference latency (Engine.LastBatchStats) and its
+// per-layer traffic (Engine.LayerStats).
 type Engine = accel.Engine
 
-// BatchStats is the throughput/latency record of an Engine.InferBatch call.
+// BatchStats is the throughput/latency record of an Engine.Infer or
+// Engine.InferBatch call.
 type BatchStats = accel.BatchStats
 
 // InferenceStat is one batch inference's timing record.

@@ -101,9 +101,9 @@ type SweepSpec struct {
 	Trained bool
 	// Seeds for weight init / training and input synthesis. Default: {1}.
 	Seeds []int64
-	// Batches lists inference batch sizes to measure. Size 1 is the
-	// classic serial Infer; larger sizes run Engine.InferRepeated under
-	// PipelinedLayers so all inferences of the batch share the mesh
+	// Batches lists inference batch sizes to measure. Each size runs one
+	// Engine.InferBatch of that many copies of the input; sizes above 1 run
+	// under PipelinedLayers so all inferences of the batch share the mesh
 	// concurrently, measuring BT and throughput under sustained traffic.
 	// Default: {1}.
 	Batches []int
