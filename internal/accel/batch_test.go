@@ -283,4 +283,8 @@ func TestSchedulerContextsClearedOnError(t *testing.T) {
 		t.Errorf("scheduler context leaked after error: %d MC feeds, %d results, %d pending, %d runs",
 			len(s.feeds), len(s.results.refs), len(s.pending), len(s.activeRuns))
 	}
+	if pt := &eng.partners; len(pt.tables) == 0 || len(pt.free) != len(pt.tables) {
+		t.Errorf("partner handles of the packets in flight not freed after error: %d of %d free",
+			len(pt.free), len(pt.tables))
+	}
 }

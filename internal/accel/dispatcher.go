@@ -63,33 +63,43 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 	}
 	e := s.e
 	maxSeg := e.cfg.MaxSegmentPairs
-	run := &layerRun{
-		flow:       f,
-		layer:      nl,
-		geom:       g,
-		segStart:   make([]int32, nl.ntasks+1),
-		segs:       make([]segment, 0, nl.ntasks),
-		deadline:   e.sim.Cycle() + e.cfg.DrainCycleCap,
-		startCycle: e.sim.Cycle(),
-		startBT:    e.sim.TotalBT(),
-	}
+	// A counting pass sizes the segment records exactly, then a second
+	// pass fills them.
+	segStart := e.startSlab.take(nl.ntasks + 1)
+	nsegs := 0
 	for ti := 0; ti < nl.ntasks; ti++ {
 		n := nl.pairs(ti)
 		if n == 0 {
 			return nil, fmt.Errorf("task %d has no pairs", ti)
 		}
-		if segs := (n + maxSeg - 1) / maxSeg; segs > flit.MaxHeaderCount+1 {
+		segs := (n + maxSeg - 1) / maxSeg
+		if segs > flit.MaxHeaderCount+1 {
 			return nil, fmt.Errorf("task %d of %d pairs splits into %d segments of %d; result headers carry the segment index in the 16-bit PairCount field, so at most %d",
 				ti, n, segs, maxSeg, flit.MaxHeaderCount+1)
 		}
-		run.segStart[ti] = int32(len(run.segs))
-		for seg, lo := 0, 0; lo < n; seg, lo = seg+1, lo+maxSeg {
-			run.segs = append(run.segs, segment{
-				task: int32(ti), seg: int32(seg), pairs: int32(min(maxSeg, n-lo)), state: segQueued,
-			})
+		segStart[ti] = int32(nsegs)
+		nsegs += segs
+	}
+	segStart[nl.ntasks] = int32(nsegs)
+	run := &layerRun{
+		flow:       f,
+		layer:      nl,
+		geom:       g,
+		segStart:   segStart,
+		segs:       e.segSlab.take(nsegs),
+		deadline:   e.sim.Cycle() + e.cfg.DrainCycleCap,
+		startCycle: e.sim.Cycle(),
+		startBT:    e.sim.TotalBT(),
+	}
+	for ti := 0; ti < nl.ntasks; ti++ {
+		segs := run.segs[segStart[ti]:segStart[ti+1]]
+		n := nl.pairs(ti)
+		for seg := range segs {
+			segs[seg] = segment{
+				task: int32(ti), seg: uint16(seg), pairs: int32(min(maxSeg, n-seg*maxSeg)), state: segQueued,
+			}
 		}
 	}
-	run.segStart[nl.ntasks] = int32(len(run.segs))
 	run.base = e.nextPacketID + 1
 	e.nextPacketID += uint64(len(run.segs))
 	for m := range e.cfg.MCs {
@@ -169,15 +179,12 @@ func (s *scheduler) send(run *layerRun, k, m int) error {
 	// re-pairing table out-of-band unless the configuration pays for
 	// in-band index flits. An out-of-band table rides with its segment
 	// until the PE decodes the packet, so each packet orders into a table
-	// of its own: the segment takes the encoded table, and the slot or
-	// encoder it came from gets one the PEs have handed back. An in-band
-	// table is encoded into index flits at once and reused in place.
+	// of its own: the segment holds the encoded table by handle, and the
+	// slot or encoder it came from gets the handle's spare table. An
+	// in-band table is encoded into index flits at once and reused in
+	// place.
 	if a.oob {
-		sg.partner, *partner = *partner, nil
-		if free := len(e.partnerFree); free > 0 {
-			*partner = e.partnerFree[free-1]
-			e.partnerFree = e.partnerFree[:free-1]
-		}
+		sg.partner = e.partners.hold(partner)
 	}
 	if slot != nil {
 		a.release(m, slot)

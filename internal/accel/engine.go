@@ -20,7 +20,9 @@ import (
 // The engine holds no per-layer or per-packet execution state: quantization
 // scales, partner tables and packet bookkeeping live in the scheduler
 // context of each call (see scheduler.go), which is what lets InferBatch
-// keep several inferences in flight on the mesh at once.
+// keep several inferences in flight on the mesh at once. The engine keeps
+// only the storage of that context — segment slabs and spare partner
+// tables — for its next call to reuse.
 //
 // A run that fails after traffic reached the mesh — context cancellation,
 // deadline expiry, or a protocol error — leaves that run's flits behind
@@ -76,9 +78,15 @@ type Engine struct {
 	peScratch      []bitutil.Vec
 	deflitScratch  flit.Task
 	partnerScratch []int
-	// partnerFree holds the out-of-band partner tables the PEs are done
-	// with; send hands one to the encode-ahead slot it takes.
-	partnerFree [][]int
+	// partners holds the out-of-band partner tables of the task packets
+	// in flight, and spare tables for send to hand to the encode-ahead
+	// slot it takes.
+	partners partnerTables
+	// segSlab and startSlab hold the segment records and task offsets of
+	// every layer run (see slab): a call's runs take exact-size slices,
+	// and the next call reuses them.
+	segSlab   slab[segment]
+	startSlab slab[int32]
 	// ahead is the MC codec's encode-ahead ring (ahead.go), built by the
 	// first scheduler and reused by every later one.
 	ahead *encodeAhead
@@ -186,7 +194,10 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 	if len(model.Layers) == 0 {
 		return nil, fmt.Errorf("accel: model %q has no layers", model.Name())
 	}
-	sim, err := noc.New(cfg.Mesh)
+	// The engine's own LinkCoding is the first coding installed: coding 0.
+	// Validate has resolved its name.
+	coding, _ := flit.LookupLinkCoding(cfg.LinkCoding)
+	sim, err := noc.New(cfg.Mesh, coding)
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +222,7 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 		isPE:         isPE,
 		strategy:     strategy,
 		layerFormats: formats,
-	}
-	// The engine's own LinkCoding is the first coding installed: coding 0.
-	if err := e.CountCodings(cfg.LinkCoding); err != nil {
-		return nil, err
+		codings:      1,
 	}
 	return e, nil
 }

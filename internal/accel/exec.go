@@ -45,10 +45,8 @@ func (s *scheduler) pumpPEs() error {
 			if err != nil {
 				return fmt.Errorf("PE %d packet %d: %w", pe, pkt.ID, err)
 			}
-			if sg.partner != nil {
-				e.partnerFree = append(e.partnerFree, sg.partner)
-			}
-			sg.state, sg.partner = segComputed, nil
+			e.partners.release(sg.partner)
+			sg.state, sg.partner = segComputed, 0
 			// The task packet is fully decoded; its flits, payload vectors
 			// and shell go back to the pool and come out again as the
 			// result packet built just below.
@@ -115,7 +113,7 @@ func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, sg *segment) (flo
 	if len(payloads) < dataFlits {
 		return 0, fmt.Errorf("packet has %d payload flits, need %d data flits", len(payloads), dataFlits)
 	}
-	partner := sg.partner
+	partner := e.partners.table(sg.partner)
 	if e.strategy.EmitsPartner() && e.cfg.InBandIndex {
 		var err error
 		partner, err = flit.DecodePartnerIndexInto(g, payloads[dataFlits:], pairs, e.partnerScratch)

@@ -240,11 +240,11 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			sg := &f.cur.segs[0]
-			if sg.state != segSent || len(sg.partner) < 2 {
-				t.Fatalf("first segment not sent with a partner table: %+v", sg)
+			partner := eng.partners.table(sg.partner)
+			if sg.state != segSent || len(partner) < 2 {
+				t.Fatalf("first segment not sent with a partner table: %+v, table %v", sg, partner)
 			}
-			sg.partner = append([]int(nil), sg.partner...)
-			tc.mangle(sg.partner)
+			tc.mangle(partner)
 			for i := 0; i < 1000 && err == nil; i++ {
 				eng.sim.Step()
 				if err = s.feedMCs(); err == nil {

@@ -22,6 +22,13 @@ package accel
 // Nothing is engine-global, so any number of inferences (flows) can be in
 // flight on the mesh at once, and every exit path (success or error)
 // discards the whole context in one place.
+//
+// Memory follows the traffic in flight, not the layer size. A segment
+// record is a fixed 20 bytes: an out-of-band partner table is held by
+// handle in the engine's partner store (partnerTables) only from send to
+// the PE's decode. Each run's records are exact-size slices of engine
+// slabs (slab) that the next call reuses once this one has joined its
+// encode-ahead helper, so a warm engine allocates no segment memory.
 
 import (
 	"context"
@@ -101,13 +108,94 @@ const (
 // segment is the dispatch record of one task packet and its result:
 // everything the PE model and the MC collector check a packet against.
 type segment struct {
-	task, seg, pairs int32
-	state            segState
-	partial          float32
-	// partner is the separated-ordering out-of-band re-pairing table for
-	// exactly this packet (nil for O0/O1 or in-band indexing), held only
-	// while the task packet is in flight.
-	partner []int
+	task, pairs int32
+	partial     float32
+	// partner is the handle, in the engine's partner store, of the
+	// separated-ordering out-of-band re-pairing table for exactly this
+	// packet (0 for O0/O1 or in-band indexing), held only while the task
+	// packet is in flight.
+	partner int32
+	// seg is the segment's index in its task, which the result header
+	// carries in its 16-bit PairCount field.
+	seg   uint16
+	state segState
+}
+
+// slab hands the runs of one call exact-size slices of one backing array.
+// The array is sized to the most any earlier call took, so after the first
+// call of an engine a call takes nothing from the heap; a call that takes
+// more than the array holds gets its excess from the heap, run by run, and
+// the next call's first take grows the array. reset starts the next call,
+// once nothing reads the slices this call handed out.
+type slab[T any] struct {
+	buf  []T
+	used int // elements handed out in this call
+	need int // the most elements one call has taken
+}
+
+// take returns n elements, not cleared, with cap equal to len.
+func (s *slab[T]) take(n int) []T {
+	if s.used == 0 && len(s.buf) < s.need {
+		s.buf = make([]T, s.need)
+	}
+	lo := s.used
+	if s.used += n; s.used > len(s.buf) {
+		return make([]T, n)
+	}
+	return s.buf[lo:s.used:s.used]
+}
+
+func (s *slab[T]) reset() {
+	s.need = max(s.need, s.used)
+	s.used = 0
+}
+
+// partnerTables is the engine's store of out-of-band partner tables. A
+// task packet under a partner-emitting ordering holds its table by handle
+// from send until its PE decodes it: handle h names tables[h-1], 0 none.
+// A free handle's table is spare storage, which send hands to the encoder
+// whose table it takes, so the store holds as many tables as packets were
+// ever in flight at once.
+type partnerTables struct {
+	tables [][]int
+	free   []int32
+}
+
+// hold stores *p under a free handle, returns the handle, and leaves in *p
+// the handle's spare table (nil for a new handle).
+func (pt *partnerTables) hold(p *[]int) int32 {
+	var h int32
+	if n := len(pt.free); n > 0 {
+		h, pt.free = pt.free[n-1], pt.free[:n-1]
+	} else {
+		pt.tables = append(pt.tables, nil)
+		h = int32(len(pt.tables))
+	}
+	pt.tables[h-1], *p = *p, pt.tables[h-1]
+	return h
+}
+
+// table returns handle h's table, nil for handle 0.
+func (pt *partnerTables) table(h int32) []int {
+	if h == 0 {
+		return nil
+	}
+	return pt.tables[h-1]
+}
+
+// release frees handle h; its table becomes spare storage.
+func (pt *partnerTables) release(h int32) {
+	if h != 0 {
+		pt.free = append(pt.free, h)
+	}
+}
+
+// reset frees every handle.
+func (pt *partnerTables) reset() {
+	pt.free = pt.free[:0]
+	for h := range pt.tables {
+		pt.free = append(pt.free, int32(h+1))
+	}
 }
 
 // segRef names one segment of one run.
@@ -207,13 +295,17 @@ func newScheduler(ctx context.Context, e *Engine, flows []flow) *scheduler {
 }
 
 // reset drops the per-call context tables on every exit path, so a
-// retained scheduler cannot pin packet contexts, partner tables, unsent
-// segments or pending results after run returns.
+// retained scheduler cannot pin packet contexts, unsent segments or
+// pending results after run returns, and hands the call's segment slabs
+// and partner tables back to the engine for the next call.
 func (s *scheduler) reset() {
 	s.feeds = nil
 	s.results = resultWindow{}
 	s.pending = nil
 	s.activeRuns = nil
+	s.e.segSlab.reset()
+	s.e.startSlab.reset()
+	s.e.partners.reset()
 }
 
 // run executes every flow to completion and returns the first error. The
@@ -228,7 +320,8 @@ func (s *scheduler) run() error {
 		return err
 	}
 	// The helper encodes segments ahead while this goroutine simulates;
-	// it is joined before run returns, on every path.
+	// it is joined before run returns, on every path, and before reset
+	// hands the slabs it reads to the next call.
 	s.e.ahead.start()
 	defer s.e.ahead.halt()
 	if s.e.cfg.LayerMode == SerialLayers {

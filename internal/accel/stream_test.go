@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nocbt/internal/dnn"
@@ -112,16 +113,21 @@ func TestMCQueueBounded(t *testing.T) {
 
 // TestEngineInferAllocs is the dispatch→PE allocation guard: a warm
 // engine's LeNet inference may allocate at most maxAllocsPerTaskPacket
-// heap objects per task packet, all-in (host layers, ordering kernels,
-// packet contexts, result packets), under every ordering that orders in
-// place — O2 with its partner table out-of-band and in-band included. The
-// per-packet path allocates nothing; what remains is per layer and per
-// inference (about 140 objects against some 10,500 task packets).
+// heap objects and maxBytesPerTaskPacket bytes per task packet, all-in
+// (host layers, ordering kernels, packet contexts, result packets), under
+// every ordering that orders in place — O2 with its partner table
+// out-of-band and in-band included. The per-packet path allocates
+// nothing, and a warm call reuses the previous call's segment slabs; what
+// remains is per layer and per inference (about 120 objects and 430 KB,
+// mostly quantized layer tensors, against some 10,500 task packets).
 func TestEngineInferAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three LeNet inferences per ordering")
 	}
-	const maxAllocsPerTaskPacket = 0.05
+	const (
+		maxAllocsPerTaskPacket = 0.05
+		maxBytesPerTaskPacket  = 48
+	)
 	m := dnn.LeNet(rand.New(rand.NewSource(3)))
 	input := testInput(m, 5)
 	for _, tc := range []struct {
@@ -144,15 +150,22 @@ func TestEngineInferAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			infer() // warm the flit pool and the engine scratch
+			infer() // warm the flit pool, the engine scratch and its slabs
 			before := eng.TaskPackets()
+			var mem0, mem1 runtime.MemStats
+			runtime.ReadMemStats(&mem0)
 			allocs := testing.AllocsPerRun(2, infer)
+			runtime.ReadMemStats(&mem1)
 			// AllocsPerRun makes one extra warm-up call before measuring.
 			perInfer := float64(eng.TaskPackets()-before) / 3
 			perPacket := allocs / perInfer
-			t.Logf("%.0f allocs per inference, %.0f task packets: %.3f allocs per task packet", allocs, perInfer, perPacket)
+			bytesPerPacket := float64(mem1.TotalAlloc-mem0.TotalAlloc) / 3 / perInfer
+			t.Logf("%.0f allocs per inference, %.0f task packets: %.3f allocs and %.1f bytes per task packet", allocs, perInfer, perPacket, bytesPerPacket)
 			if perPacket > maxAllocsPerTaskPacket {
 				t.Errorf("warm %s LeNet Infer allocates %.3f objects per task packet, budget %.2f", tc.name, perPacket, maxAllocsPerTaskPacket)
+			}
+			if bytesPerPacket > maxBytesPerTaskPacket {
+				t.Errorf("warm %s LeNet Infer allocates %.1f bytes per task packet, budget %d", tc.name, bytesPerPacket, maxBytesPerTaskPacket)
 			}
 		})
 	}

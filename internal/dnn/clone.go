@@ -1,10 +1,6 @@
 package dnn
 
-import (
-	"fmt"
-
-	"nocbt/internal/tensor"
-)
+import "fmt"
 
 // CloneForInference returns a model that shares this model's parameter
 // tensors (weights and biases) but owns fresh per-layer forward state.
@@ -13,10 +9,10 @@ import (
 // cached inputs), so a single Model must not run concurrent inferences. The
 // clone makes that safe: any number of clones of the same model can Infer
 // concurrently, because parameters are only read during inference while the
-// mutable caches are per-clone. Training a clone is also safe — gradient
-// tensors are freshly allocated — but updates through shared parameter
-// tensors would be visible to every clone, so train at most one instance at
-// a time.
+// mutable caches are per-clone. A clone allocates no gradient tensors until
+// it trains: training a clone is also safe — its gradients are its own —
+// but updates through shared parameter tensors would be visible to every
+// clone, so train at most one instance at a time.
 func (m *Model) CloneForInference() *Model {
 	out := &Model{
 		ModelName: m.ModelName,
@@ -36,15 +32,11 @@ func cloneLayerForInference(l Layer) Layer {
 		return &Conv2D{
 			InC: t.InC, OutC: t.OutC, K: t.K, Stride: t.Stride, Pad: t.Pad,
 			W: t.W, B: t.B,
-			gradW: tensor.New(t.OutC, t.InC, t.K, t.K),
-			gradB: tensor.New(t.OutC),
 		}
 	case *Linear:
 		return &Linear{
 			In: t.In, Out: t.Out,
 			W: t.W, B: t.B,
-			gradW: tensor.New(t.Out, t.In),
-			gradB: tensor.New(t.Out),
 		}
 	case *ReLU:
 		return NewReLU()

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -80,3 +81,43 @@ func TestCloneForInferenceConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneForInferenceAllocatesNoGradients: a clone owns only per-layer
+// forward state. Its gradient tensors wait for the first Backward, Grads
+// or ZeroGrads, so a clone that never trains allocates a sliver of what
+// the gradients would take — the sweep clones a model per coding group and
+// btserved per engine.
+func TestCloneForInferenceAllocatesNoGradients(t *testing.T) {
+	m := LeNet(rand.New(rand.NewSource(5)))
+	gradBytes := 0
+	for _, p := range m.Params() {
+		gradBytes += 4 * p.Size()
+	}
+	const clones = 100
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
+	for range clones {
+		cloneSink = m.CloneForInference()
+	}
+	runtime.ReadMemStats(&mem1)
+	perClone := (mem1.TotalAlloc - mem0.TotalAlloc) / clones
+	if perClone*100 > uint64(gradBytes) {
+		t.Errorf("CloneForInference allocates %d bytes per clone; the gradients are %d bytes, budget 1%% of them", perClone, gradBytes)
+	} else {
+		t.Logf("%d bytes per clone, %d bytes of gradients", perClone, gradBytes)
+	}
+	for i, l := range cloneSink.Layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			if l.gradW != nil || l.gradB != nil {
+				t.Errorf("clone layer %d (%s) holds gradient tensors", i, l.Name())
+			}
+		case *Linear:
+			if l.gradW != nil || l.gradB != nil {
+				t.Errorf("clone layer %d (%s) holds gradient tensors", i, l.Name())
+			}
+		}
+	}
+}
+
+var cloneSink *Model

@@ -22,6 +22,8 @@ type Conv2D struct {
 	W *tensor.Tensor // [OutC, InC, K, K]
 	B *tensor.Tensor // [OutC]
 
+	// gradW and gradB are nil in an inference clone until its first
+	// Backward, Grads or ZeroGrads allocates them (see grads).
 	gradW *tensor.Tensor
 	gradB *tensor.Tensor
 	input *tensor.Tensor // cached for Backward
@@ -197,7 +199,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// trained weights depend on it bit for bit.
 	k, s, p := c.K, c.Stride, c.Pad
 	wd, xd, gd := c.W.Data, x.Data, gradOut.Data
-	gw, gi := c.gradW.Data, gradIn.Data
+	gw, gb := c.grads()
+	gi := gradIn.Data
 	for oc := 0; oc < c.OutC; oc++ {
 		for oy := 0; oy < oh; oy++ {
 			y0 := oy*s - p
@@ -206,7 +209,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 				if g == 0 {
 					continue
 				}
-				c.gradB.Data[oc] += g
+				gb[oc] += g
 				x0 := ox*s - p
 				kxLo, kxHi := max(0, -x0), min(k, w-x0)
 				if kxLo >= kxHi {
@@ -234,13 +237,26 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Params implements Trainable.
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 
+// grads returns the gradient data, allocating the tensors on first use.
+func (c *Conv2D) grads() (gw, gb []float32) {
+	if c.gradW == nil {
+		c.gradW = tensor.New(c.OutC, c.InC, c.K, c.K)
+		c.gradB = tensor.New(c.OutC)
+	}
+	return c.gradW.Data, c.gradB.Data
+}
+
 // Grads implements Trainable.
-func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gradW, c.gradB} }
+func (c *Conv2D) Grads() []*tensor.Tensor {
+	c.grads()
+	return []*tensor.Tensor{c.gradW, c.gradB}
+}
 
 // ZeroGrads implements Trainable.
 func (c *Conv2D) ZeroGrads() {
-	c.gradW.Fill(0)
-	c.gradB.Fill(0)
+	gw, gb := c.grads()
+	clear(gw)
+	clear(gb)
 }
 
 var _ Trainable = (*Conv2D)(nil)

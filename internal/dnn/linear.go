@@ -18,6 +18,8 @@ type Linear struct {
 	W *tensor.Tensor // [Out, In]
 	B *tensor.Tensor // [Out]
 
+	// gradW and gradB are nil in an inference clone until its first
+	// Backward, Grads or ZeroGrads allocates them (see grads).
 	gradW *tensor.Tensor
 	gradB *tensor.Tensor
 	input *tensor.Tensor
@@ -69,14 +71,15 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("dnn: %s gradOut size %d", l.Name(), gradOut.Size()))
 	}
 	gradIn := tensor.New(l.In)
+	gw, gb := l.grads()
 	for o := 0; o < l.Out; o++ {
 		g := gradOut.Data[o]
-		l.gradB.Data[o] += g
+		gb[o] += g
 		if g == 0 {
 			continue
 		}
 		wRow := l.W.Data[o*l.In : (o+1)*l.In]
-		gRow := l.gradW.Data[o*l.In : (o+1)*l.In]
+		gRow := gw[o*l.In : (o+1)*l.In]
 		for i, v := range l.input.Data {
 			gRow[i] += g * v
 			gradIn.Data[i] += g * wRow[i]
@@ -88,13 +91,26 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Params implements Trainable.
 func (l *Linear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
+// grads returns the gradient data, allocating the tensors on first use.
+func (l *Linear) grads() (gw, gb []float32) {
+	if l.gradW == nil {
+		l.gradW = tensor.New(l.Out, l.In)
+		l.gradB = tensor.New(l.Out)
+	}
+	return l.gradW.Data, l.gradB.Data
+}
+
 // Grads implements Trainable.
-func (l *Linear) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.gradW, l.gradB} }
+func (l *Linear) Grads() []*tensor.Tensor {
+	l.grads()
+	return []*tensor.Tensor{l.gradW, l.gradB}
+}
 
 // ZeroGrads implements Trainable.
 func (l *Linear) ZeroGrads() {
-	l.gradW.Fill(0)
-	l.gradB.Fill(0)
+	gw, gb := l.grads()
+	clear(gw)
+	clear(gb)
 }
 
 var _ Trainable = (*Linear)(nil)

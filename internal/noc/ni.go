@@ -19,7 +19,9 @@ type NI struct {
 	down int
 
 	// queue is the injection backlog, consumed from qhead so steady-state
-	// pops are allocation-free; the backing array is recycled once drained.
+	// pops are allocation-free. The backing array is rewound once drained
+	// and compacted when full, so it holds at most twice the most packets
+	// ever pending, even at an NI that never drains.
 	queue  []*flit.Packet
 	qhead  int
 	cur    *flit.Packet
@@ -43,8 +45,18 @@ type NI struct {
 	ejectedPrev []*flit.Packet
 }
 
-// enqueue appends a packet to the injection queue.
-func (n *NI) enqueue(p *flit.Packet) { n.queue = append(n.queue, p) }
+// enqueue appends a packet to the injection queue, first moving the
+// pending packets to the front of a full backing array that has room
+// behind qhead: the array grows only when every slot holds a pending
+// packet.
+func (n *NI) enqueue(p *flit.Packet) {
+	if len(n.queue) == cap(n.queue) && n.qhead > 0 {
+		k := copy(n.queue, n.queue[n.qhead:])
+		clear(n.queue[k:])
+		n.queue, n.qhead = n.queue[:k], 0
+	}
+	n.queue = append(n.queue, p)
+}
 
 // Pending returns how many packets are queued or mid-injection.
 func (n *NI) Pending() int {

@@ -208,3 +208,34 @@ func TestNIReceiveVCOwnershipPanics(t *testing.T) {
 	}()
 	ni.receive(b.Flits[1])
 }
+
+// TestNIQueueBounded: an NI that never drains — an MC streaming a layer
+// always has its next packet queued behind the one injecting — keeps its
+// queue's backing array within twice the most packets it has held, however
+// many packets it carries.
+func TestNIQueueBounded(t *testing.T) {
+	s := backpressureSim(t, 2, 2)
+	rng := rand.New(rand.NewSource(9))
+	const packets = 10000
+	sent, got, peak := 0, 0, 0
+	for cycle := 0; got < packets; cycle++ {
+		if cycle > 100*packets {
+			t.Fatalf("%d of %d packets delivered after %d cycles", got, packets, cycle)
+		}
+		for want := 2 + rng.Intn(3); sent < packets && s.Pending(0) < want; {
+			sent++
+			if err := s.Inject(bpPacket(uint64(sent), 0, 3, 3, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peak = max(peak, s.Pending(0))
+		s.Step()
+		if sent < packets && s.Pending(0) == 0 {
+			t.Fatalf("cycle %d: NI drained with %d packets still to send", cycle, packets-sent)
+		}
+		got += len(s.PopEjected(3))
+	}
+	if c := cap(s.nis[0].queue); c > 2*peak {
+		t.Errorf("NI queue capacity %d after %d packets, want at most %d (twice the peak of %d pending)", c, packets, 2*peak, peak)
+	}
+}

@@ -95,7 +95,11 @@ type Sim struct {
 // errors here, not as panics under traffic. The simulator's state is sized
 // up front and built in a constant number of allocations, independent of
 // the network size.
-func New(cfg Config) (*Sim, error) {
+//
+// The links' codings are installed as by SetLinkCodings(0, codings...):
+// codings[0] is the installed coding, the rest are counted beside it. With
+// none, coding 0 is plain binary.
+func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -276,7 +280,10 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	if err := s.SetLinkCodings(0, nil); err != nil {
+	if len(codings) == 0 {
+		codings = []flit.LinkCodingScheme{nil}
+	}
+	if err := s.SetLinkCodings(0, codings...); err != nil {
 		return nil, err
 	}
 	return s, nil
