@@ -103,7 +103,6 @@ var helperEncoders struct {
 type encodeAhead struct {
 	// Fixed at construction.
 	mcs      int
-	maxSeg   int
 	linkBits int
 	wpf      int // backing words per flit
 	opt      flit.Options
@@ -147,7 +146,6 @@ func newEncodeAhead(e *Engine) *encodeAhead {
 	inBand := e.strategy.EmitsPartner() && cfg.InBandIndex
 	a := &encodeAhead{
 		mcs:      len(cfg.MCs),
-		maxSeg:   cfg.MaxSegmentPairs,
 		linkBits: cfg.Geometry.LinkBits,
 		wpf:      (cfg.Geometry.LinkBits + 63) / 64,
 		opt:      flit.Options{Ordering: cfg.Ordering, InBandIndex: cfg.InBandIndex},
@@ -362,7 +360,7 @@ func (a *encodeAhead) sweep() (stepped bool) {
 		c := wk.c
 		sl := a.slot(m, c)
 		if sl.state.Load() == c<<1 {
-			a.publish(sl, c, wk.run, wk.next)
+			a.publish(sl, c, wk.run, wk.task, wk.next)
 		}
 		wk.c++
 		wk.step(a.mcs)
@@ -397,16 +395,16 @@ func (a *encodeAhead) position(m int) bool {
 	return true
 }
 
-// publish encodes segment k of run into slot sl and publishes it as MC
-// segment c, unless main claimed the segment meanwhile. A failed encode
-// publishes nothing: main meets the same error when it encodes the
-// segment inline, and reports it.
-func (a *encodeAhead) publish(sl *aheadSlot, c uint64, run *layerRun, k int) {
+// publish encodes segment k of run, of task ti, into slot sl and
+// publishes it as MC segment c, unless main claimed the segment meanwhile.
+// A failed encode publishes nothing: main meets the same error when it
+// encodes the segment inline, and reports it.
+func (a *encodeAhead) publish(sl *aheadSlot, c uint64, run *layerRun, ti, k int) {
 	enc := a.help
 	if a.oob {
 		enc.fz.PartnerIndex = sl.code.partner
 	}
-	err := a.encode(enc, run, k, enc.pool)
+	err := a.encode(enc, run, ti, k, enc.pool)
 	if a.oob {
 		sl.code.partner, enc.fz.PartnerIndex = enc.fz.PartnerIndex, nil
 	}
@@ -416,16 +414,15 @@ func (a *encodeAhead) publish(sl *aheadSlot, c uint64, run *layerRun, k int) {
 	}
 }
 
-// encode gathers, orders and flitizes segment k of run into enc.fz,
-// drawing the payload vectors from pool. It reads only what is fixed once
-// the run is dispatched — the layer's codec and tensors, segStart and the
-// segment's task, index and pair count — so both goroutines run it.
-func (a *encodeAhead) encode(enc *segEncoder, run *layerRun, k int, pool *flit.Pool) error {
-	sg := &run.segs[k]
-	ti, n := int(sg.task), int(sg.pairs)
+// encode gathers, orders and flitizes segment k of run, of task ti, into
+// enc.fz, drawing the payload vectors from pool. The caller's walk carries
+// (ti, k); encode reads only what is fixed once the run is dispatched —
+// the layer's codec and tensors and segStart — so both goroutines run it.
+func (a *encodeAhead) encode(enc *segEncoder, run *layerRun, ti, k int, pool *flit.Pool) error {
+	seg, n := run.segment(ti, k)
 	enc.w = slices.Grow(enc.w[:0], n)[:n]
 	enc.x = slices.Grow(enc.x[:0], n)[:n]
-	run.layer.gather(ti, int(sg.seg)*a.maxSeg, enc.w, enc.x)
+	run.layer.gather(ti, seg*run.maxSeg, enc.w, enc.x)
 	var bias bitutil.Word
 	if k+1 == int(run.segStart[ti+1]) {
 		bias = run.layer.bias(ti) // only the final segment carries the bias

@@ -203,7 +203,11 @@ func TestEncodeAheadParksOnFullRing(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := newScheduler(context.Background(), eng, nil)
 	g := eng.layerGeometry(0)
-	nl, err := newConvLayer(g.Format, m.Layers[0].(*dnn.Conv2D), testInput(m, 3))
+	conv, x := m.Layers[0].(*dnn.Conv2D), testInput(m, 3)
+	nl, err := newConvLayer(conv, x)
+	if err == nil {
+		nl.enc, err = eng.newCodec(0, g.Format, conv.W.Data, x.Data, conv.B.Data)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +266,7 @@ func TestEncodeAheadParksOnFullRing(t *testing.T) {
 		if sl == nil {
 			t.Fatalf("segment %d (run index %d) was not published", a.sent[0]-1, k)
 		}
-		if err := a.encode(&enc, run, k, pool); err != nil {
+		if err := a.encode(&enc, run, feed.task, k, pool); err != nil {
 			t.Fatal(err)
 		}
 		var want []uint64

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 
 	"nocbt/internal/bitutil"
 	"nocbt/internal/quant"
@@ -28,15 +29,36 @@ type codec struct {
 	scaleB  float32
 }
 
-func newCodec(format bitutil.Format, weights, acts, biases []float32) (codec, error) {
+// layerWeights is one fixed-point NoC layer's quantized weights and
+// biases, in engine-owned buffers: the first dispatch of the layer in a
+// call quantizes them, and every flow of the call shares them. Weights are
+// read again in every call, so a caller that changes them between calls
+// sees the change.
+type layerWeights struct {
+	call           uint64 // the call that last quantized them
+	wq, bq         []int32
+	scaleW, scaleB float32
+}
+
+// newCodec builds the codec of the engine's NoC layer idx at format. In
+// fixed-point modes the weights and biases come from the layer's
+// layerWeights, quantized once per call, and the activations are
+// quantized into the call's activation slab.
+func (e *Engine) newCodec(idx int, format bitutil.Format, weights, acts, biases []float32) (codec, error) {
 	c := codec{format: format, weights: weights, acts: acts, biases: biases}
-	if format.IsFixed() {
-		c.bits = format.Bits()
-		wp, err := quant.ChooseWidth(weights, c.bits)
-		if err != nil {
+	if !format.IsFixed() {
+		if err := format.Valid(); err != nil {
 			return codec{}, fmt.Errorf("accel: %w", err)
 		}
-		xp, err := quant.ChooseWidth(acts, c.bits)
+		return c, nil
+	}
+	c.bits = format.Bits()
+	if e.weights == nil {
+		e.weights = make([]layerWeights, len(e.layerFormats))
+	}
+	lw := &e.weights[idx]
+	if lw.call != e.call {
+		wp, err := quant.ChooseWidth(weights, c.bits)
 		if err != nil {
 			return codec{}, fmt.Errorf("accel: %w", err)
 		}
@@ -44,14 +66,21 @@ func newCodec(format bitutil.Format, weights, acts, biases []float32) (codec, er
 		if err != nil {
 			return codec{}, fmt.Errorf("accel: %w", err)
 		}
-		c.wq = wp.QuantizeSlice(weights)
-		c.xq = xp.QuantizeSlice(acts)
-		c.bq = bp.QuantizeSlice(biases)
-		c.scaleWX = wp.Scale * xp.Scale
-		c.scaleB = bp.Scale
-	} else if err := format.Valid(); err != nil {
+		lw.wq = slices.Grow(lw.wq[:0], len(weights))[:len(weights)]
+		lw.bq = slices.Grow(lw.bq[:0], len(biases))[:len(biases)]
+		wp.QuantizeInto(lw.wq, weights)
+		bp.QuantizeInto(lw.bq, biases)
+		lw.scaleW, lw.scaleB, lw.call = wp.Scale, bp.Scale, e.call
+	}
+	xp, err := quant.ChooseWidth(acts, c.bits)
+	if err != nil {
 		return codec{}, fmt.Errorf("accel: %w", err)
 	}
+	c.xq = e.actSlab.take(len(acts))
+	xp.QuantizeInto(c.xq, acts)
+	c.wq, c.bq = lw.wq, lw.bq
+	c.scaleWX = lw.scaleW * xp.Scale
+	c.scaleB = lw.scaleB
 	return c, nil
 }
 

@@ -18,7 +18,7 @@ const mcQueueDepth = 2
 type mcFeed struct {
 	run  *layerRun
 	task int // current task
-	next int // index in run.segs of the next segment to send
+	next int // the run's index of the next segment to send, one of task's
 }
 
 // feedAt returns MC m's feed over run, of the tasks m, m+|MCs|, …; next
@@ -63,8 +63,8 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 	}
 	e := s.e
 	maxSeg := e.cfg.MaxSegmentPairs
-	// A counting pass sizes the segment records exactly, then a second
-	// pass fills them.
+	// One pass over the tasks sizes the segments; each segment then keeps
+	// a single state byte.
 	segStart := e.startSlab.take(nl.ntasks + 1)
 	nsegs := 0
 	for ti := 0; ti < nl.ntasks; ti++ {
@@ -81,27 +81,22 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 		nsegs += segs
 	}
 	segStart[nl.ntasks] = int32(nsegs)
+	state := e.stateSlab.take(nsegs)
+	clear(state) // segQueued
 	run := &layerRun{
 		flow:       f,
 		layer:      nl,
 		geom:       g,
+		maxSeg:     maxSeg,
 		segStart:   segStart,
-		segs:       e.segSlab.take(nsegs),
+		state:      state,
+		out:        make([]float32, nl.ntasks),
 		deadline:   e.sim.Cycle() + e.cfg.DrainCycleCap,
 		startCycle: e.sim.Cycle(),
 		startBT:    e.sim.TotalBT(),
 	}
-	for ti := 0; ti < nl.ntasks; ti++ {
-		segs := run.segs[segStart[ti]:segStart[ti+1]]
-		n := nl.pairs(ti)
-		for seg := range segs {
-			segs[seg] = segment{
-				task: int32(ti), seg: uint16(seg), pairs: int32(min(maxSeg, n-seg*maxSeg)), state: segQueued,
-			}
-		}
-	}
 	run.base = e.nextPacketID + 1
-	e.nextPacketID += uint64(len(run.segs))
+	e.nextPacketID += uint64(nsegs)
 	for m := range e.cfg.MCs {
 		if m < nl.ntasks {
 			s.feeds[m] = append(s.feeds[m], feedAt(run, m))
@@ -124,12 +119,15 @@ func (s *scheduler) feedMCs() error {
 		q := s.feeds[m]
 		for held := e.sim.Pending(mc); held < mcQueueDepth && len(q) > 0; held++ {
 			fd := &q[0]
-			if err := s.send(fd.run, fd.next, m); err != nil {
+			if err := s.send(fd.run, fd.task, fd.next, m); err != nil {
 				return err
 			}
 			if !fd.step(len(mcs)) {
-				q[0] = mcFeed{} // let the finished run go
-				q = q[1:]
+				// Let the finished run go; the queue keeps its backing
+				// array for the engine's next call.
+				n := copy(q, q[1:])
+				q[n] = mcFeed{}
+				q = q[:n]
 			}
 		}
 		s.feeds[m] = q
@@ -137,15 +135,14 @@ func (s *scheduler) feedMCs() error {
 	return nil
 }
 
-// send injects the task packet of segment k of run at MC m, the MC's next
-// segment. The helper has usually encoded it already (ahead.go); if not,
-// send encodes it here.
-func (s *scheduler) send(run *layerRun, k, m int) error {
+// send injects the task packet of segment k of run, of task ti, at MC m,
+// the MC's next segment. The helper has usually encoded it already
+// (ahead.go); if not, send encodes it here.
+func (s *scheduler) send(run *layerRun, ti, k, m int) error {
 	e := s.e
 	a := e.ahead
 	mc := e.cfg.MCs[m]
-	sg := &run.segs[k]
-	ti, n := int(sg.task), int(sg.pairs)
+	seg, n := run.segment(ti, k)
 	pe := e.pes[(ti/len(e.cfg.MCs))%len(e.pes)]
 	// The payload vectors come from the simulator's flit pool in the order
 	// FlitizeInto draws them — data flits, index flits, then the header —
@@ -159,8 +156,8 @@ func (s *scheduler) send(run *layerRun, k, m int) error {
 		payloads = slot.code.appendVecs(payloads, pool, a.wpf)
 		partner = &slot.code.partner
 	} else {
-		if err := a.encode(&a.inline, run, k, pool); err != nil {
-			return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, sg.seg, err)
+		if err := a.encode(&a.inline, run, ti, k, pool); err != nil {
+			return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, seg, err)
 		}
 		payloads = a.inline.fz.AppendPayloads(payloads)
 		partner = &a.inline.fz.PartnerIndex
@@ -177,19 +174,19 @@ func (s *scheduler) send(run *layerRun, k, m int) error {
 	pkt := pool.Packet(pid, mc, pe, hdr, payloads)
 	// Any partner-emitting strategy (O2 or a registered kin) ships its
 	// re-pairing table out-of-band unless the configuration pays for
-	// in-band index flits. An out-of-band table rides with its segment
-	// until the PE decodes the packet, so each packet orders into a table
-	// of its own: the segment holds the encoded table by handle, and the
-	// slot or encoder it came from gets the handle's spare table. An
-	// in-band table is encoded into index flits at once and reused in
-	// place.
+	// in-band index flits. An out-of-band table rides with its packet
+	// until the PE decodes it, so each packet orders into a table of its
+	// own: the head flit carries the encoded table's handle as side-band
+	// Tag, and the slot or encoder it came from gets the handle's spare
+	// table. An in-band table is encoded into index flits at once and
+	// reused in place.
 	if a.oob {
-		sg.partner = e.partners.hold(partner)
+		pkt.Flits[0].Tag = e.partners.hold(partner)
 	}
 	if slot != nil {
 		a.release(m, slot)
 	}
-	sg.state = segSent
+	run.state[k] = segSent
 	if err := e.sim.Inject(pkt); err != nil {
 		return err
 	}

@@ -21,8 +21,9 @@ import (
 // scales, partner tables and packet bookkeeping live in the scheduler
 // context of each call (see scheduler.go), which is what lets InferBatch
 // keep several inferences in flight on the mesh at once. The engine keeps
-// only the storage of that context — segment slabs and spare partner
-// tables — for its next call to reuse.
+// only the storage of that context — run slabs, the call's tables, spare
+// partner tables and quantized weight buffers — for its next call to
+// reuse.
 //
 // A run that fails after traffic reached the mesh — context cancellation,
 // deadline expiry, or a protocol error — leaves that run's flits behind
@@ -82,11 +83,19 @@ type Engine struct {
 	// in flight, and spare tables for send to hand to the encode-ahead
 	// slot it takes.
 	partners partnerTables
-	// segSlab and startSlab hold the segment records and task offsets of
-	// every layer run (see slab): a call's runs take exact-size slices,
-	// and the next call reuses them.
-	segSlab   slab[segment]
+	// stateSlab, startSlab and actSlab hold the segment states, task
+	// offsets and quantized activations of every layer run (see slab): a
+	// call's runs take exact-size slices, and the next call reuses them.
+	stateSlab slab[segState]
 	startSlab slab[int32]
+	actSlab   slab[int32]
+	// tables is the storage of the call's scheduler tables (callTables).
+	tables callTables
+	// weights[i] holds NoC layer i's quantized weights and biases, which
+	// the layer's first dispatch in call number call fills; made by the
+	// first fixed-point dispatch.
+	weights []layerWeights
+	call    uint64
 	// ahead is the MC codec's encode-ahead ring (ahead.go), built by the
 	// first scheduler and reused by every later one.
 	ahead *encodeAhead

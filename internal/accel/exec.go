@@ -10,8 +10,9 @@ import (
 
 // This file holds the PE model and the MC collector — the two packet
 // consumers of the scheduler. Both treat decoded header fields as untrusted
-// wire data: every field is validated against the scheduler's own dispatch
-// records before it indexes anything, and inconsistencies surface as errors
+// wire data: every field is validated against what the scheduler
+// dispatched — the packet ID's run and segment, and the run's task offsets
+// — before it indexes anything, and inconsistencies surface as errors
 // instead of panics or silent corruption.
 
 // pumpPEs is the processing-element model: it consumes task packets ejected
@@ -36,29 +37,37 @@ func (s *scheduler) pumpPEs() error {
 			if run == nil {
 				return fmt.Errorf("PE %d received unknown packet %d", pe, pkt.ID)
 			}
-			sg := &run.segs[k]
-			if int32(hdr.PairCount) != sg.pairs || int64(hdr.TaskID) != int64(sg.task) {
-				return fmt.Errorf("PE %d packet %d header (task %d, %d pairs) contradicts dispatch record (task %d, %d pairs)",
-					pe, pkt.ID, hdr.TaskID, hdr.PairCount, sg.task, sg.pairs)
+			ti := int(hdr.TaskID)
+			owned := run.owns(int64(ti), k)
+			var seg, pairs int
+			if owned {
+				seg, pairs = run.segment(ti, k)
 			}
-			value, err := s.peCompute(pkt, run, sg)
+			if !owned || int(hdr.PairCount) != pairs {
+				rt := run.taskOf(k)
+				_, rp := run.segment(rt, k)
+				return fmt.Errorf("PE %d packet %d header (task %d, %d pairs) contradicts dispatch record (task %d, %d pairs)",
+					pe, pkt.ID, hdr.TaskID, hdr.PairCount, rt, rp)
+			}
+			h := pkt.Flits[0].Tag
+			value, err := s.peCompute(pkt, run, pairs, h)
 			if err != nil {
 				return fmt.Errorf("PE %d packet %d: %w", pe, pkt.ID, err)
 			}
-			e.partners.release(sg.partner)
-			sg.state, sg.partner = segComputed, 0
+			e.partners.release(h)
+			run.state[k] = segComputed
 			// The task packet is fully decoded; its flits, payload vectors
 			// and shell go back to the pool and come out again as the
 			// result packet built just below.
 			pool := e.sim.Pool()
 			e.sim.Recycle(pkt)
-			mc := mcs[int(sg.task)%len(mcs)]
+			mc := mcs[ti%len(mcs)]
 			rid := e.nextID()
 			rhdr := pool.Vec()
 			flit.EncodeHeaderInto(flit.Header{
 				Dst: uint16(mc), Src: uint16(pe),
-				PacketID: uint32(rid), TaskID: uint32(sg.task),
-				Kind: flit.KindResult, PairCount: uint16(sg.seg),
+				PacketID: uint32(rid), TaskID: uint32(ti),
+				Kind: flit.KindResult, PairCount: uint16(seg),
 				Ordering: e.cfg.Ordering,
 			}, rhdr)
 			body := pool.Vec()
@@ -90,30 +99,31 @@ func (s *scheduler) pumpPEs() error {
 // runs at most, one per flow). A nil run means no such packet was sent.
 func (s *scheduler) sentSegment(id uint64) (*layerRun, int) {
 	for _, run := range s.activeRuns {
-		if k := id - run.base; id >= run.base && k < uint64(len(run.segs)) && run.segs[k].state == segSent {
+		if k := id - run.base; id >= run.base && k < uint64(run.nsegs()) && run.state[k] == segSent {
 			return run, int(k)
 		}
 	}
 	return nil, 0
 }
 
-// peCompute models the PE datapath: deflitize the task segment,
-// multiply-accumulate, and return the real-domain partial sum (including
-// the segment's bias lane, which is zero for non-final segments). The
+// peCompute models the PE datapath: deflitize the task segment of pairs
+// pairs, multiply-accumulate, and return the real-domain partial sum
+// (including the segment's bias lane, which is zero for non-final
+// segments). h is the handle of the packet's out-of-band partner table, 0
+// for none. The
 // flit geometry and quantization scales come from the packet's layer
 // context, never from engine-global registers — each layer decodes at its
 // own lane width.
-func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, sg *segment) (float32, error) {
+func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, pairs int, h int32) (float32, error) {
 	e := s.e
 	g := run.geom
-	pairs := int(sg.pairs)
 	dataFlits := g.DataFlitCount(pairs)
 	e.peScratch = pkt.AppendPayloadVecs(e.peScratch[:0])
 	payloads := e.peScratch
 	if len(payloads) < dataFlits {
 		return 0, fmt.Errorf("packet has %d payload flits, need %d data flits", len(payloads), dataFlits)
 	}
-	partner := e.partners.table(sg.partner)
+	partner := e.partners.table(h)
 	if e.strategy.EmitsPartner() && e.cfg.InBandIndex {
 		var err error
 		partner, err = flit.DecodePartnerIndexInto(g, payloads[dataFlits:], pairs, e.partnerScratch)
@@ -153,11 +163,12 @@ func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, sg *segment) (flo
 }
 
 // pumpMCs is the memory-controller collector: it consumes result packets
-// ejected at MCs and accumulates partial sums, validating every decoded
-// header field against the dispatch record before indexing. Task IDs or
-// segment indices contradicting the record and duplicate results are
-// errors — the old code panicked on out-of-range indices and silently
-// double-counted duplicates. Returns the layer runs this cycle completed.
+// ejected at MCs and adds their partial sums into the layer outputs,
+// validating every decoded header field against what was dispatched
+// before indexing. Task IDs or segment indices contradicting the packet's
+// segment and duplicate results are errors — the old code panicked on
+// out-of-range indices and silently double-counted duplicates. Returns
+// the layer runs this cycle completed.
 func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 	e := s.e
 	g := e.cfg.Geometry
@@ -172,36 +183,68 @@ func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 			if !ok {
 				return nil, fmt.Errorf("MC %d received unknown or duplicate result packet %d", mc, pkt.ID)
 			}
-			run := ref.run
-			sg := &run.segs[ref.seg]
+			run, k := ref.run, int(ref.seg)
 			task, seg := int64(hdr.TaskID), int64(hdr.PairCount)
-			if task != int64(sg.task) {
+			if !run.owns(task, k) {
 				return nil, fmt.Errorf("MC %d result packet %d: task ID %d out of range or contradicting dispatch record (task %d of %d)",
-					mc, pkt.ID, task, sg.task, run.layer.ntasks)
+					mc, pkt.ID, task, run.taskOf(k), run.layer.ntasks)
 			}
-			if seg != int64(sg.seg) {
+			if want := int64(k) - int64(run.segStart[task]); seg != want {
 				return nil, fmt.Errorf("MC %d result packet %d: segment %d out of range or contradicting dispatch record (segment %d of %d)",
-					mc, pkt.ID, seg, sg.seg, run.segStart[task+1]-run.segStart[task])
+					mc, pkt.ID, seg, want, run.segStart[task+1]-run.segStart[task])
 			}
-			if sg.state == segDone {
+			if run.state[k] >= segEarly {
 				return nil, fmt.Errorf("MC %d result packet %d: duplicate result for task %d segment %d",
 					mc, pkt.ID, task, seg)
 			}
 			if pkt.Len() < 2 {
 				return nil, fmt.Errorf("MC %d result packet %d has no payload flit", mc, pkt.ID)
 			}
-			sg.state = segDone
-			sg.partial = bitutil.WordFloat32(bitutil.Word(pkt.Flits[1].Payload.Field(0, 32)))
+			partial := bitutil.WordFloat32(bitutil.Word(pkt.Flits[1].Payload.Field(0, 32)))
 			// Everything of interest has been read; the packet returns to
 			// the pool for the next dispatch to reuse.
 			e.sim.Recycle(pkt)
+			s.collect(run, int(task), k, partial)
 			run.received++
-			if run.received == len(run.segs) {
+			if run.received == run.nsegs() {
 				completed = append(completed, run)
 			}
 		}
 	}
 	return completed, nil
+}
+
+// collect adds the partial of segment k, of task ti, into the task's
+// output. Each task's partials add in segment order, whatever order they
+// arrive in — the fixed reduction order that keeps float32 outputs
+// deterministic: a partial whose predecessor is not added yet waits in
+// early, and adding a segment adds every waiting successor after it.
+func (s *scheduler) collect(run *layerRun, ti, k int, partial float32) {
+	if k > int(run.segStart[ti]) && run.state[k-1] != segDone {
+		run.state[k] = segEarly
+		s.early = append(s.early, earlyPartial{id: run.base + uint64(k), partial: partial})
+		return
+	}
+	run.out[ti] += partial
+	run.state[k] = segDone
+	for k++; k < int(run.segStart[ti+1]) && run.state[k] == segEarly; k++ {
+		run.out[ti] += s.takeEarly(run.base + uint64(k))
+		run.state[k] = segDone
+	}
+}
+
+// takeEarly removes and returns the waiting partial of the segment whose
+// task packet has ID id.
+func (s *scheduler) takeEarly(id uint64) float32 {
+	for i, ep := range s.early {
+		if ep.id == id {
+			last := len(s.early) - 1
+			s.early[i] = s.early[last]
+			s.early = s.early[:last]
+			return ep.partial
+		}
+	}
+	panic(fmt.Sprintf("accel: segment of packet %d marked early but not waiting", id))
 }
 
 // TotalBT returns the accumulated router-output bit transitions — the

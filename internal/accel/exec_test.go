@@ -3,12 +3,15 @@ package accel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"nocbt/internal/bitutil"
+	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
+	"nocbt/internal/tensor"
 )
 
 // The collector/PE validation suite forges wire packets with inconsistent
@@ -27,15 +30,16 @@ func mkValidationScheduler(t *testing.T, tasks int) (*Engine, *scheduler, *layer
 	s := newScheduler(context.Background(), eng, []flow{{idx: 0}})
 	run := &layerRun{
 		flow:     &s.flows[0],
-		layer:    nocLayer{name: "forged", ntasks: tasks},
+		layer:    nocLayer{name: "forged", ntasks: tasks, fanIn: 1},
 		base:     1,
+		maxSeg:   eng.cfg.MaxSegmentPairs,
 		segStart: make([]int32, tasks+1),
-		segs:     make([]segment, tasks),
+		state:    make([]segState, tasks),
+		out:      make([]float32, tasks),
 		deadline: eng.sim.Cycle() + eng.cfg.DrainCycleCap,
 	}
-	for i := range run.segs {
+	for i := range tasks {
 		run.segStart[i+1] = int32(i + 1)
-		run.segs[i] = segment{task: int32(i), pairs: 1}
 	}
 	s.activeRuns = append(s.activeRuns, run)
 	return eng, s, run
@@ -117,7 +121,7 @@ func TestCollectorRejectsDuplicateResult(t *testing.T) {
 	if err := deliverToMC(t, eng, s, resultPacket(eng, 1002, 0, 0, 1)); err != nil {
 		t.Fatalf("first result rejected: %v", err)
 	}
-	if run.received != 1 || run.segs[0].state != segDone {
+	if run.received != 1 || run.state[0] != segDone {
 		t.Fatalf("first result not recorded: received=%d", run.received)
 	}
 	err := deliverToMC(t, eng, s, resultPacket(eng, 1003, 0, 0, 2))
@@ -127,8 +131,8 @@ func TestCollectorRejectsDuplicateResult(t *testing.T) {
 	if run.received != 1 {
 		t.Errorf("duplicate still incremented received: %d", run.received)
 	}
-	if got := run.segs[0].partial; got != 1 {
-		t.Errorf("duplicate overwrote partial: %v", got)
+	if got := run.out[0]; got != 1 {
+		t.Errorf("duplicate changed the partial sum: %v", got)
 	}
 }
 
@@ -239,10 +243,11 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 			if err := s.advance(f); err != nil {
 				t.Fatal(err)
 			}
-			sg := &f.cur.segs[0]
-			partner := eng.partners.table(sg.partner)
-			if sg.state != segSent || len(partner) < 2 {
-				t.Fatalf("first segment not sent with a partner table: %+v, table %v", sg, partner)
+			// The first segment is the first packet the fresh engine sent,
+			// so its head flit holds the first partner handle.
+			partner := eng.partners.table(1)
+			if st := f.cur.state[0]; st != segSent || len(partner) < 2 {
+				t.Fatalf("first segment not sent with a partner table: state %d, table %v", st, partner)
 			}
 			tc.mangle(partner)
 			for i := 0; i < 1000 && err == nil; i++ {
@@ -256,5 +261,75 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 				t.Fatalf("malformed partner table not rejected with the packet ID: %v", err)
 			}
 		})
+	}
+}
+
+// TestCollectorAddsPartialsInSegmentOrder: one task's result packets
+// delivered to the MC collector in reverse or scrambled segment order
+// leave the task's output bit-identical to in-order delivery, on a linear
+// layer dispatched with small segments. The partials are chosen so that
+// their float32 sum depends on the order they are added in.
+func TestCollectorAddsPartialsInSegmentOrder(t *testing.T) {
+	partials := []float32{1e8, 1, -1e8, 1, 0.5, -3, 7}
+	var inOrder, reversed float32
+	for i := range partials {
+		inOrder += partials[i]
+		reversed += partials[len(partials)-1-i]
+	}
+	if inOrder == reversed {
+		t.Fatalf("partials sum to %v in either order; the test needs an order-dependent sum", inOrder)
+	}
+	collect := func(order []int) float32 {
+		t.Helper()
+		m := tinyNet(rand.New(rand.NewSource(51)))
+		cfg := Mesh4x4MC2(paperFixed8)
+		cfg.MaxSegmentPairs = 7
+		eng := mustNew(t, cfg, m)
+		s := newScheduler(context.Background(), eng, []flow{{}})
+		defer s.reset()
+		lin, x := m.Layers[4].(*dnn.Linear), testInput(m, 2)
+		x = tensor.FromSlice(x.Data[:lin.In], lin.In)
+		nl, err := newLinearLayer(lin, x)
+		if err == nil {
+			nl.enc, err = eng.newCodec(1, eng.layerGeometry(1).Format, lin.W.Data, x.Data, lin.B.Data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := s.dispatch(&s.flows[0], nl, eng.layerGeometry(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(run.segStart[1] - run.segStart[0]); n != len(partials) {
+			t.Fatalf("task 0 splits into %d segments, want %d", n, len(partials))
+		}
+		ids := make([]uint64, len(partials))
+		for seg := range partials {
+			ids[seg] = eng.nextID()
+			s.results.add(ids[seg], run, seg)
+		}
+		for _, seg := range order {
+			if err := deliverToMC(t, eng, s, resultPacket(eng, ids[seg], 0, uint16(seg), partials[seg])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for seg := range partials {
+			if run.state[seg] != segDone {
+				t.Errorf("order %v: segment %d in state %d after every partial arrived", order, seg, run.state[seg])
+			}
+		}
+		if len(s.early) != 0 || run.received != len(partials) {
+			t.Errorf("order %v: %d partials still waiting, %d received", order, len(s.early), run.received)
+		}
+		return run.out[0]
+	}
+	want := collect([]int{0, 1, 2, 3, 4, 5, 6})
+	if math.Float32bits(want) != math.Float32bits(inOrder) {
+		t.Fatalf("in-order delivery sums to %v, want %v", want, inOrder)
+	}
+	for _, order := range [][]int{{6, 5, 4, 3, 2, 1, 0}, {2, 0, 6, 1, 4, 3, 5}} {
+		if got := collect(order); math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("delivery in order %v sums to %v, in-order delivery to %v", order, got, want)
+		}
 	}
 }

@@ -15,24 +15,30 @@ package accel
 //     packets and accumulates partial sums until a layer completes.
 //
 // All per-packet knowledge — which flow and layer a packet belongs to, its
-// task/segment coordinates, the layer's quantization scales and the
-// separated-ordering out-of-band partner table — lives in per-run segment
-// records owned by the scheduler and scoped to one Infer/InferBatch call,
-// found from a packet ID by subtraction rather than a per-packet map entry.
-// Nothing is engine-global, so any number of inferences (flows) can be in
-// flight on the mesh at once, and every exit path (success or error)
-// discards the whole context in one place.
+// task/segment coordinates, the layer's quantization scales — is derived
+// from the packet ID and per-task offsets of the run it belongs to, scoped
+// to one Infer/InferBatch call and found by subtraction rather than a
+// per-packet map entry. Nothing is engine-global, so any number of
+// inferences (flows) can be in flight on the mesh at once, and every exit
+// path (success or error) discards the whole context in one place.
 //
-// Memory follows the traffic in flight, not the layer size. A segment
-// record is a fixed 20 bytes: an out-of-band partner table is held by
-// handle in the engine's partner store (partnerTables) only from send to
-// the PE's decode. Each run's records are exact-size slices of engine
-// slabs (slab) that the next call reuses once this one has joined its
-// encode-ahead helper, so a warm engine allocates no segment memory.
+// Memory follows the tasks and the traffic in flight, not the segment
+// count. A run keeps one state byte per segment and, per task, its offset
+// in the run's segments and its output; each partial adds into the output
+// as it arrives, in segment order. What a segment needs only while its
+// packets travel stays with them: an out-of-band partner table is held by
+// handle in the engine's partner store (partnerTables), and the handle
+// rides on the task packet's head flit as side-band Tag from send to the
+// PE's decode; a result waits in the result window. Each run's offsets and
+// states are exact-size slices of engine slabs (slab) that the next call
+// reuses once this one has joined its encode-ahead helper, and the call's
+// tables (callTables) live in engine-owned arrays, so a warm engine
+// allocates no bookkeeping per call.
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"nocbt/internal/dnn"
@@ -60,7 +66,8 @@ type flow struct {
 
 // layerRun is one conv/linear layer of one flow in flight on the mesh,
 // carrying the per-layer codec state (quantization scales) every packet of
-// the layer computes with, and one record per segment.
+// the layer computes with, one state byte per segment and, per task, its
+// segment offset and output.
 type layerRun struct {
 	flow  *flow
 	layer nocLayer
@@ -71,12 +78,17 @@ type layerRun struct {
 	// layers of different widths flitize and deflitize independently.
 	geom flit.Geometry
 
-	// segs holds the layer's segments in (task, segment) order; task ti's
-	// are segs[segStart[ti]:segStart[ti+1]]. Segment k's task packet has
-	// ID base+k, so a packet's context is one subtraction away.
+	// The layer's segments are numbered in (task, segment) order; task
+	// ti's are k = segStart[ti] … segStart[ti+1]-1, of maxSeg pairs each
+	// but the last. Segment k's task packet has ID base+k, so a packet's
+	// context is one subtraction away, and state[k] tracks its round trip.
 	base     uint64
+	maxSeg   int
 	segStart []int32
-	segs     []segment
+	state    []segState
+	// out is the layer's output, one value per task: each task's partials
+	// add into it in segment order (see collect).
+	out      []float32
 	received int
 	// queued links the run dispatched after this one, for the
 	// encode-ahead helper (ahead.go).
@@ -102,23 +114,34 @@ const (
 	segQueued   segState = iota // waiting in its MC's feed
 	segSent                     // task packet on its way to the PE
 	segComputed                 // result packet computed, on its way back
-	segDone                     // partial sum collected
+	segEarly                    // partial collected, waiting for its predecessor's
+	segDone                     // partial added into the task's output
 )
 
-// segment is the dispatch record of one task packet and its result:
-// everything the PE model and the MC collector check a packet against.
-type segment struct {
-	task, pairs int32
-	partial     float32
-	// partner is the handle, in the engine's partner store, of the
-	// separated-ordering out-of-band re-pairing table for exactly this
-	// packet (0 for O0/O1 or in-band indexing), held only while the task
-	// packet is in flight.
-	partner int32
-	// seg is the segment's index in its task, which the result header
-	// carries in its 16-bit PairCount field.
-	seg   uint16
-	state segState
+// nsegs returns the run's segment count.
+func (run *layerRun) nsegs() int { return len(run.state) }
+
+// owns reports whether task ti of the run holds segment k — the check a
+// packet header's TaskID must pass before it indexes anything.
+func (run *layerRun) owns(ti int64, k int) bool {
+	return ti >= 0 && ti < int64(run.layer.ntasks) &&
+		int(run.segStart[ti]) <= k && k < int(run.segStart[ti+1])
+}
+
+// segment returns segment k of task ti, which must own it: its index in
+// the task and its pair count, maxSeg but for the task's last segment.
+func (run *layerRun) segment(ti, k int) (seg, pairs int) {
+	seg = k - int(run.segStart[ti])
+	if k+1 < int(run.segStart[ti+1]) {
+		return seg, run.maxSeg
+	}
+	return seg, run.layer.pairs(ti) - seg*run.maxSeg
+}
+
+// taskOf returns the task owning segment k, for error messages: the
+// packet paths check a header's claim with owns instead of searching.
+func (run *layerRun) taskOf(k int) int {
+	return sort.Search(run.layer.ntasks, func(ti int) bool { return int(run.segStart[ti+1]) > k })
 }
 
 // slab hands the runs of one call exact-size slices of one backing array.
@@ -251,6 +274,32 @@ type pendingResult struct {
 	run   *layerRun
 }
 
+// earlyPartial is a collected partial whose predecessor in its task has
+// not been added yet, keyed by its segment's task packet ID.
+type earlyPartial struct {
+	id      uint64
+	partial float32
+}
+
+// callTables is the storage of a scheduler's per-call tables. The engine
+// keeps it between calls, so a warm engine's calls take nothing for them:
+// newScheduler lends it and reset hands it back, cleared, so it pins
+// nothing of the finished call.
+type callTables struct {
+	feeds   [][]mcFeed
+	refs    []segRef
+	pending []pendingResult
+	early   []earlyPartial
+	runs    []*layerRun
+}
+
+// emptied zeroes every element of s's backing array and returns it empty.
+func emptied[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
+}
+
 // scheduler executes a set of flows over the engine's mesh.
 type scheduler struct {
 	ctx   context.Context
@@ -262,6 +311,9 @@ type scheduler struct {
 	feeds   [][]mcFeed
 	results resultWindow
 	pending []pendingResult
+	// early holds the partials collected ahead of a predecessor in their
+	// task (see collect).
+	early []earlyPartial
 
 	// activeRuns holds the layer runs currently in flight, in dispatch
 	// order, for deadline checking and task-packet lookup.
@@ -285,27 +337,45 @@ func newScheduler(ctx context.Context, e *Engine, flows []flow) *scheduler {
 		e.ahead = newEncodeAhead(e)
 	}
 	e.ahead.reset()
+	e.call++
+	t := &e.tables
+	if len(t.feeds) != len(e.cfg.MCs) {
+		t.feeds = make([][]mcFeed, len(e.cfg.MCs))
+	}
 	return &scheduler{
-		ctx:     ctx,
-		e:       e,
-		flows:   flows,
-		feeds:   make([][]mcFeed, len(e.cfg.MCs)),
-		running: len(flows),
+		ctx:        ctx,
+		e:          e,
+		flows:      flows,
+		feeds:      t.feeds,
+		results:    resultWindow{refs: t.refs},
+		pending:    t.pending,
+		early:      t.early,
+		activeRuns: t.runs,
+		running:    len(flows),
 	}
 }
 
 // reset drops the per-call context tables on every exit path, so a
 // retained scheduler cannot pin packet contexts, unsent segments or
-// pending results after run returns, and hands the call's segment slabs
-// and partner tables back to the engine for the next call.
+// pending results after run returns, and hands the tables, the call's run
+// slabs and partner tables back to the engine for the next call.
 func (s *scheduler) reset() {
-	s.feeds = nil
-	s.results = resultWindow{}
-	s.pending = nil
-	s.activeRuns = nil
-	s.e.segSlab.reset()
-	s.e.startSlab.reset()
-	s.e.partners.reset()
+	e := s.e
+	for m, q := range s.feeds {
+		s.feeds[m] = emptied(q)
+	}
+	e.tables = callTables{
+		feeds:   s.feeds,
+		refs:    emptied(s.results.refs),
+		pending: emptied(s.pending),
+		early:   s.early[:0],
+		runs:    emptied(s.activeRuns),
+	}
+	s.feeds, s.results, s.pending, s.early, s.activeRuns = nil, resultWindow{}, nil, nil, nil
+	e.stateSlab.reset()
+	e.startSlab.reset()
+	e.actSlab.reset()
+	e.partners.reset()
 }
 
 // run executes every flow to completion and returns the first error. The
@@ -392,17 +462,23 @@ func (s *scheduler) advance(f *flow) error {
 		// the layer's own lane width.
 		g := s.e.layerGeometry(f.nocIdx)
 		var nl nocLayer
+		var w, b []float32
 		var err error
 		switch l := layer.(type) {
 		case *dnn.Conv2D:
-			nl, err = newConvLayer(g.Format, l, f.act)
+			nl, err = newConvLayer(l, f.act)
+			w, b = l.W.Data, l.B.Data
 		case *dnn.Linear:
-			nl, err = newLinearLayer(g.Format, l, f.act)
+			nl, err = newLinearLayer(l, f.act)
+			w, b = l.W.Data, l.B.Data
 		default:
 			f.layers = append(f.layers, LayerStat{Name: layer.Name(), Inference: f.idx})
 			f.act = layer.Forward(f.act)
 			f.nextLayer++
 			continue
+		}
+		if err == nil {
+			nl.enc, err = s.e.newCodec(f.nocIdx, g.Format, w, f.act.Data, b)
 		}
 		if err != nil {
 			return fmt.Errorf("accel: layer %s: %w", layer.Name(), err)
@@ -423,18 +499,12 @@ func (s *scheduler) advance(f *flow) error {
 	return nil
 }
 
-// finishLayer runs when the MC collector has every partial sum of a layer:
-// it reduces the partials in fixed segment order, records the layer stats,
-// and advances the owning flow to its next layer.
+// finishLayer runs when the MC collector has added every partial sum of a
+// layer into its output: it records the layer stats and advances the
+// owning flow to its next layer.
 func (s *scheduler) finishLayer(run *layerRun) error {
-	// Segments are in (task, segment) order, so each task's partials add
-	// up in fixed segment order.
-	results := make([]float32, run.layer.ntasks)
-	for _, sg := range run.segs {
-		results[sg.task] += sg.partial
-	}
 	f := run.flow
-	f.act = tensor.FromSlice(results, run.layer.outShape...)
+	f.act = tensor.FromSlice(run.out, run.layer.outShape...)
 	f.cur = nil
 	st := LayerStat{
 		Name:      run.layer.name,
@@ -442,7 +512,7 @@ func (s *scheduler) finishLayer(run *layerRun) error {
 		OverNoC:   true,
 		Cycles:    s.e.sim.Cycle() - run.startCycle,
 		BT:        s.e.sim.TotalBT() - run.startBT,
-		Packets:   int64(len(run.segs)) * 2, // task + result per segment
+		Packets:   int64(run.nsegs()) * 2, // task + result per segment
 		Flits:     run.flits,
 		Tasks:     run.layer.ntasks,
 	}
@@ -534,7 +604,7 @@ func (s *scheduler) checkDeadlines() error {
 	for _, run := range s.activeRuns {
 		if now >= run.deadline {
 			return fmt.Errorf("accel: layer %s (inference %d) exceeded cycle cap %d (%d/%d results)",
-				run.layer.name, run.flow.idx, s.e.cfg.DrainCycleCap, run.received, len(run.segs))
+				run.layer.name, run.flow.idx, s.e.cfg.DrainCycleCap, run.received, run.nsegs())
 		}
 	}
 	return nil

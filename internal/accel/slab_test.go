@@ -9,36 +9,63 @@ import (
 	"nocbt/internal/flit"
 )
 
-// TestSegmentRecordSize: a layer of DarkNet dispatches tens of thousands of
-// segment records at once, so the record stays a fixed few words; an
-// out-of-band partner table is held by handle, not by slice header.
-func TestSegmentRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(segment{}); n > 24 {
-		t.Errorf("segment record is %d bytes, budget 24", n)
-	}
-}
-
-// TestRunSlabsExact: a dispatched run's segment records and task offsets
-// are exact-size slices — one counting pass, no append growth — on a fresh
-// engine and on a warm one whose calls reuse the previous call's slabs.
-func TestRunSlabsExact(t *testing.T) {
+// TestRunStorageBudget: a layer run's bookkeeping follows its tasks and
+// the packets in flight, not its segments. On a cold engine's first call,
+// with tasks split into several segments, the runs take at most one byte
+// per segment (its state) and a bounded few per task (its segment offset),
+// and the call's tables hold fewer entries than a quarter of the segments.
+// A warm call takes the same storage again from the engine's slabs, and
+// each run's slices are exact-size on a cold and on a warm engine, so
+// appending to one cannot spill into the next run's.
+func TestRunStorageBudget(t *testing.T) {
+	const (
+		maxBytesPerSegment = 1
+		maxBytesPerTask    = 8
+	)
 	m := tinyNet(rand.New(rand.NewSource(53)))
 	cfg := Mesh4x4MC2(paperFixed8)
 	cfg.MaxSegmentPairs = 7 // split tasks into several segments
 	eng := mustNew(t, cfg, m)
 	for call := range 2 {
-		s := newScheduler(context.Background(), eng, []flow{{act: testInput(m, 2)}})
-		f := &s.flows[0]
-		if err := s.advance(f); err != nil {
+		before := eng.TaskPackets()
+		if _, err := eng.Infer(context.Background(), testInput(m, 2)); err != nil {
 			t.Fatal(err)
 		}
-		run := f.cur
-		if len(run.segs) <= run.layer.ntasks {
-			t.Fatalf("call %d: %d segments for %d tasks; the test needs split tasks", call, len(run.segs), run.layer.ntasks)
+		segs := eng.TaskPackets() - before
+		tasks := 0
+		for _, st := range eng.LayerStats() {
+			tasks += st.Tasks
 		}
-		if cap(run.segs) != len(run.segs) || cap(run.segStart) != len(run.segStart) || len(run.segStart) != run.layer.ntasks+1 {
-			t.Errorf("call %d: segs len %d cap %d, segStart len %d cap %d for %d tasks; want exact sizes",
-				call, len(run.segs), cap(run.segs), len(run.segStart), cap(run.segStart), run.layer.ntasks)
+		if segs <= int64(tasks) {
+			t.Fatalf("call %d: %d segments for %d tasks; the test needs split tasks", call, segs, tasks)
+		}
+		perSeg := float64(eng.stateSlab.need*int(unsafe.Sizeof(segState(0)))) / float64(segs)
+		perTask := float64(eng.startSlab.need*int(unsafe.Sizeof(int32(0)))) / float64(tasks)
+		t.Logf("call %d: %d segments, %d tasks: %.2f bytes per segment, %.2f per task", call, segs, tasks, perSeg, perTask)
+		if perSeg > maxBytesPerSegment {
+			t.Errorf("call %d: runs took %.2f bytes per segment, budget %d", call, perSeg, maxBytesPerSegment)
+		}
+		if perTask > maxBytesPerTask {
+			t.Errorf("call %d: runs took %.2f bytes per task, budget %d", call, perTask, maxBytesPerTask)
+		}
+		tb := &eng.tables
+		if n := cap(tb.refs) + cap(tb.pending) + cap(tb.early) + cap(tb.runs); int64(n) >= segs/4 {
+			t.Errorf("call %d: call tables hold %d entries for %d segments", call, n, segs)
+		}
+		if call > 0 && (len(eng.stateSlab.buf) != eng.stateSlab.need || len(eng.startSlab.buf) != eng.startSlab.need) {
+			t.Errorf("warm call took run storage beyond the slabs: states %d of %d, offsets %d of %d",
+				eng.stateSlab.need, len(eng.stateSlab.buf), eng.startSlab.need, len(eng.startSlab.buf))
+		}
+	}
+	for i, e := range []*Engine{mustNew(t, cfg, m), eng} {
+		s := newScheduler(context.Background(), e, []flow{{act: testInput(m, 2)}})
+		if err := s.advance(&s.flows[0]); err != nil {
+			t.Fatal(err)
+		}
+		run := s.flows[0].cur
+		if cap(run.state) != len(run.state) || cap(run.segStart) != len(run.segStart) || len(run.segStart) != run.layer.ntasks+1 {
+			t.Errorf("engine %d: state len %d cap %d, segStart len %d cap %d for %d tasks; want exact sizes",
+				i, len(run.state), cap(run.state), len(run.segStart), cap(run.segStart), run.layer.ntasks)
 		}
 		s.reset()
 	}
@@ -46,18 +73,29 @@ func TestRunSlabsExact(t *testing.T) {
 
 // TestNewAllocs pins accel.New's allocations on the 4x4/MC2 test net: the
 // simulator is built once, with the engine's own link coding as its coding
-// 0, rather than built plain and then recoded.
+// 0, rather than built plain and then recoded, and a coded link row is
+// built in one batch rather than one coder at a time.
 func TestNewAllocs(t *testing.T) {
-	const budget = 29
 	m := tinyNet(rand.New(rand.NewSource(55)))
-	cfg := Mesh4x4MC2(paperFixed8)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := New(cfg, m); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		coding string
+		budget int
+	}{
+		{"", 29},
+		{"businvert", 29},
+	} {
+		cfg := Mesh4x4MC2(paperFixed8)
+		cfg.LinkCoding = tc.coding
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := New(cfg, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tc.budget) {
+			t.Errorf("coding %q: New made %.0f allocations, budget %d", tc.coding, allocs, tc.budget)
+		} else {
+			t.Logf("coding %q: New made %.0f allocations", tc.coding, allocs)
 		}
-	})
-	if allocs > budget {
-		t.Errorf("New made %.0f allocations, budget %d", allocs, budget)
 	}
 }
 

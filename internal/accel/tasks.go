@@ -27,35 +27,27 @@ type nocLayer struct {
 	fanIn int
 }
 
-// newConvLayer decomposes a convolution layer into per-output-pixel tasks,
-// encoding every value at the layer's lane format.
-func newConvLayer(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (nocLayer, error) {
+// newConvLayer decomposes a convolution layer into per-output-pixel tasks.
+// The caller sets the codec (Engine.newCodec).
+func newConvLayer(l *dnn.Conv2D, x *tensor.Tensor) (nocLayer, error) {
 	if x.Rank() != 3 || x.Dim(0) != l.InC {
 		return nocLayer{}, fmt.Errorf("input shape %v for %s", x.Shape(), l.Name())
 	}
 	h, w := x.Dim(1), x.Dim(2)
 	oh, ow := l.OutSize(h, w)
-	c, err := newCodec(format, l.W.Data, x.Data, l.B.Data)
-	if err != nil {
-		return nocLayer{}, err
-	}
 	return nocLayer{
-		name: l.Name(), enc: c, outShape: []int{l.OutC, oh, ow}, ntasks: l.OutC * oh * ow,
+		name: l.Name(), outShape: []int{l.OutC, oh, ow}, ntasks: l.OutC * oh * ow,
 		conv: l, h: h, w: w,
 	}, nil
 }
 
-// newLinearLayer decomposes a fully-connected layer into per-output tasks,
-// encoding every value at the layer's lane format.
-func newLinearLayer(format bitutil.Format, l *dnn.Linear, x *tensor.Tensor) (nocLayer, error) {
+// newLinearLayer decomposes a fully-connected layer into per-output tasks.
+// The caller sets the codec (Engine.newCodec).
+func newLinearLayer(l *dnn.Linear, x *tensor.Tensor) (nocLayer, error) {
 	if x.Size() != l.In {
 		return nocLayer{}, fmt.Errorf("input size %d for %s", x.Size(), l.Name())
 	}
-	c, err := newCodec(format, l.W.Data, x.Data, l.B.Data)
-	if err != nil {
-		return nocLayer{}, err
-	}
-	return nocLayer{name: l.Name(), enc: c, outShape: []int{l.Out}, ntasks: l.Out, fanIn: l.In}, nil
+	return nocLayer{name: l.Name(), outShape: []int{l.Out}, ntasks: l.Out, fanIn: l.In}, nil
 }
 
 // window returns the kernel offsets [k0, k1) whose input coordinate

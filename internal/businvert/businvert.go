@@ -59,16 +59,21 @@ func checkGeometry(width, segBits int) error {
 // width must be a multiple of segBits, and segBits must divide 64 or be a
 // multiple of 64.
 func NewEncoder(width, segBits int) (*Encoder, error) {
+	encs, err := NewEncoders(width, segBits, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &encs[0], nil
+}
+
+// NewEncoders builds n independent encoders as NewEncoder does, over one
+// slice of encoders and one slab of wire and invert-line words — the
+// batch a simulator installing a coding on every link wants.
+func NewEncoders(width, segBits, n int) ([]Encoder, error) {
 	if err := checkGeometry(width, segBits); err != nil {
 		return nil, err
 	}
-	e := &Encoder{
-		width:    width,
-		segBits:  segBits,
-		segments: width / segBits,
-		wire:     bitutil.NewVec(width),
-		inv:      make([]uint64, (width+63)/64),
-	}
+	proto := Encoder{width: width, segBits: segBits, segments: width / segBits}
 	if segBits <= 64 {
 		var lsb uint64
 		for b := 0; b < 64; b += segBits {
@@ -76,17 +81,26 @@ func NewEncoder(width, segBits int) (*Encoder, error) {
 		}
 		half := uint64(segBits / 2)
 		top := uint64(1) << uint(segBits-1)
-		e.rounds = bits.TrailingZeros(uint(segBits))
-		e.msb = lsb << uint(segBits-1)
-		e.gtAdd = lsb * (top - half - 1)
-		e.geAdd = lsb * (top - half)
+		proto.rounds = bits.TrailingZeros(uint(segBits))
+		proto.msb = lsb << uint(segBits-1)
+		proto.gtAdd = lsb * (top - half - 1)
+		proto.geAdd = lsb * (top - half)
 		if segBits == 1 {
 			// A one-bit segment never ties; half is 0, so geAdd would
 			// carry into the next lane.
-			e.geAdd = e.gtAdd
+			proto.geAdd = proto.gtAdd
 		}
 	}
-	return e, nil
+	words := (width + 63) / 64
+	slab := make([]uint64, 2*n*words)
+	encs := make([]Encoder, n)
+	for i := range encs {
+		w := slab[2*i*words : (2*i+2)*words : (2*i+2)*words]
+		encs[i] = proto
+		encs[i].wire = bitutil.FromWords(width, w[:words:words])
+		encs[i].inv = w[words:]
+	}
+	return encs, nil
 }
 
 // ExtraLines returns the number of additional wires the encoding needs —

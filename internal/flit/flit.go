@@ -43,7 +43,14 @@ func (k Kind) String() string {
 // (type bits, VC id) and that the paper does not count as payload
 // transitions.
 type Flit struct {
-	Kind     Kind
+	Kind Kind
+	// Tag is side-band bookkeeping that a packet's source attaches to its
+	// head flit for its destination, like InjectCycle: never payload, never
+	// counted, carried untouched by the simulator. The accelerator stores
+	// a task packet's out-of-band partner-table handle here. It sits in
+	// Kind's padding, so it does not grow Flit; new and recycled flits
+	// carry 0.
+	Tag      int32
 	PacketID uint64
 	// Seq is the flit's position within its packet, starting at 0.
 	Seq int

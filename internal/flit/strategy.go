@@ -91,6 +91,18 @@ type LinkCodingScheme interface {
 	New(width int) (LinkCoding, error)
 }
 
+// LinkCodingRowScheme is a LinkCodingScheme that also builds the coders of
+// many links in one batch — one slice of coder structs and one slab of
+// wire words rather than n calls of New — as a simulator installing a
+// coding on every link wants. The registered gray and businvert schemes
+// implement it; a scheme that does not gets one New call per link.
+type LinkCodingRowScheme interface {
+	LinkCodingScheme
+	// AppendRow appends n fresh coders for width-bit links to dst, each
+	// independent and equal to what New(width) returns.
+	AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error)
+}
+
 // registry is the process-global strategy index. Registration normally
 // happens in init (the built-ins below) or test setup; lookups run on hot
 // paths, hence the RWMutex.
@@ -331,6 +343,20 @@ func (grayScheme) New(width int) (LinkCoding, error) {
 	return &grayCoding{wire: bitutil.NewVec(width)}, nil
 }
 
+func (grayScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
+	if width <= 0 {
+		return dst, fmt.Errorf("flit: gray coding on non-positive width %d", width)
+	}
+	words := (width + 63) / 64
+	wires := make([]uint64, n*words)
+	cs := make([]grayCoding, n)
+	for i := range cs {
+		cs[i].wire = bitutil.FromWords(width, wires[i*words:(i+1)*words:(i+1)*words])
+		dst = append(dst, &cs[i])
+	}
+	return dst, nil
+}
+
 // grayCoding is the per-link Gray-coded wire state: wire holds the pattern
 // currently on the wires. Each beat encodes, counts and stores one word at
 // a time, so the per-flit transform allocates nothing (a saturated mesh
@@ -401,6 +427,17 @@ func (s businvertScheme) New(width int) (LinkCoding, error) {
 		return nil, err
 	}
 	return businvertCoding{enc: enc}, nil
+}
+
+func (s businvertScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
+	encs, err := businvert.NewEncoders(width, s.segBits, n)
+	if err != nil {
+		return dst, err
+	}
+	for i := range encs {
+		dst = append(dst, businvertCoding{enc: &encs[i]})
+	}
+	return dst, nil
 }
 
 // BusinvertSegBits is the segment width of the registered "businvert"

@@ -409,3 +409,48 @@ func TestFlitizeKeepsLentPartnerTable(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkCodingRowsMatchNew: every registered coding builds its rows in
+// one batch, and each coder of a row counts exactly what a coder from New
+// counts on the same beats, independently of its neighbours in the row —
+// at a narrow, a one-word and a multi-word width.
+func TestLinkCodingRowsMatchNew(t *testing.T) {
+	const n = 3
+	for _, name := range LinkCodingNames()[1:] {
+		scheme, _ := LookupLinkCoding(name)
+		rs, ok := scheme.(LinkCodingRowScheme)
+		if !ok {
+			t.Errorf("coding %q builds no rows", name)
+			continue
+		}
+		for _, width := range []int{16, 64, 136} {
+			if _, err := scheme.New(width); err != nil {
+				continue // a width the coding rejects
+			}
+			row, err := rs.AppendRow(nil, width, n)
+			if err != nil || len(row) != n {
+				t.Fatalf("%s/%d: AppendRow = %d coders, %v", name, width, len(row), err)
+			}
+			rng := rand.New(rand.NewSource(int64(width)))
+			for i, c := range row {
+				ref, _ := scheme.New(width)
+				for beat := range 50 {
+					v := bitutil.NewVec(width)
+					for off := 0; off < width; off += 8 {
+						v.SetField(off, min(8, width-off), rng.Uint64())
+					}
+					// Drive the other coders of the row too, so a shared
+					// word between them would show.
+					for _, other := range row {
+						if other != c {
+							other.Transitions(bitutil.NewVec(width))
+						}
+					}
+					if got, want := c.Transitions(v), ref.Transitions(v); got != want {
+						t.Fatalf("%s/%d: row coder %d beat %d counts %d, New's coder %d", name, width, i, beat, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -148,6 +148,15 @@ func (s *Sim) SetLinkCodings(from int, schemes ...flit.LinkCodingScheme) error {
 	copy(coders, s.coders)
 	p := 0 // next plain coder
 	for _, scheme := range schemes {
+		if rs, ok := scheme.(flit.LinkCodingRowScheme); ok {
+			// One batch for the row; it fails on the width, so for every
+			// link alike, and names the first.
+			var err error
+			if coders, err = rs.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
+				return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), s.links[0].Name, err)
+			}
+			continue
+		}
 		for i := range s.links {
 			if scheme == nil {
 				c := &plain[p]

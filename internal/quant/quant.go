@@ -192,10 +192,17 @@ func (p WidthParams) Dequantize(q int32) float32 {
 // QuantizeSlice quantizes every element of vals.
 func (p WidthParams) QuantizeSlice(vals []float32) []int32 {
 	out := make([]int32, len(vals))
-	for i, v := range vals {
-		out[i] = p.Quantize(v)
-	}
+	p.QuantizeInto(out, vals)
 	return out
+}
+
+// QuantizeInto quantizes every element of vals into dst, which must be at
+// least as long.
+func (p WidthParams) QuantizeInto(dst []int32, vals []float32) {
+	dst = dst[:len(vals)]
+	for i, v := range vals {
+		dst[i] = p.Quantize(v)
+	}
 }
 
 // DequantizeSlice dequantizes every element of qs.
