@@ -9,14 +9,23 @@ import (
 	"nocbt/internal/flit"
 )
 
+// TestSegmentRecordSize: a layer of DarkNet dispatches tens of thousands of
+// segments at once, so what a run keeps per segment is its state byte and
+// nothing more; task, segment index and pair count follow from the packet
+// ID and the per-task offsets.
+func TestSegmentRecordSize(t *testing.T) {
+	var run layerRun
+	if n := unsafe.Sizeof(run.state[0]); n > 1 {
+		t.Errorf("per-segment record is %d bytes, budget 1", n)
+	}
+}
+
 // TestRunStorageBudget: a layer run's bookkeeping follows its tasks and
 // the packets in flight, not its segments. On a cold engine's first call,
 // with tasks split into several segments, the runs take at most one byte
 // per segment (its state) and a bounded few per task (its segment offset),
 // and the call's tables hold fewer entries than a quarter of the segments.
-// A warm call takes the same storage again from the engine's slabs, and
-// each run's slices are exact-size on a cold and on a warm engine, so
-// appending to one cannot spill into the next run's.
+// A warm call takes the same storage again from the engine's slabs.
 func TestRunStorageBudget(t *testing.T) {
 	const (
 		maxBytesPerSegment = 1
@@ -57,12 +66,29 @@ func TestRunStorageBudget(t *testing.T) {
 				eng.stateSlab.need, len(eng.stateSlab.buf), eng.startSlab.need, len(eng.startSlab.buf))
 		}
 	}
+}
+
+// TestRunSlabsExact: a dispatched run's state bytes and task offsets are
+// exact-size slices — one counting pass, no append growth — on a fresh
+// engine and on a warm one whose calls reuse the previous call's slabs, so
+// appending to one run's slice cannot spill into the next run's.
+func TestRunSlabsExact(t *testing.T) {
+	m := tinyNet(rand.New(rand.NewSource(53)))
+	cfg := Mesh4x4MC2(paperFixed8)
+	cfg.MaxSegmentPairs = 7 // split tasks into several segments
+	eng := mustNew(t, cfg, m)
+	if _, err := eng.Infer(context.Background(), testInput(m, 2)); err != nil {
+		t.Fatal(err)
+	}
 	for i, e := range []*Engine{mustNew(t, cfg, m), eng} {
 		s := newScheduler(context.Background(), e, []flow{{act: testInput(m, 2)}})
 		if err := s.advance(&s.flows[0]); err != nil {
 			t.Fatal(err)
 		}
 		run := s.flows[0].cur
+		if len(run.state) <= run.layer.ntasks {
+			t.Fatalf("engine %d: %d segments for %d tasks; the test needs split tasks", i, len(run.state), run.layer.ntasks)
+		}
 		if cap(run.state) != len(run.state) || cap(run.segStart) != len(run.segStart) || len(run.segStart) != run.layer.ntasks+1 {
 			t.Errorf("engine %d: state len %d cap %d, segStart len %d cap %d for %d tasks; want exact sizes",
 				i, len(run.state), cap(run.state), len(run.segStart), cap(run.segStart), run.layer.ntasks)
