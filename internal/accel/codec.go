@@ -14,10 +14,11 @@ import (
 // packets — never engine-global registers — so concurrently in-flight
 // layers cannot clobber each other.
 type codec struct {
-	format  bitutil.Format
-	bits    int     // lane width (fixed-point modes)
-	wq, xq  []int32 // quantized weights/activations (fixed-point modes)
-	bq      []int32 // quantized biases
+	bits int // lane width in fixed-point modes, 0 otherwise
+	// wq, xq and bq are the quantized weights, activations and biases of
+	// fixed-point modes, each already its lane word (FixedWord).
+	wq, xq  []int32
+	bq      []int32
 	weights []float32
 	acts    []float32
 	biases  []float32
@@ -45,7 +46,7 @@ type layerWeights struct {
 // layerWeights, quantized once per call, and the activations are
 // quantized into the call's activation slab.
 func (e *Engine) newCodec(idx int, format bitutil.Format, weights, acts, biases []float32) (codec, error) {
-	c := codec{format: format, weights: weights, acts: acts, biases: biases}
+	c := codec{weights: weights, acts: acts, biases: biases}
 	if !format.IsFixed() {
 		if err := format.Valid(); err != nil {
 			return codec{}, fmt.Errorf("accel: %w", err)
@@ -70,6 +71,8 @@ func (e *Engine) newCodec(idx int, format bitutil.Format, weights, acts, biases 
 		lw.bq = slices.Grow(lw.bq[:0], len(biases))[:len(biases)]
 		wp.QuantizeInto(lw.wq, weights)
 		bp.QuantizeInto(lw.bq, biases)
+		toLaneWords(lw.wq, c.bits)
+		toLaneWords(lw.bq, c.bits)
 		lw.scaleW, lw.scaleB, lw.call = wp.Scale, bp.Scale, e.call
 	}
 	xp, err := quant.ChooseWidth(acts, c.bits)
@@ -78,31 +81,40 @@ func (e *Engine) newCodec(idx int, format bitutil.Format, weights, acts, biases 
 	}
 	c.xq = e.actSlab.take(len(acts))
 	xp.QuantizeInto(c.xq, acts)
+	toLaneWords(c.xq, c.bits)
 	c.wq, c.bq = lw.wq, lw.bq
 	c.scaleWX = lw.scaleW * xp.Scale
 	c.scaleB = lw.scaleB
 	return c, nil
 }
 
-func (c *codec) fixed() bool { return c.format.IsFixed() }
+// toLaneWords replaces each quantized value of q with its bits-wide lane
+// word, so encoding a value is one load.
+func toLaneWords(q []int32, bits int) {
+	for i, v := range q {
+		q[i] = int32(bitutil.FixedWord(v, bits))
+	}
+}
+
+func (c *codec) fixed() bool { return c.bits != 0 }
 
 func (c *codec) weightWord(i int) bitutil.Word {
 	if c.fixed() {
-		return bitutil.FixedWord(c.wq[i], c.bits)
+		return bitutil.Word(uint32(c.wq[i]))
 	}
 	return bitutil.Float32Word(c.weights[i])
 }
 
 func (c *codec) actWord(i int) bitutil.Word {
 	if c.fixed() {
-		return bitutil.FixedWord(c.xq[i], c.bits)
+		return bitutil.Word(uint32(c.xq[i]))
 	}
 	return bitutil.Float32Word(c.acts[i])
 }
 
 func (c *codec) biasWord(i int) bitutil.Word {
 	if c.fixed() {
-		return bitutil.FixedWord(c.bq[i], c.bits)
+		return bitutil.Word(uint32(c.bq[i]))
 	}
 	return bitutil.Float32Word(c.biases[i])
 }

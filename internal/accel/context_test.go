@@ -4,9 +4,16 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"regexp"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"nocbt/internal/bitutil"
+	"nocbt/internal/flit"
 	"nocbt/internal/tensor"
 )
 
@@ -113,4 +120,77 @@ func TestInferNilContextDefaultsToBackground(t *testing.T) {
 	if _, err := eng.Infer(nil, testInput(m, 2)); err != nil {
 		t.Errorf("Infer with nil context = %v, want success", err)
 	}
+}
+
+// shortColumn arms the short-column ordering: while set, it drops the last
+// weight of every one-pair segment, an ordering bug FlitizeInto must
+// catch. Unarmed it is O0, so the package's all-strategies tests pass it.
+var shortColumn atomic.Bool
+
+const shortColumnID flit.Ordering = 250
+
+var registerShortColumn = sync.OnceValue(func() error {
+	return flit.RegisterOrdering(flit.NewOrderingStrategy("short-column", shortColumnID, false, false,
+		func(dst *flit.Ordered, w, in []bitutil.Word, _ int) {
+			dst.Weights = append(dst.Weights[:0], w...)
+			dst.Inputs = append(dst.Inputs[:0], in...)
+			dst.PartnerIndex = nil
+			if shortColumn.Load() && len(w) == 1 {
+				dst.Weights = dst.Weights[:0]
+			}
+		}))
+})
+
+// waitGoroutines fails unless the goroutine count falls back to base: an
+// engine call starts no goroutine, so none may outlive it.
+func waitGoroutines(t *testing.T, base int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the engine ran", when, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInferExitPathsLeaveNoGoroutine: every Infer leaves no goroutine
+// behind when it returns — after success, after a mid-layer cancellation
+// (which poisons the engine) and after an encode error (which names the
+// layer, task and segment).
+func TestInferExitPathsLeaveNoGoroutine(t *testing.T) {
+	if err := registerShortColumn(); err != nil {
+		t.Fatal(err)
+	}
+	m := microNet(rand.New(rand.NewSource(1)))
+	base := runtime.NumGoroutine()
+
+	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
+	if _, err := eng.Infer(context.Background(), testInput(m, 2)); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base, "after a successful Infer")
+
+	ctx := &countdownCtx{Context: context.Background(), polls: 1}
+	if _, err := eng.Infer(ctx, testInput(m, 2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
+	}
+	waitGoroutines(t, base, "after a cancelled Infer")
+	if eng.Reusable() || !errors.Is(eng.Aborted(), context.Canceled) {
+		t.Errorf("after a mid-run cancel: Reusable=%v Aborted=%v", eng.Reusable(), eng.Aborted())
+	}
+
+	// Five-pair segments split the first conv layer's six-pair tasks into
+	// five pairs and one; MC 1 sends task 1's one-pair tail first.
+	cfg := Mesh4x4MC2(paperFixed8)
+	cfg.Ordering = shortColumnID
+	cfg.MaxSegmentPairs = 5
+	eng = mustNew(t, cfg, m)
+	shortColumn.Store(true)
+	defer shortColumn.Store(false)
+	_, err := eng.Infer(context.Background(), testInput(m, 2))
+	want := regexp.MustCompile(`^accel: layer conv3x3\(1->4,s1,p1\): flitize task 1 seg 1: flit: ordering short-column returned 0 weights and 1 inputs for an 1-pair task$`)
+	if err == nil || !want.MatchString(err.Error()) {
+		t.Fatalf("encode error = %v, want a match for %s", err, want)
+	}
+	waitGoroutines(t, base, "after an encode error")
 }

@@ -2,7 +2,9 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 
+	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
@@ -46,9 +48,9 @@ func (fd *mcFeed) step(mcs int) bool {
 }
 
 // dispatch is the memory-controller side of the scheduler: it assigns a
-// layer's tasks to MCs and PEs, reserves the layer's packet IDs, queues
-// its segments at their MCs and hands the run to the encode-ahead helper.
-// feedMCs then streams them out.
+// layer's tasks to MCs and PEs, reserves the layer's packet IDs and queues
+// its segments at their MCs. feedMCs then streams them out, and send
+// encodes each segment as its MC injects it.
 //
 // Task ti is owned by MC ti mod |MCs| and computed by PE
 // (ti div |MCs|) mod |PEs| — both round-robin, spreading load the way a
@@ -103,7 +105,6 @@ func (s *scheduler) dispatch(f *flow, nl nocLayer, g flit.Geometry) (*layerRun, 
 		}
 	}
 	s.activeRuns = append(s.activeRuns, run)
-	e.ahead.push(run)
 	return run, nil
 }
 
@@ -135,33 +136,44 @@ func (s *scheduler) feedMCs() error {
 	return nil
 }
 
-// send injects the task packet of segment k of run, of task ti, at MC m,
-// the MC's next segment. The helper has usually encoded it already
-// (ahead.go); if not, send encodes it here.
+// segEncoder is the MC codec's scratch: the gathered words of the segment
+// being encoded and its flitized payload.
+type segEncoder struct {
+	w, x []bitutil.Word
+	fz   flit.Flitized
+}
+
+// encode gathers, orders and flitizes segment k of run, of task ti, into
+// enc.fz, drawing the payload vectors from pool, the way the paper's
+// MC-side ordering unit (Fig. 6, Fig. 14) orders each packet as it leaves.
+func (enc *segEncoder) encode(run *layerRun, ti, k int, opt flit.Options, pool *flit.Pool) error {
+	seg, n := run.segment(ti, k)
+	enc.w = slices.Grow(enc.w[:0], n)[:n]
+	enc.x = slices.Grow(enc.x[:0], n)[:n]
+	run.layer.gather(ti, seg*run.maxSeg, enc.w, enc.x)
+	var bias bitutil.Word
+	if k+1 == int(run.segStart[ti+1]) {
+		bias = run.layer.bias(ti) // only the final segment carries the bias
+	}
+	return flit.FlitizeInto(run.geom, flit.Task{Inputs: enc.x, Weights: enc.w, Bias: bias}, opt, pool, &enc.fz)
+}
+
+// send encodes segment k of run, of task ti, and injects its task packet at
+// MC m, the MC's next segment.
 func (s *scheduler) send(run *layerRun, ti, k, m int) error {
 	e := s.e
-	a := e.ahead
-	mc := e.cfg.MCs[m]
+	cfg := &e.cfg
+	mc := cfg.MCs[m]
 	seg, n := run.segment(ti, k)
-	pe := e.pes[(ti/len(e.cfg.MCs))%len(e.pes)]
+	pe := e.pes[(ti/len(cfg.MCs))%len(e.pes)]
 	// The payload vectors come from the simulator's flit pool in the order
-	// FlitizeInto draws them — data flits, index flits, then the header —
-	// whichever goroutine encoded the segment.
+	// FlitizeInto draws them — data flits, index flits — then the header.
 	pool := e.sim.Pool()
-	payloads := e.payloadScratch[:0]
-	// partner is where the encoded segment's out-of-band partner table sits.
-	var partner *[]int
-	slot := a.take(m)
-	if slot != nil {
-		payloads = slot.code.appendVecs(payloads, pool, a.wpf)
-		partner = &slot.code.partner
-	} else {
-		if err := a.encode(&a.inline, run, ti, k, pool); err != nil {
-			return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, seg, err)
-		}
-		payloads = a.inline.fz.AppendPayloads(payloads)
-		partner = &a.inline.fz.PartnerIndex
+	enc := &e.enc
+	if err := enc.encode(run, ti, k, flit.Options{Ordering: cfg.Ordering, InBandIndex: cfg.InBandIndex}, pool); err != nil {
+		return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, seg, err)
 	}
+	payloads := enc.fz.AppendPayloads(e.payloadScratch[:0])
 	e.payloadScratch = payloads
 	pid := run.base + uint64(k)
 	hdr := pool.Vec()
@@ -169,7 +181,7 @@ func (s *scheduler) send(run *layerRun, ti, k, m int) error {
 		Dst: uint16(pe), Src: uint16(mc),
 		PacketID: uint32(pid), TaskID: uint32(ti),
 		Kind: flit.KindTask, PairCount: uint16(n),
-		Ordering: e.cfg.Ordering,
+		Ordering: cfg.Ordering,
 	}, hdr)
 	pkt := pool.Packet(pid, mc, pe, hdr, payloads)
 	// Any partner-emitting strategy (O2 or a registered kin) ships its
@@ -177,14 +189,10 @@ func (s *scheduler) send(run *layerRun, ti, k, m int) error {
 	// in-band index flits. An out-of-band table rides with its packet
 	// until the PE decodes it, so each packet orders into a table of its
 	// own: the head flit carries the encoded table's handle as side-band
-	// Tag, and the slot or encoder it came from gets the handle's spare
-	// table. An in-band table is encoded into index flits at once and
-	// reused in place.
-	if a.oob {
-		pkt.Flits[0].Tag = e.partners.hold(partner)
-	}
-	if slot != nil {
-		a.release(m, slot)
+	// Tag, and the encoder gets the handle's spare table. An in-band table
+	// is encoded into index flits at once and reused in place.
+	if e.strategy.EmitsPartner() && !cfg.InBandIndex {
+		pkt.Flits[0].Tag = e.partners.hold(&enc.fz.PartnerIndex)
 	}
 	run.state[k] = segSent
 	if err := e.sim.Inject(pkt); err != nil {

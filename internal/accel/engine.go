@@ -79,9 +79,10 @@ type Engine struct {
 	peScratch      []bitutil.Vec
 	deflitScratch  flit.Task
 	partnerScratch []int
-	// partners holds the out-of-band partner tables of the task packets
-	// in flight, and spare tables for send to hand to the encode-ahead
-	// slot it takes.
+	// enc is the MC codec's scratch (segEncoder), reused by every segment
+	// send encodes. partners holds the out-of-band partner tables of the
+	// task packets in flight, and spare tables for send to hand to enc.
+	enc      segEncoder
 	partners partnerTables
 	// stateSlab, startSlab and actSlab hold the segment states, task
 	// offsets and quantized activations of every layer run (see slab): a
@@ -96,9 +97,6 @@ type Engine struct {
 	// first fixed-point dispatch.
 	weights []layerWeights
 	call    uint64
-	// ahead is the MC codec's encode-ahead ring (ahead.go), built by the
-	// first scheduler and reused by every later one.
-	ahead *encodeAhead
 
 	// aborted records the error of a run that died after dispatching
 	// traffic; once set, the mesh state is indeterminate and the engine

@@ -5,9 +5,8 @@ package accel
 // cycle loop:
 //
 //   - the dispatcher (dispatcher.go) queues a layer's tasks at its memory
-//     controllers, which inject each task packet just in time, when their
-//     NI has room for it; a helper goroutine encodes (gathers, orders and
-//     flitizes) the segments ahead of them (ahead.go);
+//     controllers, which encode (gather, order and flitize) and inject each
+//     task packet just in time, when their NI has room for it;
 //   - the PE model (exec.go, pumpPEs) consumes task packets at processing
 //     elements, multiply-accumulates, and schedules result packets after
 //     the configured compute latency;
@@ -31,15 +30,14 @@ package accel
 // rides on the task packet's head flit as side-band Tag from send to the
 // PE's decode; a result waits in the result window. Each run's offsets and
 // states are exact-size slices of engine slabs (slab) that the next call
-// reuses once this one has joined its encode-ahead helper, and the call's
-// tables (callTables) live in engine-owned arrays, so a warm engine
-// allocates no bookkeeping per call.
+// reuses, and the call's tables (callTables) live in engine-owned arrays,
+// so a warm engine allocates no bookkeeping per call. The whole call runs
+// on the caller's goroutine.
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
@@ -90,9 +88,6 @@ type layerRun struct {
 	// add into it in segment order (see collect).
 	out      []float32
 	received int
-	// queued links the run dispatched after this one, for the
-	// encode-ahead helper (ahead.go).
-	queued atomic.Pointer[layerRun]
 
 	deadline   int64
 	startCycle int64
@@ -333,10 +328,6 @@ func newScheduler(ctx context.Context, e *Engine, flows []flow) *scheduler {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.ahead == nil {
-		e.ahead = newEncodeAhead(e)
-	}
-	e.ahead.reset()
 	e.call++
 	t := &e.tables
 	if len(t.feeds) != len(e.cfg.MCs) {
@@ -389,11 +380,6 @@ func (s *scheduler) run() error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	// The helper encodes segments ahead while this goroutine simulates;
-	// it is joined before run returns, on every path, and before reset
-	// hands the slabs it reads to the next call.
-	s.e.ahead.start()
-	defer s.e.ahead.halt()
 	if s.e.cfg.LayerMode == SerialLayers {
 		for i := range s.flows {
 			if err := s.execute(s.flows[i : i+1]); err != nil {
@@ -546,7 +532,7 @@ func (s *scheduler) finishLayer(run *layerRun) error {
 //	mac               [firstEject, lastReady]  PE multiply-accumulate
 //	collect           [lastReady, end]   results return and reduce
 //
-// Segments are flitized ahead of their MC's sends, so flitization itself
+// Segments are flitized as their MCs send them, so flitization itself
 // streams across the whole layer, overlapping route, mac and collect; the
 // quantize+flitize window marks only the dispatch cycle. The boundaries
 // are clamped monotone so degenerate layers (everything in one cycle)

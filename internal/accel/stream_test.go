@@ -15,6 +15,7 @@ import (
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
 	"nocbt/internal/noc"
+	"nocbt/internal/tensor"
 )
 
 var updateStreamGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -169,5 +170,98 @@ func TestEngineInferAllocs(t *testing.T) {
 				t.Errorf("warm %s LeNet Infer allocates %.1f bytes per task packet, budget %d", tc.name, bytesPerPacket, maxBytesPerTaskPacket)
 			}
 		})
+	}
+}
+
+// schedRecord runs one Infer and an InferBatch of three copies of one
+// input on a serial engine and an InferBatch of every input on a pipelined
+// one, all under GOMAXPROCS procs, and renders everything the runs
+// produce: outputs as float32 bits, each call's LayerStats and
+// LastBatchStats, and TotalBT, Cycles, EnergyCounters and TaskPackets of
+// both engines.
+func schedRecord(t *testing.T, cfg Config, m *dnn.Model, inputs []*tensor.Tensor, procs int) []byte {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var b bytes.Buffer
+	// record renders one call's outputs and the engine's per-call records.
+	record := func(eng *Engine, outs ...*tensor.Tensor) {
+		for _, out := range outs {
+			for _, v := range out.Data {
+				fmt.Fprintf(&b, " %08x", math.Float32bits(v))
+			}
+			b.WriteByte('\n')
+		}
+		for _, st := range eng.LayerStats() {
+			fmt.Fprintf(&b, "layer %+v\n", st)
+		}
+		fmt.Fprintf(&b, "batch %+v\n", eng.LastBatchStats())
+	}
+	ctx := context.Background()
+	serial := mustNew(t, cfg, m)
+	out, err := serial.Infer(ctx, inputs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(serial, out)
+	outs, err := serial.InferBatch(ctx, []*tensor.Tensor{inputs[1], inputs[1], inputs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(serial, outs...)
+	pcfg := cfg
+	pcfg.LayerMode = PipelinedLayers
+	pipelined := mustNew(t, pcfg, m)
+	if outs, err = pipelined.InferBatch(ctx, inputs); err != nil {
+		t.Fatal(err)
+	}
+	record(pipelined, outs...)
+	for _, eng := range []*Engine{serial, pipelined} {
+		fmt.Fprintf(&b, "bt %d cycles %d tasks %d energy %+v\n",
+			eng.TotalBT(), eng.Cycles(), eng.TaskPackets(), eng.EnergyCounters())
+	}
+	return b.Bytes()
+}
+
+// TestEncodeAheadSchedulingIndependent pins that the host's scheduling
+// reaches no simulated number: an engine call runs on the caller's
+// goroutine alone, so under GOMAXPROCS(1) and GOMAXPROCS(4) the outputs,
+// BT, cycles, layer stats, energy counters and packet counts must agree
+// bit for bit, for every ordering, index mode and lane format, on a single
+// Infer and on serial and pipelined batches.
+func TestEncodeAheadSchedulingIndependent(t *testing.T) {
+	m := microNet(rand.New(rand.NewSource(61)))
+	inputs := batchInputs(m, 4, 62)
+	for _, ord := range []struct {
+		name   string
+		id     flit.Ordering
+		inBand bool
+	}{
+		{"O0", flit.Baseline, false},
+		{"O1", flit.Affiliated, false},
+		{"O2", flit.Separated, false},
+		{"O2-inband", flit.Separated, true},
+		{"hamming-nn", flit.HammingNN, false},
+		{"popcount-asc", flit.PopcountAsc, false},
+	} {
+		for _, format := range []struct {
+			name       string
+			geom       flit.Geometry
+			precisions []int
+		}{
+			{"fixed8", paperFixed8, nil},
+			{"float32", paperFloat32, nil},
+			{"mixed", paperFixed8, []int{8, 4, 16}},
+		} {
+			t.Run(ord.name+"/"+format.name, func(t *testing.T) {
+				cfg := Mesh4x4MC2(format.geom)
+				cfg.Ordering, cfg.InBandIndex = ord.id, ord.inBand
+				cfg.Precisions = format.precisions
+				one := schedRecord(t, cfg, m, inputs, 1)
+				four := schedRecord(t, cfg, m, inputs, 4)
+				if !bytes.Equal(one, four) {
+					t.Fatalf("GOMAXPROCS 1 and 4 disagree:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
+				}
+			})
+		}
 	}
 }

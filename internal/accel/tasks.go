@@ -106,15 +106,24 @@ func (nl *nocLayer) gather(ti, lo int, ws, xs []bitutil.Word) {
 	nkx := kx1 - kx0
 	ic, r := lo/((ky1-ky0)*nkx), lo%((ky1-ky0)*nkx)
 	ky, kx := ky0+r/nkx, kx0+r%nkx
+	// Row-major offsets into W [OutC, InC, K, K] and x [InC, h, w], stepped
+	// past the padding taps at the end of each kernel row and channel.
+	wi := ((oc*c.InC+ic)*c.K+ky)*c.K + kx
+	xi := (ic*nl.h+y0+ky)*nl.w + x0 + kx
+	nky := ky1 - ky0
 	for i := range ws {
-		// Row-major offsets into W [OutC, InC, K, K] and x [InC, h, w].
-		ws[i] = enc.weightWord(((oc*c.InC+ic)*c.K+ky)*c.K + kx)
-		xs[i] = enc.actWord((ic*nl.h+y0+ky)*nl.w + x0 + kx)
+		ws[i] = enc.weightWord(wi)
+		xs[i] = enc.actWord(xi)
+		wi++
+		xi++
 		if kx++; kx == kx1 {
 			kx = kx0
+			wi += c.K - nkx
+			xi += nl.w - nkx
 			if ky++; ky == ky1 {
 				ky = ky0
-				ic++
+				wi += (c.K - nky) * c.K
+				xi += (nl.h - nky) * nl.w
 			}
 		}
 	}

@@ -10,24 +10,28 @@ import (
 
 // maxWordBits is the widest value a Word holds, so popcounts fall in
 // [0, maxWordBits] and the counting sorts below keep their bucket offsets
-// in a fixed-size stack array.
+// in a fixed-size array.
 const maxWordBits = 64
 
+// buckets holds the first output position of every popcount bucket of a
+// counting sort, [0, maxWordBits].
+type buckets [maxWordBits + 1]int
+
 // popcountKeys writes each word's counting-sort bucket into keys — its
-// '1'-bit count, or width minus it for a descending sort — and returns the
-// first output position of every bucket, so a stable scatter in input
+// '1'-bit count, or width minus it for a descending sort — and the first
+// output position of every bucket into next, so a stable scatter in input
 // order needs no second popcount. keys must hold len(words) entries and
-// width must be in (0, maxWordBits]. It is one counting pass over the
-// width+1 popcount buckets, O(n + width) — the shape of the '1'-count
-// sorting unit of Han et al. (bin each value by its count, emit the bins
-// in order).
-func popcountKeys(keys []uint8, words []bitutil.Word, width int, descending bool) [maxWordBits + 1]int {
+// width must be in (0, maxWordBits]; only next[:width+1] is written. It is
+// one counting pass over the width+1 popcount buckets, O(n + width) — the
+// shape of the '1'-count sorting unit of Han et al. (bin each value by its
+// count, emit the bins in order).
+func popcountKeys(next *buckets, keys []uint8, words []bitutil.Word, width int, descending bool) {
 	if width <= 0 || width > maxWordBits {
 		panic(fmt.Sprintf("core: word width %d out of range", width))
 	}
 	mask := ^uint64(0) >> uint(maxWordBits-width)
 	keys = keys[:len(words)]
-	var next [maxWordBits + 1]int
+	clear(next[:width+1])
 	for i, w := range words {
 		c := bits.OnesCount64(uint64(w) & mask)
 		if descending {
@@ -41,7 +45,6 @@ func popcountKeys(keys []uint8, words []bitutil.Word, width int, descending bool
 		next[b] = pos
 		pos += n
 	}
-	return next
 }
 
 // OrderDescending returns the words sorted by descending '1'-bit count and
@@ -59,7 +62,8 @@ func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
 		return ordered, perm
 	}
 	keys := make([]uint8, len(words))
-	next := popcountKeys(keys, words, width, true)
+	var next buckets
+	popcountKeys(&next, keys, words, width, true)
 	for i, w := range words {
 		b := keys[i]
 		ordered[next[b]] = w
@@ -158,8 +162,10 @@ type Ordered struct {
 	// set it to nil.
 	PartnerIndex []int
 
-	// keys is the per-value popcount-bucket scratch of the counting sorts.
+	// keys is the per-value popcount-bucket scratch of the counting sorts,
+	// next their bucket positions: weights' in next[0], inputs' in next[1].
 	keys []uint8
+	next [2]buckets
 	// nnKeys and nnIdx are HammingNNOrder's scratch: each pair's masked
 	// (weight, input) key and its original index, walked-prefix first.
 	nnKeys []uint64
@@ -202,7 +208,8 @@ func affiliatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int, de
 	if n == 0 {
 		return
 	}
-	next := popcountKeys(dst.keys, weights, width, descending)
+	next := &dst.next[0]
+	popcountKeys(next, dst.keys, weights, width, descending)
 	for i, b := range dst.keys {
 		r := next[b]
 		next[b]++
@@ -343,8 +350,9 @@ func SeparatedOrder(dst *Ordered, weights, inputs []bitutil.Word, width int) {
 		return
 	}
 	keysW, keysI := dst.keys[:n], dst.keys[n:]
-	nextW := popcountKeys(keysW, weights, width, true)
-	nextI := popcountKeys(keysI, inputs, width, true)
+	nextW, nextI := &dst.next[0], &dst.next[1]
+	popcountKeys(nextW, keysW, weights, width, true)
+	popcountKeys(nextI, keysI, inputs, width, true)
 	for k, bw := range keysW {
 		bi := keysI[k]
 		rw, ri := nextW[bw], nextI[bi]

@@ -12,6 +12,7 @@ package dnn
 
 import (
 	"fmt"
+	"slices"
 
 	"nocbt/internal/tensor"
 )
@@ -42,7 +43,10 @@ type Trainable interface {
 
 // ReLU is the rectified-linear activation, applied element-wise.
 type ReLU struct {
-	mask []bool // true where the input was > 0, cached for Backward
+	// mask is true where the latest Forward's input was > 0, cached for
+	// Backward; each Forward rewrites it in place, growing it only for a
+	// larger input.
+	mask []bool
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -54,12 +58,14 @@ func (r *ReLU) Name() string { return "relu" }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	r.mask = make([]bool, x.Size())
+	n := x.Size()
+	r.mask = slices.Grow(r.mask[:0], n)[:n]
 	for i, v := range x.Data {
-		if v > 0 {
+		pos := v > 0
+		if pos {
 			out.Data[i] = v
-			r.mask[i] = true
 		}
+		r.mask[i] = pos
 	}
 	return out
 }
@@ -126,7 +132,9 @@ func (f *Flatten) Grads() []*tensor.Tensor { return nil }
 // ZeroGrads implements Trainable.
 func (f *Flatten) ZeroGrads() {}
 
-// MaxPool2 is a 2×2, stride-2 max pooling layer over CHW input.
+// MaxPool2 is a 2×2, stride-2 max pooling layer over CHW input. Each
+// Forward rewrites the cached input shape and argmax in place, growing
+// argmax only for a larger input.
 type MaxPool2 struct {
 	inShape []int
 	argmax  []int // flat input index of each output's maximum
@@ -149,8 +157,8 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	oh, ow := h/2, w/2
 	out := tensor.New(c, oh, ow)
-	p.inShape = []int{c, h, w}
-	p.argmax = make([]int, out.Size())
+	p.inShape = append(p.inShape[:0], c, h, w)
+	p.argmax = slices.Grow(p.argmax[:0], out.Size())[:out.Size()]
 	for ci := 0; ci < c; ci++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {

@@ -188,19 +188,14 @@ func EncodeHeader(g Geometry, h Header) bitutil.Vec {
 // Pool. v is reset first, so a recycled vector encodes identically to a
 // fresh one.
 func EncodeHeaderInto(h Header, v bitutil.Vec) {
-	v.Reset()
-	off := 0
-	put := func(width int, val uint64) {
-		v.SetField(off, width, val)
-		off += width
+	if v.Width() < headerBits {
+		panic(fmt.Sprintf("flit: header needs %d bits, vector has %d", headerBits, v.Width()))
 	}
-	put(16, uint64(h.Dst))
-	put(16, uint64(h.Src))
-	put(32, uint64(h.PacketID))
-	put(32, uint64(h.TaskID))
-	put(8, uint64(h.Kind))
-	put(16, uint64(h.PairCount))
-	put(8, uint64(h.Ordering))
+	v.Reset()
+	// The layout's fields fill the first two backing words exactly.
+	w := v.Words()
+	w[0] = uint64(h.Dst) | uint64(h.Src)<<16 | uint64(h.PacketID)<<32
+	w[1] = uint64(h.TaskID) | uint64(h.Kind)<<32 | uint64(h.PairCount)<<40 | uint64(uint8(h.Ordering))<<56
 }
 
 // DecodeHeader unpacks a head flit payload built by EncodeHeader.
@@ -208,19 +203,14 @@ func DecodeHeader(g Geometry, v bitutil.Vec) Header {
 	if v.Width() != g.LinkBits {
 		panic(fmt.Sprintf("flit: header width %d, geometry wants %d", v.Width(), g.LinkBits))
 	}
-	off := 0
-	get := func(width int) uint64 {
-		val := v.Field(off, width)
-		off += width
-		return val
-	}
+	w := v.Words()
 	return Header{
-		Dst:       uint16(get(16)),
-		Src:       uint16(get(16)),
-		PacketID:  uint32(get(32)),
-		TaskID:    uint32(get(32)),
-		Kind:      PacketKind(get(8)),
-		PairCount: uint16(get(16)),
-		Ordering:  Ordering(get(8)),
+		Dst:       uint16(w[0]),
+		Src:       uint16(w[0] >> 16),
+		PacketID:  uint32(w[0] >> 32),
+		TaskID:    uint32(w[1]),
+		Kind:      PacketKind(w[1] >> 32),
+		PairCount: uint16(w[1] >> 40),
+		Ordering:  Ordering(uint8(w[1] >> 56)),
 	}
 }

@@ -125,6 +125,35 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeaderLayout pins the encoding to the documented field layout,
+// built field by field with SetField, on both link widths.
+func TestHeaderLayout(t *testing.T) {
+	h := Header{
+		Dst: 0xfedc, Src: 0xba98, PacketID: 0xf7654321, TaskID: 0x89abcdef,
+		Kind: KindTask, PairCount: 0xffff, Ordering: 250,
+	}
+	for _, g := range []Geometry{paperFloat32, paperFixed8} {
+		want := bitutil.NewVec(g.LinkBits)
+		off := 0
+		for _, f := range []struct {
+			width int
+			val   uint64
+		}{
+			{16, uint64(h.Dst)}, {16, uint64(h.Src)}, {32, uint64(h.PacketID)}, {32, uint64(h.TaskID)},
+			{8, uint64(h.Kind)}, {16, uint64(h.PairCount)}, {8, uint64(h.Ordering)},
+		} {
+			want.SetField(off, f.width, f.val)
+			off += f.width
+		}
+		if got := EncodeHeader(g, h); !got.Equal(want) {
+			t.Errorf("%s: header %v, want %v", g, got.Words(), want.Words())
+		}
+		if got := DecodeHeader(g, want); got != h {
+			t.Errorf("%s: decoded %+v, want %+v", g, got, h)
+		}
+	}
+}
+
 func TestHeaderDistinctEncodings(t *testing.T) {
 	g := paperFixed8
 	a := EncodeHeader(g, Header{Dst: 1, PacketID: 1})

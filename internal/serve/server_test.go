@@ -446,6 +446,23 @@ func TestSweepParamsOrderingsAndCodings(t *testing.T) {
 	}
 }
 
+// TestPlatformSpecGeometryNames: the wire spec accepts the root package's
+// geometry spellings and names an unknown one in its own words.
+func TestPlatformSpecGeometryNames(t *testing.T) {
+	for name, want := range map[string]nocbt.Geometry{
+		"fixed-8": nocbt.Fixed8(), " Float32 ": nocbt.Float32(), "FLOAT-32": nocbt.Float32(),
+	} {
+		p, err := PlatformSpec{Geometry: name}.Build()
+		if err != nil || p.Geometry != want {
+			t.Errorf("geometry %q built %+v, %v; want %+v", name, p.Geometry, err, want)
+		}
+	}
+	_, err := PlatformSpec{Geometry: "fp64"}.Build()
+	if want := `serve: unknown geometry "fp64" (want fixed8 or float32)`; err == nil || err.Error() != want {
+		t.Errorf("unknown geometry error = %v, want %s", err, want)
+	}
+}
+
 func TestPlatformSpecRejectsBadValues(t *testing.T) {
 	bad := []PlatformSpec{
 		{Ordering: "o3"},

@@ -90,14 +90,11 @@ func (s PlatformSpec) Build() (nocbt.Platform, error) {
 		nocbt.WithVCs(s.VCs),
 		nocbt.WithBufferDepth(s.BufDepth),
 	}
-	switch strings.ToLower(s.Geometry) {
-	case "fixed8", "fixed-8":
-		opts = append(opts, nocbt.WithGeometry(nocbt.Fixed8()))
-	case "float32", "float-32":
-		opts = append(opts, nocbt.WithGeometry(nocbt.Float32()))
-	default:
+	g, ok := nocbt.LookupGeometry(s.Geometry)
+	if !ok {
 		return nocbt.Platform{}, fmt.Errorf("serve: unknown geometry %q (want fixed8 or float32)", s.Geometry)
 	}
+	opts = append(opts, nocbt.WithGeometry(g))
 	ord, err := nocbt.ParseOrdering(s.Ordering)
 	if err != nil {
 		return nocbt.Platform{}, fmt.Errorf("serve: %w", err)

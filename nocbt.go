@@ -188,6 +188,19 @@ func Float32() Geometry { return Geometry{LinkBits: 512, Format: bitutil.Float32
 // Fixed8 returns the paper's 128-bit link / 16×fixed-8 flit format.
 func Fixed8() Geometry { return Geometry{LinkBits: 128, Format: bitutil.Fixed8} }
 
+// LookupGeometry resolves a case-insensitive geometry name, surrounding
+// spaces ignored, onto one of the paper's two flit formats: "fixed8" or
+// "fixed-8" is Fixed8, "float32" or "float-32" is Float32.
+func LookupGeometry(name string) (Geometry, bool) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "fixed8", "fixed-8":
+		return Fixed8(), true
+	case "float32", "float-32":
+		return Float32(), true
+	}
+	return Geometry{}, false
+}
+
 // FixedGeometry returns a 128-bit link geometry with fixed-point lanes of
 // the given width: 2, 4, 8 or 16 bits (see FixedWidths). Narrower lanes
 // pack more values per flit — FixedGeometry(4) carries 32 lanes where

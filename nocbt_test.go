@@ -104,6 +104,24 @@ func TestGeometryPresets(t *testing.T) {
 	}
 }
 
+// TestLookupGeometry: geometry names resolve case-insensitively, with
+// surrounding spaces ignored, onto exactly the two paper formats.
+func TestLookupGeometry(t *testing.T) {
+	for name, want := range map[string]Geometry{
+		"fixed8": Fixed8(), "Fixed-8": Fixed8(), " FIXED8 ": Fixed8(),
+		"float32": Float32(), "float-32": Float32(), "\tFloat-32\n": Float32(),
+	} {
+		if g, ok := LookupGeometry(name); !ok || g != want {
+			t.Errorf("LookupGeometry(%q) = %+v, %v; want %+v", name, g, ok, want)
+		}
+	}
+	for _, name := range []string{"", "fixed 8", "fixed_8", "fixed16", "fp32", "float64"} {
+		if g, ok := LookupGeometry(name); ok {
+			t.Errorf("LookupGeometry(%q) = %+v, want no match", name, g)
+		}
+	}
+}
+
 func TestPlatformPresets(t *testing.T) {
 	p := mustPlatform(t, PaperOptions4x4MC2(Fixed8())...)
 	if p.Mesh.Width != 4 || len(p.MCs) != 2 {

@@ -338,14 +338,11 @@ func (n SweepNames) Spec(seed int64, trained bool) (SweepSpec, error) {
 		spec.Platforms = append(spec.Platforms, p)
 	}
 	for _, name := range n.Formats {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "fixed8", "fixed-8":
-			spec.Geometries = append(spec.Geometries, Fixed8())
-		case "float32", "float-32":
-			spec.Geometries = append(spec.Geometries, Float32())
-		default:
+		g, ok := LookupGeometry(name)
+		if !ok {
 			return SweepSpec{}, fmt.Errorf("unknown format %q (want fixed8 or float32)", name)
 		}
+		spec.Geometries = append(spec.Geometries, g)
 	}
 	for _, name := range n.Orderings {
 		ord, err := ParseOrdering(name)
