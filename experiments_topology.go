@@ -28,19 +28,18 @@ func init() {
 // actually moves hop counts (a 4×4 torus saves almost nothing).
 const topologyPlatformName = "8x8 MC4"
 
-// topologyResult measures the topology grid. Params: Seed and Trained as
+// topologySpec is the topology grid's sweep. Params: Seed and Trained as
 // in fig13; Quick restricts the workloads to LeNet.
-func topologyResult(ctx context.Context, p Params) (*Result, error) {
-	p = p.withDefaults()
+func topologySpec(p Params) (SweepSpec, error) {
 	models := []SweepModel{LeNetModel, DarkNetModel}
 	if p.Quick {
 		models = models[:1]
 	}
 	platform, ok := LookupPaperPlatform(topologyPlatformName)
 	if !ok {
-		return nil, fmt.Errorf("nocbt: topology experiment platform %q not registered", topologyPlatformName)
+		return SweepSpec{}, fmt.Errorf("nocbt: topology experiment platform %q not registered", topologyPlatformName)
 	}
-	spec := SweepSpec{
+	return SweepSpec{
 		Platforms:  []NamedPlatform{platform},
 		Geometries: []Geometry{Fixed8()},
 		Orderings:  codingsOrderings(),
@@ -49,6 +48,15 @@ func topologyResult(ctx context.Context, p Params) (*Result, error) {
 		Seeds:      []int64{p.Seed},
 		Codings:    LinkCodingNames(),
 		Topologies: TopologyNames(),
+	}, nil
+}
+
+// topologyResult measures the topology grid (see topologySpec).
+func topologyResult(ctx context.Context, p Params) (*Result, error) {
+	p = p.withDefaults()
+	spec, err := topologySpec(p)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := RunSweep(ctx, spec)
 	if err != nil {

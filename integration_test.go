@@ -290,3 +290,87 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
+
+// sweepEngines runs spec with a span tracer in its context and returns the
+// rows and the number of engines the sweep built: each engine takes one
+// process track from the tracer.
+func sweepEngines(t *testing.T, spec SweepSpec) ([]NoCRunResult, int64) {
+	t.Helper()
+	tr := NewTracer(64)
+	tr.SetSample(1 << 62) // per-layer spans only; packet IDs stay below it
+	rows, err := RunSweep(WithTracer(context.Background(), tr), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, tr.NextPID() - 1
+}
+
+// TestSweepGroupsShareOrderings: where orderings cannot change the
+// traffic — every layer fixed-point, no in-band index flits — a sweep runs
+// every ordering and coding of a grid point on one engine, and its rows
+// are byte-identical to rows measured one ordering at a time, at 1 and 4
+// workers: the topology grid in 3 engines, not 15, and Fig. 12's fixed-8
+// rows in one engine per platform. Fig. 12's float-32 rows keep one
+// engine per ordering.
+func TestSweepGroupsShareOrderings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the topology grid and Fig. 12 several times; skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("too slow under the race detector; internal/sweep's TestCodingGroupsMatchPerJobEngines covers the contract race-enabled")
+	}
+	topology, err := topologySpec(Params{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, float := fig12Spec(1, false), fig12Spec(1, false)
+	fixed.Geometries, float.Geometries = []Geometry{Fixed8()}, []Geometry{Float32()}
+	for _, tc := range []struct {
+		name    string
+		spec    SweepSpec
+		engines int64
+	}{
+		{"topology", topology, 3},
+		{"fig12 fixed-8", fixed, 3},
+		{"fig12 float-32", float, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One sweep per ordering: every engine carries one ordering.
+			// Reductions compare rows across orderings, so they are left
+			// out of the comparison; they derive from TotalBT alone.
+			alone := make(map[string]NoCRunResult)
+			key := func(r NoCRunResult) string {
+				return fmt.Sprint(r.Platform, r.Geometry, r.Ordering, r.Coding, r.Topology, r.Workload, r.Seed, r.Batch)
+			}
+			for _, o := range tc.spec.Orderings {
+				one := tc.spec
+				one.Orderings = []Ordering{o}
+				rows, err := RunSweep(context.Background(), one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rows {
+					r.ReductionPct = 0
+					alone[key(r)] = r
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				spec := tc.spec
+				spec.Workers = workers
+				rows, engines := sweepEngines(t, spec)
+				if engines != tc.engines {
+					t.Errorf("%d workers: the sweep built %d engines, want %d", workers, engines, tc.engines)
+				}
+				if len(rows) != len(alone) {
+					t.Fatalf("%d workers: %d rows, %d measured one ordering at a time", workers, len(rows), len(alone))
+				}
+				for i, r := range rows {
+					r.ReductionPct = 0
+					if want := alone[key(r)]; !reflect.DeepEqual(r, want) {
+						t.Errorf("%d workers, row %d:\ngrouped %+v\nalone   %+v", workers, i, r, want)
+					}
+				}
+			}
+		})
+	}
+}

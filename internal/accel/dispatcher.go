@@ -137,16 +137,20 @@ func (s *scheduler) feedMCs() error {
 }
 
 // segEncoder is the MC codec's scratch: the gathered words of the segment
-// being encoded and its flitized payload.
+// being encoded, one flitization per ordering the engine counts, and the
+// wire images of one ordering that flitization writes.
 type segEncoder struct {
 	w, x []bitutil.Word
-	fz   flit.Flitized
+	fz   []flit.Flitized
+	img  []bitutil.Vec
 }
 
-// encode gathers, orders and flitizes segment k of run, of task ti, into
-// enc.fz, drawing the payload vectors from pool, the way the paper's
-// MC-side ordering unit (Fig. 6, Fig. 14) orders each packet as it leaves.
-func (enc *segEncoder) encode(run *layerRun, ti, k int, opt flit.Options, pool *flit.Pool) error {
+// encode gathers segment k of run, of task ti, orders it under each of the
+// orderings and flitizes ordering v into image v of vecs, the segment's
+// payload vectors, the way the paper's MC-side ordering unit (Fig. 6,
+// Fig. 14) orders each packet as it leaves. enc.fz[v] keeps ordering v's
+// partner table.
+func (enc *segEncoder) encode(run *layerRun, ti, k int, orderings []flit.Ordering, inBand bool, vecs []bitutil.Vec) error {
 	seg, n := run.segment(ti, k)
 	enc.w = slices.Grow(enc.w[:0], n)[:n]
 	enc.x = slices.Grow(enc.x[:0], n)[:n]
@@ -155,7 +159,21 @@ func (enc *segEncoder) encode(run *layerRun, ti, k int, opt flit.Options, pool *
 	if k+1 == int(run.segStart[ti+1]) {
 		bias = run.layer.bias(ti) // only the final segment carries the bias
 	}
-	return flit.FlitizeInto(run.geom, flit.Task{Inputs: enc.x, Weights: enc.w, Bias: bias}, opt, pool, &enc.fz)
+	task := flit.Task{Inputs: enc.x, Weights: enc.w, Bias: bias}
+	if len(enc.fz) < len(orderings) {
+		enc.fz = append(enc.fz, make([]flit.Flitized, len(orderings)-len(enc.fz))...)
+	}
+	g := run.geom
+	enc.img = slices.Grow(enc.img[:0], len(vecs))[:len(vecs)]
+	for v, o := range orderings {
+		for i, vec := range vecs {
+			enc.img[i] = vec.Image(v, g.LinkBits)
+		}
+		if err := flit.FlitizeOnto(g, task, flit.Options{Ordering: o, InBandIndex: inBand}, enc.img, &enc.fz[v]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // send encodes segment k of run, of task ti, and injects its task packet at
@@ -166,33 +184,40 @@ func (s *scheduler) send(run *layerRun, ti, k, m int) error {
 	mc := cfg.MCs[m]
 	seg, n := run.segment(ti, k)
 	pe := e.pes[(ti/len(cfg.MCs))%len(e.pes)]
-	// The payload vectors come from the simulator's flit pool in the order
-	// FlitizeInto draws them — data flits, index flits — then the header.
+	// The payload vectors come from the simulator's flit pool, one image
+	// per ordering each: data flits, index flits, then the header.
 	pool := e.sim.Pool()
+	nvecs := run.geom.PayloadFlitCount(n, e.inBand)
+	payloads := slices.Grow(e.payloadScratch[:0], nvecs)[:nvecs]
+	for i := range payloads {
+		payloads[i] = pool.Vec()
+	}
+	e.payloadScratch = payloads
 	enc := &e.enc
-	if err := enc.encode(run, ti, k, flit.Options{Ordering: cfg.Ordering, InBandIndex: cfg.InBandIndex}, pool); err != nil {
+	if err := enc.encode(run, ti, k, e.orderings, cfg.InBandIndex, payloads); err != nil {
 		return fmt.Errorf("accel: layer %s: flitize task %d seg %d: %w", run.layer.name, ti, seg, err)
 	}
-	payloads := enc.fz.AppendPayloads(e.payloadScratch[:0])
-	e.payloadScratch = payloads
 	pid := run.base + uint64(k)
 	hdr := pool.Vec()
-	flit.EncodeHeaderInto(flit.Header{
-		Dst: uint16(pe), Src: uint16(mc),
-		PacketID: uint32(pid), TaskID: uint32(ti),
-		Kind: flit.KindTask, PairCount: uint16(n),
-		Ordering: cfg.Ordering,
-	}, hdr)
+	for v, o := range e.orderings {
+		flit.EncodeHeaderInto(flit.Header{
+			Dst: uint16(pe), Src: uint16(mc),
+			PacketID: uint32(pid), TaskID: uint32(ti),
+			Kind: flit.KindTask, PairCount: uint16(n),
+			Ordering: o,
+		}, hdr.Image(v, cfg.Geometry.LinkBits))
+	}
 	pkt := pool.Packet(pid, mc, pe, hdr, payloads)
 	// Any partner-emitting strategy (O2 or a registered kin) ships its
 	// re-pairing table out-of-band unless the configuration pays for
 	// in-band index flits. An out-of-band table rides with its packet
-	// until the PE decodes it, so each packet orders into a table of its
-	// own: the head flit carries the encoded table's handle as side-band
-	// Tag, and the encoder gets the handle's spare table. An in-band table
-	// is encoded into index flits at once and reused in place.
-	if e.strategy.EmitsPartner() && !cfg.InBandIndex {
-		pkt.Flits[0].Tag = e.partners.hold(&enc.fz.PartnerIndex)
+	// until the PE decodes it, so each packet orders into tables of its
+	// own: the head flit carries the handle of the packet's tables, one
+	// per ordering, as side-band Tag, and the encoders get the handle's
+	// spare tables. An in-band table is encoded into index flits at once
+	// and reused in place.
+	if e.oob {
+		pkt.Flits[0].Tag = e.partners.hold(enc.fz)
 	}
 	run.state[k] = segSent
 	if err := e.sim.Inject(pkt); err != nil {

@@ -15,7 +15,9 @@ import (
 // Engine executes a DNN model on the simulated NOC-DNA platform. Create one
 // per (platform, model, ordering) combination; BT counters accumulate across
 // every Infer/InferBatch call, mirroring the paper's whole-workload
-// measurements.
+// measurements. On a fixed-point platform without in-band index flits one
+// engine can also measure several orderings of the same traffic at once
+// (see CountOrderings).
 //
 // The engine holds no per-layer or per-packet execution state: quantization
 // scales, partner tables and packet bookkeeping live in the scheduler
@@ -40,9 +42,17 @@ type Engine struct {
 	// isPE marks the PE nodes, so the PE collector skips MCs among the
 	// nodes holding ejected packets.
 	isPE []bool
-	// strategy is the resolved ordering strategy for cfg.Ordering; New
-	// fails on unregistered IDs, so it is never nil on a built engine.
-	strategy flit.OrderingStrategy
+	// orderings are the orderings the engine's traffic carries, each in a
+	// wire image of its own (see CountOrderings): orderings[0] is
+	// cfg.Ordering, the rest were added by CountOrderings. It aliases
+	// ordering0 until CountOrderings adds one.
+	orderings []flit.Ordering
+	ordering0 [1]flit.Ordering
+	// oob says whether task packets carry out-of-band partner tables: some
+	// ordering emits one and the platform ships no index flits. inBand
+	// says whether the partner table travels in index flits instead,
+	// which only an engine of one ordering can carry.
+	oob, inBand bool
 	// codings counts the link codings installed on sim: coding 0 is
 	// cfg.LinkCoding, the rest were added by CountCodings.
 	codings int
@@ -81,7 +91,8 @@ type Engine struct {
 	partnerScratch []int
 	// enc is the MC codec's scratch (segEncoder), reused by every segment
 	// send encodes. partners holds the out-of-band partner tables of the
-	// task packets in flight, and spare tables for send to hand to enc.
+	// task packets in flight, one per ordering, and spare tables for send
+	// to hand to enc.
 	enc      segEncoder
 	partners partnerTables
 	// stateSlab, startSlab and actSlab hold the segment states, task
@@ -227,10 +238,14 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 		sim:          sim,
 		pes:          pes,
 		isPE:         isPE,
-		strategy:     strategy,
 		layerFormats: formats,
 		codings:      1,
+		oob:          strategy.EmitsPartner() && !cfg.InBandIndex,
+		inBand:       strategy.EmitsPartner() && cfg.InBandIndex,
+		partners:     partnerTables{k: 1},
 	}
+	e.ordering0[0] = cfg.Ordering
+	e.orderings = e.ordering0[:]
 	return e, nil
 }
 
@@ -278,8 +293,9 @@ func (e *Engine) Config() Config { return e.cfg }
 // disables tracing). Trace consumers see the raw payload patterns; with a
 // link coding installed the simulator's BT counters reflect the coded wire
 // activity, so recounting a coded run's trace needs the matching scheme
-// (see trace.Recorder.CodedBT).
-func (e *Engine) SetTrace(fn noc.TraceFunc) { e.sim.SetTrace(fn) }
+// (see trace.Recorder.CodedBT). An engine counting several orderings
+// carries payloads no trace replay can recount, so it refuses a trace.
+func (e *Engine) SetTrace(fn noc.TraceFunc) error { return e.sim.SetTrace(fn) }
 
 // SetSpanTracer installs (or, with nil, removes) an obs span tracer on the
 // engine and its mesh: the simulator records packet lifecycles, the
@@ -318,6 +334,56 @@ func (e *Engine) CountCodings(names ...string) error {
 // links as TotalBT: coding 0 is the engine's own LinkCoding, so CodedBT(0)
 // equals TotalBT, and codings 1.. are those CountCodings added.
 func (e *Engine) CodedBT(i int) int64 { return e.sim.CodedBT(i) }
+
+// CountOrderings measures each listed ordering on the engine's traffic
+// beside its own cfg.Ordering, on the same simulation: every flit carries
+// one wire image per ordering (noc.Sim.SetImages), the MCs encode each
+// segment once per ordering, and every link coding counts every image.
+// Orderings are numbered in installation order across calls, after the
+// engine's own ordering 0; OrderingBT(o, i) reads ordering o under coding
+// i. This is exact only when the orderings cannot change the traffic, so
+// it is refused for a float layer, whose partial sums depend on the order
+// they are added in, and for in-band index flits, which change packet
+// lengths. In a fixed-point layer the PE's exact integer MAC makes every
+// ordering's partial sum the same, and the PE checks that it is. Call it
+// before the first inference. If an ordering is unknown or the engine
+// cannot count it, nothing from this call is installed.
+func (e *Engine) CountOrderings(orderings ...flit.Ordering) error {
+	if len(orderings) == 0 {
+		return nil
+	}
+	if e.sim.Cycle() != 0 || e.sim.Busy() {
+		return fmt.Errorf("accel: orderings must be counted before any traffic")
+	}
+	for i, f := range e.layerFormats {
+		if !f.IsFixed() {
+			return fmt.Errorf("accel: cannot count orderings on one simulation: NoC layer %d is %s, whose partial sums depend on the ordering", i, f)
+		}
+	}
+	all := append(e.orderings[:len(e.orderings):len(e.orderings)], orderings...)
+	oob := false
+	for _, o := range all {
+		strategy, ok := flit.OrderingStrategyByID(o)
+		if !ok {
+			return fmt.Errorf("accel: unknown ordering %d (registered: %v)", int(o), flit.OrderingNames())
+		}
+		if strategy.EmitsPartner() && e.cfg.InBandIndex {
+			return fmt.Errorf("accel: cannot count orderings on one simulation: ordering %s ships its partner table in in-band index flits, which change packet lengths", strategy.Name())
+		}
+		oob = oob || strategy.EmitsPartner()
+	}
+	if err := e.sim.SetImages(len(all)); err != nil {
+		return err
+	}
+	e.orderings, e.oob, e.partners.k = all, oob, len(all)
+	return nil
+}
+
+// OrderingBT returns the accumulated transitions of ordering o under
+// coding i over the same links as TotalBT: ordering 0 is the engine's own
+// cfg.Ordering, so OrderingBT(0, i) equals CodedBT(i), and orderings 1..
+// are those CountOrderings added.
+func (e *Engine) OrderingBT(o, i int) int64 { return e.sim.ImageBT(o, i) }
 
 // layerFormat returns the lane format of NoC layer idx (the geometry
 // format for indices beyond the resolved schedule, which cannot happen on

@@ -2,6 +2,8 @@ package accel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
@@ -29,7 +31,7 @@ func (s *scheduler) pumpPEs() error {
 			continue
 		}
 		for _, pkt := range e.sim.PopEjected(pe) {
-			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload)
+			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload.Image(0, g.LinkBits))
 			if hdr.Kind != flit.KindTask {
 				return fmt.Errorf("PE %d received non-task packet %d", pe, pkt.ID)
 			}
@@ -63,15 +65,19 @@ func (s *scheduler) pumpPEs() error {
 			e.sim.Recycle(pkt)
 			mc := mcs[ti%len(mcs)]
 			rid := e.nextID()
-			rhdr := pool.Vec()
-			flit.EncodeHeaderInto(flit.Header{
-				Dst: uint16(mc), Src: uint16(pe),
-				PacketID: uint32(rid), TaskID: uint32(ti),
-				Kind: flit.KindResult, PairCount: uint16(seg),
-				Ordering: e.cfg.Ordering,
-			}, rhdr)
-			body := pool.Vec()
-			body.SetField(0, 32, uint64(bitutil.Float32Word(value)))
+			// One header image per ordering; every image of the body
+			// carries the one partial.
+			rhdr, body := pool.Vec(), pool.Vec()
+			for v, o := range e.orderings {
+				flit.EncodeHeaderInto(flit.Header{
+					Dst: uint16(mc), Src: uint16(pe),
+					PacketID: uint32(rid), TaskID: uint32(ti),
+					Kind: flit.KindResult, PairCount: uint16(seg),
+					Ordering: o,
+				}, rhdr.Image(v, g.LinkBits))
+				img := body.Image(v, g.LinkBits)
+				img.SetField(0, 32, uint64(bitutil.Float32Word(value)))
+			}
 			e.payloadScratch = append(e.payloadScratch[:0], body)
 			rpkt := pool.Packet(rid, pe, mc, rhdr, e.payloadScratch)
 			s.results.add(rid, run, k)
@@ -109,57 +115,75 @@ func (s *scheduler) sentSegment(id uint64) (*layerRun, int) {
 // peCompute models the PE datapath: deflitize the task segment of pairs
 // pairs, multiply-accumulate, and return the real-domain partial sum
 // (including the segment's bias lane, which is zero for non-final
-// segments). h is the handle of the packet's out-of-band partner table, 0
-// for none. The
-// flit geometry and quantization scales come from the packet's layer
-// context, never from engine-global registers — each layer decodes at its
-// own lane width.
+// segments). h is the handle of the packet's out-of-band partner tables,
+// 0 for none. The flit geometry and quantization scales come from the
+// packet's layer context, never from engine-global registers — each layer
+// decodes at its own lane width. A packet carrying several orderings'
+// images is decoded once per ordering, and their partial sums must agree
+// bit for bit.
 func (s *scheduler) peCompute(pkt *flit.Packet, run *layerRun, pairs int, h int32) (float32, error) {
 	e := s.e
 	g := run.geom
 	dataFlits := g.DataFlitCount(pairs)
-	e.peScratch = pkt.AppendPayloadVecs(e.peScratch[:0])
-	payloads := e.peScratch
-	if len(payloads) < dataFlits {
-		return 0, fmt.Errorf("packet has %d payload flits, need %d data flits", len(payloads), dataFlits)
+	if len(pkt.Flits)-1 < dataFlits {
+		return 0, fmt.Errorf("packet has %d payload flits, need %d data flits", len(pkt.Flits)-1, dataFlits)
 	}
-	partner := e.partners.table(h)
-	if e.strategy.EmitsPartner() && e.cfg.InBandIndex {
-		var err error
-		partner, err = flit.DecodePartnerIndexInto(g, payloads[dataFlits:], pairs, e.partnerScratch)
-		if err != nil {
+	var value float32
+	payloads := slices.Grow(e.peScratch[:0], len(pkt.Flits)-1)[:len(pkt.Flits)-1]
+	e.peScratch = payloads
+	for v, o := range e.orderings {
+		for i, f := range pkt.Flits[1:] {
+			payloads[i] = f.Payload.Image(v, g.LinkBits)
+		}
+		partner := e.partners.table(h, v)
+		if e.inBand {
+			var err error
+			partner, err = flit.DecodePartnerIndexInto(g, payloads[dataFlits:], pairs, e.partnerScratch)
+			if err != nil {
+				return 0, err
+			}
+			e.partnerScratch = partner
+		}
+		if err := flit.DeflitizeInto(g, payloads[:dataFlits], pairs, o, partner, &e.deflitScratch); err != nil {
 			return 0, err
 		}
-		e.partnerScratch = partner
+		x := mac(&e.deflitScratch, g, &run.layer.enc)
+		if v == 0 {
+			value = x
+		} else if math.Float32bits(x) != math.Float32bits(value) {
+			return 0, fmt.Errorf("ordering %s partial %v differs from ordering %s partial %v",
+				o, x, e.orderings[0], value)
+		}
 	}
-	if err := flit.DeflitizeInto(g, payloads[:dataFlits], pairs, e.cfg.Ordering, partner, &e.deflitScratch); err != nil {
-		return 0, err
-	}
-	task := &e.deflitScratch
 
-	n := int64(len(task.Weights))
+	n := int64(pairs)
 	lb := g.LaneBits()
 	e.macOps += n
 	e.macBitOps += n * int64(lb) * int64(lb)
 	e.weightRegBits += n * int64(lb)
+	return value, nil
+}
 
+// mac multiply-accumulates a deflitized task in format g.Format and
+// returns its real-domain partial sum.
+func mac(task *flit.Task, g flit.Geometry, enc *codec) float32 {
 	if g.Format.IsFixed() {
 		// Exact integer MAC, then one rescale: identical across orderings.
 		// The accumulator is int64 so 16-bit lanes (per-pair products up to
 		// 2^30) cannot overflow; for 8-bit lanes the value is identical to
 		// the historical int32 accumulation.
+		lb := g.LaneBits()
 		var acc int64
 		for i := range task.Weights {
 			acc += int64(bitutil.WordFixed(task.Weights[i], lb)) * int64(bitutil.WordFixed(task.Inputs[i], lb))
 		}
-		enc := &run.layer.enc
-		return float32(acc)*enc.scaleWX + float32(bitutil.WordFixed(task.Bias, lb))*enc.scaleB, nil
+		return float32(acc)*enc.scaleWX + float32(bitutil.WordFixed(task.Bias, lb))*enc.scaleB
 	}
 	sum := bitutil.WordFloat32(task.Bias)
 	for i := range task.Weights {
 		sum += bitutil.WordFloat32(task.Weights[i]) * bitutil.WordFloat32(task.Inputs[i])
 	}
-	return sum, nil
+	return sum
 }
 
 // pumpMCs is the memory-controller collector: it consumes result packets
@@ -175,7 +199,7 @@ func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 	var completed []*layerRun
 	for _, mc := range e.cfg.MCs {
 		for _, pkt := range e.sim.PopEjected(mc) {
-			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload)
+			hdr := flit.DecodeHeader(g, pkt.Flits[0].Payload.Image(0, g.LinkBits))
 			if hdr.Kind != flit.KindResult {
 				return nil, fmt.Errorf("MC %d received non-result packet %d", mc, pkt.ID)
 			}
@@ -201,10 +225,13 @@ func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 				return nil, fmt.Errorf("MC %d result packet %d has no payload flit", mc, pkt.ID)
 			}
 			partial := bitutil.WordFloat32(bitutil.Word(pkt.Flits[1].Payload.Field(0, 32)))
+			id := pkt.ID
 			// Everything of interest has been read; the packet returns to
 			// the pool for the next dispatch to reuse.
 			e.sim.Recycle(pkt)
-			s.collect(run, int(task), k, partial)
+			if err := s.collect(run, int(task), k, partial); err != nil {
+				return nil, fmt.Errorf("MC %d result packet %d: %w", mc, id, err)
+			}
 			run.received++
 			if run.received == run.nsegs() {
 				completed = append(completed, run)
@@ -219,32 +246,37 @@ func (s *scheduler) pumpMCs() ([]*layerRun, error) {
 // arrive in — the fixed reduction order that keeps float32 outputs
 // deterministic: a partial whose predecessor is not added yet waits in
 // early, and adding a segment adds every waiting successor after it.
-func (s *scheduler) collect(run *layerRun, ti, k int, partial float32) {
+func (s *scheduler) collect(run *layerRun, ti, k int, partial float32) error {
 	if k > int(run.segStart[ti]) && run.state[k-1] != segDone {
 		run.state[k] = segEarly
 		s.early = append(s.early, earlyPartial{id: run.base + uint64(k), partial: partial})
-		return
+		return nil
 	}
 	run.out[ti] += partial
 	run.state[k] = segDone
 	for k++; k < int(run.segStart[ti+1]) && run.state[k] == segEarly; k++ {
-		run.out[ti] += s.takeEarly(run.base + uint64(k))
+		p, err := s.takeEarly(run.base + uint64(k))
+		if err != nil {
+			return err
+		}
+		run.out[ti] += p
 		run.state[k] = segDone
 	}
+	return nil
 }
 
 // takeEarly removes and returns the waiting partial of the segment whose
 // task packet has ID id.
-func (s *scheduler) takeEarly(id uint64) float32 {
+func (s *scheduler) takeEarly(id uint64) (float32, error) {
 	for i, ep := range s.early {
 		if ep.id == id {
 			last := len(s.early) - 1
 			s.early[i] = s.early[last]
 			s.early = s.early[:last]
-			return ep.partial
+			return ep.partial, nil
 		}
 	}
-	panic(fmt.Sprintf("accel: segment of packet %d marked early but not waiting", id))
+	return 0, fmt.Errorf("segment of task packet %d is marked early, but no partial of it is waiting", id)
 }
 
 // TotalBT returns the accumulated router-output bit transitions — the

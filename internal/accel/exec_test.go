@@ -245,7 +245,7 @@ func TestPERejectsMalformedPartnerTable(t *testing.T) {
 			}
 			// The first segment is the first packet the fresh engine sent,
 			// so its head flit holds the first partner handle.
-			partner := eng.partners.table(1)
+			partner := eng.partners.table(1, 0)
 			if st := f.cur.state[0]; st != segSent || len(partner) < 2 {
 				t.Fatalf("first segment not sent with a partner table: state %d, table %v", st, partner)
 			}

@@ -169,39 +169,48 @@ func (s *slab[T]) reset() {
 }
 
 // partnerTables is the engine's store of out-of-band partner tables. A
-// task packet under a partner-emitting ordering holds its table by handle
-// from send until its PE decodes it: handle h names tables[h-1], 0 none.
-// A free handle's table is spare storage, which send hands to the encoder
-// whose table it takes, so the store holds as many tables as packets were
-// ever in flight at once.
+// task packet under a partner-emitting ordering holds its tables, one per
+// ordering the engine counts, by one handle from send until its PE decodes
+// them: handle h names tables[(h-1)·k : h·k], 0 none, with ordering v's
+// table at (h-1)·k + v (nil for an ordering that emits none). A free
+// handle's tables are spare storage, which send hands to the encoders
+// whose tables it takes, so the store holds as many tables per ordering
+// as packets were ever in flight at once.
 type partnerTables struct {
+	k      int
 	tables [][]int
 	free   []int32
 }
 
-// hold stores *p under a free handle, returns the handle, and leaves in *p
+// hold stores the partner tables of fz, one Flitized per ordering, under a
+// free handle, returns the handle, and leaves in each fz[v].PartnerIndex
 // the handle's spare table (nil for a new handle).
-func (pt *partnerTables) hold(p *[]int) int32 {
+func (pt *partnerTables) hold(fz []flit.Flitized) int32 {
 	var h int32
 	if n := len(pt.free); n > 0 {
 		h, pt.free = pt.free[n-1], pt.free[:n-1]
 	} else {
-		pt.tables = append(pt.tables, nil)
-		h = int32(len(pt.tables))
+		for range pt.k {
+			pt.tables = append(pt.tables, nil)
+		}
+		h = int32(len(pt.tables) / pt.k)
 	}
-	pt.tables[h-1], *p = *p, pt.tables[h-1]
+	held := pt.tables[int(h-1)*pt.k : int(h)*pt.k]
+	for v := range held {
+		held[v], fz[v].PartnerIndex = fz[v].PartnerIndex, held[v]
+	}
 	return h
 }
 
-// table returns handle h's table, nil for handle 0.
-func (pt *partnerTables) table(h int32) []int {
+// table returns ordering v's table of handle h, nil for handle 0.
+func (pt *partnerTables) table(h int32, v int) []int {
 	if h == 0 {
 		return nil
 	}
-	return pt.tables[h-1]
+	return pt.tables[int(h-1)*pt.k+v]
 }
 
-// release frees handle h; its table becomes spare storage.
+// release frees handle h; its tables become spare storage.
 func (pt *partnerTables) release(h int32) {
 	if h != 0 {
 		pt.free = append(pt.free, h)
@@ -211,7 +220,7 @@ func (pt *partnerTables) release(h int32) {
 // reset frees every handle.
 func (pt *partnerTables) reset() {
 	pt.free = pt.free[:0]
-	for h := range pt.tables {
+	for h := range len(pt.tables) / pt.k {
 		pt.free = append(pt.free, int32(h+1))
 	}
 }

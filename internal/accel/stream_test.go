@@ -117,7 +117,8 @@ func TestMCQueueBounded(t *testing.T) {
 // heap objects and maxBytesPerTaskPacket bytes per task packet, all-in
 // (host layers, ordering kernels, packet contexts, result packets), under
 // every ordering that orders in place — O2 with its partner table
-// out-of-band and in-band included. The per-packet path allocates
+// out-of-band and in-band included — and on an engine carrying five
+// orderings at once (CountOrderings). The per-packet path allocates
 // nothing, a warm call reuses the previous call's run slabs and tables,
 // and quantizes weights into the engine's buffers; what remains is per
 // layer and per inference (about 85 objects and 100 KB, mostly host-layer
@@ -133,20 +134,25 @@ func TestEngineInferAllocs(t *testing.T) {
 	m := dnn.LeNet(rand.New(rand.NewSource(3)))
 	input := testInput(m, 5)
 	for _, tc := range []struct {
-		name   string
-		order  flit.Ordering
-		inBand bool
+		name    string
+		order   flit.Ordering
+		inBand  bool
+		counted []flit.Ordering
 	}{
-		{"O0", flit.Baseline, false},
-		{"O1", flit.Affiliated, false},
-		{"O2", flit.Separated, false},
-		{"O2-inband", flit.Separated, true},
-		{"popcount-asc", flit.PopcountAsc, false},
+		{"O0", flit.Baseline, false, nil},
+		{"O1", flit.Affiliated, false, nil},
+		{"O2", flit.Separated, false, nil},
+		{"O2-inband", flit.Separated, true, nil},
+		{"popcount-asc", flit.PopcountAsc, false, nil},
+		{"five-orderings", flit.Baseline, false, []flit.Ordering{flit.Affiliated, flit.Separated, flit.HammingNN, flit.PopcountAsc}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.Ordering, cfg.InBandIndex = tc.order, tc.inBand
 			eng := mustNew(t, cfg, m)
+			if err := eng.CountOrderings(tc.counted...); err != nil {
+				t.Fatal(err)
+			}
 			infer := func() {
 				if _, err := eng.Infer(context.Background(), input); err != nil {
 					t.Fatal(err)

@@ -61,6 +61,20 @@ func FromWords(width int, words []uint64) Vec {
 	return Vec{words: words, width: width}
 }
 
+// Image returns image i of v, read as a row of width-bit images, each
+// starting on a backing word: the width-bit vector over words
+// [i·w, (i+1)·w) of v, where w is the word count of a width-bit vector.
+// The image aliases v's backing store, so writing it writes v; building it
+// allocates nothing. Every image must keep its bits above width zero.
+// Image 0 of a vector width bits wide is the vector itself.
+func (v Vec) Image(i, width int) Vec {
+	if i == 0 && width == v.width {
+		return v
+	}
+	w := (width + wordBits - 1) / wordBits
+	return Vec{words: v.words[i*w : (i+1)*w : (i+1)*w], width: width}
+}
+
 // Width returns the vector width in bits.
 func (v Vec) Width() int { return v.width }
 

@@ -85,7 +85,7 @@ func TestCloneForInferenceConcurrent(t *testing.T) {
 // TestCloneForInferenceAllocatesNoGradients: a clone owns only per-layer
 // forward state. Its gradient tensors wait for the first Backward, Grads
 // or ZeroGrads, so a clone that never trains allocates a sliver of what
-// the gradients would take — the sweep clones a model per coding group and
+// the gradients would take — the sweep clones a model per sweep group and
 // btserved per engine.
 func TestCloneForInferenceAllocatesNoGradients(t *testing.T) {
 	m := LeNet(rand.New(rand.NewSource(5)))

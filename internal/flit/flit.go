@@ -131,12 +131,7 @@ func NewPacket(id uint64, src, dst int, header bitutil.Vec, payloads []bitutil.V
 
 // PayloadVecs returns the payload vectors of the non-header flits.
 func (p *Packet) PayloadVecs() []bitutil.Vec {
-	return p.AppendPayloadVecs(make([]bitutil.Vec, 0, len(p.Flits)-1))
-}
-
-// AppendPayloadVecs appends the payload vectors of the non-header flits to
-// dst — the reuse-friendly form of PayloadVecs.
-func (p *Packet) AppendPayloadVecs(dst []bitutil.Vec) []bitutil.Vec {
+	dst := make([]bitutil.Vec, 0, len(p.Flits)-1)
 	for _, f := range p.Flits[1:] {
 		dst = append(dst, f.Payload)
 	}

@@ -53,15 +53,7 @@ type Flitized struct {
 // Payloads returns all flit payloads in transmission order: data flits then
 // index flits.
 func (f Flitized) Payloads() []bitutil.Vec {
-	return f.AppendPayloads(make([]bitutil.Vec, 0, len(f.Data)+len(f.Index)))
-}
-
-// AppendPayloads appends all flit payloads in transmission order to dst and
-// returns the extended slice — the reuse-friendly form of Payloads for hot
-// paths that keep a scratch slice across calls.
-func (f Flitized) AppendPayloads(dst []bitutil.Vec) []bitutil.Vec {
-	dst = append(dst, f.Data...)
-	return append(dst, f.Index...)
+	return append(append(make([]bitutil.Vec, 0, len(f.Data)+len(f.Index)), f.Data...), f.Index...)
 }
 
 // DataFlitCount returns how many data flits a task of n pairs needs: the
@@ -105,21 +97,73 @@ func Flitize(g Geometry, t Task, opt Options) (Flitized, error) {
 // past the next call sets out.PartnerIndex to a table it owns — or to nil —
 // before calling again.
 func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) error {
-	if err := g.Validate(); err != nil {
+	strat, err := checkTask(g, t, opt)
+	if err != nil {
 		return err
+	}
+	vecs := out.Data[:0]
+	for i := g.PayloadFlitCount(len(t.Weights), strat.EmitsPartner() && opt.InBandIndex); i > 0; i-- {
+		vecs = append(vecs, poolVec(pool, g.LinkBits))
+	}
+	return flitizeOnto(g, t, opt, strat, vecs, out)
+}
+
+// FlitizeOnto is FlitizeInto packing into the caller's payload vectors:
+// vecs holds all-zero LinkBits-wide vectors, exactly
+// g.PayloadFlitCount(len(t.Weights), inBand) of them, where inBand says
+// whether the strategy emits a partner table and opt.InBandIndex is set.
+// They become out's Data and Index in transmission order. A producer that
+// packs several orderings of one task into images of the same wider
+// vectors (bitutil.Vec.Image) passes each ordering its images.
+func FlitizeOnto(g Geometry, t Task, opt Options, vecs []bitutil.Vec, out *Flitized) error {
+	strat, err := checkTask(g, t, opt)
+	if err != nil {
+		return err
+	}
+	if want := g.PayloadFlitCount(len(t.Weights), strat.EmitsPartner() && opt.InBandIndex); len(vecs) != want {
+		return fmt.Errorf("flit: %d payload vectors for a %d-pair task, want %d", len(vecs), len(t.Weights), want)
+	}
+	for i, v := range vecs {
+		if v.Width() != g.LinkBits {
+			return fmt.Errorf("flit: payload vector %d is %d bits wide, link is %d", i, v.Width(), g.LinkBits)
+		}
+	}
+	return flitizeOnto(g, t, opt, strat, vecs, out)
+}
+
+// PayloadFlitCount returns how many payload flits — data flits, then index
+// flits when inBand — an n-pair task travels in.
+func (g Geometry) PayloadFlitCount(n int, inBand bool) int {
+	m := g.DataFlitCount(n)
+	if inBand {
+		m += g.IndexFlitCount(n)
+	}
+	return m
+}
+
+// checkTask validates a task to flitize and resolves its ordering.
+func checkTask(g Geometry, t Task, opt Options) (OrderingStrategy, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	n := len(t.Weights)
 	if n == 0 {
-		return fmt.Errorf("flit: empty task")
+		return nil, fmt.Errorf("flit: empty task")
 	}
 	if len(t.Inputs) != n {
-		return fmt.Errorf("flit: %d inputs vs %d weights", len(t.Inputs), n)
+		return nil, fmt.Errorf("flit: %d inputs vs %d weights", len(t.Inputs), n)
 	}
 	strat, ok := OrderingStrategyByID(opt.Ordering)
 	if !ok {
-		return fmt.Errorf("flit: unknown ordering %d (registered: %v)", int(opt.Ordering), OrderingNames())
+		return nil, fmt.Errorf("flit: unknown ordering %d (registered: %v)", int(opt.Ordering), OrderingNames())
 	}
+	return strat, nil
+}
 
+// flitizeOnto orders t and packs it into vecs, PayloadFlitCount all-zero
+// vectors.
+func flitizeOnto(g Geometry, t Task, opt Options, strat OrderingStrategy, vecs []bitutil.Vec, out *Flitized) error {
+	n := len(t.Weights)
 	ord := &out.ordered
 	ord.PartnerIndex = nil
 	if strat.EmitsPartner() {
@@ -137,11 +181,8 @@ func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) err
 	}
 
 	m := g.DataFlitCount(n)
-	data := out.Data[:0]
-	for i := 0; i < m; i++ {
-		data = append(data, poolVec(pool, g.LinkBits))
-	}
-	// Pooled vectors arrive zeroed, so every lane is ORed into place.
+	data := vecs[:m]
+	// The vectors arrive zeroed, so every lane is ORed into place.
 	lanes := newLaneGrid(g, m, strat.Interleave())
 	inputs, weights := ord.Inputs, ord.Weights
 	for fl, v := range data {
@@ -158,9 +199,9 @@ func FlitizeInto(g Geometry, t Task, opt Options, pool *Pool, out *Flitized) err
 
 	out.Data = data
 	out.PartnerIndex = partner
-	out.Index = out.Index[:0]
+	out.Index = vecs[m:m]
 	if partner != nil && opt.InBandIndex {
-		out.Index = appendPartnerIndex(g, partner, pool, out.Index)
+		out.Index = putPartnerIndex(g, partner, vecs[m:])
 	}
 	return nil
 }
@@ -301,31 +342,25 @@ func growWords(s []bitutil.Word, n int) []bitutil.Word {
 // across as many link-wide flits as needed. For n == 1 the index is empty
 // and no flits are produced.
 func EncodePartnerIndex(g Geometry, partner []int) []bitutil.Vec {
-	return appendPartnerIndex(g, partner, nil, nil)
+	vecs := make([]bitutil.Vec, g.IndexFlitCount(len(partner)))
+	for i := range vecs {
+		vecs[i] = bitutil.NewVec(g.LinkBits)
+	}
+	return putPartnerIndex(g, partner, vecs)
 }
 
-// appendPartnerIndex is EncodePartnerIndex with pooled vectors and a
-// reusable destination slice.
-func appendPartnerIndex(g Geometry, partner []int, pool *Pool, dst []bitutil.Vec) []bitutil.Vec {
-	n := len(partner)
-	ib := core.IndexBits(n)
+// putPartnerIndex writes the partner table into vecs, g.IndexFlitCount
+// all-zero link-wide vectors, and returns them.
+func putPartnerIndex(g Geometry, partner []int, vecs []bitutil.Vec) []bitutil.Vec {
+	ib := core.IndexBits(len(partner))
 	if ib == 0 {
-		return dst
+		return vecs
 	}
 	perFlit := g.LinkBits / ib
-	if perFlit == 0 {
-		panic(fmt.Sprintf("flit: %d-bit index wider than %d-bit link", ib, g.LinkBits))
-	}
-	numFlits := (n + perFlit - 1) / perFlit
-	base := len(dst)
-	for i := 0; i < numFlits; i++ {
-		dst = append(dst, poolVec(pool, g.LinkBits))
-	}
 	for i, p := range partner {
-		fl, slot := i/perFlit, i%perFlit
-		dst[base+fl].SetField(slot*ib, ib, uint64(p))
+		vecs[i/perFlit].SetField(i%perFlit*ib, ib, uint64(p))
 	}
-	return dst
+	return vecs
 }
 
 // DecodePartnerIndex reverses EncodePartnerIndex for an n-pair task. A

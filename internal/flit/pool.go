@@ -27,10 +27,36 @@ type Pool struct {
 	flits   []*Flit
 	packets []*Packet
 
+	// Objects the free-lists cannot serve are cut from blocks: vector
+	// backing words, flit structs, and packet shells with their Flits
+	// arrays, each shell's array as long as the longest packet the pool
+	// has built. A new block holds an eighth as many objects as the pool
+	// has made of that kind, so a pool makes few blocks while its
+	// high-water mark grows and leaves at most a ninth of its objects
+	// unused, which the blocks' exact sizes pay for: a heap-allocated
+	// Flit rounds up to a larger size class, and a shell's Flits array
+	// grown by append doubles through several arrays.
+	words      []uint64
+	flitBlock  []Flit
+	shellBlock []Packet
+	shellFlits []*Flit
+	madeVecs   int
+	madeFlits  int
+	madeShells int
+	longest    int
+
 	// gets/reuses track free-list effectiveness for tests and diagnostics.
 	gets   int64
 	reuses int64
 }
+
+// maxBlock caps a block's object count, which bounds the unused tail of a
+// large pool's last block.
+const maxBlock = 256
+
+// blockLen returns the object count of the next block for a kind the pool
+// has made made objects of.
+func blockLen(made int) int { return min(max(made/8, 1), maxBlock) }
 
 // NewPool returns an empty pool for linkBits-wide payloads.
 func NewPool(linkBits int) *Pool {
@@ -54,7 +80,14 @@ func (p *Pool) Vec() bitutil.Vec {
 		v.Reset()
 		return v
 	}
-	return bitutil.NewVec(p.width)
+	w := (p.width + 63) / 64
+	if len(p.words) < w {
+		p.words = make([]uint64, blockLen(p.madeVecs)*w)
+	}
+	p.madeVecs++
+	v := bitutil.FromWords(p.width, p.words[:w:w])
+	p.words = p.words[w:]
+	return v
 }
 
 // PutVec hands a payload vector back to the pool. Vectors of a different
@@ -74,7 +107,13 @@ func (p *Pool) flit() *Flit {
 		p.flits = p.flits[:n-1]
 		return f
 	}
-	return &Flit{}
+	if len(p.flitBlock) == 0 {
+		p.flitBlock = make([]Flit, blockLen(p.madeFlits))
+	}
+	p.madeFlits++
+	f := &p.flitBlock[0]
+	p.flitBlock = p.flitBlock[1:]
+	return f
 }
 
 // putFlit recycles one flit and its payload backing store.
@@ -97,7 +136,18 @@ func (p *Pool) Shell() *Packet {
 		p.packets = p.packets[:n-1]
 		return pkt
 	}
-	return &Packet{pooled: true}
+	if len(p.shellBlock) == 0 {
+		n := blockLen(p.madeShells)
+		p.shellBlock = make([]Packet, n)
+		p.shellFlits = make([]*Flit, n*p.longest)
+	}
+	p.madeShells++
+	pkt := &p.shellBlock[0]
+	p.shellBlock = p.shellBlock[1:]
+	l := min(p.longest, len(p.shellFlits))
+	*pkt = Packet{Flits: p.shellFlits[:0:l], pooled: true}
+	p.shellFlits = p.shellFlits[l:]
+	return pkt
 }
 
 // Packet assembles a packet exactly like NewPacket — head flit carrying the
@@ -107,9 +157,10 @@ func (p *Pool) Shell() *Packet {
 // from Vec); the payloads slice itself is only read and may be reused by
 // the caller immediately.
 func (p *Pool) Packet(id uint64, src, dst int, header bitutil.Vec, payloads []bitutil.Vec) *Packet {
+	total := 1 + len(payloads)
+	p.longest = max(p.longest, total)
 	pkt := p.Shell()
 	pkt.ID, pkt.Src, pkt.Dst = id, src, dst
-	total := 1 + len(payloads)
 	for seq := 0; seq < total; seq++ {
 		f := p.flit()
 		f.Kind = packetFlitKind(seq, total)

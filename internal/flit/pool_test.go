@@ -212,3 +212,38 @@ func TestPoolReleaseFlit(t *testing.T) {
 	}
 	p.ReleaseFlit(nil) // must not panic
 }
+
+// TestPoolWarmUpAllocatesInBlocks: a fresh pool serves the flits, vectors
+// and shells of a growing working set from blocks, not one heap object
+// each, and a fresh shell's flit array already fits the longest packet
+// built. Recycling still hands out zeroed vectors.
+func TestPoolWarmUpAllocatesInBlocks(t *testing.T) {
+	const packets, payloads = 200, 4
+	vecs := make([]bitutil.Vec, payloads)
+	held := make([]*Packet, 0, packets)
+	allocs := testing.AllocsPerRun(3, func() {
+		p := NewPool(128)
+		held = held[:0]
+		for i := range packets {
+			for j := range vecs {
+				vecs[j] = p.Vec()
+				vecs[j].SetField(0, 64, ^uint64(0))
+			}
+			held = append(held, p.Packet(uint64(i), 0, 1, p.Vec(), vecs))
+		}
+		if sh := p.Shell(); cap(sh.Flits) != payloads+1 {
+			t.Fatalf("fresh shell holds %d flits, the longest packet %d", cap(sh.Flits), payloads+1)
+		}
+		p.Release(held...)
+		if v := p.Vec(); !v.Zero() {
+			t.Fatal("recycled block vector not zeroed")
+		}
+	})
+	// One object per flit, vector and shell would be 2,201 allocations,
+	// and growing each shell's flit array by append four more per packet.
+	if objects := packets * (2*(payloads+1) + 1); allocs > float64(objects)/5 {
+		t.Errorf("%.0f allocations for %d pooled objects", allocs, objects)
+	} else {
+		t.Logf("%.0f allocations for %d pooled objects", allocs, objects)
+	}
+}

@@ -26,6 +26,7 @@ func TestAllocRegressionGuard(t *testing.T) {
 		"BenchmarkStepSaturated8x8BusInvert":  BenchmarkStepSaturated8x8BusInvert,
 		"BenchmarkStepSaturated8x8Gray":       BenchmarkStepSaturated8x8Gray,
 		"BenchmarkStepSaturated8x8AllCodings": BenchmarkStepSaturated8x8AllCodings,
+		"BenchmarkStepSaturated8x8Images":     BenchmarkStepSaturated8x8Images,
 		"BenchmarkStepSaturatedTorus8x8":      BenchmarkStepSaturatedTorus8x8,
 		"BenchmarkStepSaturatedCMesh8x8":      BenchmarkStepSaturatedCMesh8x8,
 		"BenchmarkStepSaturated4x4Wide":       BenchmarkStepSaturated4x4Wide,

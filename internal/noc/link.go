@@ -75,22 +75,28 @@ type Link struct {
 	order int
 }
 
-// transmit places f on link l, driving its payload through l's coder of
-// every coding and adding each coder's transitions to its count, and
-// registers l on the busy list. Exactly one flit may be in flight.
+// transmit places f on link l, driving each wire image of its payload
+// through l's coder of every coding and adding each coder's transitions to
+// its count, and registers l on the busy list. Exactly one flit may be in
+// flight.
 func (s *Sim) transmit(l *Link, f *flit.Flit) {
 	if l.inFlight != nil {
 		panic(fmt.Sprintf("noc: link %s already carries a flit", l.Name))
 	}
-	if f.Payload.Width() != s.cfg.LinkBits {
-		panic(fmt.Sprintf("noc: link %s is %d bits, flit payload %d",
-			l.Name, s.cfg.LinkBits, f.Payload.Width()))
+	if f.Payload.Width() != s.payloadBits {
+		panic(fmt.Sprintf("noc: link %s carries %d-bit payloads, flit payload %d",
+			l.Name, s.payloadBits, f.Payload.Width()))
 	}
 	// Locals, so the loop does not reload them after each coder call.
+	// Row v·codings + c counts coding c on image v.
 	coders, counts, payload := s.coders, s.linkBT, f.Payload
+	n, codings := len(s.links), len(s.schemes)
 	before := counts[l.id]
-	for j := int(l.id); j < len(coders); j += len(s.links) {
-		counts[j] += int64(coders[j].Transitions(payload))
+	for v, j := 0, int(l.id); v < s.images; v++ {
+		img := payload.Image(v, s.cfg.LinkBits)
+		for end := j + codings*n; j < end; j += n {
+			counts[j] += int64(coders[j].Transitions(img))
+		}
 	}
 	l.lastBT = counts[l.id] - before
 	l.sent++
@@ -132,57 +138,124 @@ func (s *Sim) SetLinkCodings(from int, schemes ...flit.LinkCodingScheme) error {
 	if s.cycle != 0 || s.Busy() {
 		return fmt.Errorf("noc: link codings must be installed before any traffic")
 	}
-	n, words := len(s.links), (s.cfg.LinkBits+63)/64
-	if from < 0 || from*n > len(s.coders) || from+len(schemes) == 0 {
-		return fmt.Errorf("noc: cannot install %d link codings from coding %d of %d", len(schemes), from, len(s.coders)/n)
+	if from < 0 || from > len(s.schemes) || from+len(schemes) == 0 {
+		return fmt.Errorf("noc: cannot install %d link codings from coding %d of %d", len(schemes), from, len(s.schemes))
 	}
+	return s.layCoders(from, s.images, schemes)
+}
+
+// SetImages makes every flit payload carry k wire images of one link
+// width each, image v in backing words [v·w, (v+1)·w) where w is a link's
+// word count, and counts every coding on every image: image 0 is the
+// links' own traffic, which drives Stats, LinkStats, TotalBT and the span
+// tracer's per-hop BT, and ImageBT(v, k) reads coding k on image v. A
+// producer whose packets differ only in payload bits — never in length,
+// route or timing — puts each variant in an image of its own, so one
+// simulation measures them all. The pool then serves PayloadBits-wide
+// vectors, and Inject takes only payloads that wide. Call it before any
+// traffic, and not with a payload-replaying trace installed: a trace
+// records whole payloads, and no replay of a multi-image payload counts
+// what a link carries.
+func (s *Sim) SetImages(k int) error {
+	if s.cycle != 0 || s.Busy() {
+		return fmt.Errorf("noc: wire images must be set before any traffic")
+	}
+	if k < 1 {
+		return fmt.Errorf("noc: %d wire images; need at least 1", k)
+	}
+	if k > 1 && s.observer != nil && s.observer.trace != nil {
+		return fmt.Errorf("noc: cannot carry %d wire images under a payload trace", k)
+	}
+	if err := s.layCoders(len(s.schemes), k, nil); err != nil {
+		return err
+	}
+	words := (s.cfg.LinkBits + 63) / 64
+	s.payloadBits = (k-1)*64*words + s.cfg.LinkBits
+	if s.pool.Width() != s.payloadBits {
+		s.pool = flit.NewPool(s.payloadBits)
+		for i := range s.nis {
+			s.nis[i].pool = s.pool
+		}
+	}
+	return nil
+}
+
+// layCoders lays out the coding slab for images images of the first keep
+// codings followed by the added ones: coding c of image v is row
+// v·codings + c. The rows of the kept codings on the images the slab
+// already has keep their coders; every other row gets fresh coders.
+func (s *Sim) layCoders(keep, images int, added []flit.LinkCodingScheme) error {
+	n, words := len(s.links), (s.cfg.LinkBits+63)/64
+	codings := keep + len(added)
+	scheme := func(c int) flit.LinkCodingScheme {
+		if c < keep {
+			return s.schemes[c]
+		}
+		return added[c-keep]
+	}
+	fresh := func(v, c int) bool { return v >= s.images || c >= keep }
 	plains := 0
-	for _, scheme := range schemes {
-		if scheme == nil {
-			plains++
+	for v := 0; v < images; v++ {
+		for c := 0; c < codings; c++ {
+			if scheme(c) == nil && fresh(v, c) {
+				plains++
+			}
 		}
 	}
 	plain := make([]plainCoding, plains*n)
 	wires := make([]uint64, len(plain)*words)
-	coders := make([]flit.LinkCoding, from*n, (from+len(schemes))*n)
-	copy(coders, s.coders)
+	coders := make([]flit.LinkCoding, 0, images*codings*n)
 	p := 0 // next plain coder
-	for _, scheme := range schemes {
-		if rs, ok := scheme.(flit.LinkCodingRowScheme); ok {
-			// One batch for the row; it fails on the width, so for every
-			// link alike, and names the first.
-			var err error
-			if coders, err = rs.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
-				return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), s.links[0].Name, err)
-			}
-			continue
-		}
-		for i := range s.links {
-			if scheme == nil {
-				c := &plain[p]
-				c.wire = wires[p*words : (p+1)*words : (p+1)*words]
-				p++
-				coders = append(coders, c)
+	for v := 0; v < images; v++ {
+		for c := 0; c < codings; c++ {
+			if !fresh(v, c) {
+				row := (v*len(s.schemes) + c) * n
+				coders = append(coders, s.coders[row:row+n]...)
 				continue
 			}
-			c, err := scheme.New(s.cfg.LinkBits)
-			if err != nil {
-				return fmt.Errorf("noc: link coding %q on link %s: %w", scheme.Name(), s.links[i].Name, err)
+			sc := scheme(c)
+			if rs, ok := sc.(flit.LinkCodingRowScheme); ok {
+				// One batch for the row; it fails on the width, so for
+				// every link alike, and names the first.
+				var err error
+				if coders, err = rs.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
+					return fmt.Errorf("noc: link coding %q on link %s: %w", sc.Name(), s.links[0].Name, err)
+				}
+				continue
 			}
-			coders = append(coders, c)
+			for i := range s.links {
+				if sc == nil {
+					c := &plain[p]
+					c.wire = wires[p*words : (p+1)*words : (p+1)*words]
+					p++
+					coders = append(coders, c)
+					continue
+				}
+				c, err := sc.New(s.cfg.LinkBits)
+				if err != nil {
+					return fmt.Errorf("noc: link coding %q on link %s: %w", sc.Name(), s.links[i].Name, err)
+				}
+				coders = append(coders, c)
+			}
 		}
 	}
-	s.coders = coders
+	s.coders, s.images = coders, images
+	s.schemes = append(s.schemes[:keep], added...)
 	s.linkBT = make([]int64, len(coders))
 	return nil
 }
 
 // CodedBT returns coding k's transitions (see SetLinkCodings) over exactly
 // the links TotalBT counts: router and ejection links, plus injection
-// links when the configuration counts them.
-func (s *Sim) CodedBT(k int) int64 {
+// links when the configuration counts them. It is ImageBT(0, k).
+func (s *Sim) CodedBT(k int) int64 { return s.ImageBT(0, k) }
+
+// ImageBT returns coding k's transitions on wire image v (see SetImages)
+// over the links TotalBT counts.
+func (s *Sim) ImageBT(v, k int) int64 {
 	var total int64
-	for i, bt := range s.linkBT[k*len(s.links) : (k+1)*len(s.links)] {
+	row := (v*len(s.schemes) + k) * len(s.links)
+	for i, bt := range s.linkBT[row : row+len(s.links)] {
 		if s.links[i].Class != InjectionLink || s.cfg.CountInjection {
 			total += bt
 		}

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+
 	"nocbt/internal/flit"
 	"nocbt/internal/obs"
 )
@@ -42,11 +44,18 @@ const packetTIDBase = 1 << 20
 
 // SetTrace installs a delivery observer; nil disables tracing. With a trace
 // installed, same-cycle deliveries are reported in the deterministic
-// router/port scan order (the pre-optimization Step order).
-func (s *Sim) SetTrace(fn TraceFunc) {
+// router/port scan order (the pre-optimization Step order). A trace sees
+// whole payloads, so it cannot observe a simulator carrying more than one
+// wire image (see SetImages): SetTrace then returns an error and installs
+// nothing.
+func (s *Sim) SetTrace(fn TraceFunc) error {
+	if fn != nil && s.images > 1 {
+		return fmt.Errorf("noc: a payload trace cannot replay %d wire images per flit", s.images)
+	}
 	o := s.observerOrNew()
 	o.trace = fn
 	s.install(o)
+	return nil
 }
 
 // SetSpanTracer installs (or, with nil, removes) a span tracer recording the

@@ -74,13 +74,21 @@ type Sim struct {
 	latencyMax int64
 	delivered  int64
 
-	// coders holds every link coding's per-link wire state (see
-	// SetLinkCodings): coding k of link i is coders[k·len(links) + i], and
-	// linkBT[k·len(links) + i] is its transition count. Coding 0 is the
-	// links' installed coding, plain binary unless SetLinkCodings says
-	// otherwise.
-	coders []flit.LinkCoding
-	linkBT []int64
+	// coders holds every link coding's per-link wire state on every wire
+	// image (see SetLinkCodings and SetImages): row r = v·len(schemes) + k
+	// is coding k on image v, its coder for link i is coders[r·len(links) + i],
+	// and linkBT[r·len(links) + i] is that coder's transition count. Row 0
+	// is the links' installed coding on their own traffic, plain binary
+	// unless SetLinkCodings says otherwise. schemes[k] is coding k's scheme
+	// (nil for plain), cut from schemeBuf while it fits.
+	coders    []flit.LinkCoding
+	linkBT    []int64
+	schemes   []flit.LinkCodingScheme
+	schemeBuf [4]flit.LinkCodingScheme
+	// images is how many wire images a payload carries, and payloadBits
+	// their total width: LinkBits when images is 1.
+	images      int
+	payloadBits int
 
 	// observer, when set, receives the inject, hop and eject events of
 	// every flit: the TraceFunc packet trace and the span tracer's packet
@@ -140,22 +148,31 @@ func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 
 	s := &Sim{
 		cfg: cfg, topo: topo, vcClasses: topo.VCClasses(), reqs: reqs,
-		routers:   make([]router, routers),
-		ports:     make([]port, routers*ports),
-		slots:     make([]vcSlot, routerSlots),
-		bufs:      make([]*flit.Flit, routerSlots*cfg.BufDepth),
-		credits:   make([]int, routerSlots+nodes*vcs),
-		vcBusy:    make([]bool, routerSlots+nodes*vcs),
-		links:     make([]Link, 0, nlinks),
-		nis:       make([]NI, nodes),
-		pool:      flit.NewPool(cfg.LinkBits),
-		busy:      make([]*Link, 0, nlinks),
-		activeNIs: make([]*NI, 0, nodes),
+		routers:     make([]router, routers),
+		ports:       make([]port, routers*ports),
+		slots:       make([]vcSlot, routerSlots),
+		bufs:        make([]*flit.Flit, routerSlots*cfg.BufDepth),
+		credits:     make([]int, routerSlots+nodes*vcs),
+		vcBusy:      make([]bool, routerSlots+nodes*vcs),
+		links:       make([]Link, 0, nlinks),
+		nis:         make([]NI, nodes),
+		pool:        flit.NewPool(cfg.LinkBits),
+		busy:        make([]*Link, 0, nlinks),
+		activeNIs:   make([]*NI, 0, nodes),
+		images:      1,
+		payloadBits: cfg.LinkBits,
 	}
+	s.schemes = s.schemeBuf[:0]
 	setWords := make([]uint64, reqWords(routers)+reqWords(nodes)+routers*(1+2*ports)*reqWords(reqs))
 	s.active = cutReqSet(&setWords, routers)
 	s.ejected = cutReqSet(&setWords, nodes)
-	partial := make([]*flit.Packet, nodes*vcs)
+	// One slab holds every NI's reassembly slots, then its injection queue
+	// and its two ejected lists: room for two queued packets and one
+	// reassembled packet per list before they grow, what a producer that
+	// keeps its NI two packets deep and a consumer that pops every cycle
+	// need.
+	partial := make([]*flit.Packet, nodes*(vcs+4))
+	lists := partial[nodes*vcs:]
 	for i := range s.slots {
 		s.slots[i] = vcSlot{port: int32(i % reqs / vcs), route: -1, outVC: -1}
 	}
@@ -237,7 +254,9 @@ func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 				topo.Name(), n, topo.PortName(lp), rid)
 		}
 		ni := &s.nis[n]
-		*ni = NI{node: n, curVC: -1, pool: s.pool, partial: partial[n*vcs : (n+1)*vcs : (n+1)*vcs]}
+		l := lists[4*n : 4*n+4]
+		*ni = NI{node: n, curVC: -1, pool: s.pool, partial: partial[n*vcs : (n+1)*vcs : (n+1)*vcs],
+			queue: l[:0:2], ejected: l[2:2:3], ejectedPrev: l[3:3:4]}
 
 		node("r", rid)
 		names = append(names, '.')
@@ -295,6 +314,11 @@ func (s *Sim) Config() Config { return s.cfg }
 // Topology returns the interconnect scheme the simulator was built on.
 func (s *Sim) Topology() Topology { return s.topo }
 
+// PayloadBits returns the width of the flit payloads the simulator
+// carries: LinkBits with one wire image (see SetImages), and each further
+// image adds LinkBits rounded up to whole 64-bit words.
+func (s *Sim) PayloadBits() int { return s.payloadBits }
+
 // Pool returns the simulator's flit pool. Producers build packets from it
 // (Pool.Vec, Pool.Packet) and consumers return delivered packets with
 // Recycle; together that makes sustained traffic allocation-free. Using the
@@ -318,9 +342,9 @@ func (s *Sim) Inject(p *flit.Packet) error {
 		return fmt.Errorf("noc: packet %d has no flits", p.ID)
 	}
 	for _, f := range p.Flits {
-		if f.Payload.Width() != s.cfg.LinkBits {
-			return fmt.Errorf("noc: packet %d flit payload %d bits, link is %d",
-				p.ID, f.Payload.Width(), s.cfg.LinkBits)
+		if f.Payload.Width() != s.payloadBits {
+			return fmt.Errorf("noc: packet %d flit payload %d bits, link payloads are %d",
+				p.ID, f.Payload.Width(), s.payloadBits)
 		}
 	}
 	ni := &s.nis[p.Src]

@@ -22,18 +22,22 @@ var benchScratch []bitutil.Vec
 
 // benchPacket builds an nflits-flit packet with pseudorandom payloads,
 // drawing flits and payload backing stores from the simulator's pool — the
-// allocation-free steady state a warm engine runs in.
+// allocation-free steady state a warm engine runs in. Every wire image of
+// a payload (see SetImages) gets bits of its own.
 func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Rand) *flit.Packet {
 	pool := s.Pool()
 	benchScratch = benchScratch[:0]
 	for i := 0; i < nflits-1; i++ {
 		v := pool.Vec()
-		for off := 0; off < linkBits; off += 64 {
-			w := 64
-			if linkBits-off < 64 {
-				w = linkBits - off
+		for im := 0; im < s.images; im++ {
+			img := v.Image(im, linkBits)
+			for off := 0; off < linkBits; off += 64 {
+				w := 64
+				if linkBits-off < 64 {
+					w = linkBits - off
+				}
+				img.SetField(off, w, rng.Uint64())
 			}
-			v.SetField(off, w, rng.Uint64())
 		}
 		benchScratch = append(benchScratch, v)
 	}
@@ -44,16 +48,19 @@ func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Ra
 }
 
 // benchSim steps the configured interconnect for b.N cycles with the named
-// link codings: the first is installed on the links (none or "" for
-// uncoded), the rest are counted beside it (SetLinkCodings). inject is
-// called every cycle and may queue new packets, pop drains ejected packets
-// periodically — recycling them into the pool, as the accelerator's PE/MC
-// consumers do — so NI reassembly queues stay bounded and flits keep
-// circulating.
-func benchSim(b *testing.B, cfg Config, codings []string, inject func(s *Sim, cycle int64)) {
+// link codings on each of images wire images (SetImages): the first coding
+// is installed on the links (none or "" for uncoded), the rest are counted
+// beside it (SetLinkCodings). inject is called every cycle and may queue
+// new packets, pop drains ejected packets periodically — recycling them
+// into the pool, as the accelerator's PE/MC consumers do — so NI
+// reassembly queues stay bounded and flits keep circulating.
+func benchSim(b *testing.B, cfg Config, images int, codings []string, inject func(s *Sim, cycle int64)) {
 	b.Helper()
 	s, err := New(cfg)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SetImages(images); err != nil {
 		b.Fatal(err)
 	}
 	for i, coding := range codings {
@@ -85,7 +92,7 @@ func benchSim(b *testing.B, cfg Config, codings []string, inject func(s *Sim, cy
 func BenchmarkStepIdle8x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var id uint64
-	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, nil, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, 1, nil, func(s *Sim, cycle int64) {
 		if cycle%256 == 0 {
 			id++
 			if err := s.Inject(benchPacket(s, id, 0, 63, 5, 128, rng)); err != nil {
@@ -102,7 +109,7 @@ func BenchmarkStepAccelLike8x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var id uint64
 	mcs := []int{0, 63}
-	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, nil, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: 128}, 1, nil, func(s *Sim, cycle int64) {
 		if cycle%8 != 0 {
 			return
 		}
@@ -123,10 +130,15 @@ func BenchmarkStepAccelLike8x8(b *testing.B) {
 // VCs), cmesh (shared concentrated routers) and coded links all stay on the
 // allocation-free hot path.
 func saturatedBench(b *testing.B, topology string, concentration int, codings ...string) {
+	saturatedImagesBench(b, topology, concentration, 1, codings...)
+}
+
+// saturatedImagesBench is saturatedBench with images wire images per flit.
+func saturatedImagesBench(b *testing.B, topology string, concentration, images int, codings ...string) {
 	rng := rand.New(rand.NewSource(3))
 	var id uint64
 	cfg := Config{Width: 8, Height: 8, Topology: topology, Concentration: concentration, VCs: 4, BufDepth: 4, LinkBits: 128}
-	benchSim(b, cfg, codings, func(s *Sim, cycle int64) {
+	benchSim(b, cfg, images, codings, func(s *Sim, cycle int64) {
 		if cycle%16 != 0 {
 			return
 		}
@@ -162,6 +174,13 @@ func BenchmarkStepSaturated8x8AllCodings(b *testing.B) {
 	saturatedBench(b, "", 0, "none", "gray", "businvert")
 }
 
+// BenchmarkStepSaturated8x8Images saturates plain links carrying three
+// wire images per flit and counts plain, Gray and bus-invert on each, the
+// way a sweep group runs one simulation for all its orderings and codings.
+func BenchmarkStepSaturated8x8Images(b *testing.B) {
+	saturatedImagesBench(b, "", 0, 3, "none", "gray", "businvert")
+}
+
 // BenchmarkStepSaturatedTorus8x8 saturates the wraparound torus: the
 // dateline VC-class split must not push flits off the pooled path.
 func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0) }
@@ -176,7 +195,7 @@ func BenchmarkStepSaturated4x4Wide(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	var id uint64
 	mcs := []int{0, 15}
-	benchSim(b, Config{Width: 4, Height: 4, VCs: 4, BufDepth: 4, LinkBits: 512}, nil, func(s *Sim, cycle int64) {
+	benchSim(b, Config{Width: 4, Height: 4, VCs: 4, BufDepth: 4, LinkBits: 512}, 1, nil, func(s *Sim, cycle int64) {
 		if cycle%16 != 0 {
 			return
 		}

@@ -41,9 +41,10 @@ type runner struct {
 }
 
 // Run executes every job of the spec and returns one Result per job in
-// expansion order. Jobs that differ only in their coding form a coding
-// group (see codingGroups); each group is one engine and one simulation on
-// a bounded worker pool. A job error aborts the sweep: already-running
+// expansion order. Jobs that differ only in their coding, and in their
+// ordering where orderings cannot change the traffic, form a sweep group
+// (see codingGroups); each group is one engine and one simulation on a
+// bounded worker pool. A job error aborts the sweep: already-running
 // groups finish, still-queued groups are skipped, and the lowest-index
 // error that was actually recorded is returned. Cancelling the context
 // aborts the sweep promptly — workers stop picking up groups, in-flight
@@ -105,11 +106,18 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	return results, nil
 }
 
-// codingGroups splits the jobs into coding groups: jobs equal in every
-// coordinate but Coding, each group in expansion order and the groups in
-// the order of their first jobs. A link coding changes only how the
-// wires' toggles are counted, never a packet, a cycle or an output, so a
-// group needs one simulation however many codings it lists.
+// codingGroups splits the jobs into sweep groups: jobs equal in every
+// coordinate but Coding and, where the orderings cannot change the
+// traffic, Ordering; each group in expansion order and the groups in the
+// order of their first jobs. A link coding changes only how the wires'
+// toggles are counted, never a packet, a cycle or an output. An ordering
+// permutes values inside a packet and never changes its length, route or
+// timing, so where every layer is fixed-point (the PE's exact integer MAC
+// then gives every ordering the same partial sums) and no index flits
+// travel in band, it changes only the bits on the wires too. A group
+// therefore needs one simulation however many codings and orderings it
+// lists; float geometries and in-band-index platforms keep one group per
+// ordering.
 func codingGroups(jobs []Job) [][]Job {
 	type key struct {
 		seed      int64
@@ -119,12 +127,17 @@ func codingGroups(jobs []Job) [][]Job {
 		precision int
 		platform  string
 		topology  string
-		ordering  flit.Ordering
+		// ordering is left 0 where orderings share the traffic, which
+		// the other coordinates decide.
+		ordering flit.Ordering
 	}
 	index := make(map[key]int)
 	var groups [][]Job
 	for _, j := range jobs {
 		k := key{j.Seed, j.Batch, j.Workload.Name, j.Geometry, j.Precision, j.Platform.Name, j.Topology, j.Ordering}
+		if orderingsShareTraffic(jobConfig(j)) {
+			k.ordering = 0
+		}
 		g, ok := index[k]
 		if !ok {
 			g = len(groups)
@@ -134,6 +147,34 @@ func codingGroups(jobs []Job) [][]Job {
 		groups[g] = append(groups[g], j)
 	}
 	return groups
+}
+
+// orderingsShareTraffic reports whether every ordering of a configuration
+// puts the same packets on the mesh at the same times and gets the same
+// outputs: every NoC layer is fixed-point, which a fixed-point geometry
+// and any precision schedule on it make so, and no partner table travels
+// in in-band index flits.
+func orderingsShareTraffic(cfg accel.Config) bool {
+	return cfg.Geometry.Format.IsFixed() && !cfg.InBandIndex
+}
+
+// jobConfig returns the engine configuration of one job: its platform
+// built for its geometry, with its ordering, precision and topology.
+func jobConfig(job Job) accel.Config {
+	cfg := job.Platform.Build(job.Geometry)
+	cfg.Ordering = job.Ordering
+	if job.Precision > 0 && cfg.Geometry.Format.IsFixed() {
+		// A uniform lane-width override: every NoC layer flitizes at this
+		// width. Non-fixed geometries skip the axis (precision stays in the
+		// row label, the engine keeps the geometry's own format).
+		cfg.Precisions = []int{job.Precision}
+	}
+	if job.Topology != "" {
+		// A listed topology — "mesh" included — overrides the platform's
+		// own interconnect; an empty axis value keeps it.
+		cfg.Mesh.Topology = job.Topology
+	}
+	return cfg
 }
 
 // workload returns the memoized materialization for the job's (workload,
@@ -158,14 +199,18 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 	return e
 }
 
-// runGroup measures one coding group on one engine and writes each job's
+// runGroup measures one sweep group on one engine and writes each job's
 // Result, or its error, at the job's index; it reports whether every job
-// succeeded. The group's distinct codings are the engine's coding slab:
-// the first job's is the engine's own LinkCoding (coding 0), and every
-// other one is counted on the same link crossings (Engine.CountCodings),
-// so a job's Result is the group's with its own Coding and with TotalBT
-// read from its coding's row (Engine.CodedBT). Each group infers on its
-// own clone of the shared model.
+// succeeded. The group's distinct orderings are the engine's wire images:
+// the first job's is the engine's own Ordering, and every other one rides
+// in an image of its own on the same flits (Engine.CountOrderings). The
+// group's distinct codings are the engine's coding slab: the first job's
+// is the engine's own LinkCoding (coding 0), and every other one is
+// counted on the same link crossings (Engine.CountCodings). A job's Result
+// is the group's with its own Ordering and Coding, and with TotalBT read
+// from its (ordering, coding) row (Engine.OrderingBT); every other column
+// depends only on the traffic's timing. Each group infers on its own clone
+// of the shared model.
 func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, errs []error) bool {
 	job := group[0]
 	fail := func(j Job, err error) bool {
@@ -176,19 +221,7 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	if entry.err != nil {
 		return fail(job, entry.err)
 	}
-	cfg := job.Platform.Build(job.Geometry)
-	cfg.Ordering = job.Ordering
-	if job.Precision > 0 && cfg.Geometry.Format.IsFixed() {
-		// A uniform lane-width override: every NoC layer flitizes at this
-		// width. Non-fixed geometries skip the axis (precision stays in the
-		// row label, the engine keeps the geometry's own format).
-		cfg.Precisions = []int{job.Precision}
-	}
-	if job.Topology != "" {
-		// A listed topology — "mesh" included — overrides the platform's
-		// own interconnect; an empty axis value keeps it.
-		cfg.Mesh.Topology = job.Topology
-	}
+	cfg := jobConfig(job)
 	// A listed coding — "none" included — overrides the platform's own
 	// LinkCoding; an empty axis value keeps it.
 	codings := make([]string, len(group))
@@ -204,11 +237,24 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 		codings[k] = canonical
 	}
 	cfg.LinkCoding = codings[0]
-	// index[k] is the engine's coding number of job k's coding; a coding
-	// that cannot be counted fails the first job that lists it.
-	index := make([]int, len(group))
+	// oindex[k] and cindex[k] are the engine's ordering and coding numbers
+	// of job k; a coding that cannot be counted fails the first job that
+	// lists it.
+	oindex, cindex := make([]int, len(group)), make([]int, len(group))
+	orderings := []flit.Ordering{job.Ordering} // orderings[i] is the engine's ordering i
+	for k, j := range group {
+		i := slices.Index(orderings, j.Ordering)
+		if i < 0 {
+			i = len(orderings)
+			orderings = append(orderings, j.Ordering)
+		}
+		oindex[k] = i
+	}
 	failed := job
-	countCodings := func(eng *accel.Engine) error {
+	prepare := func(eng *accel.Engine) error {
+		if err := eng.CountOrderings(orderings[1:]...); err != nil {
+			return err
+		}
 		installed := codings[:1:1] // installed[i] is the engine's coding i
 		for k, coding := range codings {
 			i := slices.Index(installed, coding)
@@ -220,11 +266,11 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 				i = len(installed)
 				installed = append(installed, coding)
 			}
-			index[k] = i
+			cindex[k] = i
 		}
 		return nil
 	}
-	res, eng, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch, countCodings)
+	res, eng, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch, prepare)
 	if err != nil {
 		return fail(failed, err)
 	}
@@ -233,8 +279,9 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	res.Seed = job.Seed
 	res.Precision = job.Precision
 	for k, j := range group {
+		res.Ordering = j.Ordering
 		res.Coding = codingName(codings[k])
-		res.TotalBT = eng.CodedBT(index[k])
+		res.TotalBT = eng.OrderingBT(oindex[k], cindex[k])
 		results[j.Index] = res
 	}
 	return true

@@ -17,18 +17,25 @@
 // Results come back in job-expansion order regardless of completion order,
 // with reduction rates filled in relative to each group's Baseline run.
 //
-// The unit of work is a coding group: the jobs that differ only in their
-// link coding. A coding changes how the wires' toggles are counted, never
-// a packet, a cycle or an output, so each group runs one engine and one
-// simulation. The group's codings are the rows of the engine's one coding
-// slab: the first job's in expansion order is the engine's own LinkCoding
-// (coding 0), and every other coding of the group is counted on the same
-// link crossings (accel.Engine.CountCodings). Each job's Result is the
-// group's with its own Coding, and its TotalBT is its coding's row
-// (accel.Engine.CodedBT). Two things follow:
+// The unit of work is a sweep group: the jobs that differ only in their
+// link coding and, where every layer is fixed-point and no index flits
+// travel in band, in their ordering. A coding changes how the wires'
+// toggles are counted, never a packet, a cycle or an output. An ordering
+// permutes values inside a packet, never its length, route or timing, and
+// the PE's exact integer MAC gives every ordering the same fixed-point
+// partial sums. So each group runs one engine and one simulation; float
+// geometries and in-band-index platforms keep one group per ordering. The
+// group's orderings are the engine's wire images: the first job's in
+// expansion order is the engine's own Ordering, and every other one rides
+// in an image of its own on the same flits (accel.Engine.CountOrderings).
+// The group's codings are the engine's coding slab: the first job's is the
+// engine's own LinkCoding (coding 0), and every other one is counted on
+// the same link crossings (accel.Engine.CountCodings). Each job's Result
+// is the group's with its own Ordering and Coding, and its TotalBT is its
+// (ordering, coding) row (accel.Engine.OrderingBT). Two things follow:
 //
-//   - a span trace of a sweep shows one engine per coding group, and its
-//     per-hop BT is that of the group's own (first) coding;
+//   - a span trace of a sweep shows one engine per group, and its per-hop
+//     BT is that of the group's first ordering under its first coding;
 //   - Workers above the number of groups adds no parallelism.
 package sweep
 
@@ -99,7 +106,7 @@ type Spec struct {
 	// configuration, as does the empty axis.
 	Topologies []string
 	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0). The pool
-	// never exceeds the number of coding groups.
+	// never exceeds the number of sweep groups.
 	Workers int
 }
 

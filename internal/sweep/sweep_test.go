@@ -342,7 +342,7 @@ func TestRunCancelledContext(t *testing.T) {
 // TestRunCancelMidSweep cancels from another goroutine once the first job
 // reports in and requires Run to return ctx.Err() without burning the rest
 // of the grid. The grid lists several codings, so each unit of work is a
-// coding group.
+// sweep group.
 func TestRunCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -451,7 +451,7 @@ func TestEmptyCodingsAxisKeepsPlatformCoding(t *testing.T) {
 
 // perJobRun measures every job of the spec on an engine of its own, with
 // the job's coding as the engine's LinkCoding, and fills reductions as Run
-// does: the reference a coding group's shared simulation must reproduce.
+// does: the reference a sweep group's shared simulation must reproduce.
 func perJobRun(t *testing.T, spec Spec) []Result {
 	t.Helper()
 	r := &runner{workloads: make(map[workloadKey]*workloadEntry)}
@@ -485,8 +485,8 @@ func TestCodingGroupsMatchPerJobEngines(t *testing.T) {
 		Precisions: []int{0, 4},
 	}
 	want := perJobRun(t, spec)
-	if groups := codingGroups(spec.Jobs()); len(groups)*len(spec.Codings) != len(want) {
-		t.Fatalf("%d coding groups for %d jobs of %d codings", len(groups), len(want), len(spec.Codings))
+	if groups := codingGroups(spec.Jobs()); len(groups)*len(spec.Codings)*len(spec.Orderings) != len(want) {
+		t.Fatalf("%d sweep groups for %d jobs of %d codings and %d orderings", len(groups), len(want), len(spec.Codings), len(spec.Orderings))
 	}
 	for i := 0; i < len(want); i += len(spec.Orderings) * len(spec.Codings) {
 		// Rows of one (ordering, coding) block: the platform's own gray,

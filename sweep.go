@@ -112,7 +112,9 @@ type SweepSpec struct {
 	// grid point, overriding each platform's own LinkCoding. Empty keeps
 	// the platforms' configured codings (usually none). The codings of one
 	// grid point share one simulation: the first is the engine's own, the
-	// rest are counted on the same link crossings.
+	// rest are counted on the same link crossings. On a fixed-point
+	// geometry without in-band index flits its orderings share it too,
+	// each in a wire image of its own.
 	Codings []string
 	// Precisions lists uniform fixed-point lane widths (see FixedWidths) to
 	// measure; each becomes its own grid point overriding the geometry's
@@ -126,8 +128,9 @@ type SweepSpec struct {
 	// platforms' configured topologies (usually the paper's mesh).
 	Topologies []string
 	// Workers bounds the worker pool; 0 means GOMAXPROCS. Each worker runs
-	// one coding group (a grid point's codings) at a time, so workers
-	// beyond the number of groups add nothing. It only changes wall-clock
+	// one sweep group (a grid point's codings, and its orderings where they
+	// share one simulation) at a time, so workers beyond the number of
+	// groups add nothing. It only changes wall-clock
 	// parallelism, never the deterministic per-job results, so it is
 	// deliberately excluded from the sweep fingerprint.
 	// fingerprint:ignore result-invariant: worker-pool size cannot change deterministic sweep results
