@@ -41,7 +41,7 @@ type NoCRunResult = sweep.Result
 // may carry a span tracer (WithTracer).
 func RunModelOnNoC(ctx context.Context, name string, cfg Platform, ord Ordering, model *Model, input *Tensor) (NoCRunResult, error) {
 	cfg.Ordering = ord
-	res, _, err := sweep.Measure(ctx, name, cfg, model, input, 1, nil)
+	res, _, err := sweep.Measure(ctx, name, cfg, model, input, 1, nil, nil)
 	return res, err
 }
 

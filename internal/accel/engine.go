@@ -17,7 +17,7 @@ import (
 // every Infer/InferBatch call, mirroring the paper's whole-workload
 // measurements. On a fixed-point platform without in-band index flits one
 // engine can also measure several orderings of the same traffic at once
-// (see CountOrderings).
+// (see Count).
 //
 // The engine holds no per-layer or per-packet execution state: quantization
 // scales, partner tables and packet bookkeeping live in the scheduler
@@ -43,9 +43,8 @@ type Engine struct {
 	// nodes holding ejected packets.
 	isPE []bool
 	// orderings are the orderings the engine's traffic carries, each in a
-	// wire image of its own (see CountOrderings): orderings[0] is
-	// cfg.Ordering, the rest were added by CountOrderings. It aliases
-	// ordering0 until CountOrderings adds one.
+	// wire image of its own (see Count): orderings[0] is cfg.Ordering, the
+	// rest were added by Count. It aliases ordering0 until Count adds one.
 	orderings []flit.Ordering
 	ordering0 [1]flit.Ordering
 	// oob says whether task packets carry out-of-band partner tables: some
@@ -53,9 +52,6 @@ type Engine struct {
 	// says whether the partner table travels in index flits instead,
 	// which only an engine of one ordering can carry.
 	oob, inBand bool
-	// codings counts the link codings installed on sim: coding 0 is
-	// cfg.LinkCoding, the rest were added by CountCodings.
-	codings int
 
 	// layerFormats[i] is the lane format of the model's i-th NoC layer
 	// (conv/linear, in model order), resolved in New from the platform's
@@ -239,7 +235,6 @@ func New(cfg Config, model *dnn.Model) (*Engine, error) {
 		pes:          pes,
 		isPE:         isPE,
 		layerFormats: formats,
-		codings:      1,
 		oob:          strategy.EmitsPartner() && !cfg.InBandIndex,
 		inBand:       strategy.EmitsPartner() && cfg.InBandIndex,
 		partners:     partnerTables{k: 1},
@@ -308,82 +303,63 @@ func (e *Engine) SetSpanTracer(t *obs.Tracer) {
 	e.spanPID = e.sim.SpanPID()
 }
 
-// CountCodings counts each named link coding on every crossing of the
-// engine's mesh beside its own LinkCoding, which keeps driving TotalBT
-// (see noc.Sim.SetLinkCodings). Codings are numbered in installation
-// order across calls, after the engine's own coding 0; CodedBT(i) reads
-// coding i. Call it before the first inference. If a name is unknown or a
-// coding rejects the link width, nothing from this call is installed.
-func (e *Engine) CountCodings(names ...string) error {
-	schemes := make([]flit.LinkCodingScheme, len(names))
-	for i, name := range names {
+// Count declares what the engine measures beside its own cfg.Ordering
+// and LinkCoding, on the same simulation (see noc.Sim.SetRows): every flit
+// carries one wire image per ordering, the MCs encode each segment once
+// per ordering, and every link coding counts every image on every link
+// crossing. Orderings and codings are numbered after the engine's own,
+// ordering 0 and coding 0, in the order listed; RowBT(o, k) reads ordering
+// o under coding k, and RowBT(0, 0) is TotalBT. Counted orderings are
+// exact only when they cannot change the traffic, so they are refused for
+// a float layer, whose partial sums depend on the order they are added in,
+// and for in-band index flits, which change packet lengths. In a
+// fixed-point layer the PE's exact integer MAC makes every ordering's
+// partial sum the same, and the PE checks that it is. Call it once, before
+// the first inference. If a name is unknown, an ordering cannot be
+// counted, a coding rejects the link width (a *noc.CodingError numbering
+// the coding as RowBT does) or the simulation refuses the rows, nothing
+// is installed.
+func (e *Engine) Count(orderings []flit.Ordering, codings []string) error {
+	all := append(e.orderings[:1:1], orderings...)
+	oob := e.oob
+	if len(orderings) > 0 {
+		for i, f := range e.layerFormats {
+			if !f.IsFixed() {
+				return fmt.Errorf("accel: cannot count orderings on one simulation: NoC layer %d is %s, whose partial sums depend on the ordering", i, f)
+			}
+		}
+		for _, o := range all {
+			strategy, ok := flit.OrderingStrategyByID(o)
+			if !ok {
+				return fmt.Errorf("accel: unknown ordering %d (registered: %v)", int(o), flit.OrderingNames())
+			}
+			if strategy.EmitsPartner() && e.cfg.InBandIndex {
+				return fmt.Errorf("accel: cannot count orderings on one simulation: ordering %s ships its partner table in in-band index flits, which change packet lengths", strategy.Name())
+			}
+			oob = oob || strategy.EmitsPartner()
+		}
+	}
+	// The engine's own LinkCoding is coding 0; Validate has resolved it.
+	own, _ := flit.LookupLinkCoding(e.cfg.LinkCoding)
+	schemes := append(make([]flit.LinkCodingScheme, 0, 1+len(codings)), own)
+	for _, name := range codings {
 		scheme, ok := flit.LookupLinkCoding(name)
 		if !ok {
 			return fmt.Errorf("accel: unknown link coding %q (registered: %v)", name, flit.LinkCodingNames())
 		}
-		schemes[i] = scheme
+		schemes = append(schemes, scheme)
 	}
-	if err := e.sim.SetLinkCodings(e.codings, schemes...); err != nil {
-		return err
-	}
-	e.codings += len(schemes)
-	return nil
-}
-
-// CodedBT returns the accumulated transitions of coding i over the same
-// links as TotalBT: coding 0 is the engine's own LinkCoding, so CodedBT(0)
-// equals TotalBT, and codings 1.. are those CountCodings added.
-func (e *Engine) CodedBT(i int) int64 { return e.sim.CodedBT(i) }
-
-// CountOrderings measures each listed ordering on the engine's traffic
-// beside its own cfg.Ordering, on the same simulation: every flit carries
-// one wire image per ordering (noc.Sim.SetImages), the MCs encode each
-// segment once per ordering, and every link coding counts every image.
-// Orderings are numbered in installation order across calls, after the
-// engine's own ordering 0; OrderingBT(o, i) reads ordering o under coding
-// i. This is exact only when the orderings cannot change the traffic, so
-// it is refused for a float layer, whose partial sums depend on the order
-// they are added in, and for in-band index flits, which change packet
-// lengths. In a fixed-point layer the PE's exact integer MAC makes every
-// ordering's partial sum the same, and the PE checks that it is. Call it
-// before the first inference. If an ordering is unknown or the engine
-// cannot count it, nothing from this call is installed.
-func (e *Engine) CountOrderings(orderings ...flit.Ordering) error {
-	if len(orderings) == 0 {
-		return nil
-	}
-	if e.sim.Cycle() != 0 || e.sim.Busy() {
-		return fmt.Errorf("accel: orderings must be counted before any traffic")
-	}
-	for i, f := range e.layerFormats {
-		if !f.IsFixed() {
-			return fmt.Errorf("accel: cannot count orderings on one simulation: NoC layer %d is %s, whose partial sums depend on the ordering", i, f)
-		}
-	}
-	all := append(e.orderings[:len(e.orderings):len(e.orderings)], orderings...)
-	oob := false
-	for _, o := range all {
-		strategy, ok := flit.OrderingStrategyByID(o)
-		if !ok {
-			return fmt.Errorf("accel: unknown ordering %d (registered: %v)", int(o), flit.OrderingNames())
-		}
-		if strategy.EmitsPartner() && e.cfg.InBandIndex {
-			return fmt.Errorf("accel: cannot count orderings on one simulation: ordering %s ships its partner table in in-band index flits, which change packet lengths", strategy.Name())
-		}
-		oob = oob || strategy.EmitsPartner()
-	}
-	if err := e.sim.SetImages(len(all)); err != nil {
+	if err := e.sim.SetRows(len(all), schemes...); err != nil {
 		return err
 	}
 	e.orderings, e.oob, e.partners.k = all, oob, len(all)
 	return nil
 }
 
-// OrderingBT returns the accumulated transitions of ordering o under
-// coding i over the same links as TotalBT: ordering 0 is the engine's own
-// cfg.Ordering, so OrderingBT(0, i) equals CodedBT(i), and orderings 1..
-// are those CountOrderings added.
-func (e *Engine) OrderingBT(o, i int) int64 { return e.sim.ImageBT(o, i) }
+// RowBT returns the accumulated transitions of ordering o under coding k
+// (see Count) over the same links as TotalBT. A row the engine does not
+// count is an error naming its shape.
+func (e *Engine) RowBT(o, k int) (int64, error) { return e.sim.RowBT(o, k) }
 
 // layerFormat returns the lane format of NoC layer idx (the geometry
 // format for indices beyond the resolved schedule, which cannot happen on

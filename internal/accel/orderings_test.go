@@ -65,8 +65,19 @@ func recordOrderingRun(t *testing.T, eng *Engine, inputs []*tensor.Tensor) order
 	return r
 }
 
+// rowBT reads ordering o under coding k of eng, failing the test if the
+// engine does not count that row.
+func rowBT(t *testing.T, eng *Engine, o, k int) int64 {
+	t.Helper()
+	bt, err := eng.RowBT(o, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // TestCountOrderingsMatchesOrderingEngines is the equivalence contract of
-// CountOrderings: one fixed-point engine carrying every registered
+// Count's orderings: one fixed-point engine carrying every registered
 // ordering, with bus-invert and Gray counted beside plain links, reports
 // each (ordering, coding) BT exactly as an engine of that ordering alone,
 // and the outputs, cycles, packets, energy activity and layer records of
@@ -98,28 +109,22 @@ func TestCountOrderingsMatchesOrderingEngines(t *testing.T) {
 				c := cfg
 				c.Ordering = o
 				eng := mustNew(t, c, m)
-				if err := eng.CountCodings(codings...); err != nil {
+				if err := eng.Count(nil, codings); err != nil {
 					t.Fatal(err)
 				}
 				alone[i].run = recordOrderingRun(t, eng, in)
 				for k := 0; k <= len(codings); k++ {
-					alone[i].bt = append(alone[i].bt, eng.CodedBT(k))
+					alone[i].bt = append(alone[i].bt, rowBT(t, eng, 0, k))
 				}
 			}
 			// The shared engine's own ordering is the last, so the
-			// counted ones are installed out of registry order.
+			// counted ones are declared out of registry order.
 			own := len(orderings) - 1
 			c := cfg
 			c.Ordering = orderings[own]
 			eng := mustNew(t, c, m)
 			counted := slices.Delete(slices.Clone(orderings), own, own+1)
-			if err := eng.CountOrderings(counted[:1]...); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.CountCodings(codings...); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.CountOrderings(counted[1:]...); err != nil {
+			if err := eng.Count(counted, codings); err != nil {
 				t.Fatal(err)
 			}
 			shared := recordOrderingRun(t, eng, in)
@@ -131,31 +136,35 @@ func TestCountOrderingsMatchesOrderingEngines(t *testing.T) {
 					t.Errorf("%s: shared engine's outputs or counters differ from its own engine's", o)
 				}
 				for k := range alone[i].bt {
-					if got := eng.OrderingBT(v, k); got != alone[i].bt[k] {
-						t.Errorf("%s coding %d: OrderingBT %d, its own engine's %d", o, k, got, alone[i].bt[k])
+					if got := rowBT(t, eng, v, k); got != alone[i].bt[k] {
+						t.Errorf("%s coding %d: RowBT %d, its own engine's %d", o, k, got, alone[i].bt[k])
 					}
 				}
 			}
-			if eng.OrderingBT(0, 0) != eng.TotalBT() || eng.OrderingBT(0, 1) != eng.CodedBT(1) {
-				t.Error("ordering 0's rows are not the engine's TotalBT and CodedBT")
+			if rowBT(t, eng, 0, 0) != eng.TotalBT() {
+				t.Error("ordering 0's coding 0 row is not the engine's TotalBT")
 			}
 		})
 	}
 }
 
-// TestCountOrderingsRejects: CountOrderings refuses what one simulation
-// cannot measure exactly — a float layer, in-band index flits — and any
-// call once traffic has started, with a descriptive error, and installs
-// nothing from a refused call.
+// TestCountOrderingsRejects: Count refuses what one simulation cannot
+// measure exactly — a float layer, in-band index flits — and a second
+// declaration, a declaration once traffic has started or under a payload
+// trace, with a descriptive error, and installs nothing from a refused
+// call.
 func TestCountOrderingsRejects(t *testing.T) {
 	m := tinyNet(rand.New(rand.NewSource(73)))
 	check := func(name string, eng *Engine, want string, orderings ...flit.Ordering) {
 		t.Helper()
-		if err := eng.CountOrderings(orderings...); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: CountOrderings = %v, want an error containing %q", name, err, want)
+		if err := eng.Count(orderings, []string{"gray"}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Count = %v, want an error containing %q", name, err, want)
 		}
 		if len(eng.orderings) != 1 || eng.sim.PayloadBits() != eng.cfg.Mesh.LinkBits {
 			t.Errorf("%s: a refused call installed %d orderings, %d-bit payloads", name, len(eng.orderings), eng.sim.PayloadBits())
+		}
+		if _, err := eng.RowBT(0, 1); err == nil {
+			t.Errorf("%s: a refused call installed a second coding", name)
 		}
 	}
 	check("float-32", mustNew(t, Mesh4x4MC2(paperFloat32), m), "NoC layer 0 is float-32", flit.Separated)
@@ -168,38 +177,46 @@ func TestCountOrderingsRejects(t *testing.T) {
 
 	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
 	check("unknown", eng, "unknown ordering 240", flit.Ordering(240))
+	if err := eng.Count(nil, []string{"huffman"}); err == nil || !strings.Contains(err.Error(), "unknown link coding") {
+		t.Errorf("Count(huffman) = %v, want a descriptive error", err)
+	}
 	if _, err := eng.Infer(context.Background(), testInput(m, 1)); err != nil {
 		t.Fatal(err)
 	}
 	check("after traffic", eng, "before any traffic", flit.Separated)
 
+	traced := mustNew(t, Mesh4x4MC2(paperFixed8), m)
+	if err := traced.SetTrace(func(int64, string, noc.LinkClass, *flit.Flit) {}); err != nil {
+		t.Fatal(err)
+	}
+	check("traced", traced, "payload trace", flit.Separated)
+
+	second := mustNew(t, Mesh4x4MC2(paperFixed8), m)
+	if err := second.Count(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("second", second, "declared once", flit.Separated)
+
 	// An in-band platform whose orderings emit no partner table ships no
 	// index flits, so it can count orderings.
 	cfg = Mesh4x4MC2(paperFixed8)
 	cfg.InBandIndex = true
-	if err := mustNew(t, cfg, m).CountOrderings(flit.Affiliated); err != nil {
+	if err := mustNew(t, cfg, m).Count([]flit.Ordering{flit.Affiliated}, nil); err != nil {
 		t.Errorf("in-band platform without partner tables: %v", err)
 	}
 }
 
 // TestEngineRefusesTraceWithOrderings: a payload trace cannot replay a
-// flit carrying several orderings' images, so the engine refuses one.
+// flit carrying several orderings' images, so the engine refuses one
+// (TestCountOrderingsRejects covers the other order).
 func TestEngineRefusesTraceWithOrderings(t *testing.T) {
 	m := tinyNet(rand.New(rand.NewSource(74)))
-	trace := func(int64, string, noc.LinkClass, *flit.Flit) {}
 	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
-	if err := eng.CountOrderings(flit.Separated); err != nil {
+	if err := eng.Count([]flit.Ordering{flit.Separated}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetTrace(trace); err == nil || !strings.Contains(err.Error(), "2 wire images") {
+	if err := eng.SetTrace(func(int64, string, noc.LinkClass, *flit.Flit) {}); err == nil || !strings.Contains(err.Error(), "2 wire images") {
 		t.Errorf("SetTrace on two orderings = %v, want a refusal", err)
-	}
-	traced := mustNew(t, Mesh4x4MC2(paperFixed8), m)
-	if err := traced.SetTrace(trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := traced.CountOrderings(flit.Separated); err == nil || !strings.Contains(err.Error(), "payload trace") {
-		t.Errorf("CountOrderings under a trace = %v, want a refusal", err)
 	}
 }
 
@@ -236,7 +253,7 @@ func TestPERejectsDisagreeingOrderings(t *testing.T) {
 	defer pairShift.Store(false)
 	m := tinyNet(rand.New(rand.NewSource(75)))
 	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
-	if err := eng.CountOrderings(pairShiftID); err != nil {
+	if err := eng.Count([]flit.Ordering{pairShiftID}, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err := eng.Infer(context.Background(), testInput(m, 2))

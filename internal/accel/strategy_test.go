@@ -149,7 +149,7 @@ func TestEngineCountCodingsMatchesCodedEngines(t *testing.T) {
 					extras = append(extras, coding)
 				}
 			}
-			if err := eng.CountCodings(extras...); err != nil {
+			if err := eng.Count(nil, extras); err != nil {
 				t.Fatal(err)
 			}
 			for range 2 { // counts accumulate across inferences, like TotalBT
@@ -161,17 +161,17 @@ func TestEngineCountCodingsMatchesCodedEngines(t *testing.T) {
 				t.Errorf("%s/%s: TotalBT %d with extras, want %d", strat.Name(), primary, got, bt[primary])
 			}
 			for i, coding := range extras {
-				if got := eng.CodedBT(i + 1); got != bt[coding] {
-					t.Errorf("%s/%s: CodedBT(%s) %d, want its own engine's %d", strat.Name(), primary, coding, got, bt[coding])
+				if got := rowBT(t, eng, 0, i+1); got != bt[coding] {
+					t.Errorf("%s/%s: RowBT(%s) %d, want its own engine's %d", strat.Name(), primary, coding, got, bt[coding])
 				}
 			}
-			if err := eng.CountCodings("gray"); err == nil {
-				t.Errorf("%s/%s: CountCodings accepted after an inference", strat.Name(), primary)
+			if err := eng.Count(nil, []string{"gray"}); err == nil {
+				t.Errorf("%s/%s: Count accepted after an inference", strat.Name(), primary)
 			}
 		}
 	}
 	eng := mustNew(t, Mesh4x4MC2(paperFixed8), m)
-	if err := eng.CountCodings("huffman"); err == nil || !strings.Contains(err.Error(), "unknown link coding") {
-		t.Errorf("CountCodings(huffman) = %v, want a descriptive error", err)
+	if err := eng.Count(nil, []string{"huffman"}); err == nil || !strings.Contains(err.Error(), "unknown link coding") {
+		t.Errorf("Count(huffman) = %v, want a descriptive error", err)
 	}
 }

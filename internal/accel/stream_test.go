@@ -118,7 +118,7 @@ func TestMCQueueBounded(t *testing.T) {
 // (host layers, ordering kernels, packet contexts, result packets), under
 // every ordering that orders in place — O2 with its partner table
 // out-of-band and in-band included — and on an engine carrying five
-// orderings at once (CountOrderings). The per-packet path allocates
+// orderings at once (Count). The per-packet path allocates
 // nothing, a warm call reuses the previous call's run slabs and tables,
 // and quantizes weights into the engine's buffers; what remains is per
 // layer and per inference (about 85 objects and 100 KB, mostly host-layer
@@ -150,7 +150,7 @@ func TestEngineInferAllocs(t *testing.T) {
 			cfg := Mesh4x4MC2(paperFixed8)
 			cfg.Ordering, cfg.InBandIndex = tc.order, tc.inBand
 			eng := mustNew(t, cfg, m)
-			if err := eng.CountOrderings(tc.counted...); err != nil {
+			if err := eng.Count(tc.counted, nil); err != nil {
 				t.Fatal(err)
 			}
 			infer := func() {

@@ -87,19 +87,11 @@ type LinkCodingScheme interface {
 	// encoding-based BT reduction. It flows into the hwmodel link power
 	// accounting.
 	ExtraLines(width int) int
-	// New returns fresh per-link coding state for a width-bit link.
-	New(width int) (LinkCoding, error)
-}
-
-// LinkCodingRowScheme is a LinkCodingScheme that also builds the coders of
-// many links in one batch — one slice of coder structs and one slab of
-// wire words rather than n calls of New — as a simulator installing a
-// coding on every link wants. The registered gray and businvert schemes
-// implement it; a scheme that does not gets one New call per link.
-type LinkCodingRowScheme interface {
-	LinkCodingScheme
 	// AppendRow appends n fresh coders for width-bit links to dst, each
-	// independent and equal to what New(width) returns.
+	// independent of the others: one slice of coder structs and one slab
+	// of wire words for a whole row of links, as a simulator installing
+	// the coding on every link wants. It fails on a width the coding
+	// cannot drive.
 	AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error)
 }
 
@@ -336,13 +328,6 @@ type grayScheme struct{}
 
 func (grayScheme) Name() string             { return "gray" }
 func (grayScheme) ExtraLines(width int) int { return 0 }
-func (grayScheme) New(width int) (LinkCoding, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("flit: gray coding on non-positive width %d", width)
-	}
-	return &grayCoding{wire: bitutil.NewVec(width)}, nil
-}
-
 func (grayScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
 	if width <= 0 {
 		return dst, fmt.Errorf("flit: gray coding on non-positive width %d", width)
@@ -421,14 +406,6 @@ type businvertScheme struct {
 
 func (businvertScheme) Name() string               { return "businvert" }
 func (s businvertScheme) ExtraLines(width int) int { return width / s.segBits }
-func (s businvertScheme) New(width int) (LinkCoding, error) {
-	enc, err := businvert.NewEncoder(width, s.segBits)
-	if err != nil {
-		return nil, err
-	}
-	return businvertCoding{enc: enc}, nil
-}
-
 func (s businvertScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
 	encs, err := businvert.NewEncoders(width, s.segBits, n)
 	if err != nil {

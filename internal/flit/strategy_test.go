@@ -222,14 +222,22 @@ func TestGrayEncodeSelfConsistent(t *testing.T) {
 	}
 }
 
-// TestGrayCodingTransitions: the per-link coder counts transitions between
-// consecutive encoded patterns, starting from all-zero wires.
-func TestGrayCodingTransitions(t *testing.T) {
+// grayCoder returns a fresh gray coder for one width-bit link: a row of
+// one.
+func grayCoder(t *testing.T, width int) LinkCoding {
+	t.Helper()
 	gr, _ := LookupLinkCoding("gray")
-	coder, err := gr.New(16)
+	row, err := gr.AppendRow(nil, width, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return row[0]
+}
+
+// TestGrayCodingTransitions: the per-link coder counts transitions between
+// consecutive encoded patterns, starting from all-zero wires.
+func TestGrayCodingTransitions(t *testing.T) {
+	coder := grayCoder(t, 16)
 	a := bitutil.NewVec(16)
 	a.SetField(0, 16, 0b0000_0000_0000_0011)
 	// enc(0b11) = 0b10 (bit i XORs bit i+1): one set bit → 1 transition
@@ -282,11 +290,7 @@ func TestGrayEncodeIntoWidthMismatchPanics(t *testing.T) {
 // requires identical per-beat transition counts — the pin that lets the
 // exported GrayEncode stay allocating while the hot path reuses scratch.
 func TestGrayCodingMatchesEncodeReference(t *testing.T) {
-	gr, _ := LookupLinkCoding("gray")
-	coder, err := gr.New(128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coder := grayCoder(t, 128)
 	wire := bitutil.NewVec(128)
 	rng := rand.New(rand.NewSource(22))
 	for beat := 0; beat < 200; beat++ {
@@ -305,11 +309,7 @@ func TestGrayCodingMatchesEncodeReference(t *testing.T) {
 // TestGrayCodingAllocFree: after construction the per-link coder must not
 // allocate per beat (one Transitions call per flit per link on the hot path).
 func TestGrayCodingAllocFree(t *testing.T) {
-	gr, _ := LookupLinkCoding("gray")
-	coder, err := gr.New(128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coder := grayCoder(t, 128)
 	rng := rand.New(rand.NewSource(23))
 	vs := make([]bitutil.Vec, 16)
 	for i := range vs {
@@ -410,44 +410,46 @@ func TestFlitizeKeepsLentPartnerTable(t *testing.T) {
 	}
 }
 
-// TestLinkCodingRowsMatchNew: every registered coding builds its rows in
-// one batch, and each coder of a row counts exactly what a coder from New
-// counts on the same beats, independently of its neighbours in the row —
-// at a narrow, a one-word and a multi-word width.
+// TestLinkCodingRowsMatchNew: every registered coding builds a row of
+// coders in one batch, and each coder of an n-coder row counts exactly
+// what the coder of a one-coder row counts on the same beats,
+// independently of its neighbours in the row, which are driven with
+// different payloads — at a narrow, a one-word and a multi-word width.
 func TestLinkCodingRowsMatchNew(t *testing.T) {
 	const n = 3
 	for _, name := range LinkCodingNames()[1:] {
 		scheme, _ := LookupLinkCoding(name)
-		rs, ok := scheme.(LinkCodingRowScheme)
-		if !ok {
-			t.Errorf("coding %q builds no rows", name)
-			continue
-		}
 		for _, width := range []int{16, 64, 136} {
-			if _, err := scheme.New(width); err != nil {
+			if _, err := scheme.AppendRow(nil, width, 1); err != nil {
 				continue // a width the coding rejects
 			}
-			row, err := rs.AppendRow(nil, width, n)
+			row, err := scheme.AppendRow(nil, width, n)
 			if err != nil || len(row) != n {
 				t.Fatalf("%s/%d: AppendRow = %d coders, %v", name, width, len(row), err)
 			}
 			rng := rand.New(rand.NewSource(int64(width)))
-			for i, c := range row {
-				ref, _ := scheme.New(width)
-				for beat := range 50 {
-					v := bitutil.NewVec(width)
-					for off := 0; off < width; off += 8 {
-						v.SetField(off, min(8, width-off), rng.Uint64())
-					}
-					// Drive the other coders of the row too, so a shared
-					// word between them would show.
-					for _, other := range row {
-						if other != c {
-							other.Transitions(bitutil.NewVec(width))
-						}
-					}
-					if got, want := c.Transitions(v), ref.Transitions(v); got != want {
-						t.Fatalf("%s/%d: row coder %d beat %d counts %d, New's coder %d", name, width, i, beat, got, want)
+			random := func() bitutil.Vec {
+				v := bitutil.NewVec(width)
+				for off := 0; off < width; off += 8 {
+					v.SetField(off, min(8, width-off), rng.Uint64())
+				}
+				return v
+			}
+			refs := make([]LinkCoding, n)
+			for i := range refs {
+				one, err := scheme.AppendRow(nil, width, 1)
+				if err != nil || len(one) != 1 {
+					t.Fatalf("%s/%d: one-coder AppendRow = %d coders, %v", name, width, len(one), err)
+				}
+				refs[i] = one[0]
+			}
+			for beat := range 50 {
+				// Each coder of the row gets a payload of its own, so a
+				// word shared between them would show.
+				for i, c := range row {
+					v := random()
+					if got, want := c.Transitions(v), refs[i].Transitions(v); got != want {
+						t.Fatalf("%s/%d: row coder %d beat %d counts %d, a one-coder row's %d", name, width, i, beat, got, want)
 					}
 				}
 			}

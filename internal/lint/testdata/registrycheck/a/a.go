@@ -34,16 +34,20 @@ func (opaque) Name() string {
 // fxGray is a well-behaved link coding scheme.
 type fxGray struct{}
 
-func (fxGray) Name() string                           { return "fx-gray" }
-func (fxGray) ExtraLines(width int) int               { return 0 }
-func (fxGray) New(width int) (flit.LinkCoding, error) { return nil, nil }
+func (fxGray) Name() string             { return "fx-gray" }
+func (fxGray) ExtraLines(width int) int { return 0 }
+func (fxGray) AppendRow(dst []flit.LinkCoding, width, n int) ([]flit.LinkCoding, error) {
+	return dst, nil
+}
 
 // fxReserved squats on the reserved uncoded name.
 type fxReserved struct{}
 
-func (fxReserved) Name() string                           { return "none" }
-func (fxReserved) ExtraLines(width int) int               { return 0 }
-func (fxReserved) New(width int) (flit.LinkCoding, error) { return nil, nil }
+func (fxReserved) Name() string             { return "none" }
+func (fxReserved) ExtraLines(width int) int { return 0 }
+func (fxReserved) AppendRow(dst []flit.LinkCoding, width, n int) ([]flit.LinkCoding, error) {
+	return dst, nil
+}
 
 var dynamic = "fx-dynamic"
 

@@ -47,7 +47,7 @@ func lookupCoding(t *testing.T, name string) flit.LinkCodingScheme {
 }
 
 // codedSim builds a simulator with primary installed on its links and
-// extras counted beside it.
+// extras counted beside it, declared in one SetRows call.
 func codedSim(t *testing.T, cfg noc.Config, primary string, extras ...string) *noc.Sim {
 	t.Helper()
 	sim, err := noc.New(cfg)
@@ -58,14 +58,24 @@ func codedSim(t *testing.T, cfg noc.Config, primary string, extras ...string) *n
 	for _, name := range extras {
 		schemes = append(schemes, lookupCoding(t, name))
 	}
-	if err := sim.SetLinkCodings(0, schemes...); err != nil {
+	if err := sim.SetRows(1, schemes...); err != nil {
 		t.Fatal(err)
 	}
 	return sim
 }
 
+// rowBT reads row (v, k) of sim, failing the test if it has none.
+func rowBT(t *testing.T, sim *noc.Sim, v, k int) int64 {
+	t.Helper()
+	bt, err := sim.RowBT(v, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // TestCountCodingsMatchesPrimaryRuns is the equivalence contract of the
-// counted codings (SetLinkCodings' codings 1..k): every extra coding
+// counted codings (SetRows' codings 1..k): every extra coding
 // counts, link by link, exactly what a separate simulation of the same
 // traffic with that coding installed counts, and every extra's total also
 // matches an offline recount of the delivery trace. The primary counters
@@ -88,7 +98,7 @@ func TestCountCodingsMatchesPrimaryRuns(t *testing.T) {
 	for _, cfg := range cfgs {
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := cfg
-			cfg.CountInjection = seed == 2 // CodedBT must follow TotalBT's link classes
+			cfg.CountInjection = seed == 2 // RowBT must follow TotalBT's link classes
 			t.Run(fmt.Sprintf("%s-c%d-vc%d/seed%d", cfg.Topology, cfg.Concentration, cfg.VCs, seed), func(t *testing.T) {
 				ref := make(map[string]*noc.Sim, len(codings))
 				for _, c := range codings {
@@ -123,19 +133,19 @@ func TestCountCodingsMatchesPrimaryRuns(t *testing.T) {
 									primary, c, ls.Name, got, ls.BT)
 							}
 						}
-						if got := sim.CodedBT(i + 1); got != want.TotalBT() {
-							t.Errorf("primary %s, extra %s: CodedBT %d, its own run's TotalBT %d", primary, c, got, want.TotalBT())
+						if got := rowBT(t, sim, 0, i+1); got != want.TotalBT() {
+							t.Errorf("primary %s, extra %s: RowBT %d, its own run's TotalBT %d", primary, c, got, want.TotalBT())
 						}
 						recount, err := rec.CodedBT(lookupCoding(t, c), classes...)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := sim.CodedBT(i + 1); got != recount {
-							t.Errorf("primary %s, extra %s: CodedBT %d, trace recount %d", primary, c, got, recount)
+						if got := rowBT(t, sim, 0, i+1); got != recount {
+							t.Errorf("primary %s, extra %s: RowBT %d, trace recount %d", primary, c, got, recount)
 						}
 					}
-					if err := sim.SetLinkCodings(len(codings), lookupCoding(t, "gray")); err == nil {
-						t.Error("SetLinkCodings accepted after traffic")
+					if err := sim.SetRows(1, lookupCoding(t, "gray")); err == nil {
+						t.Error("SetRows accepted after traffic")
 					}
 				}
 			})
@@ -148,31 +158,35 @@ type rejectScheme struct{}
 
 func (rejectScheme) Name() string       { return "reject" }
 func (rejectScheme) ExtraLines(int) int { return 0 }
-func (rejectScheme) New(int) (flit.LinkCoding, error) {
-	return nil, errors.New("no width fits")
+func (rejectScheme) AppendRow(dst []flit.LinkCoding, _, _ int) ([]flit.LinkCoding, error) {
+	return dst, errors.New("no width fits")
 }
 
 // TestCountCodingsRejectsWidth: a scheme that cannot build a link's coder
-// fails the install with the coding's name and the link, and installs
-// nothing from that call, so earlier extras keep their numbers. A call that
-// would leave a gap in the coding numbers is refused.
+// fails the declaration with a *noc.CodingError naming the coding, its
+// index and the link, and installs nothing, so a later declaration is
+// still taken.
 func TestCountCodingsRejectsWidth(t *testing.T) {
-	sim := codedSim(t, noc.Config{Width: 2, Height: 2, VCs: 1, BufDepth: 1, LinkBits: 16}, "none", "gray")
-	err := sim.SetLinkCodings(2, nil, rejectScheme{})
-	if err == nil || !strings.HasPrefix(err.Error(), `noc: link coding "reject" on link `) {
-		t.Fatalf("SetLinkCodings(reject) = %v", err)
+	sim, err := noc.New(noc.Config{Width: 2, Height: 2, VCs: 1, BufDepth: 1, LinkBits: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := sim.SetLinkCodings(3, nil); err == nil {
-		t.Error("SetLinkCodings accepted coding 3 after 2 codings")
+	err = sim.SetRows(2, nil, lookupCoding(t, "gray"), rejectScheme{})
+	var ce *noc.CodingError
+	if !errors.As(err, &ce) || ce.Coding != 2 || !strings.HasPrefix(err.Error(), `noc: link coding "reject" on link `) {
+		t.Fatalf("SetRows(reject) = %v", err)
 	}
-	if err := sim.SetLinkCodings(2, nil); err != nil {
+	if sim.PayloadBits() != 16 {
+		t.Errorf("a refused declaration left %d-bit payloads", sim.PayloadBits())
+	}
+	if err := sim.SetRows(1, nil, lookupCoding(t, "gray"), nil); err != nil {
 		t.Fatal(err)
 	}
 	codedTraffic(t, sim, 1)
-	if got, want := sim.CodedBT(2), sim.TotalBT(); got != want {
-		t.Errorf("plain extra after a refused install counts %d, the plain links %d", got, want)
+	if got, want := rowBT(t, sim, 0, 2), sim.TotalBT(); got != want {
+		t.Errorf("plain extra after a refused declaration counts %d, the plain links %d", got, want)
 	}
-	if sim.CodedBT(1) == sim.TotalBT() {
+	if rowBT(t, sim, 0, 1) == sim.TotalBT() {
 		t.Error("gray extra counts the same as the plain links: the traffic is too small to tell them apart")
 	}
 }
@@ -182,23 +196,23 @@ func TestCountCodingsRejectsWidth(t *testing.T) {
 var fuzzCodings = []string{"none", "gray", "businvert"}
 
 // FuzzLinkCodingsMatchTrace: whatever codings one simulation counts — in
-// any order, repeats included, installed in one call or two, or none
-// installed at all — each coding's transitions per link class equal the
-// trace.Recorder's independent replay of the delivered flit stream under
-// that coding, CodedBT sums exactly the classes TotalBT counts, and coding
-// 0's per-link counts are LinkStats'. The seed corpus is
+// any order, repeats included, or none declared at all — each coding's
+// transitions per link class equal the trace.Recorder's independent replay
+// of the delivered flit stream under that coding, RowBT sums exactly the
+// classes TotalBT counts, and coding 0's per-link counts are LinkStats'.
+// The seed corpus is
 // TestCountCodingsMatchesPrimaryRuns' configurations.
 func FuzzLinkCodingsMatchTrace(f *testing.F) {
 	for topo := uint8(0); topo < 4; topo++ {
 		for _, vcs := range []uint8{0, 3} { // 1 and 4 VCs
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, codings := range [][]byte{{0, 1, 2}, {1, 0, 2}} {
-					f.Add(topo, vcs, uint8(15), codings, uint8(0), seed, seed == 2)
+					f.Add(topo, vcs, uint8(15), codings, seed, seed == 2)
 				}
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, topo, vcs, width uint8, codings []byte, split uint8, seed int64, countInjection bool) {
+	f.Fuzz(func(t *testing.T, topo, vcs, width uint8, codings []byte, seed int64, countInjection bool) {
 		cfg := noc.Config{Width: 4, Height: 4, VCs: 1 + int(vcs)%4, BufDepth: 2,
 			LinkBits: 8 * (1 + int(width)%32), CountInjection: countInjection}
 		switch topo % 4 {
@@ -217,16 +231,11 @@ func FuzzLinkCodingsMatchTrace(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(schemes) == 0 { // a new Sim's coding 0 is plain
+		if err := sim.SetRows(1, schemes...); err != nil {
+			t.Fatal(err)
+		}
+		if len(schemes) == 0 { // with no codings, coding 0 is plain
 			names, schemes = []string{"none"}, []flit.LinkCodingScheme{nil}
-		} else {
-			cut := 1 + int(split)%len(schemes)
-			if err := sim.SetLinkCodings(0, schemes[:cut]...); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.SetLinkCodings(cut, schemes[cut:]...); err != nil {
-				t.Fatal(err)
-			}
 		}
 		rec := trace.NewRecorder()
 		rec.RecordPayloads()
@@ -239,8 +248,8 @@ func FuzzLinkCodingsMatchTrace(f *testing.F) {
 				t.Errorf("link %s: coding 0 counts %d, LinkStats %d", ls.Name, got, ls.BT)
 			}
 		}
-		if got, want := sim.CodedBT(0), sim.TotalBT(); got != want {
-			t.Errorf("CodedBT(0) %d, TotalBT %d", got, want)
+		if got, want := rowBT(t, sim, 0, 0), sim.TotalBT(); got != want {
+			t.Errorf("RowBT(0, 0) %d, TotalBT %d", got, want)
 		}
 		for k, scheme := range schemes {
 			var counted int64
@@ -263,8 +272,8 @@ func FuzzLinkCodingsMatchTrace(f *testing.F) {
 					counted += want
 				}
 			}
-			if got := sim.CodedBT(k); got != counted {
-				t.Errorf("%s: CodedBT(%d) (%s) %d, trace replay over TotalBT's classes %d",
+			if got := rowBT(t, sim, 0, k); got != counted {
+				t.Errorf("%s: RowBT(0, %d) (%s) %d, trace replay over TotalBT's classes %d",
 					cfg.Topology, k, names[k], got, counted)
 			}
 		}

@@ -11,16 +11,13 @@ import (
 // flits have moved would desynchronize coder state from the recorded BT,
 // so the simulator must refuse it.
 func TestSetLinkCodingRefusedAfterTraffic(t *testing.T) {
-	sim, err := New(Config{Width: 2, Height: 2, VCs: 1, BufDepth: 1, LinkBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scheme, ok := flit.LookupLinkCoding("gray")
 	if !ok || scheme == nil {
 		t.Fatal("gray not registered")
 	}
-	if err := sim.SetLinkCodings(0, scheme); err != nil {
-		t.Fatalf("pre-traffic install refused: %v", err)
+	sim, err := New(Config{Width: 2, Height: 2, VCs: 1, BufDepth: 1, LinkBits: 16}, scheme)
+	if err != nil {
+		t.Fatal(err)
 	}
 	hdr := bitutil.NewVec(16)
 	if err := sim.Inject(flit.NewPacket(1, 0, 1, hdr, nil)); err != nil {
@@ -29,10 +26,10 @@ func TestSetLinkCodingRefusedAfterTraffic(t *testing.T) {
 	if err := sim.Drain(1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetLinkCodings(0, scheme); err == nil {
+	if err := sim.SetRows(1, scheme); err == nil {
 		t.Error("mid-flight coding switch accepted")
 	}
-	if err := sim.SetLinkCodings(0, nil); err == nil {
+	if err := sim.SetRows(1, nil); err == nil {
 		t.Error("mid-flight coding removal accepted")
 	}
 }

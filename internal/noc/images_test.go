@@ -47,11 +47,10 @@ func imageTraffic(t *testing.T, sim *noc.Sim, seed int64, images, only int) {
 }
 
 // TestImagesMatchSeparateSims is the equivalence contract of wire images
-// (SetImages): coding k on image v counts exactly what a one-image
+// (SetRows): coding k on image v counts exactly what a one-image
 // simulation of image v's bits with coding k counts, and image 0 alone
 // drives Stats and LinkStats, on every topology, on links that are and are
-// not a whole number of words wide, whether the images are set before or
-// after the counted codings are installed.
+// not a whole number of words wide.
 func TestImagesMatchSeparateSims(t *testing.T) {
 	const images = 3
 	codings := []string{"none", "gray", "businvert"}
@@ -68,38 +67,28 @@ func TestImagesMatchSeparateSims(t *testing.T) {
 					ref[v] = codedSim(t, cfg, codings[0], codings[1:]...)
 					imageTraffic(t, ref[v], 5, images, v)
 				}
-				for _, imagesFirst := range []bool{true, false} {
-					sim, err := noc.New(cfg, lookupCoding(t, codings[0]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					install := func() {
-						if err := sim.SetLinkCodings(1, lookupCoding(t, codings[1]), lookupCoding(t, codings[2])); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if !imagesFirst {
-						install()
-					}
-					if err := sim.SetImages(images); err != nil {
-						t.Fatal(err)
-					}
-					if imagesFirst {
-						install()
-					}
-					if want := (images-1)*192 + bits; bits == 136 && sim.PayloadBits() != want {
-						t.Fatalf("payload %d bits, want %d", sim.PayloadBits(), want)
-					}
-					imageTraffic(t, sim, 5, images, -1)
-					if sim.Stats() != ref[0].Stats() || fmt.Sprint(sim.LinkStats()) != fmt.Sprint(ref[0].LinkStats()) {
-						t.Errorf("images first %v: Stats or LinkStats are not image 0's", imagesFirst)
-					}
-					for v := range ref {
-						for k := range codings {
-							if got, want := sim.ImageBT(v, k), ref[v].CodedBT(k); got != want {
-								t.Errorf("images first %v: image %d coding %s counted %d, its own simulation %d",
-									imagesFirst, v, codings[k], got, want)
-							}
+				sim, err := noc.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				schemes := make([]flit.LinkCodingScheme, len(codings))
+				for k, c := range codings {
+					schemes[k] = lookupCoding(t, c)
+				}
+				if err := sim.SetRows(images, schemes...); err != nil {
+					t.Fatal(err)
+				}
+				if want := (images-1)*192 + bits; bits == 136 && sim.PayloadBits() != want {
+					t.Fatalf("payload %d bits, want %d", sim.PayloadBits(), want)
+				}
+				imageTraffic(t, sim, 5, images, -1)
+				if sim.Stats() != ref[0].Stats() || fmt.Sprint(sim.LinkStats()) != fmt.Sprint(ref[0].LinkStats()) {
+					t.Error("Stats or LinkStats are not image 0's")
+				}
+				for v := range ref {
+					for k := range codings {
+						if got, want := rowBT(t, sim, v, k), rowBT(t, ref[v], 0, k); got != want {
+							t.Errorf("image %d coding %s counted %d, its own simulation %d", v, codings[k], got, want)
 						}
 					}
 				}
@@ -108,8 +97,9 @@ func TestImagesMatchSeparateSims(t *testing.T) {
 	}
 }
 
-// TestSetImagesRejects: wire images are set before any traffic, at least
-// one, never under a payload trace, and a multi-image simulator takes
+// TestSetImagesRejects: rows are declared once, before any traffic, with
+// at least one wire image, and never several under a payload trace; a
+// refused declaration installs nothing, and a multi-image simulator takes
 // only payloads of its full width.
 func TestSetImagesRejects(t *testing.T) {
 	cfg := noc.Config{Width: 2, Height: 2, VCs: 2, BufDepth: 2, LinkBits: 128}
@@ -126,6 +116,7 @@ func TestSetImagesRejects(t *testing.T) {
 			hdr := bitutil.NewVec(128)
 			return s.Inject(flit.NewPacket(1, 0, 3, hdr, nil))
 		}, 2, "before any traffic"},
+		{"second", func(s *noc.Sim) error { return s.SetRows(1, nil) }, 2, "declared once"},
 	} {
 		sim, err := noc.New(cfg)
 		if err != nil {
@@ -136,15 +127,21 @@ func TestSetImagesRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := sim.SetImages(tc.k); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: SetImages(%d) = %v, want an error containing %q", tc.name, tc.k, err, tc.want)
+		if err := sim.SetRows(tc.k, nil, lookupCoding(t, "gray")); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SetRows(%d) = %v, want an error containing %q", tc.name, tc.k, err, tc.want)
+		}
+		if sim.PayloadBits() != 128 || sim.Pool().Vec().Width() != 128 {
+			t.Errorf("%s: a refused declaration left %d-bit payloads", tc.name, sim.PayloadBits())
+		}
+		if _, err := sim.RowBT(0, 1); err == nil {
+			t.Errorf("%s: a refused declaration installed a second coding", tc.name)
 		}
 	}
 	sim, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetImages(2); err != nil {
+	if err := sim.SetRows(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.SetTrace(trace); err == nil || !strings.Contains(err.Error(), "2 wire images") {
@@ -155,5 +152,29 @@ func TestSetImagesRejects(t *testing.T) {
 	}
 	if w := sim.Pool().Vec().Width(); w != 256 {
 		t.Errorf("pool serves %d-bit vectors, want 256", w)
+	}
+}
+
+// TestRowBTRejectsMissingRows: a row the slab does not have is an error
+// naming the asked-for row and the slab's shape, never another row's
+// count or a slice-bound panic.
+func TestRowBTRejectsMissingRows(t *testing.T) {
+	sim, err := noc.New(noc.Config{Width: 4, Height: 4, VCs: 2, BufDepth: 2, LinkBits: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetRows(2); err != nil {
+		t.Fatal(err)
+	}
+	imageTraffic(t, sim, 5, 2, -1)
+	for _, row := range [][2]int{{0, 1}, {2, 0}, {-1, 0}, {0, -1}} {
+		_, err := sim.RowBT(row[0], row[1])
+		want := fmt.Sprintf("no row for image %d, coding %d: the slab has 2 images of 1 codings", row[0], row[1])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RowBT(%d, %d) = %v, want an error containing %q", row[0], row[1], err, want)
+		}
+	}
+	if rowBT(t, sim, 1, 0) == sim.TotalBT() {
+		t.Error("image 1 counts the same as image 0: the traffic is too small to tell them apart")
 	}
 }

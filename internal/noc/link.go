@@ -37,7 +37,7 @@ func (c LinkClass) String() string {
 }
 
 // Link is one unidirectional physical channel. Its transitions are
-// counted by the simulator's link-coding slab (see Sim.SetLinkCodings),
+// counted by the simulator's link-coding slab (see Sim.SetRows),
 // whose coders hold the wires' last driven value between flits, so idle
 // cycles add no transitions — exactly the Flit_pre / Flit_current
 // comparison of Fig. 8.
@@ -122,140 +122,127 @@ func (c *plainCoding) Transitions(payload bitutil.Vec) int {
 	return d
 }
 
-// SetLinkCodings installs fresh per-link coder state from the schemes as
-// codings from, from+1, …: the codings before from stay, those from on are
-// replaced. Coding 0 is the links' installed coding: it drives Stats,
-// LinkStats, TotalBT and the span tracer's per-hop BT. The rest are
-// counted beside it. A link coding changes only how toggles are counted,
-// never a packet or a cycle, so one simulation measures every coding of
-// the same traffic; CodedBT(k) reads coding k, and CodedBT(0) equals
-// TotalBT. A nil scheme counts plain binary transitions, as coding 0 of a
-// new Sim does. Install before any traffic: switching codings mid-flight
-// would misalign coder wire state with the transitions already recorded.
-// If a scheme rejects the link width, nothing from this call is
-// installed.
-func (s *Sim) SetLinkCodings(from int, schemes ...flit.LinkCodingScheme) error {
-	if s.cycle != 0 || s.Busy() {
-		return fmt.Errorf("noc: link codings must be installed before any traffic")
+// SetRows declares, before any traffic, everything the simulation counts:
+// every flit payload carries images wire images of one link width each,
+// image v in backing words [v·w, (v+1)·w) where w is a link's word count,
+// and each of the codings counts every image on every link crossing. Row
+// r = v·len(codings) + k counts coding k on image v, and RowBT(v, k) reads
+// it. codings[0] is the links' installed coding, and row 0 — image 0
+// under it — drives Stats, LinkStats, TotalBT and the span tracer's
+// per-hop BT; the other rows are counted beside it. A nil scheme counts
+// plain binary transitions; with no codings, coding 0 is plain.
+//
+// A link coding changes only how toggles are counted, and a producer whose
+// packets differ only in payload bits — never in length, route or timing —
+// puts each variant in an image of its own, so one simulation measures
+// every row of the same traffic. With several images the pool serves
+// PayloadBits-wide vectors, and Inject takes only payloads that wide.
+//
+// SetRows replaces the rows New laid out, and may be called once. It
+// refuses a second call, any call after traffic, fewer than one image,
+// several images under a payload trace (a trace records whole payloads, and
+// no replay of a multi-image payload counts what a link carries) and a
+// coding whose row constructor rejects the link width (a *CodingError);
+// a refused call installs nothing.
+func (s *Sim) SetRows(images int, codings ...flit.LinkCodingScheme) error {
+	switch {
+	case s.declared:
+		return fmt.Errorf("noc: rows are declared once; this simulation's are %d images of %d codings", s.images, len(s.schemes))
+	case s.cycle != 0 || s.Busy():
+		return fmt.Errorf("noc: rows must be declared before any traffic")
+	case images < 1:
+		return fmt.Errorf("noc: %d wire images; need at least 1", images)
+	case images > 1 && s.observer != nil && s.observer.trace != nil:
+		return fmt.Errorf("noc: cannot carry %d wire images under a payload trace", images)
 	}
-	if from < 0 || from > len(s.schemes) || from+len(schemes) == 0 {
-		return fmt.Errorf("noc: cannot install %d link codings from coding %d of %d", len(schemes), from, len(s.schemes))
-	}
-	return s.layCoders(from, s.images, schemes)
-}
-
-// SetImages makes every flit payload carry k wire images of one link
-// width each, image v in backing words [v·w, (v+1)·w) where w is a link's
-// word count, and counts every coding on every image: image 0 is the
-// links' own traffic, which drives Stats, LinkStats, TotalBT and the span
-// tracer's per-hop BT, and ImageBT(v, k) reads coding k on image v. A
-// producer whose packets differ only in payload bits — never in length,
-// route or timing — puts each variant in an image of its own, so one
-// simulation measures them all. The pool then serves PayloadBits-wide
-// vectors, and Inject takes only payloads that wide. Call it before any
-// traffic, and not with a payload-replaying trace installed: a trace
-// records whole payloads, and no replay of a multi-image payload counts
-// what a link carries.
-func (s *Sim) SetImages(k int) error {
-	if s.cycle != 0 || s.Busy() {
-		return fmt.Errorf("noc: wire images must be set before any traffic")
-	}
-	if k < 1 {
-		return fmt.Errorf("noc: %d wire images; need at least 1", k)
-	}
-	if k > 1 && s.observer != nil && s.observer.trace != nil {
-		return fmt.Errorf("noc: cannot carry %d wire images under a payload trace", k)
-	}
-	if err := s.layCoders(len(s.schemes), k, nil); err != nil {
+	if err := s.layRows(images, codings); err != nil {
 		return err
 	}
-	words := (s.cfg.LinkBits + 63) / 64
-	s.payloadBits = (k-1)*64*words + s.cfg.LinkBits
-	if s.pool.Width() != s.payloadBits {
-		s.pool = flit.NewPool(s.payloadBits)
-		for i := range s.nis {
-			s.nis[i].pool = s.pool
-		}
-	}
+	s.declared = true
 	return nil
 }
 
-// layCoders lays out the coding slab for images images of the first keep
-// codings followed by the added ones: coding c of image v is row
-// v·codings + c. The rows of the kept codings on the images the slab
-// already has keep their coders; every other row gets fresh coders.
-func (s *Sim) layCoders(keep, images int, added []flit.LinkCodingScheme) error {
+// CodingError is the error of a declared coding whose row constructor
+// rejects the link width; Coding is its index among the declared codings.
+type CodingError struct {
+	Coding int
+	Name   string // the coding's scheme name
+	Link   string // the first link of its row
+	Err    error
+}
+
+func (e *CodingError) Error() string {
+	return fmt.Sprintf("noc: link coding %q on link %s: %v", e.Name, e.Link, e.Err)
+}
+
+func (e *CodingError) Unwrap() error { return e.Err }
+
+// layRows lays out the coding slab of SetRows in one pass: fresh coders
+// for every (image, coding) row, each row built by one call of its
+// scheme's row constructor, or from one plain-coder slab for nil schemes.
+func (s *Sim) layRows(images int, codings []flit.LinkCodingScheme) error {
+	if len(codings) == 0 {
+		codings = []flit.LinkCodingScheme{nil}
+	}
 	n, words := len(s.links), (s.cfg.LinkBits+63)/64
-	codings := keep + len(added)
-	scheme := func(c int) flit.LinkCodingScheme {
-		if c < keep {
-			return s.schemes[c]
-		}
-		return added[c-keep]
-	}
-	fresh := func(v, c int) bool { return v >= s.images || c >= keep }
 	plains := 0
-	for v := 0; v < images; v++ {
-		for c := 0; c < codings; c++ {
-			if scheme(c) == nil && fresh(v, c) {
-				plains++
-			}
+	for _, sc := range codings {
+		if sc == nil {
+			plains++
 		}
 	}
-	plain := make([]plainCoding, plains*n)
+	plain := make([]plainCoding, images*plains*n)
 	wires := make([]uint64, len(plain)*words)
-	coders := make([]flit.LinkCoding, 0, images*codings*n)
-	p := 0 // next plain coder
+	coders := make([]flit.LinkCoding, 0, images*len(codings)*n)
 	for v := 0; v < images; v++ {
-		for c := 0; c < codings; c++ {
-			if !fresh(v, c) {
-				row := (v*len(s.schemes) + c) * n
-				coders = append(coders, s.coders[row:row+n]...)
-				continue
-			}
-			sc := scheme(c)
-			if rs, ok := sc.(flit.LinkCodingRowScheme); ok {
-				// One batch for the row; it fails on the width, so for
-				// every link alike, and names the first.
+		for k, sc := range codings {
+			if sc != nil {
+				// The constructor fails on the width, so for every link
+				// alike: the error names the row's first.
 				var err error
-				if coders, err = rs.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
-					return fmt.Errorf("noc: link coding %q on link %s: %w", sc.Name(), s.links[0].Name, err)
+				if coders, err = sc.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
+					return &CodingError{Coding: k, Name: sc.Name(), Link: s.links[0].Name, Err: err}
 				}
 				continue
 			}
-			for i := range s.links {
-				if sc == nil {
-					c := &plain[p]
-					c.wire = wires[p*words : (p+1)*words : (p+1)*words]
-					p++
-					coders = append(coders, c)
-					continue
-				}
-				c, err := sc.New(s.cfg.LinkBits)
-				if err != nil {
-					return fmt.Errorf("noc: link coding %q on link %s: %w", sc.Name(), s.links[i].Name, err)
-				}
+			for range n {
+				c := &plain[0]
+				c.wire, wires = wires[:words:words], wires[words:]
+				plain = plain[1:]
 				coders = append(coders, c)
 			}
 		}
 	}
-	s.coders, s.images = coders, images
-	s.schemes = append(s.schemes[:keep], added...)
-	s.linkBT = make([]int64, len(coders))
+	if width := (images-1)*64*words + s.cfg.LinkBits; s.pool.Width() != width {
+		s.pool = flit.NewPool(width)
+		for i := range s.nis {
+			s.nis[i].pool = s.pool
+		}
+	}
+	s.coders, s.linkBT = coders, make([]int64, len(coders))
+	s.images, s.payloadBits = images, s.pool.Width()
+	s.schemes = append(s.schemeBuf[:0], codings...)
 	return nil
 }
 
-// CodedBT returns coding k's transitions (see SetLinkCodings) over exactly
-// the links TotalBT counts: router and ejection links, plus injection
-// links when the configuration counts them. It is ImageBT(0, k).
-func (s *Sim) CodedBT(k int) int64 { return s.ImageBT(0, k) }
+// RowBT returns the transitions of coding k on wire image v (see SetRows)
+// over exactly the links TotalBT counts: router and ejection links, plus
+// injection links when the configuration counts them. A row the slab does
+// not have is an error naming its shape.
+func (s *Sim) RowBT(v, k int) (int64, error) {
+	codings := len(s.schemes)
+	if v < 0 || v >= s.images || k < 0 || k >= codings {
+		return 0, fmt.Errorf("noc: no row for image %d, coding %d: the slab has %d images of %d codings",
+			v, k, s.images, codings)
+	}
+	return s.rowBT(v*codings + k), nil
+}
 
-// ImageBT returns coding k's transitions on wire image v (see SetImages)
-// over the links TotalBT counts.
-func (s *Sim) ImageBT(v, k int) int64 {
+// rowBT sums row r's counts over the links TotalBT counts.
+func (s *Sim) rowBT(r int) int64 {
 	var total int64
-	row := (v*len(s.schemes) + k) * len(s.links)
-	for i, bt := range s.linkBT[row : row+len(s.links)] {
+	n := len(s.links)
+	for i, bt := range s.linkBT[r*n : (r+1)*n] {
 		if s.links[i].Class != InjectionLink || s.cfg.CountInjection {
 			total += bt
 		}

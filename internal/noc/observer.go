@@ -46,7 +46,7 @@ const packetTIDBase = 1 << 20
 // installed, same-cycle deliveries are reported in the deterministic
 // router/port scan order (the pre-optimization Step order). A trace sees
 // whole payloads, so it cannot observe a simulator carrying more than one
-// wire image (see SetImages): SetTrace then returns an error and installs
+// wire image (see SetRows): SetTrace then returns an error and installs
 // nothing.
 func (s *Sim) SetTrace(fn TraceFunc) error {
 	if fn != nil && s.images > 1 {

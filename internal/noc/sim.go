@@ -75,20 +75,22 @@ type Sim struct {
 	delivered  int64
 
 	// coders holds every link coding's per-link wire state on every wire
-	// image (see SetLinkCodings and SetImages): row r = v·len(schemes) + k
-	// is coding k on image v, its coder for link i is coders[r·len(links) + i],
-	// and linkBT[r·len(links) + i] is that coder's transition count. Row 0
-	// is the links' installed coding on their own traffic, plain binary
-	// unless SetLinkCodings says otherwise. schemes[k] is coding k's scheme
+	// image (see SetRows): row r = v·len(schemes) + k is coding k on image
+	// v, its coder for link i is coders[r·len(links) + i], and
+	// linkBT[r·len(links) + i] is that coder's transition count. Row 0 is
+	// the links' installed coding on their own traffic, plain binary
+	// unless New or SetRows says otherwise. schemes[k] is coding k's scheme
 	// (nil for plain), cut from schemeBuf while it fits.
 	coders    []flit.LinkCoding
 	linkBT    []int64
 	schemes   []flit.LinkCodingScheme
 	schemeBuf [4]flit.LinkCodingScheme
 	// images is how many wire images a payload carries, and payloadBits
-	// their total width: LinkBits when images is 1.
+	// their total width: LinkBits when images is 1. declared says SetRows
+	// has laid the rows out.
 	images      int
 	payloadBits int
+	declared    bool
 
 	// observer, when set, receives the inject, hop and eject events of
 	// every flit: the TraceFunc packet trace and the span tracer's packet
@@ -104,9 +106,9 @@ type Sim struct {
 // up front and built in a constant number of allocations, independent of
 // the network size.
 //
-// The links' codings are installed as by SetLinkCodings(0, codings...):
-// codings[0] is the installed coding, the rest are counted beside it. With
-// none, coding 0 is plain binary.
+// The links' codings are laid out as by SetRows(1, codings...): codings[0]
+// is the installed coding, the rest are counted beside it. With none,
+// coding 0 is plain binary. A later SetRows call replaces them.
 func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -148,21 +150,18 @@ func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 
 	s := &Sim{
 		cfg: cfg, topo: topo, vcClasses: topo.VCClasses(), reqs: reqs,
-		routers:     make([]router, routers),
-		ports:       make([]port, routers*ports),
-		slots:       make([]vcSlot, routerSlots),
-		bufs:        make([]*flit.Flit, routerSlots*cfg.BufDepth),
-		credits:     make([]int, routerSlots+nodes*vcs),
-		vcBusy:      make([]bool, routerSlots+nodes*vcs),
-		links:       make([]Link, 0, nlinks),
-		nis:         make([]NI, nodes),
-		pool:        flit.NewPool(cfg.LinkBits),
-		busy:        make([]*Link, 0, nlinks),
-		activeNIs:   make([]*NI, 0, nodes),
-		images:      1,
-		payloadBits: cfg.LinkBits,
+		routers:   make([]router, routers),
+		ports:     make([]port, routers*ports),
+		slots:     make([]vcSlot, routerSlots),
+		bufs:      make([]*flit.Flit, routerSlots*cfg.BufDepth),
+		credits:   make([]int, routerSlots+nodes*vcs),
+		vcBusy:    make([]bool, routerSlots+nodes*vcs),
+		links:     make([]Link, 0, nlinks),
+		nis:       make([]NI, nodes),
+		pool:      flit.NewPool(cfg.LinkBits),
+		busy:      make([]*Link, 0, nlinks),
+		activeNIs: make([]*NI, 0, nodes),
 	}
-	s.schemes = s.schemeBuf[:0]
 	setWords := make([]uint64, reqWords(routers)+reqWords(nodes)+routers*(1+2*ports)*reqWords(reqs))
 	s.active = cutReqSet(&setWords, routers)
 	s.ejected = cutReqSet(&setWords, nodes)
@@ -299,10 +298,7 @@ func New(cfg Config, codings ...flit.LinkCodingScheme) (*Sim, error) {
 			}
 		}
 	}
-	if len(codings) == 0 {
-		codings = []flit.LinkCodingScheme{nil}
-	}
-	if err := s.SetLinkCodings(0, codings...); err != nil {
+	if err := s.layRows(1, codings); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -315,7 +311,7 @@ func (s *Sim) Config() Config { return s.cfg }
 func (s *Sim) Topology() Topology { return s.topo }
 
 // PayloadBits returns the width of the flit payloads the simulator
-// carries: LinkBits with one wire image (see SetImages), and each further
+// carries: LinkBits with one wire image (see SetRows), and each further
 // image adds LinkBits rounded up to whole 64-bit words.
 func (s *Sim) PayloadBits() int { return s.payloadBits }
 
@@ -554,8 +550,8 @@ func (s *Sim) Stats() Stats {
 // TotalBT returns the transitions the paper's Fig. 8 recorder accumulates
 // under the installed link coding: all router output ports (router→router
 // plus ejection), plus injection links when the configuration asks for
-// them. It is CodedBT(0).
-func (s *Sim) TotalBT() int64 { return s.CodedBT(0) }
+// them. It is RowBT(0, 0).
+func (s *Sim) TotalBT() int64 { return s.rowBT(0) }
 
 // LinkStats returns per-link counters for detailed reporting.
 func (s *Sim) LinkStats() []LinkStat {

@@ -23,7 +23,7 @@ var benchScratch []bitutil.Vec
 // benchPacket builds an nflits-flit packet with pseudorandom payloads,
 // drawing flits and payload backing stores from the simulator's pool — the
 // allocation-free steady state a warm engine runs in. Every wire image of
-// a payload (see SetImages) gets bits of its own.
+// a payload (see SetRows) gets bits of its own.
 func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Rand) *flit.Packet {
 	pool := s.Pool()
 	benchScratch = benchScratch[:0]
@@ -48,29 +48,28 @@ func benchPacket(s *Sim, id uint64, src, dst, nflits, linkBits int, rng *rand.Ra
 }
 
 // benchSim steps the configured interconnect for b.N cycles with the named
-// link codings on each of images wire images (SetImages): the first coding
-// is installed on the links (none or "" for uncoded), the rest are counted
-// beside it (SetLinkCodings). inject is called every cycle and may queue
-// new packets, pop drains ejected packets periodically — recycling them
-// into the pool, as the accelerator's PE/MC consumers do — so NI
-// reassembly queues stay bounded and flits keep circulating.
+// link codings on each of images wire images, declared in one SetRows
+// call: the first coding is installed on the links (none or "" for
+// uncoded), the rest are counted beside it. inject is called every cycle
+// and may queue new packets, pop drains ejected packets periodically —
+// recycling them into the pool, as the accelerator's PE/MC consumers do —
+// so NI reassembly queues stay bounded and flits keep circulating.
 func benchSim(b *testing.B, cfg Config, images int, codings []string, inject func(s *Sim, cycle int64)) {
 	b.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.SetImages(images); err != nil {
-		b.Fatal(err)
-	}
+	schemes := make([]flit.LinkCodingScheme, len(codings))
 	for i, coding := range codings {
 		scheme, ok := flit.LookupLinkCoding(coding)
 		if !ok {
 			b.Fatalf("unknown link coding %q", coding)
 		}
-		if err := s.SetLinkCodings(i, scheme); err != nil {
-			b.Fatal(err)
-		}
+		schemes[i] = scheme
+	}
+	if err := s.SetRows(images, schemes...); err != nil {
+		b.Fatal(err)
 	}
 	nodes := s.Config().Nodes()
 	b.ReportAllocs()

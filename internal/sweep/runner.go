@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
+	"nocbt/internal/noc"
 	"nocbt/internal/obs"
 	"nocbt/internal/stats"
 	"nocbt/internal/tensor"
@@ -201,16 +203,15 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 
 // runGroup measures one sweep group on one engine and writes each job's
 // Result, or its error, at the job's index; it reports whether every job
-// succeeded. The group's distinct orderings are the engine's wire images:
-// the first job's is the engine's own Ordering, and every other one rides
-// in an image of its own on the same flits (Engine.CountOrderings). The
-// group's distinct codings are the engine's coding slab: the first job's
-// is the engine's own LinkCoding (coding 0), and every other one is
-// counted on the same link crossings (Engine.CountCodings). A job's Result
-// is the group's with its own Ordering and Coding, and with TotalBT read
-// from its (ordering, coding) row (Engine.OrderingBT); every other column
-// depends only on the traffic's timing. Each group infers on its own clone
-// of the shared model.
+// succeeded. The group's distinct orderings are the engine's wire images
+// and its distinct codings the engine's coding slab, declared in one
+// Engine.Count call: the first job's ordering and coding are the engine's
+// own (ordering 0, coding 0), and every other one rides in an image of its
+// own, or is counted, on the same link crossings. A job's Result is the
+// group's with its own Ordering and Coding, and with TotalBT read from its
+// (ordering, coding) row (Engine.RowBT); every other column depends only
+// on the traffic's timing. Each group infers on its own clone of the
+// shared model.
 func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, errs []error) bool {
 	job := group[0]
 	fail := func(j Job, err error) bool {
@@ -238,40 +239,23 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	}
 	cfg.LinkCoding = codings[0]
 	// oindex[k] and cindex[k] are the engine's ordering and coding numbers
-	// of job k; a coding that cannot be counted fails the first job that
-	// lists it.
+	// of job k; orderings[i] and installed[i] are the engine's ordering
+	// and coding i.
 	oindex, cindex := make([]int, len(group)), make([]int, len(group))
-	orderings := []flit.Ordering{job.Ordering} // orderings[i] is the engine's ordering i
+	orderings, installed := []flit.Ordering{job.Ordering}, codings[:1:1]
 	for k, j := range group {
-		i := slices.Index(orderings, j.Ordering)
-		if i < 0 {
-			i = len(orderings)
-			orderings = append(orderings, j.Ordering)
-		}
-		oindex[k] = i
+		oindex[k], orderings = indexOf(orderings, j.Ordering)
+		cindex[k], installed = indexOf(installed, codings[k])
 	}
-	failed := job
-	prepare := func(eng *accel.Engine) error {
-		if err := eng.CountOrderings(orderings[1:]...); err != nil {
-			return err
-		}
-		installed := codings[:1:1] // installed[i] is the engine's coding i
-		for k, coding := range codings {
-			i := slices.Index(installed, coding)
-			if i < 0 {
-				if err := eng.CountCodings(coding); err != nil {
-					failed = group[k]
-					return err
-				}
-				i = len(installed)
-				installed = append(installed, coding)
-			}
-			cindex[k] = i
-		}
-		return nil
-	}
-	res, eng, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch, prepare)
+	res, eng, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch,
+		orderings[1:], installed[1:])
 	if err != nil {
+		// A coding that cannot be counted fails the first job that lists it.
+		failed := job
+		var ce *noc.CodingError
+		if errors.As(err, &ce) {
+			failed = group[slices.Index(cindex, ce.Coding)]
+		}
 		return fail(failed, err)
 	}
 	res.Workload = job.Workload.Name
@@ -281,10 +265,20 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 	for k, j := range group {
 		res.Ordering = j.Ordering
 		res.Coding = codingName(codings[k])
-		res.TotalBT = eng.OrderingBT(oindex[k], cindex[k])
+		if res.TotalBT, err = eng.RowBT(oindex[k], cindex[k]); err != nil {
+			return fail(j, err)
+		}
 		results[j.Index] = res
 	}
 	return true
+}
+
+// indexOf returns v's index in list, appending v first if it is not there.
+func indexOf[T comparable](list []T, v T) (int, []T) {
+	if i := slices.Index(list, v); i >= 0 {
+		return i, list
+	}
+	return len(list), append(list, v)
 }
 
 // Measure runs one measurement of model on cfg and returns its row with
@@ -295,10 +289,11 @@ func (r *runner) runGroup(ctx context.Context, group []Job, results []Result, er
 // scaled serial runs. The row carries the canonical topology, the display
 // coding, every traffic and energy counter, throughput and latency; the
 // grid coordinates Workload, Seed and Precision are left to the caller.
-// Measure installs the context's span tracer on the engine, and prepare,
-// when non-nil, runs on the engine before inference.
+// Measure installs the context's span tracer on the engine and, when
+// either list is non-empty, counts the orderings and codings beside cfg's
+// own (Engine.Count) before inference.
 func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.Model, input *tensor.Tensor,
-	batch int, prepare func(*accel.Engine) error) (Result, *accel.Engine, error) {
+	batch int, orderings []flit.Ordering, codings []string) (Result, *accel.Engine, error) {
 	if batch < 1 {
 		return Result{}, nil, fmt.Errorf("batch size %d < 1", batch)
 	}
@@ -309,8 +304,8 @@ func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if prepare != nil {
-		if err := prepare(eng); err != nil {
+	if len(orderings) > 0 || len(codings) > 0 {
+		if err := eng.Count(orderings, codings); err != nil {
 			return Result{}, nil, err
 		}
 	}

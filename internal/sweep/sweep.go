@@ -25,14 +25,13 @@
 // the PE's exact integer MAC gives every ordering the same fixed-point
 // partial sums. So each group runs one engine and one simulation; float
 // geometries and in-band-index platforms keep one group per ordering. The
-// group's orderings are the engine's wire images: the first job's in
-// expansion order is the engine's own Ordering, and every other one rides
-// in an image of its own on the same flits (accel.Engine.CountOrderings).
-// The group's codings are the engine's coding slab: the first job's is the
-// engine's own LinkCoding (coding 0), and every other one is counted on
-// the same link crossings (accel.Engine.CountCodings). Each job's Result
-// is the group's with its own Ordering and Coding, and its TotalBT is its
-// (ordering, coding) row (accel.Engine.OrderingBT). Two things follow:
+// group's orderings are the engine's wire images and its codings the
+// engine's coding slab, both declared in one accel.Engine.Count call: the
+// first job's in expansion order are the engine's own Ordering and
+// LinkCoding, and every other ordering rides in an image of its own, and
+// every other coding is counted, on the same link crossings. Each job's
+// Result is the group's with its own Ordering and Coding, and its TotalBT
+// is its (ordering, coding) row (accel.Engine.RowBT). Two things follow:
 //
 //   - a span trace of a sweep shows one engine per group, and its per-hop
 //     BT is that of the group's first ordering under its first coding;

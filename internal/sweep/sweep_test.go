@@ -516,13 +516,14 @@ func TestCodingGroupsMatchPerJobEngines(t *testing.T) {
 	}
 }
 
-// rejectScheme is a link coding whose New refuses every link width.
+// rejectScheme is a link coding whose row constructor refuses every link
+// width.
 type rejectScheme struct{}
 
 func (rejectScheme) Name() string       { return "sweep-test-reject" }
 func (rejectScheme) ExtraLines(int) int { return 0 }
-func (rejectScheme) New(width int) (flit.LinkCoding, error) {
-	return nil, fmt.Errorf("no %d-bit coder", width)
+func (rejectScheme) AppendRow(dst []flit.LinkCoding, width, _ int) ([]flit.LinkCoding, error) {
+	return dst, fmt.Errorf("no %d-bit coder", width)
 }
 
 var registerReject sync.Once

@@ -11,15 +11,12 @@ import (
 // payload-recording tracer attached.
 func codedSim(t *testing.T, coding string) (*noc.Sim, *Recorder) {
 	t.Helper()
-	sim, err := noc.New(noc.Config{Width: 3, Height: 3, VCs: 4, BufDepth: 4, LinkBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scheme, ok := flit.LookupLinkCoding(coding)
 	if !ok || scheme == nil {
 		t.Fatalf("link coding %q not registered", coding)
 	}
-	if err := sim.SetLinkCodings(0, scheme); err != nil {
+	sim, err := noc.New(noc.Config{Width: 3, Height: 3, VCs: 4, BufDepth: 4, LinkBits: 16}, scheme)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()

@@ -120,11 +120,11 @@ func (r *Recorder) CodedBT(scheme flit.LinkCodingScheme, classes ...noc.LinkClas
 	for i, e := range r.events {
 		coder, ok := coders[e.Link]
 		if !ok {
-			var err error
-			coder, err = scheme.New(r.payloads[i].Width())
+			row, err := scheme.AppendRow(nil, r.payloads[i].Width(), 1)
 			if err != nil {
 				return 0, fmt.Errorf("trace: link %s: %w", e.Link, err)
 			}
+			coder = row[0]
 			coders[e.Link] = coder
 		}
 		// Every event must pass through its link's coder to keep the wire
