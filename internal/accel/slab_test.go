@@ -99,8 +99,8 @@ func TestRunSlabsExact(t *testing.T) {
 
 // TestNewAllocs pins accel.New's allocations on the 4x4/MC2 test net: the
 // simulator is built once, with the engine's own link coding as its coding
-// 0, rather than built plain and then recoded, and a coded link row is
-// built in one batch rather than one coder at a time.
+// 0, rather than built plain and then recoded, and a coding is built once
+// for every link rather than one coder at a time.
 func TestNewAllocs(t *testing.T) {
 	m := tinyNet(rand.New(rand.NewSource(55)))
 	for _, tc := range []struct {

@@ -16,18 +16,17 @@ import (
 	"nocbt/internal/bitutil"
 )
 
-// Encoder holds the wire state of one link (payload wires plus one invert
-// line per segment). The invert lines are a word mask parallel to the
-// payload words, with every bit of an inverted segment set, so the wires
-// always carry payload XOR inv.
-type Encoder struct {
-	width    int
-	segBits  int
-	segments int
-	wire     bitutil.Vec
-	inv      []uint64
+// Coding is the state of one bus per (link, image) pair: payload wires
+// plus one invert line per segment. The invert lines are a word mask
+// parallel to the payload words, with every bit of an inverted segment
+// set, so the wires always carry payload XOR inv. Bus (link, v) is words
+// [(link·images + v)·words, +words) of wire and inv, so a crossing drives
+// all its images over one contiguous run.
+type Coding struct {
+	width, segBits, words, images int
+	wire, inv                     []uint64
 
-	// SWAR constants of Drive's lane path (segBits <= 64), replicated
+	// SWAR constants of Count's lane path (segBits <= 64), replicated
 	// across the segBits-wide lanes of a word.
 	rounds int    // pairwise-add rounds that turn bits into lane counts
 	msb    uint64 // top bit of every lane
@@ -43,7 +42,7 @@ var laneMasks = [6]uint64{
 }
 
 // checkGeometry reports whether width-bit flits split into segBits-wide
-// segments that Drive can process word by word: segBits must divide 64
+// segments that Count can process word by word: segBits must divide 64
 // (several segments per word) or be a multiple of 64 (whole words per
 // segment), and width must be a multiple of segBits.
 func checkGeometry(width, segBits int) error {
@@ -53,27 +52,17 @@ func checkGeometry(width, segBits int) error {
 	return nil
 }
 
-// NewEncoder builds a bus-invert encoder for width-bit flits using one
-// invert line per segBits-wide segment (classic bus-invert uses one line
-// for the whole bus; segmented bus-invert scales better for wide links).
+// NewCoding builds the bus-invert state of links links carrying images
+// wire images of width-bit flits each, with one invert line per
+// segBits-wide segment (classic bus-invert uses one line for the whole
+// bus; segmented bus-invert scales better for wide links), in one slab.
 // width must be a multiple of segBits, and segBits must divide 64 or be a
 // multiple of 64.
-func NewEncoder(width, segBits int) (*Encoder, error) {
-	encs, err := NewEncoders(width, segBits, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &encs[0], nil
-}
-
-// NewEncoders builds n independent encoders as NewEncoder does, over one
-// slice of encoders and one slab of wire and invert-line words — the
-// batch a simulator installing a coding on every link wants.
-func NewEncoders(width, segBits, n int) ([]Encoder, error) {
+func NewCoding(width, segBits, links, images int) (*Coding, error) {
 	if err := checkGeometry(width, segBits); err != nil {
 		return nil, err
 	}
-	proto := Encoder{width: width, segBits: segBits, segments: width / segBits}
+	c := &Coding{width: width, segBits: segBits, words: (width + 63) / 64, images: images}
 	if segBits <= 64 {
 		var lsb uint64
 		for b := 0; b < 64; b += segBits {
@@ -81,50 +70,30 @@ func NewEncoders(width, segBits, n int) ([]Encoder, error) {
 		}
 		half := uint64(segBits / 2)
 		top := uint64(1) << uint(segBits-1)
-		proto.rounds = bits.TrailingZeros(uint(segBits))
-		proto.msb = lsb << uint(segBits-1)
-		proto.gtAdd = lsb * (top - half - 1)
-		proto.geAdd = lsb * (top - half)
+		c.rounds = bits.TrailingZeros(uint(segBits))
+		c.msb = lsb << uint(segBits-1)
+		c.gtAdd = lsb * (top - half - 1)
+		c.geAdd = lsb * (top - half)
 		if segBits == 1 {
 			// A one-bit segment never ties; half is 0, so geAdd would
 			// carry into the next lane.
-			proto.geAdd = proto.gtAdd
+			c.geAdd = c.gtAdd
 		}
 	}
-	words := (width + 63) / 64
-	slab := make([]uint64, 2*n*words)
-	encs := make([]Encoder, n)
-	for i := range encs {
-		w := slab[2*i*words : (2*i+2)*words : (2*i+2)*words]
-		encs[i] = proto
-		encs[i].wire = bitutil.FromWords(width, w[:words:words])
-		encs[i].inv = w[words:]
-	}
-	return encs, nil
+	n := links * images * c.words
+	slab := make([]uint64, 2*n)
+	c.wire, c.inv = slab[:n:n], slab[n:]
+	return c, nil
 }
 
-// ExtraLines returns the number of additional wires the encoding needs —
-// the overhead the paper's §II calls out for this encoding family.
-func (e *Encoder) ExtraLines() int { return e.segments }
+// ExtraLines returns the number of additional wires one bus needs — the
+// overhead the paper's §II calls out for this encoding family.
+func (c *Coding) ExtraLines() int { return c.width / c.segBits }
 
-// Encode drives v onto the bus and returns the encoded pattern (some
-// segments possibly inverted), the invert-line values, and the total
-// transitions this beat caused — payload wire flips plus invert-line flips.
-// It is Drive plus copies of the resulting wire state; per-flit BT counting
-// should call Drive directly and skip the allocations.
-func (e *Encoder) Encode(v bitutil.Vec) (encoded bitutil.Vec, invert []bool, transitions int) {
-	transitions = e.Drive(v)
-	invert = make([]bool, e.segments)
-	for s := range invert {
-		off := s * e.segBits
-		invert[s] = e.inv[off/64]>>uint(off%64)&1 != 0
-	}
-	return e.wire.Clone(), invert, transitions
-}
-
-// Drive updates the bus state for payload v in place — no encoded copy, no
-// invert slice — and returns the transitions this beat caused. Values are
-// identical to Encode's; only the allocations differ.
+// Count drives one crossing of link: payload holds the crossing's images,
+// image v in words [v·w, (v+1)·w) where w is one bus's word count, and
+// image v goes onto bus (link, v). It adds each image's transitions —
+// payload wire flips plus invert-line flips — to bt[v].
 //
 // Segments up to one word wide are decided a word at a time with no
 // per-segment branch: x = payload XOR wire is counted in SWAR lanes one
@@ -133,60 +102,124 @@ func (e *Encoder) Encode(v bitutil.Vec) (encoded bitutil.Vec, invert []bool, tra
 // those top bits spread into the lane mask m. The wires become payload
 // XOR m; the beat costs popcount(x XOR m) payload flips plus one flip per
 // lane whose invert line changed. Wider segments sum whole-word popcounts.
-func (e *Encoder) Drive(v bitutil.Vec) (transitions int) {
+func (c *Coding) Count(link int, payload []uint64, bt []int64) {
+	w, n := c.words, c.images*c.words
+	wires, invs := c.wire[link*n:][:n:n], c.inv[link*n:][:n:n]
+	payload, bt = payload[:n:n], bt[:c.images]
+	if c.segBits > 64 {
+		c.countWide(payload, wires, invs, bt)
+		return
+	}
+	rounds, msb, gtAdd, geAdd := c.rounds, c.msb, c.gtAdd, c.geAdd
+	shift := uint(c.segBits - 1)
+	// The all-ones lane value: a lane's top bit, moved to its bottom bit,
+	// times it fills the lane.
+	fill := ^uint64(0) >> (63 - shift)
+	k := 0
+	for v := range bt {
+		t := 0
+		for end := k + w; k < end; k++ {
+			p := payload[k]
+			x := p ^ wires[k]
+			cnt := x // lane counts (see laneMasks); unrolled, as a loop ran slower
+			if rounds > 0 {
+				cnt = cnt&laneMasks[0] + cnt>>1&laneMasks[0]
+			}
+			if rounds > 1 {
+				cnt = cnt&laneMasks[1] + cnt>>2&laneMasks[1]
+			}
+			if rounds > 2 {
+				cnt = cnt&laneMasks[2] + cnt>>4&laneMasks[2]
+			}
+			if rounds > 3 {
+				cnt = cnt&laneMasks[3] + cnt>>8&laneMasks[3]
+			}
+			if rounds > 4 {
+				cnt = cnt&laneMasks[4] + cnt>>16&laneMasks[4]
+			}
+			if rounds > 5 {
+				cnt = cnt&laneMasks[5] + cnt>>32&laneMasks[5]
+			}
+			prev := invs[k]
+			gt := (cnt + gtAdd) & msb
+			tie := (cnt + geAdd) & msb &^ gt
+			m := ((gt | tie&prev) >> shift) * fill
+			wires[k] = p ^ m
+			invs[k] = m
+			t += bits.OnesCount64(x^m) + bits.OnesCount64((m^prev)&msb)
+		}
+		bt[v] += int64(t)
+	}
+}
+
+// countWide is Count for segments of segBits/64 whole words: the segment's
+// Hamming distance is the sum of its words' XOR popcounts, and the invert
+// mask of each of its words is all ones or all zeros.
+func (c *Coding) countWide(payload, wires, invs []uint64, bt []int64) {
+	w, span, half := c.words, c.segBits/64, c.segBits/2
+	for v := range bt {
+		p, wire, inv := payload[v*w:][:w], wires[v*w:][:w], invs[v*w:][:w]
+		t := 0
+		for k0 := 0; k0 < w; k0 += span {
+			dist := 0
+			for k := k0; k < k0+span; k++ {
+				dist += bits.OnesCount64(p[k] ^ wire[k])
+			}
+			prev := inv[k0]
+			var m uint64
+			if dist > half || dist == half && prev != 0 {
+				m = ^uint64(0)
+				dist = c.segBits - dist
+			}
+			t += dist + int((m^prev)&1)
+			for k := k0; k < k0+span; k++ {
+				wire[k] = p[k] ^ m
+				inv[k] = m
+			}
+		}
+		bt[v] += int64(t)
+	}
+}
+
+// Encoder is the one-bus Coding, driven a flit at a time.
+type Encoder struct{ Coding }
+
+// NewEncoder builds a bus-invert encoder for width-bit flits using one
+// invert line per segBits-wide segment, with NewCoding's geometry rules.
+func NewEncoder(width, segBits int) (*Encoder, error) {
+	c, err := NewCoding(width, segBits, 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Encoder{*c}, nil
+}
+
+// Encode drives v onto the bus and returns the encoded pattern (some
+// segments possibly inverted), the invert-line values, and the total
+// transitions this beat caused — payload wire flips plus invert-line flips.
+// It is Drive plus copies of the resulting wire state; per-flit BT counting
+// should call Drive directly and skip the allocations.
+func (e *Encoder) Encode(v bitutil.Vec) (encoded bitutil.Vec, invert []bool, transitions int) {
+	transitions = e.Drive(v)
+	invert = make([]bool, e.ExtraLines())
+	for s := range invert {
+		off := s * e.segBits
+		invert[s] = e.inv[off/64]>>uint(off%64)&1 != 0
+	}
+	return bitutil.FromWords(e.width, e.wire).Clone(), invert, transitions
+}
+
+// Drive is Count on the one bus: it updates the bus state for payload v in
+// place — no encoded copy, no invert slice — and returns the transitions
+// this beat caused. Values are identical to Encode's; only the allocations
+// differ.
+func (e *Encoder) Drive(v bitutil.Vec) int {
 	if v.Width() != e.width {
 		panic(fmt.Sprintf("businvert: flit width %d, bus is %d", v.Width(), e.width))
 	}
-	payload, wire := v.Words(), e.wire.Words()
-	if e.segBits > 64 {
-		return e.driveWide(payload, wire)
-	}
-	wire, inv := wire[:len(payload)], e.inv[:len(payload)]
-	shift := uint(e.segBits - 1)
-	for k, p := range payload {
-		x := p ^ wire[k]
-		c := x
-		for r := 0; r < e.rounds; r++ {
-			c = c&laneMasks[r] + c>>(1<<uint(r))&laneMasks[r]
-		}
-		prev := inv[k]
-		gt := (c + e.gtAdd) & e.msb
-		tie := (c + e.geAdd) & e.msb &^ gt
-		up := gt | tie&prev
-		// Each lane's top bit, moved to its bottom bit, times the all-ones
-		// lane value fills the lane.
-		m := (up >> shift) * (^uint64(0) >> (63 - shift))
-		wire[k] = p ^ m
-		inv[k] = m
-		transitions += bits.OnesCount64(x^m) + bits.OnesCount64((m^prev)&e.msb)
-	}
-	return transitions
-}
-
-// driveWide is Drive for segments of segBits/64 whole words: the segment's
-// Hamming distance is the sum of its words' XOR popcounts, and the invert
-// mask of each of its words is all ones or all zeros.
-func (e *Encoder) driveWide(payload, wire []uint64) (transitions int) {
-	span := e.segBits / 64
-	half := e.segBits / 2
-	for k0 := 0; k0 < len(payload); k0 += span {
-		dist := 0
-		for k := k0; k < k0+span; k++ {
-			dist += bits.OnesCount64(payload[k] ^ wire[k])
-		}
-		prev := e.inv[k0]
-		var m uint64
-		if dist > half || dist == half && prev != 0 {
-			m = ^uint64(0)
-			dist = e.segBits - dist
-		}
-		transitions += dist + int((m^prev)&1)
-		for k := k0; k < k0+span; k++ {
-			wire[k] = payload[k] ^ m
-			e.inv[k] = m
-		}
-	}
-	return transitions
+	var bt [1]int64
+	e.Count(0, v.Words(), bt[:])
+	return int(bt[0])
 }
 
 // Decode recovers the original flit from an encoded pattern and its invert

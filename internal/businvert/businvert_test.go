@@ -364,41 +364,70 @@ func TestDecodeRejectsWrongLineCount(t *testing.T) {
 // width dividing a 64-bit word, plus one spanning two words.
 var fuzzSegBits = [...]int{1, 2, 4, 8, 16, 32, 64, 128}
 
-// FuzzBusInvertDrive drives a fuzzed beat stream through Drive and the
-// per-bit reference on a fuzzed geometry NewEncoder accepts (at most 512
-// bits), and requires identical transitions, wire state and invert lines
-// after every beat.
+// FuzzBusInvertDrive drives a fuzzed beat stream through a Coding of 1–3
+// links carrying 1–4 images each, on a fuzzed geometry NewCoding accepts
+// (at most 512 bits), and through one per-bit reference encoder per
+// (link, image) bus. Each beat crosses a fuzzed link with fresh bits on
+// every image; after every beat each image's transitions, and the wire
+// state and invert lines of every bus, driven or not, must equal the
+// references'.
 func FuzzBusInvertDrive(f *testing.F) {
-	f.Add(uint8(3), uint8(1), []byte{0xff, 0x0f, 0xf0, 0x0f, 0x00, 0x3c})
-	f.Add(uint8(0), uint8(7), []byte{0x01, 0xfe, 0x55, 0xaa})
-	f.Add(uint8(7), uint8(3), []byte{0xde, 0xad, 0xbe, 0xef})
-	f.Add(uint8(5), uint8(2), make([]byte, 64))
-	f.Fuzz(func(t *testing.T, geo, segs uint8, data []byte) {
+	f.Add(uint8(3), uint8(1), uint8(0), []byte{0xff, 0x0f, 0xf0, 0x0f, 0x00, 0x3c})
+	f.Add(uint8(0), uint8(7), uint8(0), []byte{0x01, 0xfe, 0x55, 0xaa})
+	f.Add(uint8(7), uint8(3), uint8(0), []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(uint8(5), uint8(2), uint8(0), make([]byte, 64))
+	f.Add(uint8(3), uint8(15), uint8(11), []byte{0x00, 0xff, 0x0f, 0xf0, 0x01, 0x3c, 0xaa, 0x55, 0x02, 0xc3})
+	// Two beats of 3 images on 128-bit segments, every image driven.
+	wide := make([]byte, 2*(1+3*16))
+	for i := range wide {
+		wide[i] = byte(i*37 + 11)
+	}
+	f.Add(uint8(7), uint8(0), uint8(7), wide)
+	f.Fuzz(func(t *testing.T, geo, segs, shape uint8, data []byte) {
 		segBits := fuzzSegBits[int(geo)%len(fuzzSegBits)]
 		width := segBits * (1 + int(segs)%(512/segBits))
-		e, err := NewEncoder(width, segBits)
+		links, images := 1+int(shape)%3, 1+int(shape)/3%4
+		c, err := NewCoding(width, segBits, links, images)
 		if err != nil {
 			t.Fatalf("geometry %d/%d rejected: %v", width, segBits, err)
 		}
-		naive := newNaiveEncoder(width, segBits)
+		naive := make([]*naiveEncoder, links*images) // bus (link, v) at link·images + v
+		for i := range naive {
+			naive[i] = newNaiveEncoder(width, segBits)
+		}
+		words := (width + 63) / 64
+		payload := make([]uint64, images*words)
+		bt := make([]int64, images)
 		for beat := 0; beat < 64 && len(data) > 0; beat++ {
-			v := bitutil.NewVec(width)
-			for b := 0; b < width && len(data) > 0; b += 8 {
-				w := min(8, width-b)
-				v.SetField(b, w, uint64(data[0]))
-				data = data[1:]
+			link := int(data[0]) % links
+			data = data[1:]
+			imgs := make([]bitutil.Vec, images)
+			for v := range imgs {
+				imgs[v] = bitutil.NewVec(width)
+				for b := 0; b < width && len(data) > 0; b += 8 {
+					imgs[v].SetField(b, min(8, width-b), uint64(data[0]))
+					data = data[1:]
+				}
+				copy(payload[v*words:], imgs[v].Words())
 			}
-			_, wantInv, wantT := naive.encode(v)
-			if got := e.Drive(v); got != wantT {
-				t.Fatalf("%d/%d beat %d: transitions %d, reference %d", width, segBits, beat, got, wantT)
+			clear(bt)
+			c.Count(link, payload, bt)
+			for v, img := range imgs {
+				if _, _, want := naive[link*images+v].encode(img); bt[v] != int64(want) {
+					t.Fatalf("%d/%d beat %d, link %d image %d: transitions %d, reference %d",
+						width, segBits, beat, link, v, bt[v], want)
+				}
 			}
-			if !e.wire.Equal(naive.wire) {
-				t.Fatalf("%d/%d beat %d: wire\n%s\nreference\n%s", width, segBits, beat, e.wire, naive.wire)
-			}
-			for b := 0; b < len(e.inv)*64; b++ {
-				want := b < width && wantInv[b/segBits]
-				if got := e.inv[b/64]>>uint(b%64)&1 != 0; got != want {
-					t.Fatalf("%d/%d beat %d: invert mask bit %d = %v, reference %v", width, segBits, beat, b, got, want)
+			for i, ref := range naive {
+				wire := bitutil.FromWords(width, c.wire[i*words:(i+1)*words])
+				if !wire.Equal(ref.wire) {
+					t.Fatalf("%d/%d beat %d, bus %d: wire\n%s\nreference\n%s", width, segBits, beat, i, wire, ref.wire)
+				}
+				for b := 0; b < words*64; b++ {
+					want := b < width && ref.invWire[b/segBits]
+					if got := c.inv[i*words+b/64]>>uint(b%64)&1 != 0; got != want {
+						t.Fatalf("%d/%d beat %d, bus %d: invert mask bit %d = %v, reference %v", width, segBits, beat, i, b, got, want)
+					}
 				}
 			}
 		}

@@ -68,16 +68,18 @@ type OrderingStrategy interface {
 // and the optional partner table (see core.Ordered).
 type Ordered = core.Ordered
 
-// LinkCoding is the per-link state of one coding scheme. Each physical link
-// owns its own instance; implementations need not be safe for concurrent
-// use.
+// LinkCoding is one coding's wire state on every bus of a simulation: one
+// bus per (link, image) pair, each link carrying the same number of wire
+// images. Implementations need not be safe for concurrent use.
 type LinkCoding interface {
-	// Transitions drives payload onto the coded wire state and returns the
-	// wire toggles this beat caused, including any extra-line flips.
-	Transitions(payload bitutil.Vec) int
+	// Count drives one crossing of link onto the coded wires and adds the
+	// wire toggles of image v, extra-line flips included, to bt[v].
+	// payload holds the crossing's images, image v in backing words
+	// [v·w, (v+1)·w) where w is the word count of one link-width bus.
+	Count(link int, payload []uint64, bt []int64)
 }
 
-// LinkCodingScheme describes one link coding and builds per-link state.
+// LinkCodingScheme describes one link coding and builds its wire state.
 type LinkCodingScheme interface {
 	// Name is the registry key, e.g. "gray" or "businvert". Lookup is
 	// case-insensitive.
@@ -87,12 +89,11 @@ type LinkCodingScheme interface {
 	// encoding-based BT reduction. It flows into the hwmodel link power
 	// accounting.
 	ExtraLines(width int) int
-	// AppendRow appends n fresh coders for width-bit links to dst, each
-	// independent of the others: one slice of coder structs and one slab
-	// of wire words for a whole row of links, as a simulator installing
+	// NewCoding builds fresh, independent wire state for links width-bit
+	// links carrying images wire images each, as a simulator installing
 	// the coding on every link wants. It fails on a width the coding
 	// cannot drive.
-	AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error)
+	NewCoding(width, links, images int) (LinkCoding, error)
 }
 
 // registry is the process-global strategy index. Registration normally
@@ -328,44 +329,53 @@ type grayScheme struct{}
 
 func (grayScheme) Name() string             { return "gray" }
 func (grayScheme) ExtraLines(width int) int { return 0 }
-func (grayScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
+func (grayScheme) NewCoding(width, links, images int) (LinkCoding, error) {
 	if width <= 0 {
-		return dst, fmt.Errorf("flit: gray coding on non-positive width %d", width)
+		return nil, fmt.Errorf("flit: gray coding on non-positive width %d", width)
 	}
+	c := PlainCoding(width, links, images).(*wireCoding)
+	c.gray = true
+	return c, nil
+}
+
+// PlainCoding returns the plain binary coding of links width-bit links
+// carrying images wire images each: every wire carries its payload bit,
+// with no extra lines. It is what a nil LinkCodingScheme counts.
+func PlainCoding(width, links, images int) LinkCoding {
 	words := (width + 63) / 64
-	wires := make([]uint64, n*words)
-	cs := make([]grayCoding, n)
-	for i := range cs {
-		cs[i].wire = bitutil.FromWords(width, wires[i*words:(i+1)*words:(i+1)*words])
-		dst = append(dst, &cs[i])
-	}
-	return dst, nil
+	return &wireCoding{words: words, images: images, wire: make([]uint64, links*images*words)}
 }
 
-// grayCoding is the per-link Gray-coded wire state: wire holds the pattern
-// currently on the wires. Each beat encodes, counts and stores one word at
-// a time, so the per-flit transform allocates nothing (a saturated mesh
-// runs this once per flit per link).
-type grayCoding struct {
-	wire bitutil.Vec
+// wireCoding is the wire state of plain binary or, with gray set, Gray
+// coding: bus (link, v) holds the pattern on its wires in words
+// [(link·images + v)·words, +words). Each beat encodes, counts and stores
+// one word at a time, so it allocates nothing.
+type wireCoding struct {
+	words, images int
+	gray          bool
+	wire          []uint64
 }
 
-func (c *grayCoding) Transitions(payload bitutil.Vec) int {
-	if payload.Width() != c.wire.Width() {
-		panic(fmt.Sprintf("flit: gray coding %d-bit flit on %d-bit wires", payload.Width(), c.wire.Width()))
-	}
-	src, wire := payload.Words(), c.wire.Words()
-	t := 0
-	for k, w := range src {
-		hi := uint64(0)
-		if k+1 < len(src) {
-			hi = src[k+1] << 63
+func (c *wireCoding) Count(link int, payload []uint64, bt []int64) {
+	w, n, gray := c.words, c.images*c.words, c.gray
+	wire := c.wire[link*n:][:n:n]
+	payload, bt = payload[:n:n], bt[:c.images]
+	k := 0
+	for v := range bt {
+		t := 0
+		for end := k + w; k < end; k++ {
+			enc := payload[k]
+			if gray {
+				enc ^= enc >> 1
+				if k+1 < end { // bit 63 borrows the next word's low bit, within the image
+					enc ^= payload[k+1] << 63
+				}
+			}
+			t += bits.OnesCount64(wire[k] ^ enc)
+			wire[k] = enc
 		}
-		enc := w ^ (w>>1 | hi)
-		t += bits.OnesCount64(wire[k] ^ enc)
-		wire[k] = enc
+		bt[v] += int64(t)
 	}
-	return t
 }
 
 // GrayEncode returns the bitwise Gray transform of v: out[i] = v[i] XOR
@@ -406,26 +416,15 @@ type businvertScheme struct {
 
 func (businvertScheme) Name() string               { return "businvert" }
 func (s businvertScheme) ExtraLines(width int) int { return width / s.segBits }
-func (s businvertScheme) AppendRow(dst []LinkCoding, width, n int) ([]LinkCoding, error) {
-	encs, err := businvert.NewEncoders(width, s.segBits, n)
+func (s businvertScheme) NewCoding(width, links, images int) (LinkCoding, error) {
+	c, err := businvert.NewCoding(width, s.segBits, links, images)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	for i := range encs {
-		dst = append(dst, businvertCoding{enc: &encs[i]})
-	}
-	return dst, nil
+	return c, nil
 }
 
 // BusinvertSegBits is the segment width of the registered "businvert"
 // scheme: one invert line per 8-bit segment, which scales classic
 // bus-invert to the paper's 128- and 512-bit links.
 const BusinvertSegBits = 8
-
-type businvertCoding struct {
-	enc *businvert.Encoder
-}
-
-func (c businvertCoding) Transitions(payload bitutil.Vec) int {
-	return c.enc.Drive(payload)
-}

@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -222,19 +223,27 @@ func TestGrayEncodeSelfConsistent(t *testing.T) {
 	}
 }
 
-// grayCoder returns a fresh gray coder for one width-bit link: a row of
-// one.
+// grayCoder returns a fresh gray coding of one width-bit link carrying
+// one image.
 func grayCoder(t *testing.T, width int) LinkCoding {
 	t.Helper()
 	gr, _ := LookupLinkCoding("gray")
-	row, err := gr.AppendRow(nil, width, 1)
+	c, err := gr.NewCoding(width, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return row[0]
+	return c
 }
 
-// TestGrayCodingTransitions: the per-link coder counts transitions between
+// countBeat drives payload across the one link of a one-image coding and
+// returns the toggles it caused.
+func countBeat(c LinkCoding, payload bitutil.Vec) int {
+	var bt [1]int64
+	c.Count(0, payload.Words(), bt[:])
+	return int(bt[0])
+}
+
+// TestGrayCodingTransitions: the coding counts transitions between
 // consecutive encoded patterns, starting from all-zero wires.
 func TestGrayCodingTransitions(t *testing.T) {
 	coder := grayCoder(t, 16)
@@ -242,11 +251,11 @@ func TestGrayCodingTransitions(t *testing.T) {
 	a.SetField(0, 16, 0b0000_0000_0000_0011)
 	// enc(0b11) = 0b10 (bit i XORs bit i+1): one set bit → 1 transition
 	// from the all-zero wire.
-	if got := coder.Transitions(a); got != 1 {
+	if got := countBeat(coder, a); got != 1 {
 		t.Errorf("first beat transitions = %d, want 1", got)
 	}
 	// Same payload again: encoded pattern unchanged → no transitions.
-	if got := coder.Transitions(a); got != 0 {
+	if got := countBeat(coder, a); got != 0 {
 		t.Errorf("repeat beat transitions = %d, want 0", got)
 	}
 }
@@ -300,14 +309,14 @@ func TestGrayCodingMatchesEncodeReference(t *testing.T) {
 		enc := GrayEncode(v)
 		want := wire.Transitions(enc)
 		wire.CopyFrom(enc)
-		if got := coder.Transitions(v); got != want {
+		if got := countBeat(coder, v); got != want {
 			t.Fatalf("beat %d: coder transitions %d, GrayEncode reference %d", beat, got, want)
 		}
 	}
 }
 
-// TestGrayCodingAllocFree: after construction the per-link coder must not
-// allocate per beat (one Transitions call per flit per link on the hot path).
+// TestGrayCodingAllocFree: after construction the coding must not allocate
+// per beat (one Count call per flit per link on the hot path).
 func TestGrayCodingAllocFree(t *testing.T) {
 	coder := grayCoder(t, 128)
 	rng := rand.New(rand.NewSource(23))
@@ -318,16 +327,15 @@ func TestGrayCodingAllocFree(t *testing.T) {
 		v.SetField(64, 64, rng.Uint64())
 		vs[i] = v
 	}
-	sink := 0
+	bt := make([]int64, 1)
 	avg := testing.AllocsPerRun(100, func() {
 		for _, v := range vs {
-			sink += coder.Transitions(v)
+			coder.Count(0, v.Words(), bt)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("gray Transitions allocates %.1f objects per 16-flit run, want 0", avg)
+		t.Errorf("gray Count allocates %.1f objects per 16-flit run, want 0", avg)
 	}
-	_ = sink
 }
 
 // TestOrderReusesDirtyDestination: every built-in strategy orders into a
@@ -410,47 +418,134 @@ func TestFlitizeKeepsLentPartnerTable(t *testing.T) {
 	}
 }
 
-// TestLinkCodingRowsMatchNew: every registered coding builds a row of
-// coders in one batch, and each coder of an n-coder row counts exactly
-// what the coder of a one-coder row counts on the same beats,
-// independently of its neighbours in the row, which are driven with
-// different payloads — at a narrow, a one-word and a multi-word width.
+// testCodings are the codings the coding contract tests cover: every
+// registered coding, bus-invert on 128-bit segments (Count's whole-word
+// path) and plainImageMajor, a custom scheme with a layout of its own.
+func testCodings() map[string]LinkCodingScheme {
+	out := map[string]LinkCodingScheme{"businvert128": businvertScheme{segBits: 128}, "plain-image-major": plainImageMajor{}}
+	for _, name := range LinkCodingNames()[1:] {
+		out[name], _ = LookupLinkCoding(name)
+	}
+	return out
+}
+
+// plainImageMajor is a test-only custom scheme: plain binary transitions,
+// with its buses stored image-major, bus (link, v) at (v·links + link)·w.
+// The coding contract is about counts, not layout.
+type plainImageMajor struct{}
+
+func (plainImageMajor) Name() string       { return "plain-image-major" }
+func (plainImageMajor) ExtraLines(int) int { return 0 }
+func (plainImageMajor) NewCoding(width, links, images int) (LinkCoding, error) {
+	w := (width + 63) / 64
+	return &imageMajorCoding{words: w, links: links, images: images, wire: make([]uint64, links*images*w)}, nil
+}
+
+type imageMajorCoding struct {
+	words, links, images int
+	wire                 []uint64
+}
+
+func (c *imageMajorCoding) Count(link int, payload []uint64, bt []int64) {
+	for v := range c.images {
+		wire := c.wire[(v*c.links+link)*c.words:][:c.words]
+		for k, x := range payload[v*c.words:][:c.words] {
+			bt[v] += int64(bits.OnesCount64(wire[k] ^ x))
+			wire[k] = x
+		}
+	}
+}
+
+// randomImages returns images random width-bit vectors and the payload
+// carrying them, image v in words [v·w, (v+1)·w).
+func randomImages(rng *rand.Rand, width, images int) ([]bitutil.Vec, []uint64) {
+	w := (width + 63) / 64
+	imgs, payload := make([]bitutil.Vec, images), make([]uint64, images*w)
+	for v := range imgs {
+		imgs[v] = bitutil.FromWords(width, payload[v*w:(v+1)*w])
+		for off := 0; off < width; off += 8 {
+			imgs[v].SetField(off, min(8, width-off), rng.Uint64())
+		}
+	}
+	return imgs, payload
+}
+
+// TestLinkCodingRowsMatchNew: each link of an n-link coding counts exactly
+// what a one-link coding counts on the same beats, independently of the
+// other links, which are driven with different payloads — for every
+// coding of testCodings, at a narrow, a one-word and a multi-word width.
 func TestLinkCodingRowsMatchNew(t *testing.T) {
 	const n = 3
-	for _, name := range LinkCodingNames()[1:] {
-		scheme, _ := LookupLinkCoding(name)
+	for name, scheme := range testCodings() {
 		for _, width := range []int{16, 64, 136} {
-			if _, err := scheme.AppendRow(nil, width, 1); err != nil {
+			if _, err := scheme.NewCoding(width, 1, 1); err != nil {
 				continue // a width the coding rejects
 			}
-			row, err := scheme.AppendRow(nil, width, n)
-			if err != nil || len(row) != n {
-				t.Fatalf("%s/%d: AppendRow = %d coders, %v", name, width, len(row), err)
-			}
-			rng := rand.New(rand.NewSource(int64(width)))
-			random := func() bitutil.Vec {
-				v := bitutil.NewVec(width)
-				for off := 0; off < width; off += 8 {
-					v.SetField(off, min(8, width-off), rng.Uint64())
-				}
-				return v
+			row, err := scheme.NewCoding(width, n, 1)
+			if err != nil {
+				t.Fatalf("%s/%d: NewCoding(%d links) = %v", name, width, n, err)
 			}
 			refs := make([]LinkCoding, n)
 			for i := range refs {
-				one, err := scheme.AppendRow(nil, width, 1)
-				if err != nil || len(one) != 1 {
-					t.Fatalf("%s/%d: one-coder AppendRow = %d coders, %v", name, width, len(one), err)
+				if refs[i], err = scheme.NewCoding(width, 1, 1); err != nil {
+					t.Fatalf("%s/%d: one-link NewCoding = %v", name, width, err)
 				}
-				refs[i] = one[0]
 			}
-			for beat := range 50 {
-				// Each coder of the row gets a payload of its own, so a
-				// word shared between them would show.
-				for i, c := range row {
-					v := random()
-					if got, want := c.Transitions(v), refs[i].Transitions(v); got != want {
-						t.Fatalf("%s/%d: row coder %d beat %d counts %d, a one-coder row's %d", name, width, i, beat, got, want)
+			rng := rand.New(rand.NewSource(int64(width)))
+			for b := range 50 {
+				// Each link gets a payload of its own, so a word shared
+				// between them would show.
+				for i := range refs {
+					imgs, payload := randomImages(rng, width, 1)
+					var got [1]int64
+					row.Count(i, payload, got[:])
+					if want := countBeat(refs[i], imgs[0]); got[0] != int64(want) {
+						t.Fatalf("%s/%d: link %d beat %d counts %d, a one-link coding's %d", name, width, i, b, got[0], want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodingImagesMatchSingleImage: on every link, a k-image coding counts
+// for image v exactly what a one-image coding counts when fed image v
+// alone, and adds each image's toggles to its own entry of bt — for every
+// coding of testCodings, 1–5 images, on 64-, 128- and 512-bit links.
+func TestCodingImagesMatchSingleImage(t *testing.T) {
+	const links = 3
+	for name, scheme := range testCodings() {
+		for _, width := range []int{64, 128, 512} {
+			if _, err := scheme.NewCoding(width, 1, 1); err != nil {
+				continue // a width the coding rejects
+			}
+			for images := 1; images <= 5; images++ {
+				multi, err := scheme.NewCoding(width, links, images)
+				if err != nil {
+					t.Fatalf("%s/%d: NewCoding(%d links, %d images) = %v", name, width, links, images, err)
+				}
+				refs := make([]LinkCoding, images)
+				for v := range refs {
+					if refs[v], err = scheme.NewCoding(width, links, 1); err != nil {
+						t.Fatalf("%s/%d: one-image NewCoding = %v", name, width, err)
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(width*10 + images)))
+				got, want := make([]int64, images), make([]int64, images)
+				for b := range 60 {
+					link := rng.Intn(links)
+					imgs, payload := randomImages(rng, width, images)
+					multi.Count(link, payload, got)
+					for v, img := range imgs {
+						refs[v].Count(link, img.Words(), want[v:v+1])
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s/%d, %d images, beat %d on link %d: counted %v, one-image codings %v",
+							name, width, images, b, link, got, want)
+					}
+				}
+				if images > 1 && slices.Equal(got[:1], got[1:2]) {
+					t.Errorf("%s/%d: images 0 and 1 count the same: the beats are too few to tell them apart", name, width)
 				}
 			}
 		}

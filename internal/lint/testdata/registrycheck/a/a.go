@@ -36,8 +36,8 @@ type fxGray struct{}
 
 func (fxGray) Name() string             { return "fx-gray" }
 func (fxGray) ExtraLines(width int) int { return 0 }
-func (fxGray) AppendRow(dst []flit.LinkCoding, width, n int) ([]flit.LinkCoding, error) {
-	return dst, nil
+func (fxGray) NewCoding(width, links, images int) (flit.LinkCoding, error) {
+	return nil, nil
 }
 
 // fxReserved squats on the reserved uncoded name.
@@ -45,8 +45,8 @@ type fxReserved struct{}
 
 func (fxReserved) Name() string             { return "none" }
 func (fxReserved) ExtraLines(width int) int { return 0 }
-func (fxReserved) AppendRow(dst []flit.LinkCoding, width, n int) ([]flit.LinkCoding, error) {
-	return dst, nil
+func (fxReserved) NewCoding(width, links, images int) (flit.LinkCoding, error) {
+	return nil, nil
 }
 
 var dynamic = "fx-dynamic"

@@ -27,6 +27,7 @@ func TestAllocRegressionGuard(t *testing.T) {
 		"BenchmarkStepSaturated8x8Gray":       BenchmarkStepSaturated8x8Gray,
 		"BenchmarkStepSaturated8x8AllCodings": BenchmarkStepSaturated8x8AllCodings,
 		"BenchmarkStepSaturated8x8Images":     BenchmarkStepSaturated8x8Images,
+		"BenchmarkStepSaturated8x8Grid":       BenchmarkStepSaturated8x8Grid,
 		"BenchmarkStepSaturatedTorus8x8":      BenchmarkStepSaturatedTorus8x8,
 		"BenchmarkStepSaturatedCMesh8x8":      BenchmarkStepSaturatedCMesh8x8,
 		"BenchmarkStepSaturated4x4Wide":       BenchmarkStepSaturated4x4Wide,

@@ -158,8 +158,8 @@ type rejectScheme struct{}
 
 func (rejectScheme) Name() string       { return "reject" }
 func (rejectScheme) ExtraLines(int) int { return 0 }
-func (rejectScheme) AppendRow(dst []flit.LinkCoding, _, _ int) ([]flit.LinkCoding, error) {
-	return dst, errors.New("no width fits")
+func (rejectScheme) NewCoding(_, _, _ int) (flit.LinkCoding, error) {
+	return nil, errors.New("no width fits")
 }
 
 // TestCountCodingsRejectsWidth: a scheme that cannot build a link's coder

@@ -2,9 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"math/bits"
 
-	"nocbt/internal/bitutil"
 	"nocbt/internal/flit"
 )
 
@@ -46,18 +44,21 @@ type Link struct {
 	Name string
 	// Class is the link's position in the topology.
 	Class LinkClass
-	// id is the link's index in the simulator's link slab; coding k's
-	// coder and count for this link sit at k·len(links) + id in the
-	// per-Sim coding slab. It sits in Class's padding, so it does not grow
-	// Link.
+	// id is the link's index in the simulator's link slab: each coding
+	// drives the link's buses by it, and its counts start at id·rows in
+	// Sim.linkBT. It sits in Class's padding, so it does not grow Link.
 	id int32
 
 	sent int64
 	// lastBT is the transition count of the most recent crossing under the
-	// installed coding (coding 0). A link carries at most one flit between
+	// installed coding (row 0). A link carries at most one flit between
 	// transmit and delivery, so the span tracer can read the delivered
 	// flit's per-hop BT from here in Step's delivery phase.
 	lastBT int64
+	// switchBT is the row-0 BT of the crossings that change packet: head
+	// flits, and flits of another packet than the link's previous flit.
+	switchBT   int64
+	lastPacket uint64
 
 	// inFlight is the flit traversing this cycle; it is delivered to the
 	// sink at the start of the next cycle.
@@ -75,10 +76,10 @@ type Link struct {
 	order int
 }
 
-// transmit places f on link l, driving each wire image of its payload
-// through l's coder of every coding and adding each coder's transitions to
-// its count, and registers l on the busy list. Exactly one flit may be in
-// flight.
+// transmit places f on link l, driving every wire image of its payload
+// through l's buses of each coding in one call per coding and adding the
+// transitions to l's counts, and registers l on the busy list. Exactly one
+// flit may be in flight.
 func (s *Sim) transmit(l *Link, f *flit.Flit) {
 	if l.inFlight != nil {
 		panic(fmt.Sprintf("noc: link %s already carries a flit", l.Name))
@@ -87,47 +88,28 @@ func (s *Sim) transmit(l *Link, f *flit.Flit) {
 		panic(fmt.Sprintf("noc: link %s carries %d-bit payloads, flit payload %d",
 			l.Name, s.payloadBits, f.Payload.Width()))
 	}
-	// Locals, so the loop does not reload them after each coder call.
-	// Row v·codings + c counts coding c on image v.
-	coders, counts, payload := s.coders, s.linkBT, f.Payload
-	n, codings := len(s.links), len(s.schemes)
-	before := counts[l.id]
-	for v, j := 0, int(l.id); v < s.images; v++ {
-		img := payload.Image(v, s.cfg.LinkBits)
-		for end := j + codings*n; j < end; j += n {
-			counts[j] += int64(coders[j].Transitions(img))
-		}
+	id, images, rows := int(l.id), s.images, s.rows
+	counts, payload := s.linkBT[id*rows:][:rows:rows], f.Payload.Words()
+	before := counts[0]
+	for k, c := range s.coders {
+		c.Count(id, payload, counts[k*images:][:images])
 	}
-	l.lastBT = counts[l.id] - before
+	bt := counts[0] - before
+	if f.IsHead() || f.PacketID != l.lastPacket {
+		l.switchBT += bt
+	}
+	l.lastBT, l.lastPacket = bt, f.PacketID
 	l.sent++
 	l.inFlight = f
 	s.busy = append(s.busy, l)
-}
-
-// plainCoding counts plain binary transitions: it is the coder of every
-// coding installed as a nil scheme, the installed coding of a new Sim
-// included.
-type plainCoding struct {
-	wire []uint64
-}
-
-func (c *plainCoding) Transitions(payload bitutil.Vec) int {
-	d := 0
-	words := payload.Words()
-	wire := c.wire[:len(words)]
-	for i, w := range words {
-		d += bits.OnesCount64(wire[i] ^ w)
-		wire[i] = w
-	}
-	return d
 }
 
 // SetRows declares, before any traffic, everything the simulation counts:
 // every flit payload carries images wire images of one link width each,
 // image v in backing words [v·w, (v+1)·w) where w is a link's word count,
 // and each of the codings counts every image on every link crossing. Row
-// r = v·len(codings) + k counts coding k on image v, and RowBT(v, k) reads
-// it. codings[0] is the links' installed coding, and row 0 — image 0
+// r = k·images + v counts coding k on image v, and RowBT(v, k) reads it.
+// codings[0] is the links' installed coding, and row 0 — image 0
 // under it — drives Stats, LinkStats, TotalBT and the span tracer's
 // per-hop BT; the other rows are counted beside it. A nil scheme counts
 // plain binary transitions; with no codings, coding 0 is plain.
@@ -142,12 +124,12 @@ func (c *plainCoding) Transitions(payload bitutil.Vec) int {
 // refuses a second call, any call after traffic, fewer than one image,
 // several images under a payload trace (a trace records whole payloads, and
 // no replay of a multi-image payload counts what a link carries) and a
-// coding whose row constructor rejects the link width (a *CodingError);
+// coding whose constructor rejects the link width (a *CodingError);
 // a refused call installs nothing.
 func (s *Sim) SetRows(images int, codings ...flit.LinkCodingScheme) error {
 	switch {
 	case s.declared:
-		return fmt.Errorf("noc: rows are declared once; this simulation's are %d images of %d codings", s.images, len(s.schemes))
+		return fmt.Errorf("noc: rows are declared once; this simulation's are %d images of %d codings", s.images, len(s.coders))
 	case s.cycle != 0 || s.Busy():
 		return fmt.Errorf("noc: rows must be declared before any traffic")
 	case images < 1:
@@ -162,12 +144,12 @@ func (s *Sim) SetRows(images int, codings ...flit.LinkCodingScheme) error {
 	return nil
 }
 
-// CodingError is the error of a declared coding whose row constructor
-// rejects the link width; Coding is its index among the declared codings.
+// CodingError is the error of a declared coding whose constructor rejects
+// the link width; Coding is its index among the declared codings.
 type CodingError struct {
 	Coding int
 	Name   string // the coding's scheme name
-	Link   string // the first link of its row
+	Link   string // the first link it was built for
 	Err    error
 }
 
@@ -177,41 +159,26 @@ func (e *CodingError) Error() string {
 
 func (e *CodingError) Unwrap() error { return e.Err }
 
-// layRows lays out the coding slab of SetRows in one pass: fresh coders
-// for every (image, coding) row, each row built by one call of its
-// scheme's row constructor, or from one plain-coder slab for nil schemes.
+// layRows lays out the counts of SetRows in one pass: one fresh coding per
+// declared coding, each covering every link and image, and one count slab.
 func (s *Sim) layRows(images int, codings []flit.LinkCodingScheme) error {
 	if len(codings) == 0 {
 		codings = []flit.LinkCodingScheme{nil}
 	}
 	n, words := len(s.links), (s.cfg.LinkBits+63)/64
-	plains := 0
-	for _, sc := range codings {
+	coders := make([]flit.LinkCoding, len(codings))
+	for k, sc := range codings {
 		if sc == nil {
-			plains++
+			coders[k] = flit.PlainCoding(s.cfg.LinkBits, n, images)
+			continue
 		}
-	}
-	plain := make([]plainCoding, images*plains*n)
-	wires := make([]uint64, len(plain)*words)
-	coders := make([]flit.LinkCoding, 0, images*len(codings)*n)
-	for v := 0; v < images; v++ {
-		for k, sc := range codings {
-			if sc != nil {
-				// The constructor fails on the width, so for every link
-				// alike: the error names the row's first.
-				var err error
-				if coders, err = sc.AppendRow(coders, s.cfg.LinkBits, n); err != nil {
-					return &CodingError{Coding: k, Name: sc.Name(), Link: s.links[0].Name, Err: err}
-				}
-				continue
-			}
-			for range n {
-				c := &plain[0]
-				c.wire, wires = wires[:words:words], wires[words:]
-				plain = plain[1:]
-				coders = append(coders, c)
-			}
+		// The constructor fails on the width, so for every link alike:
+		// the error names the first.
+		c, err := sc.NewCoding(s.cfg.LinkBits, n, images)
+		if err != nil {
+			return &CodingError{Coding: k, Name: sc.Name(), Link: s.links[0].Name, Err: err}
 		}
+		coders[k] = c
 	}
 	if width := (images-1)*64*words + s.cfg.LinkBits; s.pool.Width() != width {
 		s.pool = flit.NewPool(width)
@@ -219,9 +186,8 @@ func (s *Sim) layRows(images int, codings []flit.LinkCodingScheme) error {
 			s.nis[i].pool = s.pool
 		}
 	}
-	s.coders, s.linkBT = coders, make([]int64, len(coders))
+	s.coders, s.rows, s.linkBT = coders, images*len(codings), make([]int64, n*images*len(codings))
 	s.images, s.payloadBits = images, s.pool.Width()
-	s.schemes = append(s.schemeBuf[:0], codings...)
 	return nil
 }
 
@@ -230,21 +196,20 @@ func (s *Sim) layRows(images int, codings []flit.LinkCodingScheme) error {
 // injection links when the configuration counts them. A row the slab does
 // not have is an error naming its shape.
 func (s *Sim) RowBT(v, k int) (int64, error) {
-	codings := len(s.schemes)
+	codings := len(s.coders)
 	if v < 0 || v >= s.images || k < 0 || k >= codings {
 		return 0, fmt.Errorf("noc: no row for image %d, coding %d: the slab has %d images of %d codings",
 			v, k, s.images, codings)
 	}
-	return s.rowBT(v*codings + k), nil
+	return s.rowBT(k*s.images + v), nil
 }
 
 // rowBT sums row r's counts over the links TotalBT counts.
 func (s *Sim) rowBT(r int) int64 {
 	var total int64
-	n := len(s.links)
-	for i, bt := range s.linkBT[r*n : (r+1)*n] {
+	for i := range s.links {
 		if s.links[i].Class != InjectionLink || s.cfg.CountInjection {
-			total += bt
+			total += s.linkBT[i*s.rows+r]
 		}
 	}
 	return total
@@ -258,5 +223,9 @@ type LinkStat struct {
 	Name  string
 	Class LinkClass
 	BT    int64
-	Flits int64
+	// SwitchBT is the part of BT whose crossings change packet: every head
+	// flit's, and every flit's that follows another packet's flit on the
+	// link.
+	SwitchBT int64
+	Flits    int64
 }

@@ -74,17 +74,15 @@ type Sim struct {
 	latencyMax int64
 	delivered  int64
 
-	// coders holds every link coding's per-link wire state on every wire
-	// image (see SetRows): row r = v·len(schemes) + k is coding k on image
-	// v, its coder for link i is coders[r·len(links) + i], and
-	// linkBT[r·len(links) + i] is that coder's transition count. Row 0 is
-	// the links' installed coding on their own traffic, plain binary
-	// unless New or SetRows says otherwise. schemes[k] is coding k's scheme
-	// (nil for plain), cut from schemeBuf while it fits.
-	coders    []flit.LinkCoding
-	linkBT    []int64
-	schemes   []flit.LinkCodingScheme
-	schemeBuf [4]flit.LinkCodingScheme
+	// coders holds one coding per declared coding (see SetRows), each
+	// driving every link's buses on every wire image. linkBT is
+	// link-major: link i's counts are contiguous at i·rows + k·images + v
+	// for coding k on image v, rows = images·len(coders), so a crossing
+	// adds to one run. Row 0 is the links' installed coding on their own
+	// traffic, plain binary unless New or SetRows says otherwise.
+	coders []flit.LinkCoding
+	rows   int
+	linkBT []int64
 	// images is how many wire images a payload carries, and payloadBits
 	// their total width: LinkBits when images is 1. declared says SetRows
 	// has laid the rows out.
@@ -530,7 +528,7 @@ func (s *Sim) Stats() Stats {
 		MaxLatency:       s.latencyMax,
 	}
 	for i := range s.links {
-		l, bt := &s.links[i], s.linkBT[i]
+		l, bt := &s.links[i], s.linkBT[i*s.rows]
 		switch l.Class {
 		case RouterLink:
 			st.RouterBT += bt
@@ -558,7 +556,7 @@ func (s *Sim) LinkStats() []LinkStat {
 	out := make([]LinkStat, 0, len(s.links))
 	for i := range s.links {
 		l := &s.links[i]
-		out = append(out, LinkStat{Name: l.Name, Class: l.Class, BT: s.linkBT[i], Flits: l.Flits()})
+		out = append(out, LinkStat{Name: l.Name, Class: l.Class, BT: s.linkBT[i*s.rows], SwitchBT: l.switchBT, Flits: l.Flits()})
 	}
 	return out
 }

@@ -180,6 +180,13 @@ func BenchmarkStepSaturated8x8Images(b *testing.B) {
 	saturatedImagesBench(b, "", 0, 3, "none", "gray", "businvert")
 }
 
+// BenchmarkStepSaturated8x8Grid saturates plain links carrying five wire
+// images per flit and counts plain, Gray and bus-invert on each: the shape
+// of one topology-grid sweep group, five orderings of three codings.
+func BenchmarkStepSaturated8x8Grid(b *testing.B) {
+	saturatedImagesBench(b, "", 0, 5, "none", "gray", "businvert")
+}
+
 // BenchmarkStepSaturatedTorus8x8 saturates the wraparound torus: the
 // dateline VC-class split must not push flits off the pooled path.
 func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0) }

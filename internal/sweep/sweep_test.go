@@ -516,21 +516,22 @@ func TestCodingGroupsMatchPerJobEngines(t *testing.T) {
 	}
 }
 
-// rejectScheme is a link coding whose row constructor refuses every link
+// rejectScheme is a link coding whose constructor refuses every link
 // width.
 type rejectScheme struct{}
 
 func (rejectScheme) Name() string       { return "sweep-test-reject" }
 func (rejectScheme) ExtraLines(int) int { return 0 }
-func (rejectScheme) AppendRow(dst []flit.LinkCoding, width, _ int) ([]flit.LinkCoding, error) {
-	return dst, fmt.Errorf("no %d-bit coder", width)
+func (rejectScheme) NewCoding(width, _, _ int) (flit.LinkCoding, error) {
+	return nil, fmt.Errorf("no %d-bit coder", width)
 }
 
 var registerReject sync.Once
 
-// TestCodingGroupRejectedWidth: a coding whose New rejects the link width
-// fails the sweep naming that coding's first job, with the simulator's
-// install error, whether it is a group's own coding or a counted one.
+// TestCodingGroupRejectedWidth: a coding whose NewCoding rejects the link
+// width fails the sweep naming that coding's first job, with the
+// simulator's install error, whether it is a group's own coding or a
+// counted one.
 func TestCodingGroupRejectedWidth(t *testing.T) {
 	registerReject.Do(func() { flit.MustRegisterLinkCoding(rejectScheme{}) })
 	for _, codings := range [][]string{

@@ -116,23 +116,24 @@ func (r *Recorder) CodedBT(scheme flit.LinkCodingScheme, classes ...noc.LinkClas
 		want[c] = true
 	}
 	coders := make(map[string]flit.LinkCoding)
+	bt := make([]int64, 1)
 	var total int64
 	for i, e := range r.events {
 		coder, ok := coders[e.Link]
 		if !ok {
-			row, err := scheme.AppendRow(nil, r.payloads[i].Width(), 1)
-			if err != nil {
+			var err error
+			if coder, err = scheme.NewCoding(r.payloads[i].Width(), 1, 1); err != nil {
 				return 0, fmt.Errorf("trace: link %s: %w", e.Link, err)
 			}
-			coder = row[0]
 			coders[e.Link] = coder
 		}
 		// Every event must pass through its link's coder to keep the wire
 		// state aligned with the simulation, even when the class is
 		// filtered out of the total.
-		t := int64(coder.Transitions(r.payloads[i]))
+		bt[0] = 0
+		coder.Count(0, r.payloads[i].Words(), bt)
 		if len(classes) == 0 || want[e.Class] {
-			total += t
+			total += bt[0]
 		}
 	}
 	return total, nil

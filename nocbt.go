@@ -132,8 +132,9 @@ func ParseOrdering(name string) (Ordering, error) {
 }
 
 // LinkCodingScheme describes one link coding (bus-invert, Gray, …) and
-// builds per-link encoder state. Codings transform how the wires toggle on
-// every mesh link and stack on top of any ordering strategy.
+// builds its wire state for every link and wire image of a simulation.
+// Codings transform how the wires toggle on every mesh link and stack on
+// top of any ordering strategy.
 type LinkCodingScheme = flit.LinkCodingScheme
 
 // RegisterLinkCoding adds a custom link coding to the registry; "none" is
