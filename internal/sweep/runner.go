@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
@@ -42,15 +41,27 @@ type runner struct {
 	workloads map[workloadKey]*workloadEntry
 }
 
+// groupsPerCore bounds how many sweep groups Run starts at once when
+// Spec.Workers is 0: groupsPerCore·GOMAXPROCS, time-sliced by the Go
+// scheduler. Groups differ in cost (a topology-grid mesh group takes
+// about 40% longer than a cmesh one) and a grid often has only a few, so
+// queuing them behind one worker per core leaves cores idle while the
+// last groups run.
+// The bound keeps a large grid (btexp -run sweep over many seeds or
+// platforms) from holding every group's engine and model clone at once.
+const groupsPerCore = 2
+
 // Run executes every job of the spec and returns one Result per job in
 // expansion order. Jobs that differ only in their coding, and in their
 // ordering where orderings cannot change the traffic, form a sweep group
-// (see codingGroups); each group is one engine and one simulation on a
-// bounded worker pool. A job error aborts the sweep: already-running
-// groups finish, still-queued groups are skipped, and the lowest-index
-// error that was actually recorded is returned. Cancelling the context
-// aborts the sweep promptly — workers stop picking up groups, in-flight
-// inferences bail between simulator cycles, and Run returns ctx.Err().
+// (see codingGroups); each group is one engine and one simulation. Up to
+// Spec.Workers groups run at once, or with Workers 0 up to
+// groupsPerCore·GOMAXPROCS, and never more than there are groups. A job
+// error aborts the sweep: it cancels the groups in flight, which stop at
+// their next context poll, still-queued groups are skipped, and Run
+// returns the lowest-index job error that is not such a cancellation.
+// Cancelling the caller's context aborts the sweep the same way, and Run
+// returns ctx.Err().
 func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -62,16 +73,17 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	groups := codingGroups(jobs)
 	workers := spec.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = groupsPerCore * runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	workers = min(workers, len(groups))
 
+	// The first failing group cancels runCtx, so the groups in flight stop
+	// instead of finishing rows the sweep will discard.
+	runCtx, abort := context.WithCancel(ctx)
+	defer abort()
 	r := &runner{workloads: make(map[workloadKey]*workloadEntry)}
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	var failed atomic.Bool
 	ch := make(chan []Job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -79,11 +91,11 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for group := range ch {
-				if failed.Load() || ctx.Err() != nil {
+				if runCtx.Err() != nil {
 					continue // drain the queue without running
 				}
-				if !r.runGroup(ctx, group, results, errs) {
-					failed.Store(true)
+				if !r.runGroup(runCtx, group, results, errs) {
+					abort()
 				}
 			}
 		}()
@@ -99,10 +111,17 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 		// cancellation itself rather than whichever job saw it first.
 		return nil, err
 	}
+	// With the caller's context live, a cancellation is the abort's echo
+	// in a group that was in flight: report the lowest-index other error,
+	// and a cancellation only when no group failed otherwise.
+	fault := -1
 	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: job %s: %w", jobs[i].Name(), err)
+		if err != nil && (fault < 0 || errors.Is(errs[fault], context.Canceled) && !errors.Is(err, context.Canceled)) {
+			fault = i
 		}
+	}
+	if fault >= 0 {
+		return nil, fmt.Errorf("sweep: job %s: %w", jobs[fault].Name(), errs[fault])
 	}
 	fillReductions(results)
 	return results, nil

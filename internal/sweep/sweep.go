@@ -35,7 +35,9 @@
 //
 //   - a span trace of a sweep shows one engine per group, and its per-hop
 //     BT is that of the group's first ordering under its first coding;
-//   - Workers above the number of groups adds no parallelism.
+//   - Workers above the number of groups adds no parallelism; with
+//     Workers 0, Run starts up to groupsPerCore·GOMAXPROCS groups side by
+//     side (see Run).
 package sweep
 
 import (
@@ -104,8 +106,10 @@ type Spec struct {
 	// topology on the same terminal grid. "" keeps the platform's
 	// configuration, as does the empty axis.
 	Topologies []string
-	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0). The pool
-	// never exceeds the number of sweep groups.
+	// Workers bounds how many sweep groups run at once, exactly; 0 means
+	// up to groupsPerCore·GOMAXPROCS, time-sliced by the Go scheduler so
+	// no core idles while one long group runs. The pool never exceeds the
+	// number of sweep groups.
 	Workers int
 }
 

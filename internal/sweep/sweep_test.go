@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nocbt/internal/accel"
 	"nocbt/internal/bitutil"
 	"nocbt/internal/dnn"
 	"nocbt/internal/flit"
 	"nocbt/internal/noc"
+	"nocbt/internal/obs"
 	"nocbt/internal/tensor"
 )
 
@@ -554,5 +557,117 @@ func TestCodingGroupRejectedWidth(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), prefix) {
 			t.Errorf("codings %v: error %v, want prefix %q", codings, err, prefix)
 		}
+	}
+}
+
+// TestRunStartsGroupsSideBySide: with Workers 0, Run starts
+// min(groups, groupsPerCore·GOMAXPROCS) sweep groups at once and no more.
+// Every Build blocks until that many builds are in flight, so a pool that
+// queues groups behind fewer runs out of time instead.
+func TestRunStartsGroupsSideBySide(t *testing.T) {
+	limit := groupsPerCore * runtime.GOMAXPROCS(0)
+	spec := tinySpec()
+	spec.Geometries = []flit.Geometry{paperFixed8} // one group per seed
+	spec.Seeds = nil
+	for seed := int64(1); seed <= int64(max(3, limit+1)); seed++ {
+		spec.Seeds = append(spec.Seeds, seed)
+	}
+	if groups := len(codingGroups(spec.Jobs())); groups != len(spec.Seeds) {
+		t.Fatalf("%d sweep groups for %d seeds", groups, len(spec.Seeds))
+	}
+	want := min(len(spec.Seeds), limit)
+	var mu sync.Mutex
+	var fill sync.Once
+	inFlight, peak := 0, 0
+	full := make(chan struct{})
+	inner := spec.Workloads[0].Build
+	spec.Workloads = []Workload{{
+		Name: "side-by-side",
+		Build: func(seed int64, rng *rand.Rand) (*dnn.Model, *tensor.Tensor, error) {
+			mu.Lock()
+			inFlight++
+			peak = max(peak, inFlight)
+			if inFlight == want {
+				fill.Do(func() { close(full) })
+			}
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				inFlight--
+				mu.Unlock()
+			}()
+			select {
+			case <-full:
+			case <-time.After(10 * time.Second):
+				return nil, nil, fmt.Errorf("seed %d: fewer than %d groups started side by side", seed, want)
+			}
+			return inner(seed, rng)
+		},
+	}}
+	if _, err := Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if peak != want {
+		t.Errorf("%d groups in flight at most, want %d (GOMAXPROCS %d)", peak, want, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestRunFailureStopsGroupsInFlight: a group that fails once a batch of
+// four DarkNet inferences on 8×8 is simulating beside it cancels that
+// batch. Run returns the failing job's error, not the cancellation it
+// caused in the lower-index DarkNet job, long before the batch could have
+// finished (about 4 s on one core, a minute and more under the race
+// detector).
+func TestRunFailureStopsGroupsInFlight(t *testing.T) {
+	boom := errors.New("boom")
+	// The DarkNet engine records its delivered packets here, which tells
+	// the failing Build that the inference is under way.
+	tracer := obs.NewTracer(16)
+	spec := Spec{
+		Platforms: []Platform{{
+			Name: "8x8 MC4",
+			Build: func(g flit.Geometry) accel.Config {
+				return accel.Config{
+					Mesh:     noc.Config{Width: 8, Height: 8, VCs: 4, BufDepth: 4, LinkBits: g.LinkBits},
+					Geometry: g,
+					MCs:      []int{0, 7, 56, 63},
+				}
+			},
+		}},
+		Geometries: []flit.Geometry{paperFixed8},
+		Orderings:  []flit.Ordering{flit.Baseline},
+		Workloads: []Workload{{
+			Name: "darknet-or-fail",
+			Build: func(seed int64, rng *rand.Rand) (*dnn.Model, *tensor.Tensor, error) {
+				if seed == 2 {
+					for deadline := time.Now().Add(10 * time.Second); tracer.Len() == 0 && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
+					return nil, nil, boom
+				}
+				m := dnn.DarkNetTiny(rng)
+				in := tensor.New(m.InShape...)
+				for i := range in.Data {
+					in.Data[i] = rng.Float32()*2 - 1
+				}
+				return m, in, nil
+			},
+		}},
+		Seeds:   []int64{1, 2},
+		Batches: []int{4},
+	}
+	start := time.Now()
+	_, err := Run(obs.NewContext(context.Background(), tracer), spec)
+	elapsed := time.Since(start)
+	if !errors.Is(err, boom) || errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want the build error and no cancellation", err)
+	}
+	if name := spec.Jobs()[1].Name(); !strings.Contains(err.Error(), name) {
+		t.Errorf("error %q does not name the failing job %s", err, name)
+	}
+	// The cancelled batch stops at its next context poll, 1024 cycles or
+	// about 5 ms on one core.
+	if elapsed > 2*time.Second {
+		t.Errorf("Run took %v to return a failure beside a cancelled DarkNet batch", elapsed)
 	}
 }

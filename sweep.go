@@ -127,12 +127,14 @@ type SweepSpec struct {
 	// platform's interconnect on the same terminal grid. Empty keeps the
 	// platforms' configured topologies (usually the paper's mesh).
 	Topologies []string
-	// Workers bounds the worker pool; 0 means GOMAXPROCS. Each worker runs
-	// one sweep group (a grid point's codings, and its orderings where they
-	// share one simulation) at a time, so workers beyond the number of
-	// groups add nothing. It only changes wall-clock
-	// parallelism, never the deterministic per-job results, so it is
-	// deliberately excluded from the sweep fingerprint.
+	// Workers bounds how many sweep groups (a grid point's codings, and its
+	// orderings where they share one simulation) run at once; 0 starts up
+	// to a small multiple of GOMAXPROCS side by side, time-sliced so no
+	// core idles while the longest group ends. Workers beyond the number
+	// of groups add nothing. A failing group cancels the groups in flight.
+	// It only changes wall-clock parallelism, never the deterministic
+	// per-job results, so it is deliberately excluded from the sweep
+	// fingerprint.
 	// fingerprint:ignore result-invariant: worker-pool size cannot change deterministic sweep results
 	Workers int
 }
